@@ -16,6 +16,7 @@ from .engine import (
     expectation_under,
     intervene,
     local_distribution,
+    log_scale,
     marginal,
     mutual_information,
 )
@@ -131,6 +132,7 @@ def janzing_strength(
     Cut arrows feed their targets with the independent product of the
     sources' observational marginals; everything else stays intact.
     """
+    scale = log_scale(base)
     arrow_set = frozenset((str(s), str(t)) for s, t in arrows)
     for src, tgt in arrow_set:
         if src not in model.parents(tgt):
@@ -168,7 +170,6 @@ def janzing_strength(
                 mixed += local_distribution(model, name, fed)[value] * weight_alpha
             q *= mixed
         post[key] = q
-    scale = math.log(2.0) / math.log(base) if base != 2.0 else 1.0
     total = 0.0
     for key, p in joint.entries.items():
         if p <= 0.0:

@@ -8,9 +8,9 @@
     vce check MODEL --cause X --outcome Y [--degree D]
 
 Exit codes: 0 success, 1 parse/IO failure, 2 semantic/query failure,
-3 oracle mismatch in `check`.  Degrees and bindings accept fractions
-(`--degree 1/3`).  JSON output (`--format json`) is schema-stable with
-fields {query, degree, variant, sign, value, breakdown[]}.
+3 oracle mismatch in `check`.  Degrees and bindings are finite numbers
+and accept fractions (`--degree 1/3`).  JSON output (`--format json`) is
+schema-stable with fields {query, degree, variant, sign, value, breakdown[]}.
 """
 
 from __future__ import annotations
@@ -18,7 +18,9 @@ from __future__ import annotations
 import argparse
 import csv
 import json
+import math
 import sys
+from itertools import product
 from typing import Sequence
 
 from . import baselines as bl
@@ -26,7 +28,6 @@ from . import counterfactual as cf
 from . import estimation as est
 from . import variational as vr
 from .dsl import parse_model
-from .engine import build_joint, marginal
 from .errors import ParseError, VceError
 from .model import Model, bind, default_state_limit
 
@@ -39,10 +40,15 @@ ORACLE_TOL = 1e-9
 
 
 def _fraction(text: str) -> float:
-    if "/" in text:
-        num, _, den = text.partition("/")
-        return float(num) / float(den)
-    return float(text)
+    """A finite number, written as a decimal or as a fraction like 1/3."""
+    num, slash, den = text.partition("/")
+    try:
+        value = float(num) / float(den) if slash else float(text)
+    except (ValueError, ZeroDivisionError):
+        value = math.nan
+    if not math.isfinite(value):
+        raise VceError(f"expected a finite number or fraction, got '{text}'")
+    return value
 
 
 def _parse_assignments(text: str) -> dict[str, float]:
@@ -140,12 +146,6 @@ def _axis_values(start: float, stop: float, step: float) -> list[float]:
     return values
 
 
-def _sweep_point(base: Model, args, bindings: dict[str, float], degree: float) -> float:
-    model = bind(base, bindings) if (base.parameters or bindings) else base
-    query = vr.EffectQuery(args.cause, args.outcome, degree, args.variant, args.sign)
-    return vr.effect(model, query).value
-
-
 def cmd_sweep(args) -> int:
     axes: list[tuple[str, list[float]]] = []
     for raw in args.axis:
@@ -170,9 +170,11 @@ def cmd_sweep(args) -> int:
         if name != "d" and name not in param_names:
             raise VceError(f"axis '{name}' is neither a parameter nor the degree 'd'")
 
-    from itertools import product
-
-    grid = []
+    # Consecutive grid points with equal bindings share one bound model and
+    # one stratum table.  Each point binds before it validates its query, so
+    # the first error a grid raises is the one a per-point evaluation raises.
+    rows = []
+    bound_for, table = None, None
     for combo in product(*(values for _, values in axes)):
         bindings = dict(fixed)
         degree = args.degree
@@ -181,20 +183,14 @@ def cmd_sweep(args) -> int:
                 degree = value
             else:
                 bindings[name] = value
-        grid.append((combo, bindings, degree))
-
-    # Grid points are independent; evaluate in a thread pool when asked and
-    # buffer so rows come out in deterministic (lexicographic) order.
-    if args.jobs > 1:
-        from concurrent.futures import ThreadPoolExecutor
-
-        with ThreadPoolExecutor(max_workers=args.jobs) as pool:
-            values = list(
-                pool.map(lambda g: _sweep_point(base, args, g[1], g[2]), grid)
-            )
-    else:
-        values = [_sweep_point(base, args, b, d) for _, b, d in grid]
-    rows = [tuple(combo) + (value,) for (combo, _, _), value in zip(grid, values)]
+        if bindings != bound_for:
+            model = bind(base, bindings) if (base.parameters or bindings) else base
+            bound_for, table = bindings, None
+        query = vr.EffectQuery(args.cause, args.outcome, degree, args.variant, args.sign)
+        if table is None:
+            table = vr.strata(model, query.cause, query.outcome)
+        value, _ = table.aggregate(query.degree, query.variant, query.sign)
+        rows.append(combo + (value,))
 
     header = [name for name, _ in axes] + ["value"]
     out = open(args.out, "w", newline="", encoding="utf-8") if args.out else sys.stdout
@@ -296,23 +292,18 @@ def cmd_estimate(args) -> int:
 def cmd_check(args) -> int:
     model = _load_model(args.model, args.bind)
     query = vr.EffectQuery(args.cause, args.outcome, args.degree, "pace", args.sign)
-    z_vars = [v for v in model.parents(args.outcome) if v != args.cause]
-    joint = build_joint(model)
-    zdist = marginal(joint, z_vars)
+    table = vr.strata(model, query.cause, query.outcome)
+    d, sign = query.degree, query.sign
     worst = 0.0
-    checked = 0
-    for key in sorted(zdist.table):
-        if zdist.table[key] <= 0:
-            continue
-        z = dict(zip(z_vars, key))
-        dp_value, witness = vr.piv(model, query, z)
-        bf_value, _ = vr.brute_force_piv(model, query, z)
+    for row in table.rows:
+        dp_value, chain = vr.total_variation(row.gs, row.ps, d, sign)
+        bf_value, _ = vr.brute_force_total_variation(row.gs, row.ps, d, sign)
         worst = max(worst, abs(dp_value - bf_value))
-        if witness is not None:
-            direct = vr.piev(model, query, z, witness)
-            matrix = vr.matrix_form_piev(model, query, z, witness)
+        if chain is not None:
+            direct = vr.chain_value(row.gs, row.ps, chain, d, sign)
+            matrix = vr.matrix_form_chain_value(row.gs, row.ps, chain, d, sign)
             worst = max(worst, abs(direct - matrix), abs(direct - dp_value))
-        checked += 1
+    checked = len(table.rows)
     if worst > ORACLE_TOL:
         print(f"MISMATCH: max deviation {worst:.3e} over {checked} z-strata")
         return EXIT_MISMATCH
@@ -353,7 +344,7 @@ def build_parser() -> argparse.ArgumentParser:
                          help="axis in the form NAME=START:STOP:STEP; NAME is a parameter or 'd'")
     p_sweep.add_argument("--out", help="CSV output path (default stdout)")
     p_sweep.add_argument("--jobs", type=int, default=1,
-                         help="evaluate grid points in N threads (order unchanged)")
+                         help="accepted and ignored; grid points run in order")
     p_sweep.set_defaults(func=cmd_sweep)
 
     p_cf = sub.add_parser("counterfactual", help="abduction-action-prediction query")
@@ -401,8 +392,8 @@ def build_parser() -> argparse.ArgumentParser:
 
 def main(argv: Sequence[str] | None = None) -> int:
     parser = build_parser()
-    args = parser.parse_args(argv)
     try:
+        args = parser.parse_args(argv)
         return args.func(args)
     except ParseError as err:
         print(f"parse error: {err}", file=sys.stderr)

@@ -14,7 +14,7 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 from typing import Iterator, Mapping
 
-from .engine import Distribution, _row_lookup
+from .engine import Distribution, build_joint, deterministic_value
 from .errors import QueryError, UnboundModelError, ZeroProbabilityError
 from .model import CPT, Deterministic, Model, Root, snap_to_support
 
@@ -32,50 +32,20 @@ def stochastic_nodes(model: Model) -> tuple[str, ...]:
     return tuple(n for n in order if isinstance(model.mechanisms[n], (Root, CPT)))
 
 
-def _local_prob(model: Model, name: str, value: float, values: Mapping[str, float]) -> float:
-    mech = model.mechanisms[name]
-    if isinstance(mech, Root):
-        row = mech.table
-    else:
-        key = tuple(values[p] for p in mech.parents)
-        row = _row_lookup(mech.rows, key)
-    return float(row.get(value, 0.0))
-
-
 def configurations(model: Model) -> Iterator[tuple[dict[str, float], float]]:
     """All positive-prior assignments of the stochastic nodes.
 
-    The prior multiplies each node's conditional at its latent value, with
-    parents evaluated by plain observational propagation.
+    Each is the projection of one joint entry onto the stochastic nodes, so
+    the prior multiplies each node's conditional at its latent value, with
+    parents evaluated by plain observational propagation.  Deterministic
+    values are functions of the latents, so no two entries share a projection.
     """
     if not model.is_bound:
         raise UnboundModelError("counterfactuals need a fully bound model")
-    order = model.topological_order()
-
-    def recurse(i: int, values: dict[str, float], config: dict[str, float], prior: float):
-        if i == len(order):
-            yield dict(config), prior
-            return
-        name = order[i]
-        mech = model.mechanisms[name]
-        if isinstance(mech, Deterministic):
-            values[name] = snap_to_support(
-                model.support(name), mech.value(tuple(values[p] for p in mech.parents))
-            )
-            yield from recurse(i + 1, values, config, prior)
-            del values[name]
-            return
-        for value in model.support(name).values:
-            p = _local_prob(model, name, value, values)
-            if p <= 0.0:
-                continue
-            values[name] = value
-            config[name] = value
-            yield from recurse(i + 1, values, config, prior * p)
-            del values[name]
-            del config[name]
-
-    yield from recurse(0, {}, {}, 1.0)
+    joint = build_joint(model)
+    columns = [(name, joint.column(name)) for name in stochastic_nodes(model)]
+    for key, mass in joint.entries.items():
+        yield {name: key[col] for name, col in columns}, mass
 
 
 def propagate(model: Model, config: Mapping[str, float], do: Mapping[str, float]) -> dict[str, float]:
@@ -89,10 +59,7 @@ def propagate(model: Model, config: Mapping[str, float], do: Mapping[str, float]
         if name in do:
             values[name] = snap_to_support(model.support(name), do[name])
         elif isinstance(model.mechanisms[name], Deterministic):
-            mech = model.mechanisms[name]
-            values[name] = snap_to_support(
-                model.support(name), mech.value(tuple(values[p] for p in mech.parents))
-            )
+            values[name] = deterministic_value(model, name, values)
         else:
             values[name] = config[name]
     return values

@@ -20,6 +20,7 @@ from .errors import (
     AbsoluteContinuityError,
     EngineError,
     ModelError,
+    QueryError,
     StateSpaceError,
     UnboundModelError,
     ZeroProbabilityError,
@@ -233,6 +234,13 @@ def conditional_mutual_information(
     return cond_entropy(joint, y, list(given)) - cond_entropy(joint, y, [x] + list(given))
 
 
+def log_scale(base: float) -> float:
+    """Factor that converts bits to log-`base` units."""
+    if not (math.isfinite(base) and base > 0.0 and base != 1.0):
+        raise QueryError(f"log base must be finite, > 0 and != 1, got {base}")
+    return math.log(2.0) / math.log(base) if base != 2.0 else 1.0
+
+
 def kl_divergence(p: Distribution, q: Distribution, base: float = 2.0) -> float:
     """D_KL(P || Q) over a shared domain.
 
@@ -242,7 +250,7 @@ def kl_divergence(p: Distribution, q: Distribution, base: float = 2.0) -> float:
     """
     if p.variables != q.variables:
         raise EngineError(f"KL domains differ: {p.variables} vs {q.variables}")
-    scale = math.log(2.0) / math.log(base) if base != 2.0 else 1.0
+    scale = log_scale(base)
     total = 0.0
     for key, pv in p.items():
         if pv <= 0.0:

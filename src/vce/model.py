@@ -134,10 +134,6 @@ class Deterministic:
 Mechanism = Union[Root, CPT, Deterministic]
 
 
-def mechanism_parents(mech: Mechanism) -> tuple[str, ...]:
-    return mech.parents
-
-
 @dataclass(frozen=True)
 class Partition:
     """Increasing subsequence of support indices; the chain variation runs on."""
@@ -202,13 +198,13 @@ class Model:
         mech = self.mechanisms.get(name)
         if mech is None:
             raise ModelError(f"variable '{name}' has no mechanism")
-        return mechanism_parents(mech)
+        return mech.parents
 
     def children(self, name: str) -> tuple[str, ...]:
         return tuple(
             v.name
             for v in self.variables
-            if v.name in self.mechanisms and name in mechanism_parents(self.mechanisms[v.name])
+            if v.name in self.mechanisms and name in self.mechanisms[v.name].parents
         )
 
     @cached_property
@@ -222,7 +218,7 @@ class Model:
         """Kahn's algorithm; ties broken by declaration order (deterministic)."""
         names = [v.name for v in self.variables]
         pending = {
-            n: set(mechanism_parents(self.mechanisms[n])) & set(names)
+            n: set(self.mechanisms[n].parents) & set(names)
             for n in names
             if n in self.mechanisms
         }
@@ -345,7 +341,7 @@ def validate(model: Model) -> list[str]:
         if n not in model.variable_map:
             continue
         support = model.variable_map[n].support
-        parents = mechanism_parents(mech)
+        parents = mech.parents
         for p in parents:
             if p not in seen:
                 diags.append(f"{n}: parent '{p}' is not a declared variable")

@@ -19,6 +19,7 @@ including d = 0 (0^0 is taken as 0 here).
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, field
 from itertools import combinations
 from typing import Mapping, Sequence
@@ -27,7 +28,6 @@ import numpy as np
 
 from . import expr as ex
 from .engine import (
-    JointTable,
     _row_lookup,
     build_joint,
     deterministic_value,
@@ -51,10 +51,16 @@ SIGNS = ("abs", "positive", "negative")
 Chain = tuple[int, ...]
 
 
+def _degree_error(degree: float) -> QueryError:
+    if degree < 0:
+        return QueryError(f"degree must be >= 0, got {degree}")
+    return QueryError(f"degree must be finite, got {degree}")
+
+
 def weight(p: float, q: float, degree: float) -> float:
     """Normalized availability weight (4pq)^d; 0 whenever p or q is 0."""
-    if degree < 0:
-        raise QueryError(f"degree must be >= 0, got {degree}")
+    if not 0 <= degree < math.inf:
+        raise _degree_error(degree)
     if p <= 0.0 or q <= 0.0:
         return 0.0
     return (4.0 * p * q) ** degree
@@ -180,8 +186,8 @@ class EffectQuery:
     sign: str = "abs"
 
     def __post_init__(self):
-        if self.degree < 0:
-            raise QueryError(f"degree must be >= 0, got {self.degree}")
+        if not 0 <= self.degree < math.inf:
+            raise _degree_error(self.degree)
         if self.variant not in VARIANTS:
             raise QueryError(f"unknown variant '{self.variant}'")
         if self.sign not in SIGNS:
@@ -239,22 +245,55 @@ class _ZRow:
     gs: tuple[float, ...]
 
 
-def _effect_rows(
+@dataclass(frozen=True)
+class StratumTable:
+    """The z strata of one bound model, enumerated once and read by every
+    effect, grid and per-z oracle over it.
+
+    Rows cover every z with P(z) > 0 in ascending key order; `indices` are
+    the cause's support positions the chains run over.
+    """
+
+    z_variables: tuple[str, ...]
+    rows: tuple[_ZRow, ...]
+    indices: tuple[int, ...]
+
+    def row(self, z: Mapping[str, float]) -> _ZRow:
+        if set(z) != set(self.z_variables):
+            raise QueryError(f"z must assign exactly {self.z_variables}")
+        key = tuple(z[v] for v in self.z_variables)
+        for row in self.rows:
+            if row.key == key:
+                return row
+        raise ZeroProbabilityError(f"z assignment {dict(z)} has zero probability")
+
+    def aggregate(
+        self, degree: float, variant: str, sign: str
+    ) -> tuple[float, dict[tuple[float, ...], ZSlice]]:
+        """Expectation over z of the per-z variation, with the breakdown."""
+        breakdown: dict[tuple[float, ...], ZSlice] = {}
+        total = 0.0
+        for row in self.rows:
+            value, chain = variation(row.gs, row.ps, degree, variant, sign)
+            breakdown[row.key] = ZSlice(row.probability, value, _witness(self.indices, chain))
+            total += row.probability * value
+        return total, breakdown
+
+
+def _tabulate(
     model: Model,
     cause: str,
     outcome: str | None,
     z_vars: tuple[str, ...],
-    joint: JointTable | None = None,
     support_subset: Sequence[float] | None = None,
-) -> tuple[list[_ZRow], tuple[int, ...]]:
+) -> StratumTable:
     """Per-z conditional cause probabilities and outcome values.
 
-    Rows cover every z with P(z) > 0.  When outcome is None the cause's own
-    values stand in for g (natural availability).  `support_subset` restricts
-    the chain to the given cause values, keeping the original (unrenormalized)
-    conditional probabilities.
+    When outcome is None the cause's own values stand in for g (natural
+    availability).  `support_subset` restricts the chain to the given cause
+    values, keeping the original (unrenormalized) conditional probabilities.
     """
-    joint = joint if joint is not None else build_joint(model)
+    joint = build_joint(model)
     support = model.support(cause)
     if support_subset is None:
         indices = tuple(range(len(support)))
@@ -281,7 +320,15 @@ def _effect_rows(
                 gs.append(g_in(model, outcome, assignment))
             gs = tuple(gs)
         rows.append(_ZRow(z_key, pz, ps, gs))
-    return rows, indices
+    return StratumTable(z_vars, tuple(rows), indices)
+
+
+def strata(
+    model: Model, cause: str, outcome: str, support_subset: Sequence[float] | None = None
+) -> StratumTable:
+    """Stratum table of an effect query; Z is the outcome's other parents."""
+    z_vars = _query_context(model, cause, outcome)
+    return _tabulate(model, cause, outcome, z_vars, support_subset)
 
 
 def _witness(indices: tuple[int, ...], chain: Chain | None) -> Partition | None:
@@ -294,7 +341,6 @@ def effect(
     model: Model,
     query: EffectQuery,
     support_subset: Sequence[float] | None = None,
-    joint: JointTable | None = None,
 ) -> EffectReport:
     """Expected normalized variation of the outcome along the cause's support.
 
@@ -302,18 +348,9 @@ def effect(
     witnessing partition for the max-based variants).  z values with zero
     probability are skipped; their conditional weights are undefined.
     """
-    z_vars = _query_context(model, query.cause, query.outcome)
-    rows, indices = _effect_rows(
-        model, query.cause, query.outcome, z_vars, joint, support_subset
-    )
-    breakdown: dict[tuple[float, ...], ZSlice] = {}
-    total = 0.0
-    for row in rows:
-        value, chain = variation(row.gs, row.ps, query.degree, query.variant, query.sign)
-        witness = _witness(indices, chain) if query.variant in ("pace", "space") else None
-        breakdown[row.key] = ZSlice(row.probability, value, witness)
-        total += row.probability * value
-    return EffectReport(query, total, z_vars, breakdown)
+    table = strata(model, query.cause, query.outcome, support_subset)
+    value, breakdown = table.aggregate(query.degree, query.variant, query.sign)
+    return EffectReport(query, value, table.z_variables, breakdown)
 
 
 def pace_vector(
@@ -328,16 +365,12 @@ def pace_vector(
     degrees = list(degrees)
     if any(d < 0 for d in degrees):
         raise QueryError("grid degrees must be >= 0")
+    if not all(math.isfinite(d) for d in degrees):
+        raise QueryError("grid degrees must be finite")
     if any(b < a for a, b in zip(degrees, degrees[1:])):
         raise QueryError("grid degrees must be ascending")
-    z_vars = _query_context(model, cause, outcome)
-    rows, _ = _effect_rows(model, cause, outcome, z_vars)
-    out = []
-    for d in degrees:
-        out.append(
-            sum(row.probability * variation(row.gs, row.ps, d, variant, sign)[0] for row in rows)
-        )
-    return out
+    table = strata(model, cause, outcome)
+    return [table.aggregate(d, variant, sign)[0] for d in degrees]
 
 
 def degree_grid(max_degree: float = 1.0, steps: int = 10) -> list[float]:
@@ -364,23 +397,15 @@ def natural_availability(
         raise QueryError("conditioning set must not contain the cause")
     for z in z_vars:
         model.variable(z)
-    rows, _ = _effect_rows(model, cause, None, tuple(z_vars))
-    return sum(row.probability * variation(row.gs, row.ps, degree, variant, "abs")[0] for row in rows)
+    return _tabulate(model, cause, None, tuple(z_vars)).aggregate(degree, variant, "abs")[0]
 
 
 # --- per-z operations (the oracle-facing surface) ---------------------------
 
 
 def _z_row(model: Model, query: EffectQuery, z: Mapping[str, float]) -> tuple[_ZRow, tuple[int, ...]]:
-    z_vars = _query_context(model, query.cause, query.outcome)
-    if set(z) != set(z_vars):
-        raise QueryError(f"z must assign exactly {z_vars}")
-    key = tuple(z[v] for v in z_vars)
-    rows, indices = _effect_rows(model, query.cause, query.outcome, z_vars)
-    for row in rows:
-        if row.key == key:
-            return row, indices
-    raise ZeroProbabilityError(f"z assignment {dict(z)} has zero probability")
+    table = strata(model, query.cause, query.outcome)
+    return table.row(z), table.indices
 
 
 def piev(
@@ -422,23 +447,28 @@ def apiv(model: Model, query: EffectQuery, z: Mapping[str, float]) -> float:
     return aggregated_variation(row.gs, row.ps, query.degree, query.sign)
 
 
-def matrix_form_piev(
-    model: Model, query: EffectQuery, z: Mapping[str, float], partition: Partition
-) -> float:
-    """piev computed independently as (v^d)^T A^(P) v^d with numpy.
+def matrix_form_chain_value(gs, ps, chain: Sequence[int], degree: float, sign: str) -> float:
+    """chain_value computed independently as (v^d)^T A^(P) v^d with numpy.
 
     The probability vector zeroes entries with zero conditional probability
     before exponentiation so the d = 0 convention matches weight().
     """
-    row, _ = _z_row(model, query, z)
-    l = len(row.gs)
-    if partition.indices[-1] >= l:
-        raise QueryError(f"partition {partition.indices} exceeds the cause's support")
-    v = np.array([0.0 if p <= 0.0 else p ** query.degree for p in row.ps])
+    l = len(gs)
+    v = np.array([0.0 if p <= 0.0 else p ** degree for p in ps])
     a = np.zeros((l, l))
-    for i, j in zip(partition.indices, partition.indices[1:]):
-        a[j, i] = signed_difference(row.gs[j], row.gs[i], query.sign)
-    return (4.0 ** query.degree) * float(v @ a @ v)
+    for i, j in zip(chain, chain[1:]):
+        a[j, i] = signed_difference(gs[j], gs[i], sign)
+    return (4.0 ** degree) * float(v @ a @ v)
+
+
+def matrix_form_piev(
+    model: Model, query: EffectQuery, z: Mapping[str, float], partition: Partition
+) -> float:
+    """piev by the matrix form, at one z."""
+    row, _ = _z_row(model, query, z)
+    if partition.indices[-1] >= len(row.gs):
+        raise QueryError(f"partition {partition.indices} exceeds the cause's support")
+    return matrix_form_chain_value(row.gs, row.ps, partition.indices, query.degree, query.sign)
 
 
 # --- model rewrites ---------------------------------------------------------
@@ -497,17 +527,13 @@ def _substitute_parent(model, child, mediator: str, med: Deterministic):
         rows = {}
         for combo in space:
             assignment = dict(zip(new_parents, combo))
-            rows[combo] = dict(_cpt_row(child, child_key(assignment)))
+            rows[combo] = dict(_row_lookup(child.rows, child_key(assignment)))
         return CPT(new_parents, rows)
     table = {}
     for combo in space:
         assignment = dict(zip(new_parents, combo))
         table[combo] = child.value(child_key(assignment))
     return Deterministic(new_parents, table=table)
-
-
-def _cpt_row(mech: CPT, key: tuple[float, ...]):
-    return _row_lookup(mech.rows, key)
 
 
 def cpt_to_noise(model: Model, node: str, free_parameter: str | None = None) -> Model:

@@ -13,7 +13,17 @@ from pathlib import Path
 import numpy as np
 
 from vce import expr as ex
-from vce.model import CPT, Deterministic, FiniteSupport, Model, Parameter, Root, Variable
+from vce.engine import _row_lookup
+from vce.model import (
+    CPT,
+    Deterministic,
+    FiniteSupport,
+    Model,
+    Parameter,
+    Root,
+    Variable,
+    snap_to_support,
+)
 
 MODELS_DIR = Path(__file__).resolve().parent.parent / "models"
 
@@ -175,6 +185,48 @@ def random_dsl_model(rng: np.random.Generator) -> Model:
             mechanisms[name] = Deterministic(parents, table=table)
         variables.append(Variable(name, support))
     return Model(tuple(variables), mechanisms, tuple(params))
+
+
+# --- reference enumeration of latent configurations -------------------------
+
+
+def reference_configurations(model: Model):
+    """Positive-prior assignments of the stochastic nodes by their own
+    recursion in topological order (oracle for counterfactual.configurations)."""
+    order = model.topological_order()
+
+    def local_prob(name, value, values):
+        mech = model.mechanisms[name]
+        if isinstance(mech, Root):
+            row = mech.table
+        else:
+            row = _row_lookup(mech.rows, tuple(values[p] for p in mech.parents))
+        return float(row.get(value, 0.0))
+
+    def recurse(i, values, config, prior):
+        if i == len(order):
+            yield dict(config), prior
+            return
+        name = order[i]
+        mech = model.mechanisms[name]
+        if isinstance(mech, Deterministic):
+            values[name] = snap_to_support(
+                model.support(name), mech.value(tuple(values[p] for p in mech.parents))
+            )
+            yield from recurse(i + 1, values, config, prior)
+            del values[name]
+            return
+        for value in model.support(name).values:
+            p = local_prob(name, value, values)
+            if p <= 0.0:
+                continue
+            values[name] = value
+            config[name] = value
+            yield from recurse(i + 1, values, config, prior * p)
+            del values[name]
+            del config[name]
+
+    yield from recurse(0, {}, {}, 1.0)
 
 
 # --- random expressions paired with an independent Python oracle ------------

@@ -248,6 +248,12 @@ def test_janzing_rejects_non_edges(bsc):
         janzing_strength(bsc, [("Y", "X")])
 
 
+@pytest.mark.parametrize("base", [1.0, 0.0, -2.0, math.nan, math.inf])
+def test_janzing_rejects_bad_log_base(bsc, base):
+    with pytest.raises(QueryError, match="log base"):
+        janzing_strength(bsc, [("X", "Y")], base=base)
+
+
 # --- MI / CMI strengths ------------------------------------------------------------
 
 

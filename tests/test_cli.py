@@ -1,13 +1,17 @@
 import csv
 import json
 import math
+import sys
 
 import pytest
 
 from helpers import MODELS_DIR
+from vce import engine
 from vce.cli import main
 from vce.engine import sample
 from vce.dsl import parse_model
+from vce.model import bind
+from vce.variational import EffectQuery, effect
 
 BSC = str(MODELS_DIR / "bsc.sem")
 RAMP = str(MODELS_DIR / "ramp_reset.sem")
@@ -269,3 +273,92 @@ def test_check_ten_value_random_model(capsys, tmp_path):
     )
     assert code == 0
     assert out.startswith("OK, max deviation")
+
+
+def test_check_builds_joint_once(capsys, monkeypatch):
+    builds = []
+    real = engine.build_joint
+
+    def counted(model):
+        builds.append(model)
+        return real(model)
+
+    for name, module in list(sys.modules.items()):
+        if name.startswith("vce") and getattr(module, "build_joint", None) is real:
+            monkeypatch.setattr(module, "build_joint", counted)
+    code, out, _ = run(
+        capsys, "check", SPRINKLER_F, "--bind", "p=0.37", "--cause", "R", "--outcome", "W",
+    )
+    assert code == 0
+    assert len(builds) == 1
+    model = bind(parse_model(open(SPRINKLER_F).read()), {"p": 0.37})
+    strata = len(effect(model, EffectQuery("R", "W")).breakdown)
+    assert out.endswith(f"({strata} z-strata)\n")
+
+
+def test_sweep_degree_axis_first_matches_eval(capsys):
+    code, out, _ = run(
+        capsys, "sweep", SPRINKLER_F, "--cause", "R", "--outcome", "W",
+        "--axis", "d=0:1:0.5", "--axis", "p=0:1:0.25", "--variant", "space",
+    )
+    assert code == 0
+    lines = out.strip().splitlines()
+    assert lines[0] == "d,p,value"
+    assert len(lines) == 16
+    for line in lines[1:]:
+        d, p, value = line.split(",")
+        code, single, _ = run(
+            capsys, "eval", SPRINKLER_F, "--bind", f"p={p}", "--cause", "R",
+            "--outcome", "W", "--degree", d, "--variant", "space", "--format", "json",
+        )
+        assert code == 0
+        assert value == f"{json.loads(single)['value']:.12g}"
+
+
+def test_sweep_binds_before_validating_degree(capsys):
+    code, out, err = run(
+        capsys, "sweep", SPRINKLER_F, "--cause", "R", "--outcome", "W", "--axis", "d=-1:1:0.5"
+    )
+    assert code == 2
+    assert out == ""
+    assert err == "error: unbound parameter(s) ['p']\n"
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["eval", BSC, "--cause", "X", "--outcome", "Y", "--degree", "1/0"],
+        ["eval", BSC, "--cause", "X", "--outcome", "Y", "--degree", "nan"],
+        ["eval", BSC, "--cause", "X", "--outcome", "Y", "--degree", "inf"],
+        ["eval", BSC, "--cause", "X", "--outcome", "Y", "--degree=-inf"],
+        ["eval", BSC, "--cause", "X", "--outcome", "Y", "--degree", "abc"],
+        ["eval", RARE, "--cause", "X", "--outcome", "Y", "--bind", "p=1/0"],
+        ["eval", RARE, "--cause", "X", "--outcome", "Y", "--bind", "p=nan"],
+        ["eval", RARE, "--cause", "X", "--outcome", "Y", "--bind", "p=x"],
+        ["baselines", SPRINKLER, "--cause", "R", "--outcome", "W", "--x0", "nan"],
+        ["baselines", SPRINKLER, "--cause", "R", "--outcome", "W", "--x1", "1/0"],
+        ["estimate", "data.csv", "--cause", "X", "--outcome", "Y", "--c0", "inf"],
+        ["counterfactual", BSC, "--evidence", "Y=nan", "--do", "X=1", "--target", "Y"],
+        ["counterfactual", BSC, "--evidence", "Y=1", "--context", "X=1/0", "--do", "X=1",
+         "--target", "Y"],
+        ["counterfactual", BSC, "--evidence", "Y=1", "--do", "X=inf", "--target", "Y"],
+        ["sweep", RARE, "--cause", "X", "--outcome", "Y", "--axis", "p=0:1:1/0"],
+        ["sweep", RARE, "--cause", "X", "--outcome", "Y", "--axis", "d=0:inf:0.5"],
+        ["sweep", RARE, "--cause", "X", "--outcome", "Y", "--axis", "d=nan:1:0.5"],
+    ],
+)
+def test_non_finite_numbers_exit_2(capsys, argv):
+    code, out, err = run(capsys, *argv)
+    assert code == 2
+    assert out == ""
+    assert err.startswith("error: expected a finite number") and err.count("\n") == 1
+
+
+@pytest.mark.parametrize("base", ["1", "-2", "0", "nan", "inf"])
+def test_baselines_bad_log_base_exit_2(capsys, base):
+    code, out, err = run(
+        capsys, "baselines", SPRINKLER, "--cause", "R", "--outcome", "W", "--base", base
+    )
+    assert code == 2
+    assert out == ""
+    assert err.startswith("error: log base must be") and err.count("\n") == 1

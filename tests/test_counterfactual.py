@@ -1,9 +1,12 @@
+import numpy as np
 import pytest
 
-from vce.counterfactual import Evidence, abduct, counterfactual_query
+from helpers import random_dsl_model, reference_configurations
+from vce.counterfactual import Evidence, abduct, configurations, counterfactual_query
 from vce.dsl import parse_model
 from vce.engine import build_joint, conditional, marginal
 from vce.errors import QueryError, ZeroProbabilityError
+from vce.model import bind
 
 
 def _marginal_of(dist, names, wanted):
@@ -123,3 +126,13 @@ def test_cpt_latents_fixed_under_context():
     n1 = _marginal_of(post, ["N"], (1.0,))
     # Observational P(N=1) = 0.5*0.1 + 0.5*0.8 = 0.45, not the do(X=0) row 0.1.
     assert n1 == pytest.approx(0.45, abs=1e-12)
+
+
+def test_configurations_match_recursive_reference():
+    rng = np.random.default_rng(2208)
+    for _ in range(250):
+        model = random_dsl_model(rng)
+        model = bind(model, {p.name: float(rng.uniform()) for p in model.parameters})
+        got = [(list(c.items()), prior) for c, prior in configurations(model)]
+        want = [(list(c.items()), prior) for c, prior in reference_configurations(model)]
+        assert got == want

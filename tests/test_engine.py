@@ -24,6 +24,7 @@ from vce.engine import (
 from vce.errors import (
     AbsoluteContinuityError,
     ModelError,
+    QueryError,
     UnboundModelError,
     ZeroProbabilityError,
 )
@@ -178,6 +179,13 @@ def test_kl_divergence_basics():
     assert kl_divergence(p, q, base=math.e) == pytest.approx(
         kl_divergence(p, q) * math.log(2), abs=1e-12
     )
+
+
+@pytest.mark.parametrize("base", [1.0, 0.0, -2.0, math.nan, math.inf])
+def test_kl_rejects_bad_log_base(base):
+    p = Distribution(("A",), {(0.0,): 0.3, (1.0,): 0.7})
+    with pytest.raises(QueryError, match="log base"):
+        kl_divergence(p, p, base=base)
 
 
 def test_kl_requires_same_domain():

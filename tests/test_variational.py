@@ -68,6 +68,16 @@ def test_weight_rejects_negative_degree():
         weight(0.5, 0.5, -1.0)
 
 
+@pytest.mark.parametrize("degree", [float("nan"), float("inf")])
+def test_non_finite_degrees_rejected(bsc, degree):
+    with pytest.raises(QueryError, match="finite"):
+        weight(0.5, 0.5, degree)
+    with pytest.raises(QueryError, match="finite"):
+        EffectQuery("X", "Y", degree)
+    with pytest.raises(QueryError, match="finite"):
+        pace_vector(bsc, "X", "Y", [0.0, degree])
+
+
 # --- g_in -------------------------------------------------------------------
 
 
