@@ -5,24 +5,24 @@ strength, mutual-information strengths, and inverse probability weighting.
 from __future__ import annotations
 
 import math
-from itertools import product
 from typing import Iterable, Mapping, Sequence
 
 from .counterfactual import configurations, propagate
 from .engine import (
+    JointTable,
     build_joint,
     conditional_mutual_information,
     expectation,
     expectation_under,
     intervene,
-    local_distribution,
+    kl_divergence,
     log_scale,
     marginal,
     mutual_information,
 )
 from .errors import PositivityError, QueryError
 from .estimation import Dataset
-from .model import CPT, Deterministic, Model
+from .model import CPT, Deterministic, Model, Root
 from .variational import cpt_to_noise
 
 ArrowSet = frozenset[tuple[str, str]]
@@ -124,58 +124,47 @@ def ande(
     return total
 
 
+def _cut(model: Model, arrows: ArrowSet, joint: JointTable) -> Model:
+    """The model after `arrows` are cut: each cut target is fed independent
+    draws from its cut sources' observational marginals in `joint`.
+
+    A cut target's mechanism becomes a CPT over its kept parents.  Its rows
+    are read off a local model where the kept parents are uniform roots, the
+    cut sources are roots with their marginals and the target keeps its
+    mechanism, so every kept assignment gets a row: cutting can reach parent
+    values that P never reaches.
+    """
+    mechanisms = dict(model.mechanisms)
+    for target in {t for _, t in arrows}:
+        local = {target: model.mechanisms[target]}
+        kept = tuple(p for p in model.parents(target) if (p, target) not in arrows)
+        for p in model.parents(target):
+            values = model.support(p).values
+            local[p] = Root(
+                {v: 1.0 / len(values) for v in values} if p in kept
+                else {key[0]: w for key, w in marginal(joint, [p]).items()}
+            )
+        sub = Model(tuple(map(model.variable, local)), local, state_limit=model.state_limit)
+        assignments = math.prod(len(model.support(p)) for p in kept)
+        rows: dict[tuple[float, ...], dict[float, float]] = {}
+        for key, mass in marginal(build_joint(sub), [*kept, target]).items():
+            rows.setdefault(key[:-1], {})[key[-1]] = mass * assignments
+        mechanisms[target] = CPT(kept, rows)
+    return Model(model.variables, mechanisms, model.parameters, state_limit=model.state_limit)
+
+
 def janzing_strength(
     model: Model, arrows: Iterable[tuple[str, str]], base: float = 2.0
 ) -> float:
-    """Post-cutting causal strength D_KL(P || P_S).
-
-    Cut arrows feed their targets with the independent product of the
-    sources' observational marginals; everything else stays intact.
-    """
-    scale = log_scale(base)
+    """Post-cutting causal strength D_KL(P || P_S) of Janzing et al. (2013),
+    where P_S is the joint of the model with `arrows` cut (see `_cut`)."""
+    log_scale(base)  # a bad base fails before any joint is built
     arrow_set = frozenset((str(s), str(t)) for s, t in arrows)
     for src, tgt in arrow_set:
         if src not in model.parents(tgt):
             raise QueryError(f"({src} -> {tgt}) is not an edge of the model")
     joint = build_joint(model)
-    targets = {tgt for _, tgt in arrow_set}
-    cut_sources = {
-        tgt: tuple(p for p in model.parents(tgt) if (p, tgt) in arrow_set) for tgt in targets
-    }
-    source_marginals = {src: marginal(joint, [src]) for src, _ in arrow_set}
-
-    names = tuple(v.name for v in model.variables)
-    post = {}
-    for key, p in joint.entries.items():
-        if p <= 0.0:
-            continue
-        assignment = dict(zip(names, key))
-        q = 1.0
-        for name in names:
-            value = assignment[name]
-            parents = model.parents(name)
-            if name not in cut_sources:
-                q *= local_distribution(model, name, assignment)[value]
-                continue
-            cut = cut_sources[name]
-            mixed = 0.0
-            for alpha in product(*(model.support(s).values for s in cut)):
-                weight_alpha = 1.0
-                for s, a in zip(cut, alpha):
-                    weight_alpha *= source_marginals[s].probability((a,))
-                if weight_alpha <= 0.0:
-                    continue
-                fed = dict(assignment)
-                fed.update(zip(cut, alpha))
-                mixed += local_distribution(model, name, fed)[value] * weight_alpha
-            q *= mixed
-        post[key] = q
-    total = 0.0
-    for key, p in joint.entries.items():
-        if p <= 0.0:
-            continue
-        total += p * math.log2(p / post[key])
-    return total * scale
+    return kl_divergence(joint, build_joint(_cut(model, arrow_set, joint)), base)
 
 
 def mi_strength(model: Model, cause: str, outcome: str) -> float:

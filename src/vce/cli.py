@@ -37,6 +37,8 @@ EXIT_QUERY = 2
 EXIT_MISMATCH = 3
 
 ORACLE_TOL = 1e-9
+MAX_GRID_POINTS = 1_000_000
+BASELINES = ("ace", "acde", "ande", "janzing", "mi", "cmi")
 
 
 def _fraction(text: str) -> float:
@@ -130,24 +132,26 @@ def cmd_eval(args) -> int:
     return EXIT_OK
 
 
-def _axis_values(start: float, stop: float, step: float) -> list[float]:
+def _axis_size(start: float, stop: float, step: float) -> int:
+    """Points on START:STOP:STEP, counted before any is built (the list may
+    hold one fewer)."""
     if step <= 0:
         raise VceError("axis step must be positive")
     if stop < start:
         raise VceError("axis stop must be >= start")
-    values = []
-    k = 0
-    while True:
-        v = start + k * step
-        if v > stop + 1e-12:
-            break
-        values.append(round(v, 12))
-        k += 1
-    return values
+    span = (stop - start + 1e-12) / step
+    if span >= MAX_GRID_POINTS:
+        raise VceError(f"sweep grid exceeds {MAX_GRID_POINTS} points")
+    return math.floor(span) + 1
+
+
+def _axis_values(start: float, stop: float, step: float, size: int) -> list[float]:
+    points = (start + k * step for k in range(size + 1))
+    return [round(v, 12) for v in points if v <= stop + 1e-12]
 
 
 def cmd_sweep(args) -> int:
-    axes: list[tuple[str, list[float]]] = []
+    specs: list[tuple[str, float, float, float, int]] = []
     for raw in args.axis:
         name, sep, rng = raw.partition("=")
         if not sep:
@@ -156,7 +160,13 @@ def cmd_sweep(args) -> int:
         if len(parts) != 3:
             raise VceError(f"expected START:STOP:STEP in '{raw}'")
         start, stop, step = (_fraction(p) for p in parts)
-        axes.append((name.strip(), _axis_values(start, stop, step)))
+        name = name.strip()
+        if any(name == spec[0] for spec in specs):
+            raise VceError(f"duplicate axis '{name}'")
+        specs.append((name, start, stop, step, _axis_size(start, stop, step)))
+    if math.prod(spec[-1] for spec in specs) > MAX_GRID_POINTS:
+        raise VceError(f"sweep grid exceeds {MAX_GRID_POINTS} points")
+    axes = [(name, _axis_values(*bounds)) for name, *bounds in specs]
     if not axes:
         raise VceError("sweep needs at least one --axis")
 
@@ -227,9 +237,12 @@ def cmd_baselines(args) -> int:
     support = model.support(args.cause).values
     x0 = args.x0 if args.x0 is not None else support[0]
     x1 = args.x1 if args.x1 is not None else support[-1]
-    selected = set(args.select.split(",")) if args.select else {
-        "ace", "acde", "janzing", "mi", "cmi",
-    }
+    selected = set(args.select.split(",")) if args.select else set(BASELINES) - {"ande"}
+    unknown = selected - set(BASELINES)
+    if unknown:
+        raise VceError(
+            f"unknown --select name(s) {sorted(unknown)}; choose from {','.join(BASELINES)}"
+        )
     rows: list[tuple[str, float]] = []
     if "ace" in selected:
         rows.append(("ACE", bl.ace(model, args.cause, x0, x1, args.outcome)))
@@ -363,7 +376,7 @@ def build_parser() -> argparse.ArgumentParser:
     p_base.add_argument("--x1", type=_fraction, help="high cause value (default max of support)")
     p_base.add_argument("--controlled", help="comma list for ACDE (default other parents)")
     p_base.add_argument("--mediators", help="comma list for ANDE")
-    p_base.add_argument("--select", help="comma subset of ace,acde,ande,janzing,mi,cmi")
+    p_base.add_argument("--select", help=f"comma subset of {','.join(BASELINES)}")
     p_base.add_argument("--base", type=float, default=2.0,
                         help="log base for the Janzing strength (default 2)")
     p_base.set_defaults(func=cmd_baselines)

@@ -16,6 +16,7 @@ parameters; `def` bodies may reference parent variables and parameters.
 
 from __future__ import annotations
 
+from contextlib import contextmanager
 from dataclasses import dataclass
 
 from . import expr as ex
@@ -26,6 +27,12 @@ KEYWORDS = {
     "param", "var", "root", "cpt", "def", "fun", "in",
     "if", "then", "else", "and", "or", "not", "xor",
 }
+
+# Expression levels the parser descends into before it gives up with a
+# ParseError; each level is an expression, a bracketed or `xor(...)`
+# argument, an `else` branch, or a unary `-`/`not`.  About nine interpreter
+# frames per level keeps this well inside Python's recursion limit.
+MAX_NESTING = 64
 
 _SYMBOLS = ("==", "!=", "<=", ">=", "{", "}", "[", "]", "(", ")",
             ":", ",", "|", "=", "+", "-", "*", "/", "<", ">")
@@ -111,6 +118,7 @@ class _Parser:
         self.declared: dict[str, Token] = {}
         # deferred identifier references checked once declarations are in
         self.pending_refs: list[tuple[str, Token, str]] = []
+        self.depth = 0
 
     # --- token plumbing -------------------------------------------------
 
@@ -154,6 +162,16 @@ class _Parser:
     def fail(self, message: str, tok: Token | None = None):
         tok = tok or self.peek()
         raise ParseError(message, tok.line, tok.column)
+
+    @contextmanager
+    def nested(self):
+        self.depth += 1
+        if self.depth > MAX_NESTING:
+            self.fail(f"expression nested deeper than {MAX_NESTING} levels")
+        try:
+            yield
+        finally:
+            self.depth -= 1
 
     # --- statements -----------------------------------------------------
 
@@ -369,15 +387,16 @@ class _Parser:
         return -value if negative else value
 
     def parse_expr(self) -> ex.Expr:
-        if self.peek().kind == "keyword" and self.peek().text == "if":
-            self.next()
-            cond = self.parse_or()
-            self.expect_keyword("then")
-            then = self.parse_or()
-            self.expect_keyword("else")
-            orelse = self.parse_expr()
-            return ex.IfElse(cond, then, orelse)
-        return self.parse_or()
+        with self.nested():
+            if self.peek().kind == "keyword" and self.peek().text == "if":
+                self.next()
+                cond = self.parse_or()
+                self.expect_keyword("then")
+                then = self.parse_or()
+                self.expect_keyword("else")
+                orelse = self.parse_expr()
+                return ex.IfElse(cond, then, orelse)
+            return self.parse_or()
 
     def parse_or(self) -> ex.Expr:
         node = self.parse_and()
@@ -393,7 +412,8 @@ class _Parser:
 
     def parse_not(self) -> ex.Expr:
         if self.accept_keyword("not"):
-            return ex.Unary("not", self.parse_not())
+            with self.nested():
+                return ex.Unary("not", self.parse_not())
         return self.parse_cmp()
 
     def parse_cmp(self) -> ex.Expr:
@@ -420,7 +440,8 @@ class _Parser:
 
     def parse_unary(self) -> ex.Expr:
         if self.accept("-"):
-            inner = self.parse_unary()
+            with self.nested():
+                inner = self.parse_unary()
             if isinstance(inner, ex.Num):  # fold so printing round-trips
                 return ex.Num(-inner.value)
             return ex.Unary("-", inner)

@@ -75,6 +75,12 @@ class JointTable:
     def total_mass(self) -> float:
         return sum(self.entries.values())
 
+    def probability(self, key: tuple[float, ...]) -> float:
+        return self.entries.get(tuple(key), 0.0)
+
+    def items(self):
+        return self.entries.items()
+
 
 def _row_lookup(rows: Mapping[tuple[float, ...], object], key: tuple[float, ...]):
     if key in rows:
@@ -241,8 +247,10 @@ def log_scale(base: float) -> float:
     return math.log(2.0) / math.log(base) if base != 2.0 else 1.0
 
 
-def kl_divergence(p: Distribution, q: Distribution, base: float = 2.0) -> float:
-    """D_KL(P || Q) over a shared domain.
+def kl_divergence(
+    p: Distribution | JointTable, q: Distribution | JointTable, base: float = 2.0
+) -> float:
+    """D_KL(P || Q) over a shared domain (distributions or joints).
 
     Defaults to bits.  The base knob exists because reported reference
     values for post-cutting causal strength mix bases: worked binary

@@ -16,6 +16,7 @@ differences read off a designated covariate stratum c0.
 from __future__ import annotations
 
 import csv
+import math
 from dataclasses import dataclass
 from typing import Mapping, Sequence
 
@@ -45,6 +46,8 @@ class Dataset:
             for v in row:
                 if not isinstance(v, float):
                     raise DatasetError(f"row {i} holds a non-numeric value {v!r}")
+                if not math.isfinite(v):
+                    raise DatasetError(f"row {i} holds a non-finite value {v!r}")
 
     def __len__(self) -> int:
         return len(self.rows)

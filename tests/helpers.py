@@ -7,13 +7,15 @@ probability rows sum to one for every admissible parameter value.
 
 from __future__ import annotations
 
+import math
 from itertools import product
 from pathlib import Path
 
 import numpy as np
 
 from vce import expr as ex
-from vce.engine import _row_lookup
+from vce.engine import _row_lookup, build_joint, local_distribution, log_scale, marginal
+from vce.errors import QueryError
 from vce.model import (
     CPT,
     Deterministic,
@@ -227,6 +229,57 @@ def reference_configurations(model: Model):
             del config[name]
 
     yield from recurse(0, {}, {}, 1.0)
+
+
+# --- reference post-cutting strength ----------------------------------------
+
+
+def reference_janzing_strength(model: Model, arrows, base: float = 2.0) -> float:
+    """D_KL(P || P_S) with P_S(key) re-derived per joint entry from the local
+    conditionals (oracle for baselines.janzing_strength)."""
+    scale = log_scale(base)
+    arrow_set = frozenset((str(s), str(t)) for s, t in arrows)
+    for src, tgt in arrow_set:
+        if src not in model.parents(tgt):
+            raise QueryError(f"({src} -> {tgt}) is not an edge of the model")
+    joint = build_joint(model)
+    targets = {tgt for _, tgt in arrow_set}
+    cut_sources = {
+        tgt: tuple(p for p in model.parents(tgt) if (p, tgt) in arrow_set) for tgt in targets
+    }
+    source_marginals = {src: marginal(joint, [src]) for src, _ in arrow_set}
+
+    names = tuple(v.name for v in model.variables)
+    post = {}
+    for key, p in joint.entries.items():
+        if p <= 0.0:
+            continue
+        assignment = dict(zip(names, key))
+        q = 1.0
+        for name in names:
+            value = assignment[name]
+            if name not in cut_sources:
+                q *= local_distribution(model, name, assignment)[value]
+                continue
+            cut = cut_sources[name]
+            mixed = 0.0
+            for alpha in product(*(model.support(s).values for s in cut)):
+                weight_alpha = 1.0
+                for s, a in zip(cut, alpha):
+                    weight_alpha *= source_marginals[s].probability((a,))
+                if weight_alpha <= 0.0:
+                    continue
+                fed = dict(assignment)
+                fed.update(zip(cut, alpha))
+                mixed += local_distribution(model, name, fed)[value] * weight_alpha
+            q *= mixed
+        post[key] = q
+    total = 0.0
+    for key, p in joint.entries.items():
+        if p <= 0.0:
+            continue
+        total += p * math.log2(p / post[key])
+    return total * scale
 
 
 # --- random expressions paired with an independent Python oracle ------------

@@ -3,6 +3,12 @@ import math
 import numpy as np
 import pytest
 
+from helpers import (
+    load_model_text,
+    random_dsl_model,
+    random_effect_model,
+    reference_janzing_strength,
+)
 from vce.baselines import (
     ace,
     acde,
@@ -17,6 +23,7 @@ from vce.dsl import parse_model
 from vce.engine import build_joint, expectation_under, marginal, sample
 from vce.errors import QueryError
 from vce.estimation import Dataset
+from vce.model import bind
 from vce.variational import g_in
 
 
@@ -40,7 +47,7 @@ def test_cace_conditions_on_covariate(sprinkler):
     # Conditioning on C blocks the backdoor, so CACE given C=c equals the
     # direct contrast of W's table averaged over S | C=c.
     got = cace(sprinkler, "R", 0.0, 1.0, "W", {"C": 1.0})
-    joint_hi = build_joint(parse_model(open("models/sprinkler.sem").read()))
+    joint_hi = build_joint(parse_model(load_model_text("sprinkler.sem")))
     del joint_hi
     ps1 = 0.1  # P(S=1 | C=1)
     want = (1.0 - 0.9) * ps1 + (0.9 - 0.01) * (1 - ps1)
@@ -252,6 +259,61 @@ def test_janzing_rejects_non_edges(bsc):
 def test_janzing_rejects_bad_log_base(bsc, base):
     with pytest.raises(QueryError, match="log base"):
         janzing_strength(bsc, [("X", "Y")], base=base)
+
+
+def _random_cuts(rng, model, cause, outcome):
+    """The cause -> outcome arrow, then two random subsets of the edges."""
+    edges = [(p, v.name) for v in model.variables for p in model.parents(v.name)]
+    cuts = [[(cause, outcome)]]
+    for _ in range(2):
+        keep = rng.random(len(edges)) < 0.5
+        cuts.append([e for e, k in zip(edges, keep) if k])
+    return cuts
+
+
+def test_janzing_matches_reference_on_random_models():
+    rng = np.random.default_rng(33)
+    two_targets = 0
+    for _ in range(300):
+        model, cause, outcome = random_effect_model(rng)
+        for arrows in _random_cuts(rng, model, cause, outcome):
+            two_targets += len({t for _, t in arrows}) >= 2
+            assert janzing_strength(model, arrows) == pytest.approx(
+                reference_janzing_strength(model, arrows), abs=1e-12
+            ), arrows
+    assert two_targets >= 30
+
+
+def test_janzing_matches_reference_on_random_dsl_models():
+    # Chains of def/fun/cpt nodes, parameters bound, three log bases.
+    rng = np.random.default_rng(34)
+    for _ in range(150):
+        model = random_dsl_model(rng)
+        if model.parameters:
+            model = bind(model, {"p": float(rng.uniform())})
+        names = [v.name for v in model.variables]
+        for arrows in _random_cuts(rng, model, names[0], names[-1])[1:]:
+            base = float(rng.choice([2.0, math.e, 10.0]))
+            assert janzing_strength(model, arrows, base) == pytest.approx(
+                reference_janzing_strength(model, arrows, base), abs=1e-12
+            ), arrows
+
+
+def test_janzing_cut_reaches_rows_p_never_reaches():
+    # Cutting X -> Z decouples Z from X, so the other cut target Y needs rows
+    # at (X, Z) = (0, 1) and (1, 0), which P never reaches.
+    m = parse_model(
+        "var X in {0, 1}\nvar W in {0, 1}\nvar Z in {0, 1}\nvar Y in {0, 1, 2, 3}\n"
+        "root X {0: 0.5, 1: 0.5}\nroot W {0: 0.3, 1: 0.7}\n"
+        "def Z = X\ndef Y = X + Z + W\n"
+    )
+    arrows = [("X", "Z"), ("W", "Y")]
+    assert janzing_strength(m, arrows) == pytest.approx(
+        reference_janzing_strength(m, arrows), abs=1e-12
+    )
+    # Cutting X -> Z costs I(X; Z) = 1 bit, cutting W -> Y costs H(W).
+    h_w = -(0.3 * math.log2(0.3) + 0.7 * math.log2(0.7))
+    assert janzing_strength(m, arrows) == pytest.approx(1.0 + h_w, abs=1e-12)
 
 
 # --- MI / CMI strengths ------------------------------------------------------------

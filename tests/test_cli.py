@@ -5,9 +5,9 @@ import sys
 
 import pytest
 
-from helpers import MODELS_DIR
+from helpers import MODELS_DIR, load_model_text
 from vce import engine
-from vce.cli import main
+from vce.cli import MAX_GRID_POINTS, main
 from vce.engine import sample
 from vce.dsl import parse_model
 from vce.model import bind
@@ -206,7 +206,7 @@ def test_baselines_sprinkler_table(capsys):
 
 
 def test_estimate_csv(capsys, tmp_path):
-    model = parse_model(open(SPRINKLER).read())
+    model = parse_model(load_model_text("sprinkler.sem"))
     cols, rows = sample(model, 20000, seed=3)
     path = tmp_path / "data.csv"
     with open(path, "w", newline="") as fh:
@@ -291,7 +291,7 @@ def test_check_builds_joint_once(capsys, monkeypatch):
     )
     assert code == 0
     assert len(builds) == 1
-    model = bind(parse_model(open(SPRINKLER_F).read()), {"p": 0.37})
+    model = bind(parse_model(load_model_text("sprinkler_functional.sem")), {"p": 0.37})
     strata = len(effect(model, EffectQuery("R", "W")).breakdown)
     assert out.endswith(f"({strata} z-strata)\n")
 
@@ -362,3 +362,68 @@ def test_baselines_bad_log_base_exit_2(capsys, base):
     assert code == 2
     assert out == ""
     assert err.startswith("error: log base must be") and err.count("\n") == 1
+
+
+@pytest.mark.parametrize("select", ["foo", "ace,foo", ",", "ACE"])
+def test_baselines_unknown_select_exit_2(capsys, select):
+    code, out, err = run(
+        capsys, "baselines", SPRINKLER_F, "--bind", "p=0.3", "--cause", "S", "--outcome", "W",
+        "--select", select,
+    )
+    assert code == 2
+    assert out == ""
+    assert err.startswith("error: unknown --select name") and err.count("\n") == 1
+
+
+@pytest.mark.parametrize("value", ["nan", "inf", "-inf"])
+def test_estimate_non_finite_csv_exit_2(capsys, tmp_path, value):
+    path = tmp_path / "data.csv"
+    path.write_text(f"X,Y\n0,1\n{value},2\n1,0\n1,1\n0,0\n", encoding="utf-8")
+    code, out, err = run(capsys, "estimate", str(path), "--cause", "X", "--outcome", "Y")
+    assert code == 2
+    assert out == ""
+    assert err.startswith("error: row 1 holds a non-finite value") and err.count("\n") == 1
+
+
+@pytest.mark.parametrize("depth", [500, 5000])
+def test_eval_deep_nesting_exit_1(capsys, tmp_path, depth):
+    path = tmp_path / "deep.sem"
+    path.write_text(
+        "var X in {0, 1}\nroot X {0: 0.5, 1: 0.5}\nvar Y in {0, 1}\n"
+        f"def Y = {'(' * depth}X{')' * depth}\n",
+        encoding="utf-8",
+    )
+    code, out, err = run(capsys, "eval", str(path), "--cause", "X", "--outcome", "Y")
+    assert code == 1
+    assert out == ""
+    assert err.startswith("parse error: 4:") and "nested deeper" in err
+    assert err.count("\n") == 1
+
+
+def test_sweep_duplicate_axis_exit_2(capsys):
+    code, out, err = run(
+        capsys, "sweep", SPRINKLER_F, "--cause", "R", "--outcome", "W",
+        "--axis", "p=0:1:0.5", "--axis", "p=0:1:0.5",
+    )
+    assert code == 2
+    assert out == ""
+    assert err == "error: duplicate axis 'p'\n"
+
+
+@pytest.mark.parametrize(
+    "axes",
+    [
+        ["p=0:1:1e-12"],
+        ["p=0:1:1e-300"],
+        ["p=0:1:0.001", "d=0:1:0.001"],
+        [f"p=0:1:1/{MAX_GRID_POINTS}"],
+    ],
+)
+def test_sweep_oversized_grid_exit_2(capsys, axes):
+    argv = ["sweep", SPRINKLER_F, "--cause", "R", "--outcome", "W"]
+    for axis in axes:
+        argv += ["--axis", axis]
+    code, out, err = run(capsys, *argv)
+    assert code == 2
+    assert out == ""
+    assert err == f"error: sweep grid exceeds {MAX_GRID_POINTS} points\n"

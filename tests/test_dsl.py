@@ -5,8 +5,8 @@ from hypothesis import strategies as st
 
 from helpers import load_model_text, random_dsl_model, random_paired_expr
 from vce import expr as ex
-from vce.dsl import parse_model, serialize_model
-from vce.engine import build_joint, conditional
+from vce.dsl import MAX_NESTING, parse_model, serialize_model
+from vce.engine import build_joint, conditional, expectation
 from vce.errors import ParseError
 from vce.model import Deterministic, Root, bind
 
@@ -167,3 +167,61 @@ def test_mutated_model_text_never_crashes(data):
         parse_model(mutated)
     except ParseError:
         pass
+
+
+# --- nesting depth -------------------------------------------------------------
+
+# Each wrapper opens one level around an expression e (the body itself is one).
+_WRAPPERS = {
+    "paren": lambda e: f"({e})",
+    "minus": lambda e: f"-{e}",
+    "not": lambda e: f"not {e}",
+    "if": lambda e: f"if X == 1 then 1 else {e}",
+    "xor": lambda e: f"xor(X, {e})",
+    "sum": lambda e: f"(0 + {e})",
+}
+
+
+def _nested_model(kinds) -> str:
+    body = "X"
+    for kind in kinds:
+        body = _WRAPPERS[kind](body)
+    return (
+        "var X in {0, 1}\nroot X {0: 0.25, 1: 0.75}\n"
+        f"var Y in {{-1, 0, 1}}\ndef Y = {body}\n"
+    )
+
+
+@pytest.mark.parametrize("kind", sorted(_WRAPPERS))
+def test_nesting_at_limit_parses_and_evaluates(kind):
+    depth = MAX_NESTING - 1
+    model = parse_model(_nested_model([kind] * depth))
+    x_is_one = 0.75
+    want = {
+        "paren": x_is_one,
+        "minus": x_is_one * (-1) ** depth,
+        "not": x_is_one if depth % 2 == 0 else 1 - x_is_one,
+        "if": x_is_one,
+        "xor": x_is_one if depth % 2 == 0 else 0.0,
+        "sum": x_is_one,
+    }[kind]
+    assert expectation(build_joint(model), "Y") == pytest.approx(want, abs=1e-12)
+
+
+@pytest.mark.parametrize("depth", [MAX_NESTING, 500, 5000])
+@pytest.mark.parametrize("kind", sorted(_WRAPPERS))
+def test_nesting_past_limit_is_parse_error(kind, depth):
+    with pytest.raises(ParseError, match="nested deeper") as err:
+        parse_model(_nested_model([kind] * depth))
+    assert err.value.line == 4
+
+
+@settings(max_examples=200, deadline=None)
+@given(st.lists(st.sampled_from(sorted(_WRAPPERS)), max_size=3 * MAX_NESTING))
+def test_mixed_nesting_never_crashes(kinds):
+    # Mixed wrappers need not be valid (`-not X`); whatever fails is a
+    # ParseError, and only bodies past the limit fail for their depth.
+    try:
+        parse_model(_nested_model(kinds))
+    except ParseError as err:
+        assert len(kinds) >= MAX_NESTING or "nested deeper" not in str(err)

@@ -39,6 +39,16 @@ def test_dataset_csv_round_trip(tmp_path):
         Dataset.from_csv(str(bad))
 
 
+@pytest.mark.parametrize("text", ["nan", "inf", "-inf", "NaN", "Infinity"])
+def test_dataset_rejects_non_finite_values(text, tmp_path):
+    path = tmp_path / "d.csv"
+    path.write_text(f"X,Y\n0,1\n{text},2\n1,0\n", encoding="utf-8")
+    with pytest.raises(DatasetError, match="row 1 holds a non-finite value"):
+        Dataset.from_csv(str(path))
+    with pytest.raises(DatasetError, match="non-finite"):
+        Dataset(("X", "Y"), ((0.0, float(text)),))
+
+
 def test_dataset_validate_against_model(bsc, tmp_path):
     data = Dataset(("X", "Z"), ((0.0, 1.0), (1.0, 0.0)))
     data.validate_against(bsc)
