@@ -71,9 +71,7 @@ def _parse_assignments(text: str) -> dict[str, float]:
 def _load_model(path: str, bindings: Sequence[str]) -> Model:
     with open(path, encoding="utf-8") as fh:
         model = parse_model(fh.read(), state_limit=default_state_limit())
-    merged: dict[str, float] = {}
-    for chunk in bindings:
-        merged.update(_parse_assignments(chunk))
+    merged = _parse_assignments(",".join(bindings))
     if model.parameters or merged:
         model = bind(model, merged)
     return model
@@ -172,9 +170,7 @@ def cmd_sweep(args) -> int:
 
     with open(args.model, encoding="utf-8") as fh:
         base = parse_model(fh.read(), state_limit=default_state_limit())
-    fixed: dict[str, float] = {}
-    for chunk in args.bind:
-        fixed.update(_parse_assignments(chunk))
+    fixed = _parse_assignments(",".join(args.bind))
     param_names = {p.name for p in base.parameters}
     for name, _ in axes:
         if name != "d" and name not in param_names:

@@ -34,6 +34,11 @@ KEYWORDS = {
 # frames per level keeps this well inside Python's recursion limit.
 MAX_NESTING = 64
 
+# Levels of the tree one expression may build.  A flat chain like
+# `0 + 0 + ... + X` nests one level yet builds a tree as deep as it is long,
+# and evaluating, substituting and printing recurse once or twice per level.
+MAX_DEPTH = 256
+
 _SYMBOLS = ("==", "!=", "<=", ">=", "{", "}", "[", "]", "(", ")",
             ":", ",", "|", "=", "+", "-", "*", "/", "<", ">")
 
@@ -277,16 +282,21 @@ class _Parser:
                 self.fail(f"duplicate entry for {value!r}", tok)
             self.expect(":")
             table[value] = self.parse_prob_entry()
-            if not self.accept(","):
-                break
-            if self.peek().kind == "}":
+            if not self.accept(",") or self.peek().kind == "}":
                 break
         self.expect("}")
         return table
 
+    def parse_body(self) -> ex.Expr:
+        start = self.peek()
+        body = self.parse_expr()
+        if ex.depth(body) > MAX_DEPTH:
+            self.fail(f"expression tree deeper than {MAX_DEPTH} levels", start)
+        return body
+
     def parse_prob_entry(self) -> md.Entry:
         start = self.peek()
-        entry = self.parse_expr()
+        entry = self.parse_body()
         if isinstance(entry, ex.Num):
             return entry.value
         for ident in sorted(ex.free_names(entry)):
@@ -305,9 +315,7 @@ class _Parser:
                 self.fail(f"duplicate row {key}")
             self.expect(":")
             rows[key] = self.parse_prob_row()
-            if not self.accept(","):
-                break
-            if self.peek().kind == "}":
+            if not self.accept(",") or self.peek().kind == "}":
                 break
         self.expect("}")
         self.mechanisms[name.text] = md.CPT(parents, rows)
@@ -326,7 +334,7 @@ class _Parser:
         self.expect_keyword("def")
         name = self.mechanism_target()
         self.expect("=")
-        body = self.parse_expr()
+        body = self.parse_body()
         for ident in sorted(ex.free_names(body)):
             self.pending_refs.append((ident, name, "variable or parameter"))
         # Parents are resolved after all declarations are known.
@@ -344,9 +352,7 @@ class _Parser:
                 self.fail(f"duplicate row {key}")
             self.expect(":")
             table[key] = self.parse_number()
-            if not self.accept(","):
-                break
-            if self.peek().kind == "}":
+            if not self.accept(",") or self.peek().kind == "}":
                 break
         self.expect("}")
         self.mechanisms[name.text] = md.Deterministic(parents, table=table)

@@ -19,7 +19,6 @@ import numpy as np
 from .errors import (
     AbsoluteContinuityError,
     EngineError,
-    ModelError,
     QueryError,
     StateSpaceError,
     UnboundModelError,
@@ -82,15 +81,6 @@ class JointTable:
         return self.entries.items()
 
 
-def _row_lookup(rows: Mapping[tuple[float, ...], object], key: tuple[float, ...]):
-    if key in rows:
-        return rows[key]
-    for rkey, row in rows.items():
-        if len(rkey) == len(key) and all(abs(a - b) <= VALUE_TOL for a, b in zip(rkey, key)):
-            return row
-    raise ModelError(f"no table row for parent assignment {key}")
-
-
 def local_distribution(model: Model, name: str, assignment: Mapping[str, float]) -> dict[float, float]:
     """P(name = . | parents), with `assignment` covering the parents."""
     mech = model.mechanisms[name]
@@ -98,8 +88,7 @@ def local_distribution(model: Model, name: str, assignment: Mapping[str, float])
     if isinstance(mech, Root):
         return {v: float(mech.table.get(v, 0.0)) for v in support}
     if isinstance(mech, CPT):
-        key = tuple(assignment[p] for p in mech.parents)
-        row = _row_lookup(mech.rows, key)
+        row = mech.rows[tuple(assignment[p] for p in mech.parents)]
         return {v: float(row.get(v, 0.0)) for v in support}
     value = deterministic_value(model, name, assignment)
     return {v: (1.0 if v == value else 0.0) for v in support}
@@ -183,9 +172,7 @@ def intervene(model: Model, do: Mapping[str, float]) -> Model:
     """Replace each intervened node's mechanism by a point mass (modularity)."""
     mechanisms = dict(model.mechanisms)
     for name, value in do.items():
-        support = model.support(name)
-        pinned = snap_to_support(support, value)
-        mechanisms[name] = Root({pinned: 1.0})
+        mechanisms[name] = Root({snap_to_support(model.support(name), value): 1.0})
     return Model(model.variables, mechanisms, model.parameters, state_limit=model.state_limit)
 
 

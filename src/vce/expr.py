@@ -116,23 +116,38 @@ def evaluate(expr: Expr, env: Mapping[str, float]) -> float:
     raise EvalError(f"not an expression: {expr!r}")
 
 
-def free_names(expr: Expr) -> set[str]:
-    if isinstance(expr, Num):
-        return set()
-    if isinstance(expr, Name):
-        return {expr.ident}
+def _children(expr: Expr) -> tuple[Expr, ...]:
+    if isinstance(expr, (Num, Name)):
+        return ()
     if isinstance(expr, Unary):
-        return free_names(expr.operand)
+        return (expr.operand,)
     if isinstance(expr, Binary):
-        return free_names(expr.left) | free_names(expr.right)
+        return (expr.left, expr.right)
     if isinstance(expr, Call):
-        out: set[str] = set()
-        for a in expr.args:
-            out |= free_names(a)
-        return out
+        return expr.args
     if isinstance(expr, IfElse):
-        return free_names(expr.cond) | free_names(expr.then) | free_names(expr.orelse)
+        return (expr.cond, expr.then, expr.orelse)
     raise EvalError(f"not an expression: {expr!r}")
+
+
+def free_names(expr: Expr) -> set[str]:
+    names: set[str] = set()
+    stack = [expr]
+    while stack:
+        node = stack.pop()
+        if isinstance(node, Name):
+            names.add(node.ident)
+        stack.extend(_children(node))
+    return names
+
+
+def depth(expr: Expr) -> int:
+    """Levels of the tree, a leaf being one; counted without recursion."""
+    level, frontier = 0, [expr]
+    while frontier:
+        level += 1
+        frontier = [child for node in frontier for child in _children(node)]
+    return level
 
 
 def substitute(expr: Expr, env: Mapping[str, Union[float, Expr]]) -> Expr:

@@ -273,12 +273,6 @@ def _parent_space(model: Model, parents: tuple[str, ...]) -> Iterator[tuple[floa
     yield from product(*supports)
 
 
-def _row_key_matches(key: tuple[float, ...], assignment: tuple[float, ...]) -> bool:
-    return len(key) == len(assignment) and all(
-        abs(a - b) <= VALUE_TOL for a, b in zip(key, assignment)
-    )
-
-
 def _check_distribution_rows(
     model: Model,
     name: str,
@@ -287,11 +281,12 @@ def _check_distribution_rows(
     diags: list[str],
 ) -> None:
     param_names = set(model.parameter_map)
+    values = set(support.values)
     for label, row in rows:
         symbolic = False
         total = 0.0
         for value, entry in row.items():
-            if value not in support:
+            if value not in values:
                 diags.append(f"{name}: {label} assigns probability to {value!r} outside support")
             if _is_number(entry):
                 p = float(entry)
@@ -367,12 +362,12 @@ def validate(model: Model) -> list[str]:
 def _check_cpt(model: Model, name: str, support: FiniteSupport, mech: CPT, diags: list[str]):
     if any(p not in model.variable_map for p in mech.parents):
         return
-    expected = list(_parent_space(model, mech.parents))
+    expected = dict.fromkeys(_parent_space(model, mech.parents))
     for key in mech.rows:
-        if not any(_row_key_matches(key, a) for a in expected):
+        if key not in expected:
             diags.append(f"{name}: row key {key} does not match parent supports")
     for assignment in expected:
-        if not any(_row_key_matches(key, assignment) for key in mech.rows):
+        if assignment not in mech.rows:
             diags.append(f"{name}: missing row for parent assignment {assignment}")
     _check_distribution_rows(
         model, name, support, [(f"row {k}", row) for k, row in mech.rows.items()], diags
@@ -385,14 +380,14 @@ def _check_deterministic(
     if any(p not in model.variable_map for p in mech.parents):
         return
     if mech.table is not None:
-        expected = list(_parent_space(model, mech.parents))
+        expected = dict.fromkeys(_parent_space(model, mech.parents))
         for key, value in mech.table.items():
-            if not any(_row_key_matches(key, a) for a in expected):
+            if key not in expected:
                 diags.append(f"{name}: table key {key} does not match parent supports")
-            if value not in support:
+            if value not in support.values:
                 diags.append(f"{name}: table value {value!r} outside support")
         for assignment in expected:
-            if not any(_row_key_matches(key, assignment) for key in mech.table):
+            if assignment not in mech.table:
                 diags.append(f"{name}: missing table row for {assignment}")
         return
     allowed = set(mech.parents) | set(model.parameter_map)

@@ -28,7 +28,6 @@ import numpy as np
 
 from . import expr as ex
 from .engine import (
-    _row_lookup,
     build_joint,
     deterministic_value,
     expectation_under,
@@ -43,6 +42,7 @@ from .model import (
     Parameter,
     Partition,
     Variable,
+    _parent_space,
 )
 
 VARIANTS = ("pace", "peace", "space", "apace")
@@ -453,6 +453,8 @@ def matrix_form_chain_value(gs, ps, chain: Sequence[int], degree: float, sign: s
     The probability vector zeroes entries with zero conditional probability
     before exponentiation so the d = 0 convention matches weight().
     """
+    if degree >= 512:  # 4^512 = 2^1024 is past the largest double
+        raise QueryError(f"degree {degree} is too large for the matrix form")
     l = len(gs)
     v = np.array([0.0 if p <= 0.0 else p ** degree for p in ps])
     a = np.zeros((l, l))
@@ -477,8 +479,10 @@ def matrix_form_piev(
 def eliminate_mediator(model: Model, mediator: str) -> Model:
     """Substitute a deterministic mediator into its children and drop it.
 
-    Children keep their kind: expression bodies are substituted symbolically
-    when possible, otherwise tables are rebuilt over the expanded parent set.
+    An expression child takes the mediator's body symbolically when that body
+    yields exact support values (or the model is unbound); otherwise the child
+    is tabulated over the expanded parent set from the mediator's value
+    snapped onto its support, as enumeration reads it.
     """
     mech = model.mechanisms.get(mediator)
     if mech is None:
@@ -488,7 +492,7 @@ def eliminate_mediator(model: Model, mediator: str) -> Model:
                          "mediators can be eliminated")
     mechanisms = dict(model.mechanisms)
     for child in model.children(mediator):
-        mechanisms[child] = _substitute_parent(model, mechanisms[child], mediator, mech)
+        mechanisms[child] = _substitute_parent(model, child, mediator)
     del mechanisms[mediator]
     variables = tuple(v for v in model.variables if v.name != mediator)
     return Model(variables, mechanisms, model.parameters, state_limit=model.state_limit)
@@ -506,34 +510,27 @@ def _expanded_parents(
     return tuple(out)
 
 
-def _substitute_parent(model, child, mediator: str, med: Deterministic):
-    new_parents = _expanded_parents(child.parents, mediator, med.parents)
-    if isinstance(child, Deterministic) and child.body is not None and med.body is not None:
-        body = ex.substitute(child.body, {mediator: med.body})
+def _substitute_parent(model: Model, child: str, mediator: str):
+    mech, med = model.mechanisms[child], model.mechanisms[mediator]
+    new_parents = _expanded_parents(mech.parents, mediator, med.parents)
+    symbolic = isinstance(mech, Deterministic) and mech.body is not None and med.body is not None
+    if symbolic and model.is_bound:  # a raw value the support would snap stays tabulated
+        support = model.support(mediator).values
+        symbolic = all(med.value(key) in support for key in _parent_space(model, med.parents))
+    if symbolic:
+        body = ex.substitute(mech.body, {mediator: med.body})
         order = [v.name for v in model.variables]
         referenced = ex.free_names(body) & set(order)
         return Deterministic(tuple(n for n in order if n in referenced), body=body)
-
-    def child_key(assignment: Mapping[str, float]) -> tuple[float, ...]:
-        med_value = med.value(tuple(assignment[p] for p in med.parents))
-        return tuple(
-            med_value if p == mediator else assignment[p] for p in child.parents
-        )
-
-    from itertools import product as _product
-
-    space = list(_product(*(model.support(p).values for p in new_parents)))
-    if isinstance(child, CPT):
-        rows = {}
-        for combo in space:
-            assignment = dict(zip(new_parents, combo))
-            rows[combo] = dict(_row_lookup(child.rows, child_key(assignment)))
-        return CPT(new_parents, rows)
-    table = {}
-    for combo in space:
-        assignment = dict(zip(new_parents, combo))
-        table[combo] = child.value(child_key(assignment))
-    return Deterministic(new_parents, table=table)
+    out = {}
+    for combo in _parent_space(model, new_parents):
+        values = dict(zip(new_parents, combo))
+        values[mediator] = deterministic_value(model, mediator, values)
+        if isinstance(mech, CPT):
+            out[combo] = dict(mech.rows[tuple(values[p] for p in mech.parents)])
+        else:
+            out[combo] = deterministic_value(model, child, values)
+    return CPT(new_parents, out) if isinstance(mech, CPT) else Deterministic(new_parents, table=out)
 
 
 def cpt_to_noise(model: Model, node: str, free_parameter: str | None = None) -> Model:

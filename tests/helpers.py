@@ -14,7 +14,7 @@ from pathlib import Path
 import numpy as np
 
 from vce import expr as ex
-from vce.engine import _row_lookup, build_joint, local_distribution, log_scale, marginal
+from vce.engine import build_joint, local_distribution, log_scale, marginal
 from vce.errors import QueryError
 from vce.model import (
     CPT,
@@ -202,7 +202,7 @@ def reference_configurations(model: Model):
         if isinstance(mech, Root):
             row = mech.table
         else:
-            row = _row_lookup(mech.rows, tuple(values[p] for p in mech.parents))
+            row = mech.rows[tuple(values[p] for p in mech.parents)]
         return float(row.get(value, 0.0))
 
     def recurse(i, values, config, prior):

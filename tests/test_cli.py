@@ -427,3 +427,15 @@ def test_sweep_oversized_grid_exit_2(capsys, axes):
     assert code == 2
     assert out == ""
     assert err == f"error: sweep grid exceeds {MAX_GRID_POINTS} points\n"
+
+
+@pytest.mark.parametrize("degree", ["512", "1000", "1e308"])
+def test_check_degree_past_matrix_form_exit_2(capsys, degree):
+    code, out, err = run(
+        capsys, "check", BSC, "--cause", "X", "--outcome", "Y", "--degree", degree
+    )
+    assert code == 2
+    assert out == ""
+    assert err.startswith("error: degree") and "too large for the matrix form" in err
+    code, _, _ = run(capsys, "check", BSC, "--cause", "X", "--outcome", "Y", "--degree", "511")
+    assert code == 0

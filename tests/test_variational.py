@@ -722,3 +722,32 @@ def test_monotonicity_in_degree_has_counterexamples(rare_disease, bsc):
     m = rare_disease(0.1)
     values_rare = pace_vector(m, "X", "Y", [0.0, 0.5, 1.0, 2.0])
     assert all(b < a for a, b in zip(values_rare, values_rare[1:]))
+
+
+# --- mediators with computed values ------------------------------------------
+
+_COMPUTED_MEDIATOR = """var X in {0, 1, 2, 3}
+root X {0: 0.1, 1: 0.2, 2: 0.3, 3: 0.4}
+var M in {0, 0.1, 0.2, 0.3}
+def M = X * 0.1
+var Y in {0, 1}
+fun Y | M { (0): 0, (0.1): 1, (0.2): 0, (0.3): 1 }
+var W in {0, 1}
+cpt W | M { (0): {0: 1, 1: 0}, (0.1): {0: 0.5, 1: 0.5}, (0.2): {0: 0.2, 1: 0.8}, (0.3): {0: 0, 1: 1} }
+var V in {0, 1}
+def V = M == 0.3
+"""
+
+
+def test_eliminate_mediator_reads_snapped_mediator_values():
+    # 3 * 0.1 is 0.30000000000000004; enumeration snaps it onto the support
+    # value 0.3, and so must the rewrite, for table and expression children.
+    m = parse_model(_COMPUTED_MEDIATOR)
+    reduced = eliminate_mediator(m, "M")
+    assert validate(reduced) == []
+    old = marginal(build_joint(m), ["X", "Y", "W", "V"]).table
+    new = marginal(build_joint(reduced), ["X", "Y", "W", "V"]).table
+    assert new.keys() == old.keys()
+    for key, p in old.items():
+        assert new[key] == pytest.approx(p, abs=1e-12)
+    assert old[(3.0, 1.0, 1.0, 1.0)] == pytest.approx(0.4, abs=1e-12)
