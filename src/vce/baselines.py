@@ -15,6 +15,7 @@ from .engine import (
     expectation,
     expectation_under,
     intervene,
+    joint_at,
     kl_divergence,
     log_scale,
     marginal,
@@ -157,14 +158,14 @@ def janzing_strength(
     model: Model, arrows: Iterable[tuple[str, str]], base: float = 2.0
 ) -> float:
     """Post-cutting causal strength D_KL(P || P_S) of Janzing et al. (2013),
-    where P_S is the joint of the model with `arrows` cut (see `_cut`)."""
+    where P_S is the joint of the model with `arrows` cut (see `_cut`) at P's entries."""
     log_scale(base)  # a bad base fails before any joint is built
     arrow_set = frozenset((str(s), str(t)) for s, t in arrows)
     for src, tgt in arrow_set:
         if src not in model.parents(tgt):
             raise QueryError(f"({src} -> {tgt}) is not an edge of the model")
     joint = build_joint(model)
-    return kl_divergence(joint, build_joint(_cut(model, arrow_set, joint)), base)
+    return kl_divergence(joint, joint_at(_cut(model, arrow_set, joint), joint.entries), base)
 
 
 def mi_strength(model: Model, cause: str, outcome: str) -> float:

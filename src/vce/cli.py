@@ -20,6 +20,7 @@ import csv
 import json
 import math
 import sys
+from functools import cache
 from itertools import product
 from typing import Sequence
 
@@ -323,6 +324,7 @@ def cmd_check(args) -> int:
     return EXIT_OK
 
 
+@cache  # one parser per process: parsing does not change it
 def build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="vce",
@@ -400,9 +402,8 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 def main(argv: Sequence[str] | None = None) -> int:
-    parser = build_parser()
     try:
-        args = parser.parse_args(argv)
+        args = build_parser().parse_args(argv)
         return args.func(args)
     except ParseError as err:
         print(f"parse error: {err}", file=sys.stderr)

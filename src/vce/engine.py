@@ -12,7 +12,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from functools import cached_property
-from typing import Mapping, Sequence
+from typing import Iterable, Mapping, Sequence
 
 import numpy as np
 
@@ -25,13 +25,11 @@ from .errors import (
     ZeroProbabilityError,
 )
 from .model import (
-    CPT,
     Deterministic,
     Model,
-    Root,
     VALUE_TOL,
     default_state_limit,
-    snap_to_support,
+    point_mass,
 )
 
 MASS_TOL = 1e-9
@@ -84,22 +82,16 @@ class JointTable:
 def local_distribution(model: Model, name: str, assignment: Mapping[str, float]) -> dict[float, float]:
     """P(name = . | parents), with `assignment` covering the parents."""
     mech = model.mechanisms[name]
-    support = model.support(name)
-    if isinstance(mech, Root):
-        return {v: float(mech.table.get(v, 0.0)) for v in support}
-    if isinstance(mech, CPT):
-        row = mech.rows[tuple(assignment[p] for p in mech.parents)]
-        return {v: float(row.get(v, 0.0)) for v in support}
-    value = deterministic_value(model, name, assignment)
-    return {v: (1.0 if v == value else 0.0) for v in support}
+    pairs = dict(model.outcome_table(name).read(mech, tuple(assignment[p] for p in mech.parents)))
+    return {v: pairs.get(i, 0.0) for i, v in enumerate(model.support(name).values)}
 
 
 def deterministic_value(model: Model, name: str, assignment: Mapping[str, float]) -> float:
     mech = model.mechanisms[name]
     if not isinstance(mech, Deterministic):
         raise EngineError(f"'{name}' is not a deterministic node")
-    raw = mech.value(tuple(assignment[p] for p in mech.parents))
-    return snap_to_support(model.support(name), raw)
+    pairs = model.outcome_table(name).read(mech, tuple(assignment[p] for p in mech.parents))
+    return model.support(name).values[pairs[0][0]]
 
 
 def build_joint(model: Model) -> JointTable:
@@ -110,30 +102,29 @@ def build_joint(model: Model) -> JointTable:
     if model.state_space_size > limit:
         raise StateSpaceError(f"joint state space exceeds limit {limit}")
     order = model.topological_order()
-    declaration = tuple(v.name for v in model.variables)
+    at = {name: i for i, name in enumerate(order)}
+    tables = [model.outcome_table(name) for name in order]
+    parents = [[at[p] for p in model.mechanisms[name].parents] for name in order]
+    values = [table.supports[0].values for table in tables]
+    columns = [at[v.name] for v in model.variables]
+    state = [0] * len(order)  # support index of each node, in topological order
     entries: dict[tuple[float, ...], float] = {}
 
-    def recurse(i: int, assignment: dict[str, float], mass: float):
+    def recurse(i: int, mass: float):
         if i == len(order):
-            key = tuple(assignment[n] for n in declaration)
-            entries[key] = entries.get(key, 0.0) + mass
+            entries[tuple(values[c][state[c]] for c in columns)] = mass
             return
-        name = order[i]
-        mech = model.mechanisms[name]
-        if isinstance(mech, Deterministic):
-            assignment[name] = deterministic_value(model, name, assignment)
-            recurse(i + 1, assignment, mass)
-            del assignment[name]
-            return
-        for value, p in local_distribution(model, name, assignment).items():
-            if p <= 0.0:
-                continue
-            assignment[name] = value
-            recurse(i + 1, assignment, mass * p)
-            del assignment[name]
+        pos = 0
+        for j in parents[i]:
+            pos = pos * len(values[j]) + state[j]
+        outcomes = tables[i].slots[pos] or tables[i].read(
+            model.mechanisms[order[i]], tuple(values[j][state[j]] for j in parents[i]))
+        for index, p in outcomes:
+            state[i] = index
+            recurse(i + 1, mass * p)
 
-    recurse(0, {}, 1.0)
-    joint = JointTable(declaration, entries)
+    recurse(0, 1.0)
+    joint = JointTable(tuple(v.name for v in model.variables), entries)
     if abs(joint.total_mass() - 1.0) > MASS_TOL:
         raise EngineError(f"joint mass {joint.total_mass()} deviates from 1")
     return joint
@@ -172,7 +163,7 @@ def intervene(model: Model, do: Mapping[str, float]) -> Model:
     """Replace each intervened node's mechanism by a point mass (modularity)."""
     mechanisms = dict(model.mechanisms)
     for name, value in do.items():
-        mechanisms[name] = Root({snap_to_support(model.support(name), value): 1.0})
+        mechanisms[name] = point_mass(model.support(name), value)
     return Model(model.variables, mechanisms, model.parameters, state_limit=model.state_limit)
 
 
@@ -255,6 +246,24 @@ def kl_divergence(
             raise AbsoluteContinuityError(f"Q vanishes at {key} where P = {pv}")
         total += pv * math.log2(pv / qv)
     return total * scale
+
+
+def joint_at(model: Model, keys: Iterable[tuple[float, ...]]) -> Distribution:
+    """The joint of `model` at full assignments `keys` (declaration order):
+    build_joint's products, taken in its order, without enumerating."""
+    column = {v.name: i for i, v in enumerate(model.variables)}
+    nodes = [(model.outcome_table(n), model.mechanisms[n], column[n],
+              [column[p] for p in model.mechanisms[n].parents]) for n in model.topological_order()]
+    masses = {}
+    for key in keys:
+        mass = 1.0
+        for table, mech, col, parents in nodes:
+            pairs = dict(table.read(mech, tuple(key[c] for c in parents)))
+            mass *= pairs.get(table.supports[0].values.index(key[col]), 0.0)
+            if mass == 0.0:
+                break
+        masses[key] = mass
+    return Distribution(tuple(column), masses)
 
 
 def sample(

@@ -12,7 +12,7 @@ from __future__ import annotations
 import math
 import os
 from dataclasses import dataclass, field
-from functools import cached_property
+from functools import cache, cached_property, lru_cache
 from itertools import product
 from typing import Iterable, Iterator, Mapping, Union
 
@@ -133,6 +133,58 @@ class Deterministic:
 
 Mechanism = Union[Root, CPT, Deterministic]
 
+Outcomes = tuple[tuple[int, float], ...]
+
+
+@cache
+def _point(index: int) -> Outcomes:  # a deterministic outcome
+    return ((index, 1.0),)
+
+
+@lru_cache(maxsize=4096)
+def point_mass(support: FiniteSupport, value: float) -> Root:
+    """The root pinned at `value` snapped onto `support`, one per pair, so that
+    repeated interventions share its outcome table."""
+    return Root({snap_to_support(support, value): 1.0})
+
+
+class OutcomeTable:
+    """A node's conditional at each parent tuple, evaluated at most once.
+    Slot `pos` (the mixed-radix position of the parents' support indices, last
+    parent fastest) holds its positive (support index, probability) pairs in
+    support order, or None until first read.  Kept on the mechanism for models
+    giving the node and its parents these `supports`; never holds a failure."""
+
+    __slots__ = ("supports", "parents", "slots")
+
+    def __init__(self, supports: tuple[FiniteSupport, ...]):
+        self.supports = supports
+        self.parents = [s.values for s in supports[1:]]
+        self.slots: list[Outcomes | None] = [None] * math.prod(map(len, self.parents))
+
+    def read(self, mech: Mechanism, parent_values: tuple[float, ...]) -> Outcomes:
+        """Outcomes at `parent_values`, evaluated on first read; a caller's value
+        that is not exactly a support value is evaluated and not stored."""
+        pos = 0
+        try:
+            for values, v in zip(self.parents, parent_values):
+                pos = pos * len(values) + values.index(v)
+        except ValueError:
+            return self.evaluate(mech, parent_values)
+        if self.slots[pos] is None:
+            self.slots[pos] = self.evaluate(mech, parent_values)
+        return self.slots[pos]
+
+    def evaluate(self, mech: Mechanism, parent_values: tuple[float, ...]) -> Outcomes:
+        """Outcomes at `parent_values` computed from `mech`, without the table."""
+        support = self.supports[0]
+        if isinstance(mech, Deterministic):
+            return _point(support.index_of(mech.value(parent_values)))
+        row = mech.rows[parent_values] if isinstance(mech, CPT) else mech.table
+        probabilities = [float(row.get(v, 0.0)) for v in support.values]
+        # Entries <= 0 are pruned; a NaN entry is kept, so that it shows in the joint.
+        return tuple([(i, p) for i, p in enumerate(probabilities) if not p <= 0.0])
+
 
 @dataclass(frozen=True)
 class Partition:
@@ -157,7 +209,7 @@ class Partition:
 
 @dataclass(frozen=True)
 class Model:
-    """Immutable structural model: variables plus one mechanism per variable."""
+    """Structural model: variables plus one mechanism per variable (immutable but for caches)."""
 
     variables: tuple[Variable, ...]
     mechanisms: dict[str, Mechanism]
@@ -214,8 +266,22 @@ class Model:
             size *= len(v.support)
         return size
 
+    def outcome_table(self, name: str) -> OutcomeTable:
+        """`name`'s outcome table, kept on its mechanism (see OutcomeTable)."""
+        mech = self.mechanisms[name]
+        supports = tuple([self.variable_map[n].support for n in (name, *mech.parents)])
+        table = mech.__dict__.get("_outcome_table")
+        if table is None or table.supports != supports:
+            table = OutcomeTable(supports)
+            object.__setattr__(mech, "_outcome_table", table)
+        return table
+
     def topological_order(self) -> tuple[str, ...]:
         """Kahn's algorithm; ties broken by declaration order (deterministic)."""
+        return self._topological_order
+
+    @cached_property
+    def _topological_order(self) -> tuple[str, ...]:
         names = [v.name for v in self.variables]
         pending = {
             n: set(self.mechanisms[n].parents) & set(names)
@@ -397,13 +463,14 @@ def _check_deterministic(
         return
     if ex.free_names(mech.body) & set(model.parameter_map):
         return  # totality checked after binding
-    for assignment in _parent_space(model, mech.parents):
+    table = model.outcome_table(name)  # filled here, read by every later reader
+    for pos, assignment in enumerate(_parent_space(model, mech.parents)):
         try:
-            value = mech.value(assignment)
+            table.slots[pos] = table.slots[pos] or table.evaluate(mech, assignment)
         except EvalError as err:
             diags.append(f"{name}: body fails at {assignment}: {err}")
-            continue
-        if value not in support:
+        except ModelError:
+            value = mech.value(assignment)
             diags.append(f"{name}: body yields {value!r} at {assignment}, outside support")
 
 
@@ -453,7 +520,7 @@ def bind(model: Model, bindings: Mapping[str, float] | None = None) -> Model:
                     for key, row in mech.rows.items()
                 },
             )
-        elif mech.body is not None:
+        elif mech.body is not None and ex.free_names(mech.body) & set(declared):
             mechanisms[name] = Deterministic(
                 mech.parents, body=ex.substitute(mech.body, bindings)
             )

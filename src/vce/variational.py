@@ -27,6 +27,7 @@ from typing import Mapping, Sequence
 import numpy as np
 
 from . import expr as ex
+from .dsl import MAX_DEPTH
 from .engine import (
     build_joint,
     deterministic_value,
@@ -41,6 +42,7 @@ from .model import (
     Model,
     Parameter,
     Partition,
+    VALUE_TOL,
     Variable,
     _parent_space,
 )
@@ -259,11 +261,11 @@ class StratumTable:
     indices: tuple[int, ...]
 
     def row(self, z: Mapping[str, float]) -> _ZRow:
+        """The stratum whose key matches `z` within 1e-9, as supports match."""
         if set(z) != set(self.z_variables):
             raise QueryError(f"z must assign exactly {self.z_variables}")
-        key = tuple(z[v] for v in self.z_variables)
         for row in self.rows:
-            if row.key == key:
+            if all(abs(a - z[v]) <= VALUE_TOL for a, v in zip(row.key, self.z_variables)):
                 return row
         raise ZeroProbabilityError(f"z assignment {dict(z)} has zero probability")
 
@@ -480,9 +482,9 @@ def eliminate_mediator(model: Model, mediator: str) -> Model:
     """Substitute a deterministic mediator into its children and drop it.
 
     An expression child takes the mediator's body symbolically when that body
-    yields exact support values (or the model is unbound); otherwise the child
-    is tabulated over the expanded parent set from the mediator's value
-    snapped onto its support, as enumeration reads it.
+    yields exact support values (or the model is unbound) and the result has at
+    most dsl.MAX_DEPTH levels; otherwise the child is tabulated over the expanded
+    parent set from the mediator's value snapped onto its support, as read.
     """
     mech = model.mechanisms.get(mediator)
     if mech is None:
@@ -517,8 +519,8 @@ def _substitute_parent(model: Model, child: str, mediator: str):
     if symbolic and model.is_bound:  # a raw value the support would snap stays tabulated
         support = model.support(mediator).values
         symbolic = all(med.value(key) in support for key in _parent_space(model, med.parents))
-    if symbolic:
-        body = ex.substitute(mech.body, {mediator: med.body})
+    body = ex.substitute(mech.body, {mediator: med.body}) if symbolic else None
+    if body is not None and ex.depth(body) <= MAX_DEPTH:  # deeper would not parse back
         order = [v.name for v in model.variables]
         referenced = ex.free_names(body) & set(order)
         return Deterministic(tuple(n for n in order if n in referenced), body=body)

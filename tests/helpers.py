@@ -14,7 +14,7 @@ from pathlib import Path
 import numpy as np
 
 from vce import expr as ex
-from vce.engine import build_joint, local_distribution, log_scale, marginal
+from vce.engine import JointTable, build_joint, local_distribution, log_scale, marginal
 from vce.errors import QueryError
 from vce.model import (
     CPT,
@@ -187,6 +187,48 @@ def random_dsl_model(rng: np.random.Generator) -> Model:
             mechanisms[name] = Deterministic(parents, table=table)
         variables.append(Variable(name, support))
     return Model(tuple(variables), mechanisms, tuple(params))
+
+
+# --- reference joint enumeration ---------------------------------------------
+
+
+def reference_joint(model: Model) -> JointTable:
+    """The joint by plain recursion in topological order, evaluating every
+    conditional afresh from the mechanisms (oracle for engine.build_joint)."""
+    order = model.topological_order()
+    declaration = tuple(v.name for v in model.variables)
+    entries: dict[tuple[float, ...], float] = {}
+
+    def recurse(i, assignment, mass):
+        if i == len(order):
+            key = tuple(assignment[n] for n in declaration)
+            entries[key] = entries.get(key, 0.0) + mass
+            return
+        name = order[i]
+        mech = model.mechanisms[name]
+        support = model.support(name)
+        parent_values = tuple(assignment[p] for p in mech.parents)
+        if isinstance(mech, Deterministic):
+            assignment[name] = snap_to_support(support, mech.value(parent_values))
+            recurse(i + 1, assignment, mass)
+            del assignment[name]
+            return
+        row = mech.table if isinstance(mech, Root) else mech.rows[parent_values]
+        for value in support.values:
+            p = float(row.get(value, 0.0))
+            if p <= 0.0:
+                continue
+            assignment[name] = value
+            recurse(i + 1, assignment, mass * p)
+            del assignment[name]
+
+    recurse(0, {}, 1.0)
+    return JointTable(declaration, entries)
+
+
+def joint_bits(joint: JointTable) -> list:
+    """Entries in order, keys and masses as exact float hex (bit identity)."""
+    return [(tuple(v.hex() for v in key), p.hex()) for key, p in joint.entries.items()]
 
 
 # --- reference enumeration of latent configurations -------------------------

@@ -439,3 +439,45 @@ def test_check_degree_past_matrix_form_exit_2(capsys, degree):
     assert err.startswith("error: degree") and "too large for the matrix form" in err
     code, _, _ = run(capsys, "check", BSC, "--cause", "X", "--outcome", "Y", "--degree", "511")
     assert code == 0
+
+
+# --- one parser per process --------------------------------------------------------
+
+
+def _outcome(capsys, argv):
+    try:
+        code = main(argv)
+    except SystemExit as stop:  # argparse errors and --help exit from parse_args
+        code = ("exit", stop.code)
+    out = capsys.readouterr()
+    return code, out.out, out.err
+
+
+def test_parser_reused_across_calls_matches_a_fresh_parser(capsys, monkeypatch):
+    from vce import cli
+
+    sequence = [
+        ["eval", RARE, "--cause", "X", "--outcome", "Y", "--bind", "p=0.1"],
+        ["eval", RARE, "--cause", "X", "--outcome", "Y", "--bind", "p=0.2", "--bind", ""],
+        ["eval", RARE, "--cause", "X", "--outcome", "Y"],  # no --bind left over
+        ["sweep", RARE, "--cause", "X", "--outcome", "Y", "--axis", "p=0:1:0.5"],
+        ["sweep", RARE, "--cause", "X", "--outcome", "Y", "--axis", "d=0:1:0.5",
+         "--bind", "p=0.3"],
+        ["baselines", SPRINKLER, "--cause", "R", "--outcome", "W", "--format", "json"],
+        ["counterfactual", SPRINKLER_F, "--bind", "p=0.5", "--evidence", "W=0",
+         "--context", "R=0", "--do", "R=1", "--target", "W"],
+        ["check", RAMP, "--cause", "X", "--outcome", "Y", "--degree", "1/3"],
+        ["eval", RAMP, "--cause", "X", "--outcome", "Y", "--degree", "abc"],
+        ["eval", RAMP, "--cause", "X"],
+        ["bogus"],
+        [],
+        ["eval", "--help"],
+        ["eval", RAMP, "--cause", "X", "--outcome", "Y", "--variant", "space"],
+    ]
+    shared = [_outcome(capsys, argv) for argv in sequence + sequence]
+    assert cli.build_parser() is cli.build_parser()
+    monkeypatch.setattr(cli, "build_parser", cli.build_parser.__wrapped__)  # one per call
+    fresh = [_outcome(capsys, argv) for argv in sequence + sequence]
+    assert shared == fresh
+    assert [code for code, _, _ in fresh[:3]] == [0, 0, 2]
+    assert "unbound parameter(s) ['p']" in fresh[2][2]

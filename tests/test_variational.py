@@ -751,3 +751,58 @@ def test_eliminate_mediator_reads_snapped_mediator_values():
     for key, p in old.items():
         assert new[key] == pytest.approx(p, abs=1e-12)
     assert old[(3.0, 1.0, 1.0, 1.0)] == pytest.approx(0.4, abs=1e-12)
+
+
+def test_per_z_oracles_snap_z_within_tolerance():
+    m = parse_model(
+        "var Z in {0, 0.3}\nvar X in {0, 1, 2}\nvar Y in {0, 1, 2}\n"
+        "root Z {0: 0.5, 0.3: 0.5}\n"
+        "cpt X | Z {(0): {0: 0.2, 1: 0.3, 2: 0.5}, (0.3): {0: 0.6, 1: 0.1, 2: 0.3}}\n"
+        "def Y = if Z > 0.1 then 2 - X else X\n"
+    )
+    q = EffectQuery("X", "Y", 0.5)
+    chain = Partition((0, 2))
+    oracles = [
+        lambda z: piv(m, q, z),
+        lambda z: brute_force_piv(m, q, z),
+        lambda z: spiv(m, q, z),
+        lambda z: apiv(m, q, z),
+        lambda z: piev(m, q, z, chain),
+        lambda z: matrix_form_piev(m, q, z, chain),
+    ]
+    for oracle in oracles:
+        exact = oracle({"Z": 0.3})
+        assert oracle({"Z": 0.1 + 0.2}) == exact
+        assert oracle({"Z": 0.3 - 5e-10}) == exact
+        assert oracle({"Z": 0.0}) != exact
+        with pytest.raises(ZeroProbabilityError):  # off the support: zero probability
+            oracle({"Z": 0.3 + 1e-6})
+
+
+def _deep_chain(head: str, terms: int) -> str:
+    """A left-deep `-` chain of `terms` operands with `head` at the bottom."""
+    return " - ".join([head] + ["0"] * (terms - 1))
+
+
+@pytest.mark.parametrize("mediator_terms, child_terms, symbolic", [
+    (256, 256, False),  # 511 levels once substituted
+    (2, 256, False),  # 257 levels
+    (2, 255, True),  # exactly 256 levels
+])
+def test_eliminate_mediator_stays_within_the_depth_bound(mediator_terms, child_terms, symbolic):
+    from vce.dsl import MAX_DEPTH, serialize_model
+
+    m = parse_model(
+        "var X in {0, 1}\nvar M in {0, 1}\nvar Y in {0, 1}\nroot X {0: 0.25, 1: 0.75}\n"
+        f"def M = {_deep_chain('X', mediator_terms)}\n"
+        f"def Y = {_deep_chain('M', child_terms)}\n"
+    )
+    reduced = eliminate_mediator(m, "M")
+    y = reduced.mechanisms["Y"]
+    assert (y.body is not None) == symbolic
+    if symbolic:
+        assert ex.depth(y.body) == MAX_DEPTH
+    else:
+        assert y.table == {(0.0,): 0.0, (1.0,): 1.0}
+    assert parse_model(serialize_model(reduced)) == reduced
+    assert build_joint(reduced).entries == {(0.0, 0.0): 0.25, (1.0, 1.0): 0.75}
