@@ -53,16 +53,15 @@ from .model import (
     bind,
     validate,
 )
+from .rewrites import cpt_to_noise, eliminate_mediator
 from .variational import (
     EffectQuery,
     EffectReport,
     ace_flavored_effect,
     apiv,
     brute_force_piv,
-    cpt_to_noise,
     degree_grid,
     effect,
-    eliminate_mediator,
     g_in,
     matrix_form_piev,
     natural_availability,

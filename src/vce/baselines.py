@@ -4,12 +4,10 @@ strength, mutual-information strengths, and inverse probability weighting.
 
 from __future__ import annotations
 
-import math
 from typing import Iterable, Mapping, Sequence
 
 from .counterfactual import configurations, propagate
 from .engine import (
-    JointTable,
     build_joint,
     conditional_mutual_information,
     expectation,
@@ -23,10 +21,8 @@ from .engine import (
 )
 from .errors import PositivityError, QueryError
 from .estimation import Dataset
-from .model import CPT, Deterministic, Model, Root
-from .variational import cpt_to_noise
-
-ArrowSet = frozenset[tuple[str, str]]
+from .model import CPT, Deterministic, Model
+from .rewrites import _cut, _functionalize
 
 
 def ace(model: Model, cause: str, x0: float, x1: float, outcome: str) -> float:
@@ -80,18 +76,6 @@ def acde(
     return total
 
 
-def _functionalize(model: Model, names: Iterable[str]) -> Model:
-    """cpt_to_noise each named CPT node so potential outcomes propagate."""
-    out = model
-    for name in names:
-        mech = out.mechanisms.get(name)
-        if mech is None:
-            raise QueryError(f"unknown variable '{name}'")
-        if isinstance(mech, CPT):
-            out = cpt_to_noise(out, name)
-    return out
-
-
 def ande(
     model: Model,
     cause: str,
@@ -123,35 +107,6 @@ def ande(
         y0 = propagate(model, config, dict(pinned, **{cause: x0}))[outcome]
         total += prior * (y1 - y0)
     return total
-
-
-def _cut(model: Model, arrows: ArrowSet, joint: JointTable) -> Model:
-    """The model after `arrows` are cut: each cut target is fed independent
-    draws from its cut sources' observational marginals in `joint`.
-
-    A cut target's mechanism becomes a CPT over its kept parents.  Its rows
-    are read off a local model where the kept parents are uniform roots, the
-    cut sources are roots with their marginals and the target keeps its
-    mechanism, so every kept assignment gets a row: cutting can reach parent
-    values that P never reaches.
-    """
-    mechanisms = dict(model.mechanisms)
-    for target in {t for _, t in arrows}:
-        local = {target: model.mechanisms[target]}
-        kept = tuple(p for p in model.parents(target) if (p, target) not in arrows)
-        for p in model.parents(target):
-            values = model.support(p).values
-            local[p] = Root(
-                {v: 1.0 / len(values) for v in values} if p in kept
-                else {key[0]: w for key, w in marginal(joint, [p]).items()}
-            )
-        sub = Model(tuple(map(model.variable, local)), local, state_limit=model.state_limit)
-        assignments = math.prod(len(model.support(p)) for p in kept)
-        rows: dict[tuple[float, ...], dict[float, float]] = {}
-        for key, mass in marginal(build_joint(sub), [*kept, target]).items():
-            rows.setdefault(key[:-1], {})[key[-1]] = mass * assignments
-        mechanisms[target] = CPT(kept, rows)
-    return Model(model.variables, mechanisms, model.parameters, state_limit=model.state_limit)
 
 
 def janzing_strength(

@@ -125,7 +125,7 @@ def build_joint(model: Model) -> JointTable:
 
     recurse(0, 1.0)
     joint = JointTable(tuple(v.name for v in model.variables), entries)
-    if abs(joint.total_mass() - 1.0) > MASS_TOL:
+    if not abs(joint.total_mass() - 1.0) <= MASS_TOL:  # a NaN mass fails too
         raise EngineError(f"joint mass {joint.total_mass()} deviates from 1")
     return joint
 

@@ -6,9 +6,10 @@ observable conditionals:
 
     |E(Y|x',z) - E(Y|x,z)| * (4 P(x'|z) P(x|z))^d
 
-so the exact engine's chain/max/sum machinery reruns unchanged on empirical
-strata.  No smoothing: strata the data never observed are hard errors when
-an estimate needs them.  The covariate-weighted form replaces the weights by
+so the estimators fill the exact engine's `StratumTable` from empirical
+strata and aggregate it as `effect` does.  No smoothing: strata the data
+never observed are hard errors when an estimate needs them.  The
+covariate-weighted form replaces the weights by
 (4 * sum_c P(x'|z,c)P(c|z) * sum_c P(x|z,c)P(c|z))^d with outcome
 differences read off a designated covariate stratum c0.
 """
@@ -18,11 +19,12 @@ from __future__ import annotations
 import csv
 import math
 from dataclasses import dataclass
-from typing import Mapping, Sequence
+from itertools import groupby
+from typing import Sequence
 
 from .errors import DatasetError, QueryError, UnavailableStratumError
 from .model import Model
-from .variational import SIGNS, VARIANTS, variation
+from .variational import EffectQuery, StratumTable, _ZRow
 
 
 @dataclass(frozen=True)
@@ -93,79 +95,40 @@ class Dataset:
                     )
 
 
-@dataclass(frozen=True)
-class StratumTable:
-    """Empirical conditionals per (x, z) stratum.
-
-    Strata absent from the data are simply missing from the mappings.
-    """
-
-    xs: tuple[float, ...]
-    z_variables: tuple[str, ...]
-    p_z: dict[tuple[float, ...], float]
-    p_x_given_z: dict[tuple[tuple[float, ...], float], float]
-    mean_y: dict[tuple[tuple[float, ...], float], float]
-
-
 def estimate_conditionals(
     dataset: Dataset, cause: str, outcome: str, z_vars: Sequence[str]
 ) -> StratumTable:
-    """Empirical E(Y|x,z), P(x|z), and P(z) from exact-stratum frequencies."""
+    """Empirical P(z), P(x|z) and E(Y|x,z) from exact-stratum frequencies.
+
+    One row per observed z, in ascending order, over the sorted observed
+    cause values.  A cause value never seen with z has weight 0 and mean 0.0.
+    """
     xi = dataset.column_index(cause)
     yi = dataset.column_index(outcome)
     zi = [dataset.column_index(z) for z in z_vars]
+    if len(set(z_vars)) != len(z_vars) or {cause, outcome} & set(z_vars):
+        raise QueryError("the conditioning set must name distinct variables "
+                         "other than the cause and the outcome")
     n = len(dataset)
     z_count: dict[tuple[float, ...], int] = {}
     xz_count: dict[tuple[tuple[float, ...], float], int] = {}
     y_sum: dict[tuple[tuple[float, ...], float], float] = {}
-    xs: set[float] = set()
+    seen: set[float] = set()
     for row in dataset.rows:
         z = tuple(row[i] for i in zi)
         x = row[xi]
-        xs.add(x)
+        seen.add(x)
         z_count[z] = z_count.get(z, 0) + 1
         xz_count[(z, x)] = xz_count.get((z, x), 0) + 1
         y_sum[(z, x)] = y_sum.get((z, x), 0.0) + row[yi]
-    return StratumTable(
-        xs=tuple(sorted(xs)),
-        z_variables=tuple(z_vars),
-        p_z={z: c / n for z, c in z_count.items()},
-        p_x_given_z={k: c / z_count[k[0]] for k, c in xz_count.items()},
-        mean_y={k: s / xz_count[k] for k, s in y_sum.items()},
-    )
-
-
-def _plugin_value(
-    xs: Sequence[float],
-    strata: Mapping[tuple[float, ...], tuple[float, Sequence[float], Sequence[float | None]]],
-    degree: float,
-    variant: str,
-    sign: str,
-) -> float:
-    """Shared plug-in aggregation: strata map z -> (P(z), weights, means).
-
-    `weights` feed the availability factor (probabilities, or marginalized
-    sums in the covariate case); a None mean with a positive weight pair is
-    an unavailable stratum.
-    """
-    total = 0.0
-    for z_key in sorted(strata):
-        pz, ws, means = strata[z_key]
-        if pz <= 0.0:
-            continue
-        gs = []
-        for x, w, m in zip(xs, ws, means):
-            if m is None:
-                if w > 0.0:
-                    raise UnavailableStratumError(
-                        f"no records for cause value {x!r} in stratum {z_key}"
-                    )
-                gs.append(0.0)  # weight 0 makes the value irrelevant
-            else:
-                gs.append(m)
-        value, _ = variation(gs, ws, degree, variant, sign)
-        total += pz * value
-    return total
+    xs = sorted(seen)
+    rows = []
+    for z in sorted(z_count):
+        counts = [xz_count.get((z, x), 0) for x in xs]
+        ps = tuple(c / z_count[z] for c in counts)
+        gs = tuple(y_sum[(z, x)] / c if c else 0.0 for x, c in zip(xs, counts))
+        rows.append(_ZRow(z, z_count[z] / n, ps, gs))
+    return StratumTable(tuple(z_vars), tuple(rows), tuple(range(len(xs))))
 
 
 def identifiable_effect(
@@ -178,17 +141,9 @@ def identifiable_effect(
     sign: str = "abs",
 ) -> float:
     """Plug-in estimate of the chosen variational effect from data alone."""
-    if variant not in VARIANTS:
-        raise QueryError(f"unknown variant '{variant}'")
-    if sign not in SIGNS:
-        raise QueryError(f"unknown sign '{sign}'")
+    query = EffectQuery(cause, outcome, degree, variant, sign)
     table = estimate_conditionals(dataset, cause, outcome, z_vars)
-    strata = {}
-    for z_key, pz in table.p_z.items():
-        ws = [table.p_x_given_z.get((z_key, x), 0.0) for x in table.xs]
-        means = [table.mean_y.get((z_key, x)) for x in table.xs]
-        strata[z_key] = (pz, ws, means)
-    return _plugin_value(table.xs, strata, degree, variant, sign)
+    return table.aggregate(query.degree, query.variant, query.sign)[0]
 
 
 def covariate_weighted_effect(
@@ -204,10 +159,7 @@ def covariate_weighted_effect(
 ) -> float:
     """Covariate-weighted estimate: weights marginalize the covariate away,
     outcome differences are taken inside the designated c0 stratum."""
-    if variant not in VARIANTS:
-        raise QueryError(f"unknown variant '{variant}'")
-    if sign not in SIGNS:
-        raise QueryError(f"unknown sign '{sign}'")
+    query = EffectQuery(cause, outcome, degree, variant, sign)
     if covariate in z_vars or covariate in (cause, outcome):
         raise QueryError("covariate must be distinct from the query variables")
     cvalues = sorted(set(dataset.column(covariate)))
@@ -216,27 +168,21 @@ def covariate_weighted_effect(
     elif c0 not in cvalues:
         raise UnavailableStratumError(f"covariate stratum c0={c0!r} never observed")
 
-    # (z, c) strata give both the weights and the c0-stratum means.
+    # The (z, c) rows give both the weights and the c0-stratum means; sorted
+    # keys put each z's rows together, in ascending c.
     zc = estimate_conditionals(dataset, cause, outcome, list(z_vars) + [covariate])
     z_table = estimate_conditionals(dataset, cause, outcome, z_vars)
-
-    # P(c|z) from the (z, c) counts.
-    pc_given_z: dict[tuple[tuple[float, ...], float], float] = {}
-    for zc_key, p in zc.p_z.items():
-        z_key, c = zc_key[:-1], zc_key[-1]
-        pc_given_z[(z_key, c)] = p / z_table.p_z[z_key]
-
-    xs = z_table.xs
-    strata = {}
-    for z_key, pz in z_table.p_z.items():
-        ws = []
-        for x in xs:
-            marginalized = sum(
-                zc.p_x_given_z.get((z_key + (c,), x), 0.0) * pc_given_z[(z_key, c)]
-                for c in cvalues
-                if (z_key, c) in pc_given_z
-            )
-            ws.append(marginalized)
-        means = [zc.mean_y.get((z_key + (c0,), x)) for x in xs]
-        strata[z_key] = (pz, ws, means)
-    return _plugin_value(xs, strata, degree, variant, sign)
+    rows = []
+    for z_row, (_, group) in zip(z_table.rows, groupby(zc.rows, key=lambda r: r.key[:-1])):
+        cells = [(r, r.probability / z_row.probability) for r in group]  # (row, P(c|z))
+        ws = tuple(sum(r.ps[i] * pc for r, pc in cells) for i in z_table.indices)
+        at_c0 = next((r for r, _ in cells if r.key[-1] == c0), None)
+        for i, w in enumerate(ws):
+            if w > 0.0 and (at_c0 is None or at_c0.ps[i] == 0.0):
+                x = sorted(set(dataset.column(cause)))[i]
+                raise UnavailableStratumError(
+                    f"no records for cause value {x!r} in stratum {z_row.key}"
+                )
+        rows.append(_ZRow(z_row.key, z_row.probability, ws, at_c0.gs))
+    table = StratumTable(z_table.z_variables, tuple(rows), z_table.indices)
+    return table.aggregate(query.degree, query.variant, query.sign)[0]

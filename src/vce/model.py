@@ -356,7 +356,7 @@ def _check_distribution_rows(
                 diags.append(f"{name}: {label} assigns probability to {value!r} outside support")
             if _is_number(entry):
                 p = float(entry)
-                if p < -ROW_SUM_TOL or p > 1 + ROW_SUM_TOL:
+                if not -ROW_SUM_TOL <= p <= 1 + ROW_SUM_TOL:  # NaN and infinities fail too
                     diags.append(f"{name}: {label} probability {p} outside [0, 1]")
                 total += p
             else:
@@ -366,7 +366,7 @@ def _check_distribution_rows(
                     diags.append(
                         f"{name}: {label} references undeclared parameter(s) {sorted(bad)}"
                     )
-        if not symbolic and abs(total - 1.0) > ROW_SUM_TOL:
+        if not symbolic and not abs(total - 1.0) <= ROW_SUM_TOL:  # a NaN sum fails too
             diags.append(f"{name}: {label} sums to {total}, expected 1")
 
 

@@ -26,26 +26,9 @@ from typing import Mapping, Sequence
 
 import numpy as np
 
-from . import expr as ex
-from .dsl import MAX_DEPTH
-from .engine import (
-    build_joint,
-    deterministic_value,
-    expectation_under,
-    marginal,
-)
-from .errors import NoiseConversionError, QueryError, UnboundModelError, ZeroProbabilityError
-from .model import (
-    CPT,
-    Deterministic,
-    FiniteSupport,
-    Model,
-    Parameter,
-    Partition,
-    VALUE_TOL,
-    Variable,
-    _parent_space,
-)
+from .engine import build_joint, deterministic_value, expectation_under, marginal
+from .errors import QueryError, UnboundModelError, ZeroProbabilityError
+from .model import VALUE_TOL, Deterministic, Model, Partition
 
 VARIANTS = ("pace", "peace", "space", "apace")
 SIGNS = ("abs", "positive", "negative")
@@ -475,138 +458,6 @@ def matrix_form_piev(
     return matrix_form_chain_value(row.gs, row.ps, partition.indices, query.degree, query.sign)
 
 
-# --- model rewrites ---------------------------------------------------------
-
-
-def eliminate_mediator(model: Model, mediator: str) -> Model:
-    """Substitute a deterministic mediator into its children and drop it.
-
-    An expression child takes the mediator's body symbolically when that body
-    yields exact support values (or the model is unbound) and the result has at
-    most dsl.MAX_DEPTH levels; otherwise the child is tabulated over the expanded
-    parent set from the mediator's value snapped onto its support, as read.
-    """
-    mech = model.mechanisms.get(mediator)
-    if mech is None:
-        raise QueryError(f"unknown variable '{mediator}'")
-    if not isinstance(mech, Deterministic):
-        raise QueryError(f"mediator '{mediator}' is stochastic; only deterministic "
-                         "mediators can be eliminated")
-    mechanisms = dict(model.mechanisms)
-    for child in model.children(mediator):
-        mechanisms[child] = _substitute_parent(model, child, mediator)
-    del mechanisms[mediator]
-    variables = tuple(v for v in model.variables if v.name != mediator)
-    return Model(variables, mechanisms, model.parameters, state_limit=model.state_limit)
-
-
-def _expanded_parents(
-    child_parents: tuple[str, ...], mediator: str, mediator_parents: tuple[str, ...]
-) -> tuple[str, ...]:
-    out: list[str] = []
-    for p in child_parents:
-        subs = mediator_parents if p == mediator else (p,)
-        for q in subs:
-            if q not in out:
-                out.append(q)
-    return tuple(out)
-
-
-def _substitute_parent(model: Model, child: str, mediator: str):
-    mech, med = model.mechanisms[child], model.mechanisms[mediator]
-    new_parents = _expanded_parents(mech.parents, mediator, med.parents)
-    symbolic = isinstance(mech, Deterministic) and mech.body is not None and med.body is not None
-    if symbolic and model.is_bound:  # a raw value the support would snap stays tabulated
-        support = model.support(mediator).values
-        symbolic = all(med.value(key) in support for key in _parent_space(model, med.parents))
-    body = ex.substitute(mech.body, {mediator: med.body}) if symbolic else None
-    if body is not None and ex.depth(body) <= MAX_DEPTH:  # deeper would not parse back
-        order = [v.name for v in model.variables]
-        referenced = ex.free_names(body) & set(order)
-        return Deterministic(tuple(n for n in order if n in referenced), body=body)
-    out = {}
-    for combo in _parent_space(model, new_parents):
-        values = dict(zip(new_parents, combo))
-        values[mediator] = deterministic_value(model, mediator, values)
-        if isinstance(mech, CPT):
-            out[combo] = dict(mech.rows[tuple(values[p] for p in mech.parents)])
-        else:
-            out[combo] = deterministic_value(model, child, values)
-    return CPT(new_parents, out) if isinstance(mech, CPT) else Deterministic(new_parents, table=out)
-
-
-def cpt_to_noise(model: Model, node: str, free_parameter: str | None = None) -> Model:
-    """Rewrite a binary-outcome CPT node as a deterministic function of its
-    parents plus a fresh noise variable (a CPT over the original parents).
-
-    Each stochastic row keeps its majority outcome as the baseline; the noise
-    indicates a deviation from it.  Rows that are already deterministic ignore
-    the noise: their noise row is uniform by convention, or Bernoulli in a
-    fresh free parameter when `free_parameter` names one.
-    """
-    mech = model.mechanisms.get(node)
-    if mech is None:
-        raise QueryError(f"unknown variable '{node}'")
-    if not isinstance(mech, CPT):
-        raise QueryError(f"'{node}' is not a CPT node")
-    support = model.support(node)
-    if len(support) != 2:
-        raise NoiseConversionError(f"'{node}' has {len(support)} outcomes; only binary supported")
-    lo, hi = support.values
-    for key, row in mech.rows.items():
-        if any(not isinstance(e, (int, float)) for e in row.values()):
-            raise UnboundModelError(f"'{node}' has parameterized rows; bind the model first")
-
-    noise = f"U_{node}"
-    taken = {v.name for v in model.variables} | {p.name for p in model.parameters}
-    while noise in taken:
-        noise += "_"
-
-    parameters = list(model.parameters)
-    det_entry: tuple[object, object]
-    if free_parameter is not None:
-        if free_parameter in taken:
-            raise QueryError(f"name '{free_parameter}' is already declared")
-        parameters.append(Parameter(free_parameter, 0.0, 1.0))
-        p_name = ex.Name(free_parameter)
-        det_entry = (ex.Binary("-", ex.Num(1.0), p_name), p_name)
-    else:
-        det_entry = (0.5, 0.5)
-
-    outcome_table: dict[tuple[float, ...], float] = {}
-    noise_rows: dict[tuple[float, ...], dict[float, object]] = {}
-    used_free = False
-    for key, row in mech.rows.items():
-        q_hi = float(row.get(hi, 0.0))
-        if q_hi >= 1.0 - 1e-12 or q_hi <= 1e-12:
-            fixed = hi if q_hi >= 0.5 else lo
-            outcome_table[key + (0.0,)] = fixed
-            outcome_table[key + (1.0,)] = fixed
-            noise_rows[key] = {0.0: det_entry[0], 1.0: det_entry[1]}
-            used_free = True
-        else:
-            baseline = hi if q_hi > 0.5 else lo
-            other = lo if baseline == hi else hi
-            q_flip = 1.0 - q_hi if baseline == hi else q_hi
-            outcome_table[key + (0.0,)] = baseline
-            outcome_table[key + (1.0,)] = other
-            noise_rows[key] = {0.0: 1.0 - q_flip, 1.0: q_flip}
-    if free_parameter is not None and not used_free:
-        raise NoiseConversionError(
-            f"'{node}' has no deterministic rows; free parameter would be unused"
-        )
-
-    variables: list[Variable] = []
-    for v in model.variables:
-        if v.name == node:
-            variables.append(Variable(noise, FiniteSupport((0.0, 1.0))))
-        variables.append(v)
-    mechanisms = dict(model.mechanisms)
-    mechanisms[noise] = CPT(mech.parents, noise_rows)
-    mechanisms[node] = Deterministic(mech.parents + (noise,), table=outcome_table)
-    return Model(tuple(variables), mechanisms, tuple(parameters), state_limit=model.state_limit)
-
-
 def ace_flavored_effect(
     model: Model,
     cause: str,
@@ -617,14 +468,11 @@ def ace_flavored_effect(
 ) -> float:
     """Total-effect analogue: interventional means replace outcome values and
     marginal cause probabilities replace conditional weights (no E_Z)."""
-    if variant not in VARIANTS:
-        raise QueryError(f"unknown variant '{variant}'")
-    if sign not in SIGNS:
-        raise QueryError(f"unknown sign '{sign}'")
+    query = EffectQuery(cause, outcome, degree, variant, sign)
     model.variable(outcome)
     support = model.support(cause)
     joint = build_joint(model)
     px = marginal(joint, [cause])
     ps = [px.probability((x,)) for x in support.values]
     ms = [expectation_under(model, outcome, {cause: x}) for x in support.values]
-    return variation(ms, ps, degree, variant, sign)[0]
+    return variation(ms, ps, query.degree, query.variant, query.sign)[0]

@@ -17,12 +17,14 @@ from vce.dsl import parse_model, serialize_model
 from vce.engine import build_joint, conditional, entropy, marginal, sample
 from vce.engine import conditional_mutual_information, mutual_information
 from vce.errors import ParseError
-from vce.estimation import Dataset, _plugin_value, identifiable_effect
+from vce.estimation import Dataset, identifiable_effect
 from vce.model import Partition, bind
+from vce.rewrites import cpt_to_noise
 from vce.variational import (
     EffectQuery,
+    StratumTable,
+    _ZRow,
     brute_force_piv,
-    cpt_to_noise,
     effect,
     matrix_form_piev,
     piev,
@@ -302,8 +304,8 @@ def test_c12_estimation_consistency(ramp_reset, sprinkler, sprinkler_functional)
         joint = build_joint(model)
         xs = model.support(cause).values
         zdist = marginal(joint, z_vars)
-        strata = {}
-        for z_key, pz in zdist.items():
+        rows = []
+        for z_key, pz in sorted(zdist.items()):
             if pz <= 0:
                 continue
             cond = conditional(joint, [cause], dict(zip(z_vars, z_key)))
@@ -317,11 +319,12 @@ def test_c12_estimation_consistency(ramp_reset, sprinkler, sprinkler_functional)
                     )
                     means.append(sum(y * p for (y,), p in ydist.items()))
                 else:
-                    means.append(None)
-            strata[z_key] = (pz, ws, means)
+                    means.append(0.0)  # weight 0 makes the value irrelevant
+            rows.append(_ZRow(z_key, pz, tuple(ws), tuple(means)))
+        table = StratumTable(tuple(z_vars), tuple(rows), tuple(range(len(xs))))
         d = float(rng.choice((0.0, 0.3, 1.0, 2.0)))
         for variant in VARIANTS:
-            assert _plugin_value(xs, strata, d, variant, "abs") == pytest.approx(
+            assert table.aggregate(d, variant, "abs")[0] == pytest.approx(
                 effect(model, EffectQuery(cause, outcome, d, variant)).value, abs=1e-9
             )
 

@@ -151,7 +151,7 @@ def test_ande_auto_converts_binary_cpt_outcome(sprinkler):
     # W is a CPT; the conversion to function-plus-noise happens under the
     # hood, and the noise stays frozen across both potential worlds.  Oracle:
     # enumerate the converted model's latent joint directly.
-    from vce.variational import cpt_to_noise
+    from vce.rewrites import cpt_to_noise
 
     converted = cpt_to_noise(sprinkler, "W")
     joint = build_joint(converted)

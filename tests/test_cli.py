@@ -385,6 +385,34 @@ def test_estimate_non_finite_csv_exit_2(capsys, tmp_path, value):
     assert err.startswith("error: row 1 holds a non-finite value") and err.count("\n") == 1
 
 
+@pytest.mark.parametrize("covariate", [[], ["--covariate", "C"]])
+@pytest.mark.parametrize("given", ["X", "Y", "Z,Z", "Z,X"])
+def test_estimate_bad_conditioning_set_exit_2(capsys, tmp_path, given, covariate):
+    path = tmp_path / "data.csv"
+    path.write_text("X,Y,Z,C\n0,1,0,0\n1,0,1,1\n1,1,0,0\n0,0,1,1\n2,1,1,0\n", encoding="utf-8")
+    code, out, err = run(
+        capsys, "estimate", str(path), "--cause", "X", "--outcome", "Y", "--given", given,
+        *covariate,
+    )
+    assert code == 2
+    assert out == ""
+    assert err == ("error: the conditioning set must name distinct variables other than "
+                   "the cause and the outcome\n")
+
+
+def test_estimate_negative_degree_exit_2(capsys, tmp_path):
+    # A cause with one observed value has no pairs, so only the query check
+    # can catch the degree.
+    path = tmp_path / "data.csv"
+    path.write_text("X,Y\n1,0\n1,1\n1,2\n", encoding="utf-8")
+    code, out, err = run(
+        capsys, "estimate", str(path), "--cause", "X", "--outcome", "Y", "--degree=-1"
+    )
+    assert code == 2
+    assert out == ""
+    assert err == "error: degree must be >= 0, got -1.0\n"
+
+
 @pytest.mark.parametrize("depth", [500, 5000])
 def test_eval_deep_nesting_exit_1(capsys, tmp_path, depth):
     path = tmp_path / "deep.sem"

@@ -23,12 +23,21 @@ from vce.engine import (
 )
 from vce.errors import (
     AbsoluteContinuityError,
+    EngineError,
     ModelError,
     QueryError,
     UnboundModelError,
     ZeroProbabilityError,
 )
 from vce.model import FiniteSupport, Model, Root, Variable
+
+
+def test_build_joint_rejects_a_nan_mass():
+    # validate flags the NaN entry; build_joint, which does not validate,
+    # must not return a joint with a NaN entry either.
+    m = Model((Variable("A", FiniteSupport((0.0, 1.0))),), {"A": Root({0.0: math.nan, 1.0: 1.0})})
+    with pytest.raises(EngineError, match="joint mass nan deviates from 1"):
+        build_joint(m)
 
 
 def test_build_joint_bsc(bsc):

@@ -10,9 +10,8 @@ from vce.estimation import (
     covariate_weighted_effect,
     estimate_conditionals,
     identifiable_effect,
-    _plugin_value,
 )
-from vce.variational import EffectQuery, effect, g_in
+from vce.variational import EffectQuery, StratumTable, _ZRow, effect, g_in
 
 
 # --- Dataset ------------------------------------------------------------------
@@ -64,26 +63,27 @@ def test_estimate_conditionals_deterministic_outcome_exact():
     rows = [(x, z, x * z) for x in (0.0, 1.0) for z in (0.0, 1.0) for _ in range(3)]
     data = Dataset(("X", "Z", "Y"), tuple(rows))
     table = estimate_conditionals(data, "X", "Y", ["Z"])
-    for z in ((0.0,), (1.0,)):
-        for x in (0.0, 1.0):
-            assert table.mean_y[(z, x)] == x * z[0]
-            assert table.p_x_given_z[(z, x)] == pytest.approx(0.5, abs=0)
-        assert table.p_z[z] == pytest.approx(0.5, abs=0)
+    for z in (0.0, 1.0):
+        row = table.row({"Z": z})
+        for i, x in enumerate((0.0, 1.0)):
+            assert row.gs[i] == x * z
+            assert row.ps[i] == pytest.approx(0.5, abs=0)
+        assert row.probability == pytest.approx(0.5, abs=0)
 
 
 def test_estimate_conditionals_single_row():
     data = Dataset(("X", "Y"), ((1.0, 2.0),))
-    table = estimate_conditionals(data, "X", "Y", [])
-    assert table.p_z[()] == 1.0
-    assert table.p_x_given_z[((), 1.0)] == 1.0
-    assert table.mean_y[((), 1.0)] == 2.0
+    row = estimate_conditionals(data, "X", "Y", []).row({})
+    assert row.probability == 1.0
+    assert row.ps == (1.0,)
+    assert row.gs == (2.0,)
 
 
 def test_estimate_conditionals_sprinkler_sampling(sprinkler):
     cols, rows = sample(sprinkler, 100_000, seed=21)
     data = Dataset(cols, rows)
     table = estimate_conditionals(data, "S", "W", ["R"])
-    assert table.p_x_given_z[((1.0,), 1.0)] == pytest.approx(0.18, abs=0.01)
+    assert table.row({"R": 1.0}).ps[1] == pytest.approx(0.18, abs=0.01)
 
 
 def test_estimates_invariant_to_row_order(sprinkler):
@@ -104,8 +104,8 @@ def _exact_strata(model, cause, outcome, z_vars):
     joint = build_joint(model)
     xs = model.support(cause).values
     zdist = marginal(joint, list(z_vars))
-    strata = {}
-    for z_key, pz in zdist.items():
+    rows = []
+    for z_key, pz in sorted(zdist.items()):
         if pz <= 0:
             continue
         z = dict(zip(z_vars, z_key))
@@ -124,9 +124,9 @@ def _exact_strata(model, cause, outcome, z_vars):
                     )
                 )
             else:
-                means.append(None)
-        strata[z_key] = (pz, ws, means)
-    return xs, strata
+                means.append(0.0)  # weight 0 makes the value irrelevant
+        rows.append(_ZRow(z_key, pz, tuple(ws), tuple(means)))
+    return StratumTable(tuple(z_vars), tuple(rows), tuple(range(len(xs))))
 
 
 def test_plugin_consistency_with_exact_probabilities():
@@ -134,11 +134,11 @@ def test_plugin_consistency_with_exact_probabilities():
     for _ in range(25):
         model, cause, outcome = random_effect_model(rng)
         z_vars = [p for p in model.parents(outcome) if p != cause]
-        xs, strata = _exact_strata(model, cause, outcome, z_vars)
+        table = _exact_strata(model, cause, outcome, z_vars)
         d = float(rng.choice((0.0, 0.3, 1.0, 2.0)))
         for variant in ("pace", "peace", "space", "apace"):
             for sign in ("abs", "positive", "negative"):
-                plug = _plugin_value(xs, strata, d, variant, sign)
+                plug = table.aggregate(d, variant, sign)[0]
                 exact = effect(model, EffectQuery(cause, outcome, d, variant, sign)).value
                 assert plug == pytest.approx(exact, abs=1e-9), (variant, sign)
 

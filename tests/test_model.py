@@ -75,6 +75,19 @@ def test_validate_bad_rows():
     assert any("outside [0, 1]" in d for d in validate(m))
 
 
+def test_validate_rejects_non_finite_probabilities():
+    nan_root = Model((binary("A"),), {"A": Root({0.0: math.nan, 1.0: 1.0})})
+    assert "A: root table probability nan outside [0, 1]" in validate(nan_root)
+    inf_cpt = Model(
+        (binary("A"), binary("B")),
+        {
+            "A": Root({0.0: 0.5, 1.0: 0.5}),
+            "B": CPT(("A",), {(0.0,): {0.0: 1.0}, (1.0,): {0.0: math.inf, 1.0: 0.0}}),
+        },
+    )
+    assert "B: row (1.0,) probability inf outside [0, 1]" in validate(inf_cpt)
+
+
 def test_validate_missing_pieces():
     m = Model((binary("A"), binary("B")), {"A": Root({0.0: 1.0})})
     assert any("no mechanism" in d for d in validate(m))

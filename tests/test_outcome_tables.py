@@ -14,7 +14,7 @@ from vce import expr as ex
 from vce.cli import main
 from vce.dsl import parse_model
 from vce.engine import build_joint, deterministic_value, intervene, joint_at, kl_divergence
-from vce.errors import AbsoluteContinuityError, EvalError, ModelError
+from vce.errors import AbsoluteContinuityError, EngineError, EvalError, ModelError
 from vce.model import (
     CPT,
     Deterministic,
@@ -140,10 +140,16 @@ def test_failure_at_a_reached_parent_tuple_raises_as_plain_evaluation(kind):
 
 def test_row_entries_are_pruned_as_plain_enumeration_prunes_them():
     x = Variable("X", FiniteSupport((0.0, 1.0, 2.0)))
-    for row in ({0.0: 0.0, 1.0: 1.0}, {0.0: -1e-10, 1.0: 1.0, 2.0: 1e-10},
-                {0.0: float("nan"), 1.0: 1.0}):
+    for row in ({0.0: 0.0, 1.0: 1.0}, {0.0: -1e-10, 1.0: 1.0, 2.0: 1e-10}):
         m = Model((x,), {"X": Root(row)})
         assert joint_bits(build_joint(m)) == joint_bits(reference_joint(m)), row
+    # A NaN entry is kept, as plain enumeration keeps it, so the joint-mass
+    # check sees it and rejects the joint.
+    m = Model((x,), {"X": Root({0.0: float("nan"), 1.0: 1.0})})
+    assert list(reference_joint(m).entries) == [(0.0,), (1.0,)]
+    with pytest.raises(EngineError, match="joint mass nan deviates from 1"):
+        build_joint(m)
+    assert [i for i, _ in m.outcome_table("X").slots[0]] == [0, 1]
 
 
 def test_caller_values_off_the_supports_are_evaluated_not_stored(value_calls):

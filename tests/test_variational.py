@@ -22,15 +22,14 @@ from vce.model import (
     bind,
     validate,
 )
+from vce.rewrites import cpt_to_noise, eliminate_mediator
 from vce.variational import (
     EffectQuery,
     ace_flavored_effect,
     apiv,
     brute_force_piv,
-    cpt_to_noise,
     degree_grid,
     effect,
-    eliminate_mediator,
     g_in,
     matrix_form_piev,
     natural_availability,
