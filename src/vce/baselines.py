@@ -10,9 +10,7 @@ from .counterfactual import configurations, propagate
 from .engine import (
     build_joint,
     conditional_mutual_information,
-    expectation,
-    expectation_under,
-    intervene,
+    interventional_means,
     joint_at,
     kl_divergence,
     log_scale,
@@ -27,9 +25,8 @@ from .rewrites import _cut, _functionalize
 
 def ace(model: Model, cause: str, x0: float, x1: float, outcome: str) -> float:
     """Average causal effect E(Y|do(X=x1)) - E(Y|do(X=x0))."""
-    return expectation_under(model, outcome, {cause: x1}) - expectation_under(
-        model, outcome, {cause: x0}
-    )
+    hi, lo = interventional_means(model, outcome, [cause], [(x1,), (x0,)])
+    return hi - lo
 
 
 def cace(
@@ -41,8 +38,7 @@ def cace(
     covariates: Mapping[str, float],
 ) -> float:
     """Conditional ACE: interventional means conditioned on a covariate event."""
-    hi = expectation(build_joint(intervene(model, {cause: x1})), outcome, covariates)
-    lo = expectation(build_joint(intervene(model, {cause: x0})), outcome, covariates)
+    hi, lo = interventional_means(model, outcome, [cause], [(x1,), (x0,)], covariates)
     return hi - lo
 
 
@@ -56,23 +52,20 @@ def acde(
 ) -> float:
     """Controlled direct effect, averaging the per-assignment contrast of
     do(X=x1, m) vs do(X=x0, m) over the controlled set's observational law."""
+    if len(set(controlled)) != len(controlled):
+        raise QueryError(f"controlled set names a variable twice: {list(controlled)}")
     overlap = set(controlled) & {cause, outcome}
     if overlap:
         raise QueryError(f"controlled set must exclude {sorted(overlap)}")
     if not controlled:
         return ace(model, cause, x0, x1, outcome)
     mdist = marginal(build_joint(model), list(controlled))
+    ms = [(m, pm) for m, pm in mdist.items() if not pm <= 0.0]
+    keys = [(*m, x) for m, _ in ms for x in (x1, x0)]
+    means = interventional_means(model, outcome, [*controlled, cause], keys)
     total = 0.0
-    for m_key, pm in mdist.items():
-        if pm <= 0.0:
-            continue
-        do = dict(zip(controlled, m_key))
-        do_hi = dict(do, **{cause: x1})
-        do_lo = dict(do, **{cause: x0})
-        total += pm * (
-            expectation_under(model, outcome, do_hi)
-            - expectation_under(model, outcome, do_lo)
-        )
+    for i, (_, pm) in enumerate(ms):
+        total += pm * (means[2 * i] - means[2 * i + 1])
     return total
 
 

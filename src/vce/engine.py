@@ -11,7 +11,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from functools import cached_property
+from operator import getitem, itemgetter
 from typing import Iterable, Mapping, Sequence
 
 import numpy as np
@@ -27,9 +27,11 @@ from .errors import (
 from .model import (
     Deterministic,
     Model,
+    Root,
     VALUE_TOL,
     default_state_limit,
     point_mass,
+    snap_to_support,
 )
 
 MASS_TOL = 1e-9
@@ -59,14 +61,10 @@ class JointTable:
     variables: tuple[str, ...]
     entries: dict[tuple[float, ...], float]
 
-    @cached_property
-    def index(self) -> dict[str, int]:
-        return {name: i for i, name in enumerate(self.variables)}
-
     def column(self, name: str) -> int:
         try:
-            return self.index[name]
-        except KeyError:
+            return self.variables.index(name)
+        except ValueError:
             raise EngineError(f"unknown variable '{name}'") from None
 
     def total_mass(self) -> float:
@@ -94,13 +92,17 @@ def deterministic_value(model: Model, name: str, assignment: Mapping[str, float]
     return model.support(name).values[pairs[0][0]]
 
 
-def build_joint(model: Model) -> JointTable:
-    """Enumerate P(assignment) = prod over nodes of the node conditional."""
+def _check_size(model: Model) -> None:
     if not model.is_bound:
         raise UnboundModelError("model has unbound parameters; call bind() first")
     limit = model.state_limit if model.state_limit is not None else default_state_limit()
     if model.state_space_size > limit:
         raise StateSpaceError(f"joint state space exceeds limit {limit}")
+
+
+def _enumerate(model: Model) -> JointTable:
+    """Every positive-mass assignment, depth first in topological order (mass unchecked)."""
+    _check_size(model)
     order = model.topological_order()
     at = {name: i for i, name in enumerate(order)}
     tables = [model.outcome_table(name) for name in order]
@@ -124,18 +126,33 @@ def build_joint(model: Model) -> JointTable:
             recurse(i + 1, mass * p)
 
     recurse(0, 1.0)
-    joint = JointTable(tuple(v.name for v in model.variables), entries)
-    if not abs(joint.total_mass() - 1.0) <= MASS_TOL:  # a NaN mass fails too
-        raise EngineError(f"joint mass {joint.total_mass()} deviates from 1")
+    return JointTable(tuple(v.name for v in model.variables), entries)
+
+
+def _check_mass(mass: float) -> None:
+    if not abs(mass - 1.0) <= MASS_TOL:  # a NaN mass fails too
+        raise EngineError(f"joint mass {mass} deviates from 1")
+
+
+def build_joint(model: Model) -> JointTable:
+    """Enumerate P(assignment) = prod over nodes of the node conditional.
+    The joint is kept on the model, built once and shared: never mutate it."""
+    _check_size(model)  # before the lookup: VCE_STATE_LIMIT may have been lowered
+    joint = model.__dict__.get("_joint")
+    if joint is None:
+        joint = _enumerate(model)
+        _check_mass(joint.total_mass())
+        object.__setattr__(model, "_joint", joint)
     return joint
 
 
 def marginal(joint: JointTable, variables: Sequence[str]) -> Distribution:
     """Marginalize the joint onto `variables` (empty list gives a point mass)."""
     cols = [joint.column(v) for v in variables]
+    project = itemgetter(*cols) if len(cols) > 1 else lambda key: tuple([key[c] for c in cols])
     table: dict[tuple[float, ...], float] = {}
     for key, p in joint.entries.items():
-        sub = tuple(key[c] for c in cols)
+        sub = project(key)
         table[sub] = table.get(sub, 0.0) + p
     return Distribution(tuple(variables), table)
 
@@ -182,8 +199,38 @@ def expectation(
 
 
 def expectation_under(model: Model, target: str, do: Mapping[str, float]) -> float:
-    """E(target | do(...)): intervene, re-enumerate, take the mean."""
-    return expectation(build_joint(intervene(model, do)), target)
+    """E(target | do(...)), as the mean under the intervened model's joint."""
+    return interventional_means(model, target, list(do), [tuple(do.values())])[0]
+
+
+def interventional_means(
+    model: Model, target: str, names: Sequence[str], keys: Sequence[tuple[float, ...]],
+    given: Mapping[str, float] | None = None,
+) -> list[float]:
+    """E(target | do(names = key), given) for each key, bit for bit as
+    expectation(build_joint(intervene(model, do)), target, given), from one
+    enumeration (truncated factorisation, Pearl 2009, §3.2): each named node is
+    an indicator root, weight 1.0 on each value the keys use, so a key's slice
+    is that intervened joint.  Only the slices the keys name are checked."""
+    snaps = [{v: snap_to_support(model.support(name), v) for v in dict.fromkeys(k[i] for k in keys)}
+             for i, name in enumerate(names)]
+    mechanisms = dict(model.mechanisms)
+    for name, snap in zip(names, snaps):
+        mechanisms[name] = Root(dict.fromkeys(snap.values(), 1.0))
+    joint = _enumerate(Model(model.variables, mechanisms, model.parameters,
+                             state_limit=model.state_limit))
+    cols = [joint.column(n) for n in names]
+    snapped = [tuple(map(getitem, snaps, key)) for key in keys]
+    slices: dict[tuple[float, ...], dict] = {s: {} for s in snapped}
+    for key, p in joint.entries.items():
+        entries = slices.get(tuple([key[c] for c in cols]))
+        if entries is not None:
+            entries[key] = p
+    means = {}
+    for s, entries in slices.items():
+        _check_mass(sum(entries.values()))
+        means[s] = expectation(JointTable(joint.variables, entries), target, given)
+    return [means[s] for s in snapped]
 
 
 def entropy(dist: Distribution) -> float:
@@ -250,19 +297,29 @@ def kl_divergence(
 
 def joint_at(model: Model, keys: Iterable[tuple[float, ...]]) -> Distribution:
     """The joint of `model` at full assignments `keys` (declaration order):
-    build_joint's products, taken in its order, without enumerating."""
+    build_joint's products, taken in its order, without enumerating; a key
+    reuses the factors of the nodes it shares, as a prefix, with the one before."""
     column = {v.name: i for i, v in enumerate(model.variables)}
+    values = [v.support.values for v in model.variables]
     nodes = [(model.outcome_table(n), model.mechanisms[n], column[n],
               [column[p] for p in model.mechanisms[n].parents]) for n in model.topological_order()]
     masses = {}
+    prev, partial = (), [1.0]  # partial[i]: the product of the first i factors at `prev`
     for key in keys:
-        mass = 1.0
-        for table, mech, col, parents in nodes:
-            pairs = dict(table.read(mech, tuple(key[c] for c in parents)))
-            mass *= pairs.get(table.supports[0].values.index(key[col]), 0.0)
-            if mass == 0.0:
+        i = 0
+        while i < len(partial) - 1 and key[nodes[i][2]] == prev[nodes[i][2]]:
+            i += 1
+        del partial[i + 1:]
+        for table, mech, col, parents in nodes[i:]:
+            if partial[-1] == 0.0:
                 break
-        masses[key] = mass
+            pos = 0  # the slot's mixed-radix position; each parent was found at its own node
+            for c in parents:
+                pos = pos * len(values[c]) + values[c].index(key[c])
+            outcomes = table.slots[pos] or table.read(mech, tuple(key[c] for c in parents))
+            partial.append(partial[-1] * dict(outcomes).get(values[col].index(key[col]), 0.0))
+        masses[key] = partial[-1]
+        prev = key
     return Distribution(tuple(column), masses)
 
 

@@ -26,7 +26,7 @@ from typing import Mapping, Sequence
 
 import numpy as np
 
-from .engine import build_joint, deterministic_value, expectation_under, marginal
+from .engine import build_joint, deterministic_value, interventional_means, marginal
 from .errors import QueryError, UnboundModelError, ZeroProbabilityError
 from .model import VALUE_TOL, Deterministic, Model, Partition
 
@@ -376,8 +376,7 @@ def natural_availability(
     the cause is, given the conditioning variables."""
     if not model.is_bound:
         raise UnboundModelError("natural availability needs a fully bound model")
-    if variant not in VARIANTS:
-        raise QueryError(f"unknown variant '{variant}'")
+    EffectQuery(cause, cause, degree, variant)  # checks the degree and the variant
     if cause in z_vars:
         raise QueryError("conditioning set must not contain the cause")
     for z in z_vars:
@@ -474,5 +473,5 @@ def ace_flavored_effect(
     joint = build_joint(model)
     px = marginal(joint, [cause])
     ps = [px.probability((x,)) for x in support.values]
-    ms = [expectation_under(model, outcome, {cause: x}) for x in support.values]
+    ms = interventional_means(model, outcome, [cause], [(x,) for x in support.values])
     return variation(ms, ps, query.degree, query.variant, query.sign)[0]

@@ -14,7 +14,16 @@ from pathlib import Path
 import numpy as np
 
 from vce import expr as ex
-from vce.engine import JointTable, build_joint, local_distribution, log_scale, marginal
+from vce.engine import (
+    Distribution,
+    JointTable,
+    build_joint,
+    expectation,
+    intervene,
+    local_distribution,
+    log_scale,
+    marginal,
+)
 from vce.errors import QueryError
 from vce.model import (
     CPT,
@@ -229,6 +238,46 @@ def reference_joint(model: Model) -> JointTable:
 def joint_bits(joint: JointTable) -> list:
     """Entries in order, keys and masses as exact float hex (bit identity)."""
     return [(tuple(v.hex() for v in key), p.hex()) for key, p in joint.entries.items()]
+
+
+def chain_source(k: int) -> str:
+    """X -> Z0 -> ... -> Z{k-1} with Y = X + sum(Z): 4 * 2^k joint entries."""
+    lines = ["var X in {0, 2, 3, 5}"] + [f"var Z{i} in {{0, 1}}" for i in range(k)]
+    lines += [f"var Y in {{{', '.join(str(v) for v in range(k + 6))}}}",
+              "root X {0: 0.1, 2: 0.2, 3: 0.3, 5: 0.4}",
+              "cpt Z0 | X {(0): {0: 0.5, 1: 0.5}, (2): {0: 0.25, 1: 0.75}, "
+              "(3): {0: 0.6, 1: 0.4}, (5): {0: 0.125, 1: 0.875}}"]
+    for j in range(1, k):
+        lines.append(f"cpt Z{j} | Z{j - 1} {{(0): {{0: 0.7, 1: 0.3}}, (1): {{0: 0.2, 1: 0.8}}}}")
+    lines.append("def Y = X + " + " + ".join(f"Z{i}" for i in range(k)))
+    return "\n".join(lines) + "\n"
+
+
+# --- reference interventional means and joint lookups ------------------------
+
+
+def reference_expectation_under(model: Model, target: str, do, given=None) -> float:
+    """E(target | do(...), given) from the intervened model's own joint
+    (oracle for engine.interventional_means and its callers)."""
+    return expectation(build_joint(intervene(model, do)), target, given)
+
+
+def reference_joint_at(model: Model, keys) -> Distribution:
+    """The product of the node conditionals at each full assignment, every
+    slot read by value and every factor taken afresh (oracle for joint_at)."""
+    column = {v.name: i for i, v in enumerate(model.variables)}
+    nodes = [(model.outcome_table(n), model.mechanisms[n], column[n],
+              [column[p] for p in model.mechanisms[n].parents]) for n in model.topological_order()]
+    masses = {}
+    for key in keys:
+        mass = 1.0
+        for table, mech, col, parents in nodes:
+            pairs = dict(table.read(mech, tuple(key[c] for c in parents)))
+            mass *= pairs.get(table.supports[0].values.index(key[col]), 0.0)
+            if mass == 0.0:
+                break
+        masses[key] = mass
+    return Distribution(tuple(column), masses)
 
 
 # --- reference enumeration of latent configurations -------------------------

@@ -186,6 +186,13 @@ def test_counterfactual_sprinkler_context(capsys):
     assert doc["distribution"]["0.0"] == pytest.approx(0.0439 / (0.3229 - 0.09 * p), abs=1e-9)
 
 
+def test_baselines_controlled_set_named_twice_exit_2(capsys):
+    code, out, err = run(capsys, "baselines", SPRINKLER, "--cause", "R", "--outcome", "W",
+                         "--select", "acde", "--controlled", "S,S")
+    assert (code, out) == (2, "")
+    assert err == "error: controlled set names a variable twice: ['S', 'S']\n"
+
+
 def test_baselines_sprinkler_table(capsys):
     code, out, _ = run(
         capsys, "baselines", SPRINKLER, "--cause", "R", "--outcome", "W",

@@ -9,7 +9,7 @@ from itertools import product
 import numpy as np
 import pytest
 
-from helpers import joint_bits, random_dsl_model, random_probs, reference_joint
+from helpers import chain_source, joint_bits, random_dsl_model, random_probs, reference_joint
 from vce import expr as ex
 from vce.cli import main
 from vce.dsl import parse_model
@@ -164,21 +164,9 @@ def test_caller_values_off_the_supports_are_evaluated_not_stored(value_calls):
     assert m.outcome_table("Y").slots == [((0, 1.0),), ((2, 1.0),)]
 
 
-def _chain_source(k: int) -> str:
-    lines = ["var X in {0, 2, 3, 5}"] + [f"var Z{i} in {{0, 1}}" for i in range(k)]
-    lines += [f"var Y in {{{', '.join(str(v) for v in range(k + 6))}}}",
-              "root X {0: 0.1, 2: 0.2, 3: 0.3, 5: 0.4}",
-              "cpt Z0 | X {(0): {0: 0.5, 1: 0.5}, (2): {0: 0.25, 1: 0.75}, "
-              "(3): {0: 0.6, 1: 0.4}, (5): {0: 0.125, 1: 0.875}}"]
-    for j in range(1, k):
-        lines.append(f"cpt Z{j} | Z{j - 1} {{(0): {{0: 0.7, 1: 0.3}}, (1): {{0: 0.2, 1: 0.8}}}}")
-    lines.append("def Y = X + " + " + ".join(f"Z{i}" for i in range(k)))
-    return "\n".join(lines) + "\n"
-
-
 def test_eval_chain10_evaluates_each_outcome_once(tmp_path, capsys, value_calls):
     path = tmp_path / "chain10.sem"
-    path.write_text(_chain_source(10), encoding="utf-8")
+    path.write_text(chain_source(10), encoding="utf-8")
     assert main(["eval", str(path), "--cause", "X", "--outcome", "Y"]) == 0
     assert "per-z breakdown" in capsys.readouterr().out
     assert len(value_calls) == 4 * 2 ** 10  # one per parent tuple = per joint entry

@@ -342,6 +342,18 @@ def test_natural_availability_single_value_support():
     assert natural_availability(m, "X", [], 1.0) == 0.0
 
 
+@pytest.mark.parametrize("degree, variant", [(-1.0, "pace"), (float("nan"), "pace"),
+                                             (1.0, "bogus")])
+def test_natural_availability_checks_the_query_without_pairs(degree, variant):
+    # A one-value support has no pairs, so no weight ever sees the degree.
+    m = Model((Variable("X", FiniteSupport((1.0,))),), {"X": Root({1.0: 1.0})})
+    with pytest.raises(QueryError) as got:
+        natural_availability(m, "X", [], degree, variant)
+    with pytest.raises(QueryError) as want:
+        EffectQuery("X", "X", degree, variant)
+    assert str(got.value) == str(want.value)
+
+
 def test_natural_availability_rejects_cause_in_z(bsc):
     with pytest.raises(QueryError):
         natural_availability(bsc, "X", ["X"], 1.0)
