@@ -20,7 +20,6 @@ from .counterfactual import Evidence, abduct, counterfactual_query
 from .dsl import parse_model, serialize_model
 from .engine import (
     Distribution,
-    JointTable,
     build_joint,
     cond_entropy,
     conditional,
@@ -84,7 +83,6 @@ __all__ = [
     "EffectReport",
     "Evidence",
     "FiniteSupport",
-    "JointTable",
     "Model",
     "Parameter",
     "ParseError",

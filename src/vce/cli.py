@@ -30,7 +30,7 @@ from . import estimation as est
 from . import variational as vr
 from .dsl import parse_model
 from .errors import ParseError, VceError
-from .model import Model, bind, default_state_limit
+from .model import Model, bind
 
 EXIT_OK = 0
 EXIT_PARSE = 1
@@ -71,7 +71,7 @@ def _parse_assignments(text: str) -> dict[str, float]:
 
 def _load_model(path: str, bindings: Sequence[str]) -> Model:
     with open(path, encoding="utf-8") as fh:
-        model = parse_model(fh.read(), state_limit=default_state_limit())
+        model = parse_model(fh.read())
     merged = _parse_assignments(",".join(bindings))
     if model.parameters or merged:
         model = bind(model, merged)
@@ -170,7 +170,7 @@ def cmd_sweep(args) -> int:
         raise VceError("sweep needs at least one --axis")
 
     with open(args.model, encoding="utf-8") as fh:
-        base = parse_model(fh.read(), state_limit=default_state_limit())
+        base = parse_model(fh.read())
     fixed = _parse_assignments(",".join(args.bind))
     param_names = {p.name for p in base.parameters}
     for name, _ in axes:
@@ -224,8 +224,8 @@ def cmd_counterfactual(args) -> int:
         print(json.dumps({"target": args.target, "distribution": table}, indent=2, sort_keys=True))
         return EXIT_OK
     print(f"counterfactual distribution of {args.target}:")
-    for key in sorted(dist.table):
-        print(f"  P({args.target}={_fmt(key[0])}) = {_fmt(dist.table[key])}")
+    for key in sorted(dist.entries):
+        print(f"  P({args.target}={_fmt(key[0])}) = {_fmt(dist.entries[key])}")
     return EXIT_OK
 
 

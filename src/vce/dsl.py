@@ -112,10 +112,9 @@ def _tokenize(text: str) -> list[Token]:
 
 
 class _Parser:
-    def __init__(self, text: str, state_limit: int | None):
+    def __init__(self, text: str):
         self.tokens = _tokenize(text)
         self.pos = 0
-        self.state_limit = state_limit
         self.variables: list[md.Variable] = []
         self.parameters: list[md.Parameter] = []
         self.mechanisms: dict[str, md.Mechanism] = {}
@@ -202,12 +201,7 @@ class _Parser:
         if not self.variables:
             raise ParseError("no variables declared", 1, 1)
         self.resolve_references()
-        model = md.Model(
-            tuple(self.variables),
-            self.mechanisms,
-            tuple(self.parameters),
-            state_limit=self.state_limit,
-        )
+        model = md.Model(tuple(self.variables), self.mechanisms, tuple(self.parameters))
         diags = md.validate(model)
         if diags:
             raise ParseError("; ".join(diags), 1, 1)
@@ -478,13 +472,13 @@ class _Parser:
         self.fail(f"expected an expression, got '{tok.text or 'end of input'}'")
 
 
-def parse_model(text: str, state_limit: int | None = None) -> md.Model:
+def parse_model(text: str) -> md.Model:
     """Parse `.sem` source into a validated Model.
 
     Raises ParseError (with line/column) on lexical errors, unknown or
     duplicate identifiers, malformed tables, and cycles.
     """
-    return _Parser(text, state_limit).parse()
+    return _Parser(text).parse()
 
 
 # --- serialization -------------------------------------------------------

@@ -29,9 +29,8 @@ from .model import (
     Model,
     Root,
     VALUE_TOL,
-    default_state_limit,
-    point_mass,
     snap_to_support,
+    state_space_limit,
 )
 
 MASS_TOL = 1e-9
@@ -39,24 +38,8 @@ MASS_TOL = 1e-9
 
 @dataclass(frozen=True)
 class Distribution:
-    """Probability table over an ordered tuple of variables."""
-
-    variables: tuple[str, ...]
-    table: dict[tuple[float, ...], float]
-
-    def probability(self, key: tuple[float, ...]) -> float:
-        return self.table.get(tuple(key), 0.0)
-
-    def total_mass(self) -> float:
-        return sum(self.table.values())
-
-    def items(self):
-        return self.table.items()
-
-
-@dataclass(frozen=True)
-class JointTable:
-    """Exact joint over the full variable set; entries with zero mass omitted."""
+    """Probability table over an ordered tuple of variables: a joint, a
+    marginal, a conditional or a slice.  A joint omits zero-mass entries."""
 
     variables: tuple[str, ...]
     entries: dict[tuple[float, ...], float]
@@ -95,12 +78,12 @@ def deterministic_value(model: Model, name: str, assignment: Mapping[str, float]
 def _check_size(model: Model) -> None:
     if not model.is_bound:
         raise UnboundModelError("model has unbound parameters; call bind() first")
-    limit = model.state_limit if model.state_limit is not None else default_state_limit()
+    limit = state_space_limit()
     if model.state_space_size > limit:
         raise StateSpaceError(f"joint state space exceeds limit {limit}")
 
 
-def _enumerate(model: Model) -> JointTable:
+def _enumerate(model: Model) -> Distribution:
     """Every positive-mass assignment, depth first in topological order (mass unchecked)."""
     _check_size(model)
     order = model.topological_order()
@@ -126,7 +109,7 @@ def _enumerate(model: Model) -> JointTable:
             recurse(i + 1, mass * p)
 
     recurse(0, 1.0)
-    return JointTable(tuple(v.name for v in model.variables), entries)
+    return Distribution(tuple(v.name for v in model.variables), entries)
 
 
 def _check_mass(mass: float) -> None:
@@ -134,7 +117,7 @@ def _check_mass(mass: float) -> None:
         raise EngineError(f"joint mass {mass} deviates from 1")
 
 
-def build_joint(model: Model) -> JointTable:
+def build_joint(model: Model) -> Distribution:
     """Enumerate P(assignment) = prod over nodes of the node conditional.
     The joint is kept on the model, built once and shared: never mutate it."""
     _check_size(model)  # before the lookup: VCE_STATE_LIMIT may have been lowered
@@ -146,7 +129,7 @@ def build_joint(model: Model) -> JointTable:
     return joint
 
 
-def marginal(joint: JointTable, variables: Sequence[str]) -> Distribution:
+def marginal(joint: Distribution, variables: Sequence[str]) -> Distribution:
     """Marginalize the joint onto `variables` (empty list gives a point mass)."""
     cols = [joint.column(v) for v in variables]
     project = itemgetter(*cols) if len(cols) > 1 else lambda key: tuple([key[c] for c in cols])
@@ -158,21 +141,20 @@ def marginal(joint: JointTable, variables: Sequence[str]) -> Distribution:
 
 
 def conditional(
-    joint: JointTable, variables: Sequence[str], given: Mapping[str, float]
+    joint: Distribution, variables: Sequence[str], given: Mapping[str, float]
 ) -> Distribution:
     """P(variables | given); requires P(given) > 0."""
-    cols = [joint.column(v) for v in variables]
+    for name in variables:  # an unknown name here is reported before one in `given`
+        joint.column(name)
     gcols = [(joint.column(n), v) for n, v in given.items()]
-    table: dict[tuple[float, ...], float] = {}
+    kept = {key: p for key, p in joint.entries.items()
+            if not any(abs(key[c] - v) > VALUE_TOL for c, v in gcols)}
     mass = 0.0
-    for key, p in joint.entries.items():
-        if any(abs(key[c] - v) > VALUE_TOL for c, v in gcols):
-            continue
+    for p in kept.values():  # in entry order: `sum` compensates from Python 3.12
         mass += p
-        sub = tuple(key[c] for c in cols)
-        table[sub] = table.get(sub, 0.0) + p
     if mass <= 0.0:
         raise ZeroProbabilityError(f"conditioning event {dict(given)} has zero probability")
+    table = marginal(Distribution(joint.variables, kept), variables).entries
     return Distribution(tuple(variables), {k: v / mass for k, v in table.items()})
 
 
@@ -180,17 +162,14 @@ def intervene(model: Model, do: Mapping[str, float]) -> Model:
     """Replace each intervened node's mechanism by a point mass (modularity)."""
     mechanisms = dict(model.mechanisms)
     for name, value in do.items():
-        mechanisms[name] = point_mass(model.support(name), value)
-    return Model(model.variables, mechanisms, model.parameters, state_limit=model.state_limit)
+        mechanisms[name] = Root({snap_to_support(model.support(name), value): 1.0})
+    return Model(model.variables, mechanisms, model.parameters)
 
 
 def expectation(
-    source: JointTable | Model,
-    target: str,
-    given: Mapping[str, float] | None = None,
+    joint: Distribution, target: str, given: Mapping[str, float] | None = None
 ) -> float:
-    """E(target | given) under the joint (a Model is enumerated first)."""
-    joint = build_joint(source) if isinstance(source, Model) else source
+    """E(target | given) under the joint."""
     if given:
         dist = conditional(joint, [target], given)
     else:
@@ -217,8 +196,7 @@ def interventional_means(
     mechanisms = dict(model.mechanisms)
     for name, snap in zip(names, snaps):
         mechanisms[name] = Root(dict.fromkeys(snap.values(), 1.0))
-    joint = _enumerate(Model(model.variables, mechanisms, model.parameters,
-                             state_limit=model.state_limit))
+    joint = _enumerate(Model(model.variables, mechanisms, model.parameters))
     cols = [joint.column(n) for n in names]
     snapped = [tuple(map(getitem, snaps, key)) for key in keys]
     slices: dict[tuple[float, ...], dict] = {s: {} for s in snapped}
@@ -229,16 +207,16 @@ def interventional_means(
     means = {}
     for s, entries in slices.items():
         _check_mass(sum(entries.values()))
-        means[s] = expectation(JointTable(joint.variables, entries), target, given)
+        means[s] = expectation(Distribution(joint.variables, entries), target, given)
     return [means[s] for s in snapped]
 
 
 def entropy(dist: Distribution) -> float:
     """Shannon entropy in bits; zero-probability outcomes contribute nothing."""
-    return -sum(p * math.log2(p) for p in dist.table.values() if p > 0.0)
+    return -sum(p * math.log2(p) for p in dist.entries.values() if p > 0.0)
 
 
-def cond_entropy(joint: JointTable, target: Sequence[str] | str, given: Sequence[str]) -> float:
+def cond_entropy(joint: Distribution, target: Sequence[str] | str, given: Sequence[str]) -> float:
     """H(target | given) = sum_g P(g) H(target | g), in bits."""
     targets = [target] if isinstance(target, str) else list(target)
     both = marginal(joint, list(given) + targets)
@@ -253,13 +231,13 @@ def cond_entropy(joint: JointTable, target: Sequence[str] | str, given: Sequence
     return total
 
 
-def mutual_information(joint: JointTable, x: str, y: str) -> float:
+def mutual_information(joint: Distribution, x: str, y: str) -> float:
     """I(X;Y) = H(Y) - H(Y|X), in bits (never below -1e-9)."""
     return entropy(marginal(joint, [y])) - cond_entropy(joint, y, [x])
 
 
 def conditional_mutual_information(
-    joint: JointTable, x: str, y: str, given: Sequence[str]
+    joint: Distribution, x: str, y: str, given: Sequence[str]
 ) -> float:
     """I(X;Y|Z) = H(Y|Z) - H(Y|X,Z), in bits."""
     return cond_entropy(joint, y, list(given)) - cond_entropy(joint, y, [x] + list(given))
@@ -272,10 +250,8 @@ def log_scale(base: float) -> float:
     return math.log(2.0) / math.log(base) if base != 2.0 else 1.0
 
 
-def kl_divergence(
-    p: Distribution | JointTable, q: Distribution | JointTable, base: float = 2.0
-) -> float:
-    """D_KL(P || Q) over a shared domain (distributions or joints).
+def kl_divergence(p: Distribution, q: Distribution, base: float = 2.0) -> float:
+    """D_KL(P || Q) over a shared domain.
 
     Defaults to bits.  The base knob exists because reported reference
     values for post-cutting causal strength mix bases: worked binary

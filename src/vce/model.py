@@ -11,8 +11,8 @@ from __future__ import annotations
 
 import math
 import os
-from dataclasses import dataclass, field
-from functools import cache, cached_property, lru_cache
+from dataclasses import dataclass
+from functools import cache, cached_property
 from itertools import product
 from typing import Iterable, Iterator, Mapping, Union
 
@@ -141,13 +141,6 @@ def _point(index: int) -> Outcomes:  # a deterministic outcome
     return ((index, 1.0),)
 
 
-@lru_cache(maxsize=4096)
-def point_mass(support: FiniteSupport, value: float) -> Root:
-    """The root pinned at `value` snapped onto `support`, one per pair, so that
-    repeated interventions share its outcome table."""
-    return Root({snap_to_support(support, value): 1.0})
-
-
 class OutcomeTable:
     """A node's conditional at each parent tuple, evaluated at most once.
     Slot `pos` (the mixed-radix position of the parents' support indices, last
@@ -214,12 +207,11 @@ class Model:
     variables: tuple[Variable, ...]
     mechanisms: dict[str, Mechanism]
     parameters: tuple[Parameter, ...] = ()
-    state_limit: int | None = field(default=None, compare=False)
 
     def __post_init__(self):
         object.__setattr__(self, "variables", tuple(self.variables))
         object.__setattr__(self, "parameters", tuple(self.parameters))
-        limit = self.state_limit if self.state_limit is not None else default_state_limit()
+        limit = state_space_limit()
         size = 1
         for v in self.variables:
             size *= len(v.support)
@@ -320,7 +312,8 @@ class Model:
                             yield entry
 
 
-def default_state_limit() -> int:
+def state_space_limit() -> int:
+    """The joint-state-space limit: VCE_STATE_LIMIT, read at each call, else 10^7."""
     raw = os.environ.get("VCE_STATE_LIMIT")
     if raw:
         try:
@@ -527,7 +520,7 @@ def bind(model: Model, bindings: Mapping[str, float] | None = None) -> Model:
         else:
             mechanisms[name] = mech
 
-    bound = Model(model.variables, mechanisms, (), state_limit=model.state_limit)
+    bound = Model(model.variables, mechanisms, ())
     diags = validate(bound)
     if diags:
         raise BindingError("; ".join(diags))

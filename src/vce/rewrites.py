@@ -12,7 +12,7 @@ from typing import Iterable
 
 from . import expr as ex
 from .dsl import MAX_DEPTH
-from .engine import JointTable, build_joint, deterministic_value, marginal
+from .engine import Distribution, build_joint, deterministic_value, marginal
 from .errors import NoiseConversionError, QueryError, UnboundModelError
 from .model import (
     CPT,
@@ -47,7 +47,7 @@ def eliminate_mediator(model: Model, mediator: str) -> Model:
         mechanisms[child] = _substitute_parent(model, child, mediator)
     del mechanisms[mediator]
     variables = tuple(v for v in model.variables if v.name != mediator)
-    return Model(variables, mechanisms, model.parameters, state_limit=model.state_limit)
+    return Model(variables, mechanisms, model.parameters)
 
 
 def _expanded_parents(
@@ -154,7 +154,7 @@ def cpt_to_noise(model: Model, node: str, free_parameter: str | None = None) -> 
     mechanisms = dict(model.mechanisms)
     mechanisms[noise] = CPT(mech.parents, noise_rows)
     mechanisms[node] = Deterministic(mech.parents + (noise,), table=outcome_table)
-    return Model(tuple(variables), mechanisms, tuple(parameters), state_limit=model.state_limit)
+    return Model(tuple(variables), mechanisms, tuple(parameters))
 
 
 def _functionalize(model: Model, names: Iterable[str]) -> Model:
@@ -169,7 +169,7 @@ def _functionalize(model: Model, names: Iterable[str]) -> Model:
     return out
 
 
-def _cut(model: Model, arrows: ArrowSet, joint: JointTable) -> Model:
+def _cut(model: Model, arrows: ArrowSet, joint: Distribution) -> Model:
     """The model after `arrows` are cut: each cut target is fed independent
     draws from its cut sources' observational marginals in `joint`.
 
@@ -189,10 +189,10 @@ def _cut(model: Model, arrows: ArrowSet, joint: JointTable) -> Model:
                 {v: 1.0 / len(values) for v in values} if p in kept
                 else {key[0]: w for key, w in marginal(joint, [p]).items()}
             )
-        sub = Model(tuple(map(model.variable, local)), local, state_limit=model.state_limit)
+        sub = Model(tuple(map(model.variable, local)), local)
         assignments = math.prod(len(model.support(p)) for p in kept)
         rows: dict[tuple[float, ...], dict[float, float]] = {}
         for key, mass in marginal(build_joint(sub), [*kept, target]).items():
             rows.setdefault(key[:-1], {})[key[-1]] = mass * assignments
         mechanisms[target] = CPT(kept, rows)
-    return Model(model.variables, mechanisms, model.parameters, state_limit=model.state_limit)
+    return Model(model.variables, mechanisms, model.parameters)

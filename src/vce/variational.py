@@ -290,8 +290,8 @@ def _tabulate(
     z_dist = marginal(joint, z_vars)
     xz_dist = marginal(joint, list(z_vars) + [cause])
     rows: list[_ZRow] = []
-    for z_key in sorted(z_dist.table):
-        pz = z_dist.table[z_key]
+    for z_key in sorted(z_dist.entries):
+        pz = z_dist.entries[z_key]
         if pz <= 0.0:
             continue
         ps = tuple(xz_dist.probability(z_key + (x,)) / pz for x in xs)

@@ -1,0 +1,140 @@
+"""Golden digests of in-process `vce` CLI runs.
+
+Each line of `cli_golden.json` is an argv and the sha256 of its
+(exit code, stdout, stderr).  `test_cli_golden.py` reruns every argv and
+compares digests, so any change in output, message or exit code shows.
+Regenerate only when a change of output is intended:
+
+    PYTHONPATH=src python tests/cli_golden.py
+
+Argvs name models as `{models}/NAME.sem` and the dataset as `{csv}`; both
+are substituted before a run and put back in the output before hashing.
+"""
+
+from __future__ import annotations
+
+import hashlib
+import io
+import json
+import math
+import os
+import random
+import sys
+import tempfile
+from contextlib import redirect_stderr, redirect_stdout
+from pathlib import Path
+
+from vce.cli import main as vce_main
+from vce.dsl import parse_model
+from vce.model import Deterministic
+
+HERE = Path(__file__).resolve().parent
+MODELS_DIR = HERE.parent / "models"
+GOLDEN = HERE / "cli_golden.json"
+CSV_SEED = 20240607
+CSV_ROWS = 400
+
+DEGREES = ("0", "1/3", "1", "2")
+VARIANTS = ("pace", "peace", "space", "apace")
+FORMATS = ("table", "json")
+BASES = ("2", repr(math.e))
+BOUND = {"rare_disease.sem": "p=0.3", "sprinkler_functional.sem": "p=0.3"}
+
+
+def write_csv(path: Path) -> None:
+    """Records of the sprinkler model's variables, drawn from random.Random."""
+    rng = random.Random(CSV_SEED)
+    lines = ["C,R,S,W"]
+    for _ in range(CSV_ROWS):
+        c = int(rng.random() < 0.5)
+        r = int(rng.random() < (0.8 if c else 0.2))
+        s = int(rng.random() < (0.1 if c else 0.5))
+        w = int(rng.random() < (0.01, 0.9, 0.9, 1.0)[2 * r + s])
+        lines.append(f"{c},{r},{s},{w}")
+    path.write_text("\n".join(lines) + "\n", encoding="utf-8")
+
+
+def digest(argv: list[str], csv_path: Path) -> str:
+    """sha256 of (exit code, stdout, stderr) for one in-process run."""
+    subs = {"{models}": str(MODELS_DIR), "{csv}": str(csv_path)}
+    real = list(argv)
+    for placeholder, path in subs.items():
+        real = [a.replace(placeholder, path) for a in real]
+    out, err = io.StringIO(), io.StringIO()
+    with redirect_stdout(out), redirect_stderr(err):
+        code = vce_main(real)
+    texts = [out.getvalue(), err.getvalue()]
+    for placeholder, path in subs.items():
+        texts = [t.replace(path, placeholder) for t in texts]
+    return hashlib.sha256(json.dumps([code, *texts]).encode()).hexdigest()
+
+
+def _arrows():
+    """(model file, model, binding argv, parent, child) for each arrow."""
+    for path in sorted(MODELS_DIR.glob("*.sem")):
+        model = parse_model(path.read_text(encoding="utf-8"))
+        bind = ["--bind", BOUND[path.name]] if path.name in BOUND else []
+        for name in model.topological_order():
+            for parent in model.parents(name):
+                yield path.name, model, bind, parent, name
+
+
+def commands() -> list[list[str]]:
+    """Effect queries, checks, sweeps and counterfactuals on every arrow into
+    a deterministic node, baselines on every arrow, and estimates on one CSV."""
+    out: list[list[str]] = []
+    for name, model, bind, cause, outcome in _arrows():
+        path = f"{{models}}/{name}"
+        query = [path, *bind, "--cause", cause, "--outcome", outcome]
+        for base in BASES:
+            for fmt in FORMATS:
+                out.append(["baselines", *query, "--base", base, "--format", fmt])
+        if not isinstance(model.mechanisms[outcome], Deterministic):
+            continue
+        for variant in VARIANTS:
+            for degree in DEGREES:
+                for fmt in FORMATS:
+                    out.append(["eval", *query, "--variant", variant, "--degree", degree,
+                                "--format", fmt])
+            for sign in ("positive", "negative"):
+                out.append(["eval", *query, "--variant", variant, "--sign", sign])
+        for degree in DEGREES:
+            out.append(["check", *query, "--degree", degree])
+        out.append(["sweep", *query, "--axis", "d=0:2:0.25"])
+        if bind:
+            out.append(["sweep", *query, "--axis", "p=0:1:0.25", "--axis", "d=0:2:1"])
+        support = [f"{v:g}" for v in model.support(cause).values]
+        for y in (f"{v:g}" for v in model.support(outcome).values):
+            for x in support:
+                cf = ["counterfactual", path, *bind, "--evidence", f"{outcome}={y}",
+                      "--do", f"{cause}={x}", "--target", outcome]
+                for fmt in FORMATS:
+                    out.append([*cf, "--format", fmt])
+                out.append([*cf[:4], "--context", f"{cause}={support[0]}", *cf[4:]])
+    for given in ([], ["--given", "C"], ["--given", "C,S"]):
+        for variant in VARIANTS:
+            for degree in DEGREES:
+                out.append(["estimate", "{csv}", "--cause", "R", "--outcome", "W", *given,
+                            "--variant", variant, "--degree", degree])
+        out.append(["estimate", "{csv}", "--cause", "R", "--outcome", "W", *given,
+                    "--format", "json"])
+    for c0 in ("0", "1"):
+        out.append(["estimate", "{csv}", "--cause", "R", "--outcome", "W", "--given", "S",
+                    "--covariate", "C", "--c0", c0])
+    out.append(["estimate", "{csv}", "--model", "{models}/sprinkler.sem", "--cause", "S",
+                "--outcome", "W", "--given", "C"])
+    return out
+
+
+def main() -> None:
+    os.environ.pop("VCE_STATE_LIMIT", None)
+    with tempfile.TemporaryDirectory() as tmp:
+        csv_path = Path(tmp) / "data.csv"
+        write_csv(csv_path)
+        entries = [json.dumps([argv, digest(argv, csv_path)]) for argv in commands()]
+    GOLDEN.write_text("[\n" + ",\n".join(entries) + "\n]\n", encoding="utf-8")
+    print(f"wrote {len(entries)} digests to {GOLDEN}", file=sys.stderr)
+
+
+if __name__ == "__main__":
+    main()

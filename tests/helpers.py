@@ -16,7 +16,6 @@ import numpy as np
 from vce import expr as ex
 from vce.engine import (
     Distribution,
-    JointTable,
     build_joint,
     expectation,
     intervene,
@@ -24,7 +23,7 @@ from vce.engine import (
     log_scale,
     marginal,
 )
-from vce.errors import QueryError
+from vce.errors import QueryError, ZeroProbabilityError
 from vce.model import (
     CPT,
     Deterministic,
@@ -32,6 +31,7 @@ from vce.model import (
     Model,
     Parameter,
     Root,
+    VALUE_TOL,
     Variable,
     snap_to_support,
 )
@@ -201,7 +201,7 @@ def random_dsl_model(rng: np.random.Generator) -> Model:
 # --- reference joint enumeration ---------------------------------------------
 
 
-def reference_joint(model: Model) -> JointTable:
+def reference_joint(model: Model) -> Distribution:
     """The joint by plain recursion in topological order, evaluating every
     conditional afresh from the mechanisms (oracle for engine.build_joint)."""
     order = model.topological_order()
@@ -232,10 +232,10 @@ def reference_joint(model: Model) -> JointTable:
             del assignment[name]
 
     recurse(0, {}, 1.0)
-    return JointTable(declaration, entries)
+    return Distribution(declaration, entries)
 
 
-def joint_bits(joint: JointTable) -> list:
+def joint_bits(joint: Distribution) -> list:
     """Entries in order, keys and masses as exact float hex (bit identity)."""
     return [(tuple(v.hex() for v in key), p.hex()) for key, p in joint.entries.items()]
 
@@ -260,6 +260,24 @@ def reference_expectation_under(model: Model, target: str, do, given=None) -> fl
     """E(target | do(...), given) from the intervened model's own joint
     (oracle for engine.interventional_means and its callers)."""
     return expectation(build_joint(intervene(model, do)), target, given)
+
+
+def reference_conditional(joint: Distribution, variables, given) -> Distribution:
+    """P(variables | given) in one pass over the joint, summing the kept mass
+    and the kept table together (oracle for engine.conditional)."""
+    cols = [joint.column(v) for v in variables]
+    gcols = [(joint.column(n), v) for n, v in given.items()]
+    table: dict[tuple[float, ...], float] = {}
+    mass = 0.0
+    for key, p in joint.entries.items():
+        if any(abs(key[c] - v) > VALUE_TOL for c, v in gcols):
+            continue
+        mass += p
+        sub = tuple(key[c] for c in cols)
+        table[sub] = table.get(sub, 0.0) + p
+    if mass <= 0.0:
+        raise ZeroProbabilityError(f"conditioning event {dict(given)} has zero probability")
+    return Distribution(tuple(variables), {k: v / mass for k, v in table.items()})
 
 
 def reference_joint_at(model: Model, keys) -> Distribution:

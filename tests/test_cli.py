@@ -82,6 +82,15 @@ def test_eval_missing_file_exit_1(capsys):
     assert code == 1
 
 
+def test_eval_past_the_state_limit_exit_2(capsys, monkeypatch):
+    monkeypatch.setenv("VCE_STATE_LIMIT", "4")
+    code, out, err = run(capsys, "eval", SPRINKLER_F, "--bind", "p=0.5",
+                         "--cause", "R", "--outcome", "W")
+    assert code == 2
+    assert out == ""
+    assert "exceeds limit 4" in err
+
+
 def test_sweep_rare_disease_closed_form(capsys, tmp_path):
     out_csv = tmp_path / "sweep.csv"
     code, _, _ = run(

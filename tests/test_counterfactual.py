@@ -107,7 +107,7 @@ def test_deterministic_invertible_counterfactuals_are_point_masses(bsc):
             dist = counterfactual_query(
                 bsc, Evidence({"X": x, "Y": y}), {"X": 1.0 - x}, "Y"
             )
-            assert max(dist.table.values()) == pytest.approx(1.0, abs=1e-12)
+            assert max(dist.entries.values()) == pytest.approx(1.0, abs=1e-12)
 
 
 def test_cpt_latents_fixed_under_context():

@@ -123,7 +123,7 @@ def test_expression_round_trip_random():
 def _parse_expr_text(text: str) -> ex.Expr:
     from vce.dsl import _Parser
 
-    parser = _Parser(text, None)
+    parser = _Parser(text)
     tree = parser.parse_expr()
     assert parser.peek().kind == "eof"
     return tree

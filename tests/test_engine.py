@@ -1,10 +1,11 @@
 import math
+from collections import Counter
 from itertools import product
 
 import numpy as np
 import pytest
 
-from helpers import random_dsl_model, random_effect_model
+from helpers import random_dsl_model, random_effect_model, reference_conditional
 from vce.engine import (
     Distribution,
     build_joint,
@@ -27,9 +28,10 @@ from vce.errors import (
     ModelError,
     QueryError,
     UnboundModelError,
+    VceError,
     ZeroProbabilityError,
 )
-from vce.model import FiniteSupport, Model, Root, Variable
+from vce.model import FiniteSupport, Model, Root, Variable, bind
 
 
 def test_build_joint_rejects_a_nan_mass():
@@ -116,13 +118,58 @@ def test_sprinkler_outcome_conditionals(sprinkler):
 def test_conditional_on_full_assignment(bsc):
     joint = build_joint(bsc)
     dist = conditional(joint, ["Y"], {"X": 1.0, "Z": 1.0})
-    assert dist.table == {(0.0,): 1.0}
+    assert dist.entries == {(0.0,): 1.0}
 
 
 def test_conditional_zero_probability(bsc):
     joint = build_joint(bsc)
     with pytest.raises(ZeroProbabilityError):
         conditional(joint, ["X"], {"Y": 0.0, "Z": 1.0, "X": 0.0})
+
+
+def _conditional_outcome(fn, joint, variables, given):
+    """Keys in order and masses as exact hex, or the error's type and text."""
+    try:
+        dist = fn(joint, variables, given)
+    except VceError as err:
+        return type(err).__name__, str(err)
+    return dist.variables, list(dist.entries), [p.hex() for p in dist.entries.values()]
+
+
+def test_conditional_matches_the_single_pass_loop_on_random_models():
+    # Given values are support values, values within 1e-9 of one, values off
+    # the support (a zero-probability event) or NaN; names may be unknown.
+    rng = np.random.default_rng(81)
+    seen = Counter()
+    for _ in range(240):
+        model = random_dsl_model(rng)
+        if model.parameters:
+            model = bind(model, {"p": float(rng.uniform())})
+        joint = build_joint(model)
+        names = [v.name for v in model.variables]
+        for _ in range(5):
+            unknown = ["Q"] if rng.random() < 0.2 else []
+            variables = [str(n) for n in rng.permutation(names + unknown)[: rng.integers(0, 3)]]
+            given = {}
+            for name in map(str, rng.permutation(names + unknown)[: rng.integers(0, 3)]):
+                value = float(rng.choice(model.support(name).values)) if name in names else 0.0
+                given[name] = value + float(rng.choice([0.0, 0.0, 4e-10, -9e-10, 0.5, math.nan]))
+            got = _conditional_outcome(conditional, joint, variables, given)
+            assert got == _conditional_outcome(reference_conditional, joint, variables, given)
+            seen[got[0] if isinstance(got[0], str) else "ok"] += 1
+    assert seen["ok"] > 500
+    assert seen["ZeroProbabilityError"] > 50
+    assert seen["EngineError"] > 20
+
+
+def test_conditional_reports_an_unknown_variable_before_an_unknown_given(bsc):
+    joint = build_joint(bsc)
+    with pytest.raises(EngineError, match="unknown variable 'A'"):
+        conditional(joint, ["X", "A"], {"B": 0.0})
+    with pytest.raises(EngineError, match="unknown variable 'B'"):
+        conditional(joint, ["X"], {"B": 0.0, "Y": 7.0})
+    with pytest.raises(ZeroProbabilityError):
+        conditional(joint, ["X"], {"Y": 7.0})
 
 
 def test_intervene_sprinkler_means(sprinkler):
@@ -149,7 +196,7 @@ def test_intervene_outside_support(bsc):
 
 def test_expectation_point_mass():
     m = Model((Variable("A", FiniteSupport((3.0,))),), {"A": Root({3.0: 1.0})})
-    assert expectation(m, "A") == pytest.approx(3.0, abs=0)
+    assert expectation(build_joint(m), "A") == pytest.approx(3.0, abs=0)
 
 
 def test_entropy_values(sprinkler):

@@ -188,8 +188,8 @@ def test_joint_at_matches_the_per_key_products_on_random_models():
         keys = list(joint.entries)
         for order in (keys, keys[::-1], [keys[j] for j in rng.permutation(len(keys))]):
             got, want = joint_at(q_model, order), reference_joint_at(q_model, order)
-            assert list(got.table) == list(want.table) == order
-            assert [q.hex() for q in got.table.values()] == [q.hex() for q in want.table.values()]
+            assert list(got.entries) == list(want.entries) == order
+            assert [q.hex() for q in got.entries.values()] == [q.hex() for q in want.entries.values()]
         try:
             expected = kl_divergence(joint, reference_joint_at(q_model, keys), base=3.0)
         except AbsoluteContinuityError as err:
@@ -206,7 +206,7 @@ def test_joint_at_off_the_support_fails_as_the_per_key_products_do():
     # The mass vanishes at X = 1 before Y's value is looked up.
     keys = [(0.0, 0.0), (1.0, 2.0), (1.0, 7.0), (0.0, 2.0)]
     got, want = joint_at(m, keys), reference_joint_at(m, keys)
-    assert list(got.table.items()) == list(want.table.items()) == [
+    assert list(got.entries.items()) == list(want.entries.items()) == [
         ((0.0, 0.0), 1.0), ((1.0, 2.0), 0.0), ((1.0, 7.0), 0.0), ((0.0, 2.0), 0.0)]
     for key in [(0.0, 1.0), (1e-12, 0.0)]:  # a value that is not exactly a support value
         with pytest.raises(ValueError):
@@ -218,14 +218,14 @@ def test_joint_at_off_the_support_fails_as_the_per_key_products_do():
 def test_marginal_sums_in_entry_order():
     rng = random.Random(73)
     keys = [tuple(float(rng.randrange(3)) for _ in range(3)) for _ in range(60)]
-    joint = engine.JointTable(("A", "B", "C"), {k: rng.random() for k in keys})
+    joint = engine.Distribution(("A", "B", "C"), {k: rng.random() for k in keys})
     for variables in ([], ["B"], ["C", "A"], ["A", "B", "C"]):
         cols = [joint.column(v) for v in variables]
         want: dict = {}
         for key, p in joint.entries.items():
             sub = tuple(key[c] for c in cols)
             want[sub] = want.get(sub, 0.0) + p
-        got = marginal(joint, variables).table
+        got = marginal(joint, variables).entries
         assert list(got) == list(want) and [v.hex() for v in got.values()] == [
             v.hex() for v in want.values()]
 

@@ -139,9 +139,6 @@ def test_state_space_guard():
     mechanisms = {v.name: Root({0.0: 0.5, 1.0: 0.5}) for v in variables}
     with pytest.raises(StateSpaceError):
         Model(variables, mechanisms)
-    # Explicit limit raises earlier.
-    with pytest.raises(StateSpaceError):
-        Model(variables[:4], {v.name: mechanisms[v.name] for v in variables[:4]}, state_limit=8)
 
 
 def test_state_limit_env_override(monkeypatch):

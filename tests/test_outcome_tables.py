@@ -36,7 +36,7 @@ def _pinned(model, do):
     mechanisms = dict(model.mechanisms)
     for name, value in do.items():
         mechanisms[name] = Root({snap_to_support(model.support(name), value): 1.0})
-    return Model(model.variables, mechanisms, model.parameters, state_limit=model.state_limit)
+    return Model(model.variables, mechanisms, model.parameters)
 
 
 @pytest.fixture()
@@ -202,7 +202,7 @@ def test_joint_at_matches_the_enumerated_joint():
         q_model = Model(p_model.variables, {**p_model.mechanisms, first.name: root})
         joint, q_joint = build_joint(p_model), build_joint(q_model)
         q_at = joint_at(q_model, joint.entries)
-        assert list(q_at.table) == list(joint.entries)
+        assert list(q_at.entries) == list(joint.entries)
         for key, q in q_at.items():
             assert q.hex() == q_joint.probability(key).hex(), key
         try:

@@ -390,8 +390,8 @@ def test_eliminate_mediator_composes_functions():
         for z in (0.0, 1.0):
             assert g_in(reduced, "Y", {"W": w, "Z": z}) == (1 - w) + z
     # The reduced joint marginal over (Z, E, W, Y) is unchanged.
-    old = marginal(build_joint(m), ["Z", "E", "W", "Y"]).table
-    new = marginal(build_joint(reduced), ["Z", "E", "W", "Y"]).table
+    old = marginal(build_joint(m), ["Z", "E", "W", "Y"]).entries
+    new = marginal(build_joint(reduced), ["Z", "E", "W", "Y"]).entries
     for key, p in old.items():
         assert new.get(key, 0.0) == pytest.approx(p, abs=1e-12)
 
@@ -461,8 +461,8 @@ def test_cpt_to_noise_sprinkler_rows(sprinkler):
                 else:
                     assert got == float(int(r) ^ int(s) ^ int(u))
     # The observational joint over the original variables is preserved.
-    old = marginal(build_joint(sprinkler), ["C", "R", "S", "W"]).table
-    new = marginal(build_joint(converted), ["C", "R", "S", "W"]).table
+    old = marginal(build_joint(sprinkler), ["C", "R", "S", "W"]).entries
+    new = marginal(build_joint(converted), ["C", "R", "S", "W"]).entries
     for key, p in old.items():
         assert new.get(key, 0.0) == pytest.approx(p, abs=1e-12)
 
@@ -473,8 +473,8 @@ def test_cpt_to_noise_free_parameter(sprinkler):
     bound = bind(converted, {"p": 0.25})
     assert bound.mechanisms["U_W"].rows[(1.0, 1.0)][1.0] == pytest.approx(0.25, abs=1e-12)
     # Deterministic rows keep their outcomes regardless of the parameter.
-    old = marginal(build_joint(sprinkler), ["C", "R", "S", "W"]).table
-    new = marginal(build_joint(bound), ["C", "R", "S", "W"]).table
+    old = marginal(build_joint(sprinkler), ["C", "R", "S", "W"]).entries
+    new = marginal(build_joint(bound), ["C", "R", "S", "W"]).entries
     for key, p_ in old.items():
         assert new.get(key, 0.0) == pytest.approx(p_, abs=1e-12)
 
@@ -756,8 +756,8 @@ def test_eliminate_mediator_reads_snapped_mediator_values():
     m = parse_model(_COMPUTED_MEDIATOR)
     reduced = eliminate_mediator(m, "M")
     assert validate(reduced) == []
-    old = marginal(build_joint(m), ["X", "Y", "W", "V"]).table
-    new = marginal(build_joint(reduced), ["X", "Y", "W", "V"]).table
+    old = marginal(build_joint(m), ["X", "Y", "W", "V"]).entries
+    new = marginal(build_joint(reduced), ["X", "Y", "W", "V"]).entries
     assert new.keys() == old.keys()
     for key, p in old.items():
         assert new[key] == pytest.approx(p, abs=1e-12)
