@@ -27,6 +27,7 @@ KEYWORDS = {
     "param", "var", "root", "cpt", "def", "fun", "in",
     "if", "then", "else", "and", "or", "not", "xor",
 }
+STATEMENTS = ("param", "var", "root", "cpt", "def", "fun")
 
 # Expression levels the parser descends into before it gives up with a
 # ParseError; each level is an expression, a bracketed or `xor(...)`
@@ -45,7 +46,7 @@ _SYMBOLS = ("==", "!=", "<=", ">=", "{", "}", "[", "]", "(", ")",
 
 @dataclass(frozen=True)
 class Token:
-    kind: str  # "number", "ident", "keyword", symbol text, or "eof"
+    kind: str  # "number", "ident", keyword or symbol text, or "eof"
     text: str
     line: int
     column: int
@@ -95,7 +96,7 @@ def _tokenize(text: str) -> list[Token]:
             while i < n and (text[i].isalnum() or text[i] == "_"):
                 i += 1
             word = text[start:i]
-            kind = "keyword" if word in KEYWORDS else "ident"
+            kind = word if word in KEYWORDS else "ident"
             tokens.append(Token(kind, word, line, col))
             col += i - start
             continue
@@ -139,26 +140,12 @@ class _Parser:
             return self.next()
         return None
 
-    def accept_keyword(self, word: str) -> Token | None:
-        tok = self.peek()
-        if tok.kind == "keyword" and tok.text == word:
-            return self.next()
-        return None
-
     def expect(self, kind: str, what: str | None = None) -> Token:
         tok = self.peek()
         if tok.kind != kind:
+            what = what or (f"'{kind}'" if kind in KEYWORDS else kind)
             raise ParseError(
-                f"expected {what or kind}, got '{tok.text or 'end of input'}'",
-                tok.line, tok.column,
-            )
-        return self.next()
-
-    def expect_keyword(self, word: str) -> Token:
-        tok = self.peek()
-        if tok.kind != "keyword" or tok.text != word:
-            raise ParseError(
-                f"expected '{word}', got '{tok.text or 'end of input'}'",
+                f"expected {what}, got '{tok.text or 'end of input'}'",
                 tok.line, tok.column,
             )
         return self.next()
@@ -180,24 +167,13 @@ class _Parser:
     # --- statements -----------------------------------------------------
 
     def parse(self) -> md.Model:
-        while self.peek().kind != "eof":
-            tok = self.peek()
-            if tok.kind != "keyword":
-                self.fail(f"expected a statement keyword, got '{tok.text}'")
-            if tok.text == "param":
-                self.parse_param()
-            elif tok.text == "var":
-                self.parse_var()
-            elif tok.text == "root":
-                self.parse_root()
-            elif tok.text == "cpt":
-                self.parse_cpt()
-            elif tok.text == "def":
-                self.parse_def()
-            elif tok.text == "fun":
-                self.parse_fun()
+        while (tok := self.next()).kind != "eof":
+            if tok.kind in STATEMENTS:
+                getattr(self, f"parse_{tok.kind}")()
+            elif tok.kind in KEYWORDS:
+                self.fail(f"unexpected keyword '{tok.text}' at statement level", tok)
             else:
-                self.fail(f"unexpected keyword '{tok.text}' at statement level")
+                self.fail(f"expected a statement keyword, got '{tok.text}'", tok)
         if not self.variables:
             raise ParseError("no variables declared", 1, 1)
         self.resolve_references()
@@ -213,10 +189,9 @@ class _Parser:
         self.declared[tok.text] = tok
 
     def parse_param(self):
-        self.expect_keyword("param")
         name = self.expect("ident", "parameter name")
         self.declare(name)
-        self.expect_keyword("in")
+        self.expect("in")
         self.expect("[")
         lower = self.parse_number()
         self.expect(",")
@@ -227,10 +202,9 @@ class _Parser:
         self.parameters.append(md.Parameter(name.text, lower, upper))
 
     def parse_var(self):
-        self.expect_keyword("var")
         name = self.expect("ident", "variable name")
         self.declare(name)
-        self.expect_keyword("in")
+        self.expect("in")
         self.expect("{")
         values = [self.parse_number()]
         while self.accept(","):
@@ -261,7 +235,6 @@ class _Parser:
         return tuple(p.text for p in parents)
 
     def parse_root(self):
-        self.expect_keyword("root")
         name = self.mechanism_target()
         table = self.parse_prob_row()
         self.mechanisms[name.text] = md.Root(table)
@@ -298,7 +271,6 @@ class _Parser:
         return entry
 
     def parse_cpt(self):
-        self.expect_keyword("cpt")
         name = self.mechanism_target()
         parents = self.parse_parent_list()
         self.expect("{")
@@ -325,7 +297,6 @@ class _Parser:
         return tuple(values)
 
     def parse_def(self):
-        self.expect_keyword("def")
         name = self.mechanism_target()
         self.expect("=")
         body = self.parse_body()
@@ -335,7 +306,6 @@ class _Parser:
         self.mechanisms[name.text] = ("def", body)  # type: ignore[assignment]
 
     def parse_fun(self):
-        self.expect_keyword("fun")
         name = self.mechanism_target()
         parents = self.parse_parent_list()
         self.expect("{")
@@ -388,54 +358,31 @@ class _Parser:
 
     def parse_expr(self) -> ex.Expr:
         with self.nested():
-            if self.peek().kind == "keyword" and self.peek().text == "if":
-                self.next()
-                cond = self.parse_or()
-                self.expect_keyword("then")
-                then = self.parse_or()
-                self.expect_keyword("else")
-                orelse = self.parse_expr()
-                return ex.IfElse(cond, then, orelse)
-            return self.parse_or()
+            if self.accept("if"):
+                cond = self.parse_binary(ex.PREC_OR)
+                self.expect("then")
+                then = self.parse_binary(ex.PREC_OR)
+                self.expect("else")
+                return ex.IfElse(cond, then, self.parse_expr())
+            return self.parse_binary(ex.PREC_OR)
 
-    def parse_or(self) -> ex.Expr:
-        node = self.parse_and()
-        while self.accept_keyword("or"):
-            node = ex.Binary("or", node, self.parse_and())
-        return node
-
-    def parse_and(self) -> ex.Expr:
-        node = self.parse_not()
-        while self.accept_keyword("and"):
-            node = ex.Binary("and", node, self.parse_not())
-        return node
-
-    def parse_not(self) -> ex.Expr:
-        if self.accept_keyword("not"):
+    def parse_binary(self, level: int) -> ex.Expr:
+        """Precedence climbing over ex.BINARY_PREC: an operand, then every
+        operator binding at `level` or tighter.  `not` is a prefix at its own
+        level, and comparisons do not chain."""
+        if level <= ex.PREC_NOT and self.accept("not"):
             with self.nested():
-                return ex.Unary("not", self.parse_not())
-        return self.parse_cmp()
-
-    def parse_cmp(self) -> ex.Expr:
-        node = self.parse_add()
-        for op in ("==", "!=", "<=", ">=", "<", ">"):
-            if self.peek().kind == op:
-                self.next()
-                return ex.Binary(op, node, self.parse_add())
-        return node
-
-    def parse_add(self) -> ex.Expr:
-        node = self.parse_mul()
-        while self.peek().kind in ("+", "-"):
+                node = ex.Unary("not", self.parse_binary(ex.PREC_NOT))
+            below = ex.PREC_NOT
+        else:
+            node = self.parse_unary()
+            below = ex.PREC_ATOM
+        # Left-associative: after an operator only a looser or equal one may
+        # follow here, as the right operand took every tighter one.
+        while level <= (prec := ex.BINARY_PREC.get(self.peek().kind, -1)) < below:
             op = self.next().kind
-            node = ex.Binary(op, node, self.parse_mul())
-        return node
-
-    def parse_mul(self) -> ex.Expr:
-        node = self.parse_unary()
-        while self.peek().kind == "*":
-            self.next()
-            node = ex.Binary("*", node, self.parse_unary())
+            node = ex.Binary(op, node, self.parse_binary(prec + 1))
+            below = prec if prec == ex.PREC_CMP else prec + 1
         return node
 
     def parse_unary(self) -> ex.Expr:
@@ -451,7 +398,7 @@ class _Parser:
         tok = self.peek()
         if tok.kind == "number":
             return ex.Num(self.parse_number())
-        if tok.kind == "keyword" and tok.text == "xor":
+        if tok.kind == "xor":
             self.next()
             self.expect("(")
             a = self.parse_expr()
@@ -459,7 +406,7 @@ class _Parser:
             b = self.parse_expr()
             self.expect(")")
             return ex.Call("xor", (a, b))
-        if tok.kind == "keyword" and tok.text == "if":
+        if tok.kind == "if":
             return self.parse_expr()
         if tok.kind == "ident":
             self.next()

@@ -14,10 +14,6 @@ from .errors import EvalError
 
 Expr = Union["Num", "Name", "Unary", "Binary", "Call", "IfElse"]
 
-ARITH_OPS = ("+", "-", "*")
-CMP_OPS = ("==", "!=", "<", "<=", ">", ">=")
-BOOL_OPS = ("and", "or")
-
 
 @dataclass(frozen=True)
 class Num:
@@ -37,7 +33,7 @@ class Unary:
 
 @dataclass(frozen=True)
 class Binary:
-    op: str  # arithmetic, comparison, or and/or
+    op: str  # a key of BINARY_PREC
     left: Expr
     right: Expr
 
@@ -174,29 +170,32 @@ def substitute(expr: Expr, env: Mapping[str, Union[float, Expr]]) -> Expr:
     raise EvalError(f"not an expression: {expr!r}")
 
 
-# Precedence levels for the printer; must mirror the parser in dsl.py.
-_PREC_IF = 0
-_PREC_OR = 1
-_PREC_AND = 2
-_PREC_NOT = 3
-_PREC_CMP = 4
-_PREC_ADD = 5
-_PREC_MUL = 6
-_PREC_NEG = 7
-_PREC_ATOM = 8
+# The grammar's binding levels, loosest first, read by the printer below and
+# by the parser in dsl.py: `if` and `not` are prefixes at their own levels,
+# unary `-` binds tightest, and comparisons do not chain.
+PREC_IF = 0
+PREC_OR = 1
+PREC_AND = 2
+PREC_NOT = 3
+PREC_CMP = 4
+PREC_ADD = 5
+PREC_MUL = 6
+PREC_NEG = 7
+PREC_ATOM = 8
 
-_BIN_PREC = {
-    "or": _PREC_OR,
-    "and": _PREC_AND,
-    "==": _PREC_CMP,
-    "!=": _PREC_CMP,
-    "<": _PREC_CMP,
-    "<=": _PREC_CMP,
-    ">": _PREC_CMP,
-    ">=": _PREC_CMP,
-    "+": _PREC_ADD,
-    "-": _PREC_ADD,
-    "*": _PREC_MUL,
+# Every binary operator of the grammar and its level.
+BINARY_PREC = {
+    "or": PREC_OR,
+    "and": PREC_AND,
+    "==": PREC_CMP,
+    "!=": PREC_CMP,
+    "<": PREC_CMP,
+    "<=": PREC_CMP,
+    ">": PREC_CMP,
+    ">=": PREC_CMP,
+    "+": PREC_ADD,
+    "-": PREC_ADD,
+    "*": PREC_MUL,
 }
 
 
@@ -210,29 +209,29 @@ def to_text(expr: Expr, min_prec: int = 0) -> str:
 
 def _render(expr: Expr) -> tuple[str, int]:
     if isinstance(expr, Num):
-        return format_number(expr.value), _PREC_ATOM
+        return format_number(expr.value), PREC_ATOM
     if isinstance(expr, Name):
-        return expr.ident, _PREC_ATOM
+        return expr.ident, PREC_ATOM
     if isinstance(expr, Unary):
         if expr.op == "-":
-            return f"-{to_text(expr.operand, _PREC_NEG)}", _PREC_NEG
-        return f"not {to_text(expr.operand, _PREC_NOT)}", _PREC_NOT
+            return f"-{to_text(expr.operand, PREC_NEG)}", PREC_NEG
+        return f"not {to_text(expr.operand, PREC_NOT)}", PREC_NOT
     if isinstance(expr, Binary):
-        prec = _BIN_PREC[expr.op]
+        prec = BINARY_PREC[expr.op]
         # Comparisons do not chain, so both operands need strictly tighter
         # precedence; left-associative operators only constrain the right.
-        left_min = prec + 1 if expr.op in CMP_OPS else prec
+        left_min = prec + 1 if prec == PREC_CMP else prec
         left = to_text(expr.left, left_min)
         right = to_text(expr.right, prec + 1)
         return f"{left} {expr.op} {right}", prec
     if isinstance(expr, Call):
         args = ", ".join(to_text(a) for a in expr.args)
-        return f"{expr.func}({args})", _PREC_ATOM
+        return f"{expr.func}({args})", PREC_ATOM
     if isinstance(expr, IfElse):
-        cond = to_text(expr.cond, _PREC_OR)
-        then = to_text(expr.then, _PREC_OR)
-        orelse = to_text(expr.orelse, _PREC_IF)
-        return f"if {cond} then {then} else {orelse}", _PREC_IF
+        cond = to_text(expr.cond, PREC_OR)
+        then = to_text(expr.then, PREC_OR)
+        orelse = to_text(expr.orelse, PREC_IF)
+        return f"if {cond} then {then} else {orelse}", PREC_IF
     raise EvalError(f"not an expression: {expr!r}")
 
 

@@ -313,14 +313,21 @@ class Model:
 
 
 def state_space_limit() -> int:
-    """The joint-state-space limit: VCE_STATE_LIMIT, read at each call, else 10^7."""
+    """The joint-state-space limit: VCE_STATE_LIMIT, read at each call, else 10^7.
+
+    An empty VCE_STATE_LIMIT counts as unset; any other value must be an
+    integer >= 1.
+    """
     raw = os.environ.get("VCE_STATE_LIMIT")
-    if raw:
-        try:
-            return int(raw)
-        except ValueError:
-            pass
-    return DEFAULT_STATE_LIMIT
+    if not raw:
+        return DEFAULT_STATE_LIMIT
+    try:
+        limit = int(raw)
+    except ValueError:
+        limit = 0
+    if limit < 1:
+        raise StateSpaceError(f"VCE_STATE_LIMIT must be an integer >= 1, got {raw!r}")
+    return limit
 
 
 def _parent_space(model: Model, parents: tuple[str, ...]) -> Iterator[tuple[float, ...]]:

@@ -254,15 +254,14 @@ class StratumTable:
 
     def aggregate(
         self, degree: float, variant: str, sign: str
-    ) -> tuple[float, dict[tuple[float, ...], ZSlice]]:
-        """Expectation over z of the per-z variation, with the breakdown."""
-        breakdown: dict[tuple[float, ...], ZSlice] = {}
+    ) -> tuple[float, list[tuple[float, Chain | None]]]:
+        """Expectation over z of the per-z variation, with each row's
+        (value, witness chain over positions of `indices`)."""
+        per_row = [variation(row.gs, row.ps, degree, variant, sign) for row in self.rows]
         total = 0.0
-        for row in self.rows:
-            value, chain = variation(row.gs, row.ps, degree, variant, sign)
-            breakdown[row.key] = ZSlice(row.probability, value, _witness(self.indices, chain))
+        for row, (value, _) in zip(self.rows, per_row):
             total += row.probability * value
-        return total, breakdown
+        return total, per_row
 
 
 def _tabulate(
@@ -334,7 +333,11 @@ def effect(
     probability are skipped; their conditional weights are undefined.
     """
     table = strata(model, query.cause, query.outcome, support_subset)
-    value, breakdown = table.aggregate(query.degree, query.variant, query.sign)
+    value, per_row = table.aggregate(query.degree, query.variant, query.sign)
+    breakdown = {
+        row.key: ZSlice(row.probability, v, _witness(table.indices, chain))
+        for row, (v, chain) in zip(table.rows, per_row)
+    }
     return EffectReport(query, value, table.z_variables, breakdown)
 
 
@@ -354,6 +357,7 @@ def pace_vector(
         raise QueryError("grid degrees must be finite")
     if any(b < a for a, b in zip(degrees, degrees[1:])):
         raise QueryError("grid degrees must be ascending")
+    EffectQuery(cause, outcome, variant=variant, sign=sign)  # checks the variant and the sign
     table = strata(model, cause, outcome)
     return [table.aggregate(d, variant, sign)[0] for d in degrees]
 

@@ -7,8 +7,10 @@ Regenerate only when a change of output is intended:
 
     PYTHONPATH=src python tests/cli_golden.py
 
-Argvs name models as `{models}/NAME.sem` and the dataset as `{csv}`; both
-are substituted before a run and put back in the output before hashing.
+Argvs name models as `{models}/NAME.sem`, the dataset as `{csv}` and the
+malformed models as `{mutants}/NAME.sem`; each is substituted before a run and
+put back in the output before hashing.  The dataset and the malformed models
+(token-level mutations of `models/*.sem`) are written from fixed seeds.
 """
 
 from __future__ import annotations
@@ -19,6 +21,7 @@ import json
 import math
 import os
 import random
+import re
 import sys
 import tempfile
 from contextlib import redirect_stderr, redirect_stdout
@@ -39,6 +42,14 @@ VARIANTS = ("pace", "peace", "space", "apace")
 FORMATS = ("table", "json")
 BASES = ("2", repr(math.e))
 BOUND = {"rare_disease.sem": "p=0.3", "sprinkler_functional.sem": "p=0.3"}
+MUTANT_SEED = 20241018
+MUTANTS = 200
+# Keywords, operators, brackets and literals of the `.sem` grammar.
+MUTANT_POOL = ("param", "var", "root", "cpt", "def", "fun", "in", "if", "then", "else",
+               "and", "or", "not", "xor", "==", "!=", "<", "<=", ">", ">=", "+", "-", "*",
+               "/", "=", "(", ")", "{", "}", "[", "]", ",", ":", "|", "0", "1", "2", "0.5",
+               "X", "p")
+_TOKEN = re.compile(r"#[^\n]*|[\d.]+(?:[eE][+-]?\d+)?|\w+|[=!<>]=|\S")
 
 
 def write_csv(path: Path) -> None:
@@ -54,9 +65,44 @@ def write_csv(path: Path) -> None:
     path.write_text("\n".join(lines) + "\n", encoding="utf-8")
 
 
-def digest(argv: list[str], csv_path: Path) -> str:
+def mutate(text: str, rng: random.Random) -> str:
+    """`text` with one to three tokens deleted, doubled, replaced by a grammar
+    token or joined by one; half the picks fall on `def` lines."""
+    for _ in range(rng.choice((1, 1, 2, 3))):
+        spans = [m.span() for m in _TOKEN.finditer(text) if m.group()[0] != "#"]
+        body = [s for s in spans if text.startswith("def", text.rfind("\n", 0, s[0]) + 1)]
+        start, end = rng.choice(body if body and rng.random() < 0.5 else spans)
+        tok, new = text[start:end], rng.choice(MUTANT_POOL)
+        edit = rng.choice(("", f"{tok} {tok}", new, f"{tok} {new}", f"{new} {tok}"))
+        text = text[:start] + edit + text[end:]
+    return text
+
+
+def mutants() -> list[tuple[str, str, str]]:
+    """(file name, source model, text) of each malformed model."""
+    rng = random.Random(MUTANT_SEED)
+    sources = sorted(MODELS_DIR.glob("*.sem"))
+    out = []
+    for i in range(MUTANTS):
+        source = rng.choice(sources)
+        out.append((f"m{i:03d}.sem", source.name, mutate(source.read_text(encoding="utf-8"), rng)))
+    return out
+
+
+def write_inputs(tmp: Path) -> dict[str, str]:
+    """Write the dataset and the malformed models under `tmp`; return the
+    placeholder -> path substitutions for `digest`."""
+    csv_path = tmp / "data.csv"
+    write_csv(csv_path)
+    mutant_dir = tmp / "mutants"
+    mutant_dir.mkdir()
+    for name, _, text in mutants():
+        (mutant_dir / name).write_text(text, encoding="utf-8")
+    return {"{models}": str(MODELS_DIR), "{csv}": str(csv_path), "{mutants}": str(mutant_dir)}
+
+
+def digest(argv: list[str], subs: dict[str, str]) -> str:
     """sha256 of (exit code, stdout, stderr) for one in-process run."""
-    subs = {"{models}": str(MODELS_DIR), "{csv}": str(csv_path)}
     real = list(argv)
     for placeholder, path in subs.items():
         real = [a.replace(placeholder, path) for a in real]
@@ -81,11 +127,14 @@ def _arrows():
 
 def commands() -> list[list[str]]:
     """Effect queries, checks, sweeps and counterfactuals on every arrow into
-    a deterministic node, baselines on every arrow, and estimates on one CSV."""
+    a deterministic node, baselines on every arrow, estimates on one CSV, and
+    an effect query on each malformed model."""
     out: list[list[str]] = []
+    queries: dict[str, list[str]] = {}
     for name, model, bind, cause, outcome in _arrows():
         path = f"{{models}}/{name}"
         query = [path, *bind, "--cause", cause, "--outcome", outcome]
+        queries.setdefault(name, query[1:])
         for base in BASES:
             for fmt in FORMATS:
                 out.append(["baselines", *query, "--base", base, "--format", fmt])
@@ -123,15 +172,16 @@ def commands() -> list[list[str]]:
                     "--covariate", "C", "--c0", c0])
     out.append(["estimate", "{csv}", "--model", "{models}/sprinkler.sem", "--cause", "S",
                 "--outcome", "W", "--given", "C"])
+    for name, source, _ in mutants():
+        out.append(["eval", f"{{mutants}}/{name}", *queries[source]])
     return out
 
 
 def main() -> None:
     os.environ.pop("VCE_STATE_LIMIT", None)
     with tempfile.TemporaryDirectory() as tmp:
-        csv_path = Path(tmp) / "data.csv"
-        write_csv(csv_path)
-        entries = [json.dumps([argv, digest(argv, csv_path)]) for argv in commands()]
+        subs = write_inputs(Path(tmp))
+        entries = [json.dumps([argv, digest(argv, subs)]) for argv in commands()]
     GOLDEN.write_text("[\n" + ",\n".join(entries) + "\n]\n", encoding="utf-8")
     print(f"wrote {len(entries)} digests to {GOLDEN}", file=sys.stderr)
 

@@ -91,6 +91,22 @@ def test_eval_past_the_state_limit_exit_2(capsys, monkeypatch):
     assert "exceeds limit 4" in err
 
 
+@pytest.mark.parametrize("raw", ["abc", "1.5e3", "0", "-5"])
+def test_malformed_state_limit_exit_2(capsys, monkeypatch, raw):
+    monkeypatch.setenv("VCE_STATE_LIMIT", raw)
+    code, out, err = run(capsys, "eval", BSC, "--cause", "X", "--outcome", "Y")
+    assert code == 2
+    assert out == ""
+    assert err == f"error: VCE_STATE_LIMIT must be an integer >= 1, got '{raw}'\n"
+
+
+def test_state_limit_with_surrounding_spaces_is_accepted(capsys, monkeypatch):
+    monkeypatch.setenv("VCE_STATE_LIMIT", " 12 ")
+    code, out, err = run(capsys, "eval", BSC, "--cause", "X", "--outcome", "Y")
+    assert code == 0
+    assert err == ""
+
+
 def test_sweep_rare_disease_closed_form(capsys, tmp_path):
     out_csv = tmp_path / "sweep.csv"
     code, _, _ = run(

@@ -120,6 +120,37 @@ def test_expression_round_trip_random():
         assert reparsed == tree, text
 
 
+_X, _ONE = ex.Name("X"), ex.Num(1.0)
+
+
+@pytest.mark.parametrize("text, tree", [
+    ("not X == 1", ex.Unary("not", ex.Binary("==", _X, _ONE))),
+    ("X * -X - -1", ex.Binary("-", ex.Binary("*", _X, ex.Unary("-", _X)), ex.Num(-1.0))),
+    ("X == 1 and X == 0 or not X", ex.Binary(
+        "or",
+        ex.Binary("and", ex.Binary("==", _X, _ONE), ex.Binary("==", _X, ex.Num(0.0))),
+        ex.Unary("not", _X),
+    )),
+    ("if X then 1 else 2 + X", ex.IfElse(_X, _ONE, ex.Binary("+", ex.Num(2.0), _X))),
+])
+def test_precedence_level_boundaries(text, tree):
+    assert _parse_expr_text(text) == tree
+
+
+@pytest.mark.parametrize("text, message", [
+    ("var X in {0, 1}\ndef Y = X < 1 < 2\n", "2:15: expected a statement keyword, got '<'"),
+    ("var X in {0, 1}\ndef Y = not X < 1 < 2\n", "2:19: expected a statement keyword, got '<'"),
+    ("var X in {0, 1}\ndef Y = X or X < 1 < 2\n", "2:20: expected a statement keyword, got '<'"),
+    ("var X in {0, 1}\ndef Y = X + not X\n", "2:13: expected an expression, got 'not'"),
+    ("in X", "1:1: unexpected keyword 'in' at statement level"),
+    ("var X of {0}", "1:7: expected 'in', got 'of'"),
+])
+def test_precedence_and_keyword_errors(text, message):
+    with pytest.raises(ParseError) as err:
+        parse_model(text)
+    assert str(err.value) == message
+
+
 def _parse_expr_text(text: str) -> ex.Expr:
     from vce.dsl import _Parser
 

@@ -239,6 +239,17 @@ def test_pace_vector_grids(bsc, rare_disease):
         pace_vector(m, "X", "Y", [1.0, 0.5])
 
 
+@pytest.mark.parametrize("kwargs, message", [
+    ({"sign": "bogus"}, "unknown sign 'bogus'"),
+    ({"variant": "bogus"}, "unknown variant 'bogus'"),
+])
+def test_pace_vector_rejects_unknown_variant_or_sign(kwargs, message):
+    # One cause value: no pair is ever scored, so only an up-front check sees it.
+    m = parse_model("var X in {0}\nvar Y in {0, 1}\nroot X {0: 1}\ndef Y = X\n")
+    with pytest.raises(QueryError, match=message):
+        pace_vector(m, "X", "Y", [0.5], **kwargs)
+
+
 def test_degree_grid_helper():
     assert degree_grid(1.0, 4) == [0.0, 0.25, 0.5, 0.75, 1.0]
     assert degree_grid(2.0, 4)[-1] == 2.0
