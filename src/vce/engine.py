@@ -71,8 +71,9 @@ def deterministic_value(model: Model, name: str, assignment: Mapping[str, float]
     mech = model.mechanisms[name]
     if not isinstance(mech, Deterministic):
         raise EngineError(f"'{name}' is not a deterministic node")
-    pairs = model.outcome_table(name).read(mech, tuple(assignment[p] for p in mech.parents))
-    return model.support(name).values[pairs[0][0]]
+    table = model.outcome_table(name)
+    pairs = table.read(mech, tuple([assignment[p] for p in mech.parents]))
+    return table.supports[0].values[pairs[0][0]]
 
 
 def _check_size(model: Model) -> None:

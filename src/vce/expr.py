@@ -10,6 +10,8 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Mapping, Union
 
+import numpy as np
+
 from .errors import EvalError
 
 Expr = Union["Num", "Name", "Unary", "Binary", "Call", "IfElse"]
@@ -110,6 +112,80 @@ def evaluate(expr: Expr, env: Mapping[str, float]) -> float:
             return evaluate(expr.then, env)
         return evaluate(expr.orelse, env)
     raise EvalError(f"not an expression: {expr!r}")
+
+
+# The arithmetic and comparison operators of BINARY_PREC as numpy ufuncs; `and`
+# and `or` short-circuit, so evaluate_grid spells them out.  On float64 each
+# is IEEE-identical to the Python float operation `evaluate` applies.
+_GRID_BINARY = {
+    "+": np.add,
+    "-": np.subtract,
+    "*": np.multiply,
+    "==": np.equal,
+    "!=": np.not_equal,
+    "<": np.less,
+    "<=": np.less_equal,
+    ">": np.greater,
+    ">=": np.greater_equal,
+}
+
+
+def evaluate_grid(expr: Expr, columns: Mapping[str, np.ndarray]) -> tuple[np.ndarray, np.ndarray]:
+    """Evaluate `expr` at every position of equally long float64 `columns`.
+
+    Returns (values, failed): `failed` marks each position where `evaluate`
+    on that position's identifiers would raise EvalError, following its
+    short-circuits (and any position under an int literal, whose arithmetic
+    is left to `evaluate`); `values` holds `evaluate`'s exact float
+    elsewhere.  A body without identifiers gives 0-d arrays.
+    """
+    with np.errstate(all="ignore"):
+        return _grid(expr, columns)
+
+
+def _not_bool(v: np.ndarray) -> np.ndarray:
+    return (v != 0.0) & (v != 1.0)
+
+
+def _grid(expr: Expr, columns: Mapping[str, np.ndarray]) -> tuple[np.ndarray, np.ndarray]:
+    if isinstance(expr, Num):
+        if isinstance(expr.value, float):  # an int literal is left to `evaluate`'s int arithmetic
+            return np.asarray(expr.value, dtype=np.float64), np.asarray(False)
+    elif isinstance(expr, Name):
+        if expr.ident in columns:
+            return np.asarray(columns[expr.ident], dtype=np.float64), np.asarray(False)
+    elif isinstance(expr, Unary):
+        v, failed = _grid(expr.operand, columns)
+        if expr.op == "-":
+            return -v, failed
+        return (v == 0.0).astype(np.float64), failed | _not_bool(v)
+    elif isinstance(expr, Binary):
+        a, fa = _grid(expr.left, columns)
+        b, fb = _grid(expr.right, columns)
+        if expr.op in ("and", "or"):
+            # The right operand counts only where the left one does not decide.
+            undecided = a == (1.0 if expr.op == "and" else 0.0)
+            failed = fa | _not_bool(a) | (undecided & (fb | _not_bool(b)))
+            if expr.op == "and":
+                return ((a == 1.0) & (b == 1.0)).astype(np.float64), failed
+            return ((a == 1.0) | (b == 1.0)).astype(np.float64), failed
+        ufunc = _GRID_BINARY.get(expr.op)
+        if ufunc is not None:
+            return ufunc(a, b).astype(np.float64), fa | fb
+    elif isinstance(expr, Call):
+        if expr.func == "xor" and len(expr.args) == 2:
+            a, fa = _grid(expr.args[0], columns)
+            b, fb = _grid(expr.args[1], columns)
+            failed = fa | _not_bool(a) | fb | _not_bool(b)
+            return ((a == 1.0) != (b == 1.0)).astype(np.float64), failed
+    elif isinstance(expr, IfElse):
+        c, fc = _grid(expr.cond, columns)
+        t, ft = _grid(expr.then, columns)
+        e, fe = _grid(expr.orelse, columns)
+        taken = c == 1.0
+        return np.where(taken, t, e), fc | _not_bool(c) | np.where(taken, ft, fe)
+    # An unknown identifier, operator, function or node fails wherever it is reached.
+    return np.asarray(np.nan), np.asarray(True)
 
 
 def _children(expr: Expr) -> tuple[Expr, ...]:

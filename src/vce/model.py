@@ -16,12 +16,15 @@ from functools import cache, cached_property
 from itertools import product
 from typing import Iterable, Iterator, Mapping, Union
 
+import numpy as np
+
 from . import expr as ex
 from .errors import BindingError, EvalError, ModelError, StateSpaceError
 
 ROW_SUM_TOL = 1e-9
 VALUE_TOL = 1e-9
 DEFAULT_STATE_LIMIT = 10_000_000
+GRID_BLOCK = 65_536  # parent positions a `def` body is evaluated at per numpy pass
 
 Entry = Union[float, ex.Expr]
 
@@ -148,22 +151,28 @@ class OutcomeTable:
     support order, or None until first read.  Kept on the mechanism for models
     giving the node and its parents these `supports`; never holds a failure."""
 
-    __slots__ = ("supports", "parents", "slots")
+    __slots__ = ("supports", "parents", "offsets", "slots")
 
     def __init__(self, supports: tuple[FiniteSupport, ...]):
         self.supports = supports
         self.parents = [s.values for s in supports[1:]]
-        self.slots: list[Outcomes | None] = [None] * math.prod(map(len, self.parents))
+        # Per parent, each support value's share of the slot position.
+        self.offsets: list[dict[float, int]] = []
+        stride = 1
+        for values in reversed(self.parents):
+            self.offsets.insert(0, {v: i * stride for i, v in enumerate(values)})
+            stride *= len(values)
+        self.slots: list[Outcomes | None] = [None] * stride
 
     def read(self, mech: Mechanism, parent_values: tuple[float, ...]) -> Outcomes:
         """Outcomes at `parent_values`, evaluated on first read; a caller's value
         that is not exactly a support value is evaluated and not stored."""
         pos = 0
-        try:
-            for values, v in zip(self.parents, parent_values):
-                pos = pos * len(values) + values.index(v)
-        except ValueError:
-            return self.evaluate(mech, parent_values)
+        for offsets, v in zip(self.offsets, parent_values):
+            offset = offsets.get(v)
+            if offset is None:
+                return self.evaluate(mech, parent_values)
+            pos += offset
         if self.slots[pos] is None:
             self.slots[pos] = self.evaluate(mech, parent_values)
         return self.slots[pos]
@@ -259,14 +268,22 @@ class Model:
         return size
 
     def outcome_table(self, name: str) -> OutcomeTable:
-        """`name`'s outcome table, kept on its mechanism (see OutcomeTable)."""
-        mech = self.mechanisms[name]
-        supports = tuple([self.variable_map[n].support for n in (name, *mech.parents)])
-        table = mech.__dict__.get("_outcome_table")
-        if table is None or table.supports != supports:
-            table = OutcomeTable(supports)
-            object.__setattr__(mech, "_outcome_table", table)
+        """`name`'s outcome table, kept on its mechanism (see OutcomeTable) and
+        looked up there once per model."""
+        table = self._outcome_tables.get(name)
+        if table is None:
+            mech = self.mechanisms[name]
+            supports = tuple([self.variable_map[n].support for n in (name, *mech.parents)])
+            table = mech.__dict__.get("_outcome_table")
+            if table is None or table.supports != supports:
+                table = OutcomeTable(supports)
+                object.__setattr__(mech, "_outcome_table", table)
+            self._outcome_tables[name] = table
         return table
+
+    @cached_property
+    def _outcome_tables(self) -> dict[str, OutcomeTable]:
+        return {}
 
     def topological_order(self) -> tuple[str, ...]:
         """Kahn's algorithm; ties broken by declaration order (deterministic)."""
@@ -464,14 +481,54 @@ def _check_deterministic(
     if ex.free_names(mech.body) & set(model.parameter_map):
         return  # totality checked after binding
     table = model.outcome_table(name)  # filled here, read by every later reader
-    for pos, assignment in enumerate(_parent_space(model, mech.parents)):
-        try:
-            table.slots[pos] = table.slots[pos] or table.evaluate(mech, assignment)
-        except EvalError as err:
-            diags.append(f"{name}: body fails at {assignment}: {err}")
-        except ModelError:
-            value = mech.value(assignment)
-            diags.append(f"{name}: body yields {value!r} at {assignment}, outside support")
+    if None not in table.slots:
+        return  # filled for a model sharing the mechanism (bind keeps parameter-free ones)
+    points = [_point(i) for i in range(len(support))] + [None]  # None: a failing slot
+    size = len(table.slots)
+    for start in range(0, size, GRID_BLOCK):
+        stop = min(start + GRID_BLOCK, size)
+        # The parents' support indices at each position, last parent fastest.
+        digits, rest = [], np.arange(start, stop)
+        for vs in reversed(table.parents):
+            rest, digit = np.divmod(rest, len(vs))
+            digits.insert(0, digit)
+        columns = {p: np.asarray(vs)[d] for p, vs, d in zip(mech.parents, table.parents, digits)}
+        values, failed = ex.evaluate_grid(mech.body, columns)
+        index, off = _snap_grid(support, np.broadcast_to(values, (stop - start,)))
+        failed = failed | off
+        fresh = [points[i] for i in np.where(failed, len(support), index).tolist()]
+        table.slots[start:stop] = [old or new for old, new in zip(table.slots[start:stop], fresh)]
+        # The scalar evaluator gives each failing slot its diagnostic.
+        for j in np.flatnonzero(failed).tolist():
+            pos = start + j
+            assignment = tuple([vs[d[j]] for vs, d in zip(table.parents, digits)])
+            try:
+                table.slots[pos] = table.slots[pos] or table.evaluate(mech, assignment)
+            except EvalError as err:
+                diags.append(f"{name}: body fails at {assignment}: {err}")
+            except ModelError:
+                value = mech.value(assignment)
+                diags.append(f"{name}: body yields {value!r} at {assignment}, outside support")
+
+
+def _snap_grid(support: FiniteSupport, values: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """FiniteSupport.index_of over an array: each value's first support index
+    within VALUE_TOL, and a mask of the values (NaN and infinities too) with none."""
+    s = np.asarray(support.values)
+
+    def near(i):
+        return np.abs(s[i] - values) <= VALUE_TOL
+
+    hi = np.minimum(np.searchsorted(s, values), len(s) - 1)  # s[hi - 1] < value <= s[hi]
+    lo = np.maximum(hi - 1, 0)
+    index = np.where(near(lo), lo, hi)
+    found = near(index)
+    # The matches are a run of the support (it increases); step back to its first.
+    while True:
+        back = found & (index > 0) & near(np.maximum(index - 1, 0))
+        if not back.any():
+            return index, ~found
+        index = index - back
 
 
 def snap_to_support(support: FiniteSupport, value: float) -> float:

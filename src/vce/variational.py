@@ -288,6 +288,14 @@ def _tabulate(
     xs = [support.values[i] for i in indices]
     z_dist = marginal(joint, z_vars)
     xz_dist = marginal(joint, list(z_vars) + [cause])
+    if outcome is not None:
+        # g(x, z) is the outcome table's slot at z's position plus the cause's.
+        table = model.outcome_table(outcome)
+        parents = model.mechanisms[outcome].parents
+        z_at = [offsets for p, offsets in zip(parents, table.offsets) if p != cause]
+        x_at = [sum(offsets[x] for p, offsets in zip(parents, table.offsets) if p == cause)
+                for x in xs]
+        ys = table.supports[0].values
     rows: list[_ZRow] = []
     for z_key in sorted(z_dist.entries):
         pz = z_dist.entries[z_key]
@@ -297,11 +305,12 @@ def _tabulate(
         if outcome is None:
             gs = tuple(xs)
         else:
-            assignment = dict(zip(z_vars, z_key))
+            base = sum([offsets[z] for offsets, z in zip(z_at, z_key)])
             gs = []
-            for x in xs:
-                assignment[cause] = x
-                gs.append(g_in(model, outcome, assignment))
+            for x, offset in zip(xs, x_at):
+                slot = table.slots[base + offset]  # None until read: evaluated by g_in
+                gs.append(ys[slot[0][0]] if slot else
+                          g_in(model, outcome, {**dict(zip(z_vars, z_key)), cause: x}))
             gs = tuple(gs)
         rows.append(_ZRow(z_key, pz, ps, gs))
     return StratumTable(z_vars, tuple(rows), indices)

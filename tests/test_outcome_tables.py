@@ -41,7 +41,8 @@ def _pinned(model, do):
 
 @pytest.fixture()
 def value_calls(monkeypatch):
-    """Counts Deterministic.value calls, the one place a body is evaluated."""
+    """Counts Deterministic.value calls: a `fun` table read, or a body
+    evaluated at one parent tuple (the scalar path)."""
     calls = []
     real = Deterministic.value
 
@@ -51,6 +52,20 @@ def value_calls(monkeypatch):
 
     monkeypatch.setattr(Deterministic, "value", counted)
     return calls
+
+
+@pytest.fixture()
+def grid_fills(monkeypatch):
+    """The body of each expr.evaluate_grid call: one per `def` table block filled."""
+    bodies = []
+    real = ex.evaluate_grid
+
+    def counted(body, columns):
+        bodies.append(body)
+        return real(body, columns)
+
+    monkeypatch.setattr(ex, "evaluate_grid", counted)
+    return bodies
 
 
 def test_build_joint_matches_reference_on_random_models():
@@ -164,27 +179,35 @@ def test_caller_values_off_the_supports_are_evaluated_not_stored(value_calls):
     assert m.outcome_table("Y").slots == [((0, 1.0),), ((2, 1.0),)]
 
 
-def test_eval_chain10_evaluates_each_outcome_once(tmp_path, capsys, value_calls):
+def test_eval_chain10_evaluates_each_outcome_once(tmp_path, capsys, value_calls, grid_fills):
+    source = chain_source(10)
+    body = parse_model(source).mechanisms["Y"].body
+    grid_fills.clear()
     path = tmp_path / "chain10.sem"
-    path.write_text(chain_source(10), encoding="utf-8")
+    path.write_text(source, encoding="utf-8")
     assert main(["eval", str(path), "--cause", "X", "--outcome", "Y"]) == 0
     assert "per-z breakdown" in capsys.readouterr().out
-    assert len(value_calls) == 4 * 2 ** 10  # one per parent tuple = per joint entry
-    assert len(set(value_calls)) == len(value_calls)
+    # Y's 4 * 2^10 slots (one per joint entry) come from one grid fill of its
+    # body; no slot fails, so the scalar evaluator never runs.
+    assert grid_fills == [body]
+    assert value_calls == []
 
 
-def test_bind_keeps_parameter_free_mechanisms_and_their_values(value_calls):
+def test_bind_keeps_parameter_free_mechanisms_and_their_values(value_calls, grid_fills):
     source = ("param p in [0, 1]\nvar X in {0, 1, 2}\nvar Y in {0, 1, 2, 3}\n"
               "var F in {0, 1}\nroot X {0: 0.5 * p, 1: 0.5 * p, 2: 1 - p}\n"
               "def Y = X + 1\nfun F | X {(0): 0, (1): 1, (2): 1}\n")
     base = parse_model(source)
+    assert len(grid_fills) == 1 and value_calls == []  # Y's table, filled by parsing
     models = [bind(base, {"p": p}) for p in (0.0, 0.3, 1.0)]
     for m in models:
         assert m.mechanisms["Y"] is base.mechanisms["Y"]
         assert m.mechanisms["F"] is base.mechanisms["F"]
         build_joint(m)
-    # Y's body and F's table are each read once per parent tuple in all.
-    assert sorted(value_calls) == sorted([(0.0,), (1.0,), (2.0,)] * 2)
+    # Binding validates each model but finds Y's table full: no grid fill.
+    assert len(grid_fills) == 1
+    # F's table is read once per parent tuple in all.
+    assert sorted(value_calls) == [(0.0,), (1.0,), (2.0,)]
 
 
 def test_joint_at_matches_the_enumerated_joint():
