@@ -19,7 +19,7 @@ from .engine import (
 )
 from .errors import PositivityError, QueryError
 from .estimation import Dataset
-from .model import CPT, Deterministic, Model
+from .model import CPT, Deterministic, Model, snap_to_support
 from .rewrites import _cut, _functionalize
 
 
@@ -92,6 +92,8 @@ def ande(
     for m in mediators:
         if isinstance(model.mechanisms[m], CPT):
             raise QueryError(f"mediator '{m}' is stochastic and not convertible")
+    support = model.support(cause)
+    x0, x1 = snap_to_support(support, x0), snap_to_support(support, x1)
     total = 0.0
     for config, prior in configurations(model):
         baseline = propagate(model, config, {cause: x0})
@@ -113,7 +115,7 @@ def janzing_strength(
         if src not in model.parents(tgt):
             raise QueryError(f"({src} -> {tgt}) is not an edge of the model")
     joint = build_joint(model)
-    return kl_divergence(joint, joint_at(_cut(model, arrow_set, joint), joint.entries), base)
+    return kl_divergence(joint, joint_at(_cut(model, arrow_set, joint), joint), base)
 
 
 def mi_strength(model: Model, cause: str, outcome: str) -> float:

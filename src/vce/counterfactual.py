@@ -43,21 +43,23 @@ def configurations(model: Model) -> Iterator[tuple[dict[str, float], float]]:
     if not model.is_bound:
         raise UnboundModelError("counterfactuals need a fully bound model")
     joint = build_joint(model)
-    columns = [(name, joint.column(name)) for name in stochastic_nodes(model)]
-    for key, mass in joint.entries.items():
-        yield {name: key[col] for name, col in columns}, mass
+    names = stochastic_nodes(model)
+    columns = [joint.values_of(name).tolist() for name in names]
+    for *latent, mass in zip(*columns, joint.masses.tolist()):
+        yield dict(zip(names, latent)), mass
 
 
 def propagate(model: Model, config: Mapping[str, float], do: Mapping[str, float]) -> dict[str, float]:
     """Values of every node given latent values and an intervention.
 
-    Intervened nodes take the pinned value; other stochastic nodes keep
-    their latent value; deterministic nodes are recomputed.
+    Intervened nodes take the pinned value, a support value (see
+    _snap_assignment); other stochastic nodes keep their latent value;
+    deterministic nodes are recomputed.
     """
     values: dict[str, float] = {}
     for name in model.topological_order():
         if name in do:
-            values[name] = snap_to_support(model.support(name), do[name])
+            values[name] = do[name]
         elif isinstance(model.mechanisms[name], Deterministic):
             values[name] = deterministic_value(model, name, values)
         else:

@@ -2,16 +2,17 @@
 
 The joint is built by enumeration in topological order, pruning zero-mass
 branches; deterministic nodes contribute indicator factors, so the table
-stays sparse.  All entropies and mutual informations are in bits; KL
-divergence defaults to bits with an explicit base knob (the literature is
-not consistent about this, see kl_divergence).
+stays sparse.  It is held as columns (see Distribution), so the readers
+group and sum rows in numpy, in row order.  All entropies and mutual
+informations are in bits; KL divergence defaults to bits with an explicit
+base knob (the literature is not consistent about this, see kl_divergence).
 """
 
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
-from operator import getitem, itemgetter
+from collections.abc import Mapping as MappingABC
+from operator import getitem
 from typing import Iterable, Mapping, Sequence
 
 import numpy as np
@@ -22,11 +23,13 @@ from .errors import (
     QueryError,
     StateSpaceError,
     UnboundModelError,
+    VceError,
     ZeroProbabilityError,
 )
 from .model import (
     Deterministic,
     Model,
+    OutcomeTable,
     Root,
     VALUE_TOL,
     snap_to_support,
@@ -35,14 +38,50 @@ from .model import (
 
 MASS_TOL = 1e-9
 
+# numpy warns where Python floats give inf or NaN quietly (0 * inf, an
+# unvalidated model's probabilities): the columnar paths stay as quiet.
+_quiet = np.errstate(all="ignore")
 
-@dataclass(frozen=True)
+
 class Distribution:
     """Probability table over an ordered tuple of variables: a joint, a
-    marginal, a conditional or a slice.  A joint omits zero-mass entries."""
+    marginal, a conditional or a slice.  A joint omits zero-mass entries.
 
-    variables: tuple[str, ...]
-    entries: dict[tuple[float, ...], float]
+    Row r gives variable i the value `values[i][codes[i][r]]` and has mass
+    `masses[r]`.  `entries` is the same table as a {key: mass} mapping, keys
+    in row order, built on first use; its len() builds nothing."""
+
+    def __init__(self, variables: Sequence[str], entries: Mapping | None = None, columns=None):
+        """From a {key: mass} mapping (value tables in order of first
+        appearance) or from `columns`, (values, codes, masses)."""
+        self.variables, self._table = tuple(variables), entries
+        if columns is None:
+            keyed = list(zip(*entries)) or [()] * len(self.variables)
+            values = [tuple(dict.fromkeys(column)) for column in keyed]
+            codes = [np.array(list(map(dict(zip(vs, range(len(vs)))).__getitem__, column)), dtype=np.intp)
+                     for vs, column in zip(values, keyed)]
+            columns = values, codes, np.array(list(entries.values()), dtype=float)
+        values, codes, self.masses = columns
+        self.values: tuple[tuple[float, ...], ...] = tuple(values)
+        self.codes: tuple[np.ndarray, ...] = tuple(codes)
+
+    @property
+    def entries(self) -> Mapping[tuple[float, ...], float]:
+        return _Entries(self)
+
+    def _dict(self) -> dict[tuple[float, ...], float]:
+        if self._table is None:
+            self._table = dict(zip(self.keys(), self.masses.tolist()))
+        return self._table
+
+    def keys(self, rows: np.ndarray | None = None) -> list[tuple[float, ...]]:
+        """The key of each of `rows` (default: every row)."""
+        rows = np.arange(len(self)) if rows is None else rows
+        columns = [list(map(vs.__getitem__, c[rows].tolist())) for vs, c in zip(self.values, self.codes)]
+        return list(zip(*columns)) if columns else [()] * len(rows)
+
+    def __len__(self) -> int:
+        return len(self.masses)
 
     def column(self, name: str) -> int:
         try:
@@ -50,14 +89,102 @@ class Distribution:
         except ValueError:
             raise EngineError(f"unknown variable '{name}'") from None
 
+    def values_of(self, name: str) -> np.ndarray:
+        """`name`'s value at each row, as float64."""
+        c = self.column(name)
+        return np.asarray(self.values[c], dtype=float)[self.codes[c]]
+
+    def recode(self, name: str, values: Sequence[float], missing: int) -> np.ndarray:
+        """Each row's index of its `name` value in `values` (`missing` where absent)."""
+        at = {v: i for i, v in enumerate(values)}
+        c = self.column(name)
+        return np.array([at.get(v, missing) for v in self.values[c]], dtype=np.intp)[self.codes[c]]
+
+    def group(self, names: Sequence[str]) -> tuple[np.ndarray, np.ndarray]:
+        """Each row's group by its values of `names`, the groups numbered in
+        order of first appearance (as a dict built by accumulation keeps
+        them), and each group's first row."""
+        cols = [self.column(n) for n in names]
+        return _group([self.codes[c] for c in cols], [len(self.values[c]) for c in cols], len(self))
+
     def total_mass(self) -> float:
-        return sum(self.entries.values())
+        return _sum(self.masses)
 
     def probability(self, key: tuple[float, ...]) -> float:
-        return self.entries.get(tuple(key), 0.0)
+        return self._dict().get(tuple(key), 0.0)
 
     def items(self):
-        return self.entries.items()
+        return self._dict().items()
+
+
+class _Entries(MappingABC):
+    """A Distribution's {key: mass} mapping, in row order."""
+
+    def __init__(self, dist: Distribution):
+        self._dist = dist
+
+    def __len__(self) -> int:
+        return len(self._dist)
+
+    def __iter__(self):
+        return iter(self._dist._dict())
+
+    def __getitem__(self, key):
+        return self._dist._dict()[key]
+
+    def items(self):
+        return self._dist._dict().items()
+
+
+def _sum(values: np.ndarray) -> float:
+    """`values` added one at a time in order from 0, as Python's sum() adds
+    floats up to 3.11 (from 3.12 it compensates; np.sum adds pairwise)."""
+    if not len(values):
+        return 0
+    return float(np.bincount(np.zeros(len(values), dtype=np.intp), weights=values)[0])
+
+
+def _group(codes: Sequence[np.ndarray], sizes: Sequence[int], n: int) -> tuple[np.ndarray, np.ndarray]:
+    """Distribution.group over n rows of code columns taking `sizes` values each."""
+    parts: list[np.ndarray] = []
+    dims: list[int] = []
+    for column, size in zip(codes, sizes):
+        if parts and math.prod(dims) * size > 4 * n + 1024:  # keep _number's tables small
+            key, first = _number(np.ravel_multi_index(parts, dims), math.prod(dims), n)
+            parts, dims = [key], [len(first)]
+        parts.append(column)
+        dims.append(size)
+    if not parts:
+        return np.zeros(n, dtype=np.intp), np.zeros(min(n, 1), dtype=np.intp)
+    return _number(np.ravel_multi_index(parts, dims), math.prod(dims), n)
+
+
+SMALL = 64  # rows up to which one Python pass beats numpy's per-call cost
+
+
+def _number(key: np.ndarray, span: int, n: int) -> tuple[np.ndarray, np.ndarray]:
+    """Number the n keys (each below `span`) in order of first appearance."""
+    if n <= SMALL:
+        ids: dict[int, int] = {}
+        number = [ids.setdefault(k, len(ids)) for k in key.tolist()]
+        first = []
+        for row, i in enumerate(number):
+            if i == len(first):
+                first.append(row)
+        return np.array(number, dtype=np.intp), np.array(first, dtype=np.intp)
+    first_of = np.full(span, n)
+    np.minimum.at(first_of, key, np.arange(n))
+    first = np.sort(first_of[first_of < n])
+    number = np.empty(span, dtype=np.intp)
+    number[key[first]] = np.arange(len(first))
+    return number[key], first
+
+
+def _positions(table: OutcomeTable, codes: Sequence[np.ndarray], n: int) -> np.ndarray:
+    """Each of n rows' slot in `table`, from its parents' support indices."""
+    if not codes:
+        return np.zeros(n, dtype=np.intp)
+    return np.ravel_multi_index(codes, [len(values) for values in table.parents])
 
 
 def local_distribution(model: Model, name: str, assignment: Mapping[str, float]) -> dict[float, float]:
@@ -84,33 +211,43 @@ def _check_size(model: Model) -> None:
         raise StateSpaceError(f"joint state space exceeds limit {limit}")
 
 
+@_quiet
 def _enumerate(model: Model) -> Distribution:
-    """Every positive-mass assignment, depth first in topological order (mass unchecked)."""
+    """Every positive-mass assignment (mass unchecked), in the depth-first
+    order of the nodes in topological order, each node's outcomes in support
+    order: built node by node, each row so far expanded into the outcomes
+    of its slot, with mass (its mass) * (the outcome's probability)."""
     _check_size(model)
-    order = model.topological_order()
-    at = {name: i for i, name in enumerate(order)}
-    tables = [model.outcome_table(name) for name in order]
-    parents = [[at[p] for p in model.mechanisms[name].parents] for name in order]
-    values = [table.supports[0].values for table in tables]
-    columns = [at[v.name] for v in model.variables]
-    state = [0] * len(order)  # support index of each node, in topological order
-    entries: dict[tuple[float, ...], float] = {}
-
-    def recurse(i: int, mass: float):
-        if i == len(order):
-            entries[tuple(values[c][state[c]] for c in columns)] = mass
-            return
-        pos = 0
-        for j in parents[i]:
-            pos = pos * len(values[j]) + state[j]
-        outcomes = tables[i].slots[pos] or tables[i].read(
-            model.mechanisms[order[i]], tuple(values[j][state[j]] for j in parents[i]))
-        for index, p in outcomes:
-            state[i] = index
-            recurse(i + 1, mass * p)
-
-    recurse(0, 1.0)
-    return Distribution(tuple(v.name for v in model.variables), entries)
+    codes: dict[str, np.ndarray] = {}
+    mass = np.array([1.0])
+    failure = None
+    for name in model.topological_order():
+        mech, table = model.mechanisms[name], model.outcome_table(name)
+        pos = _positions(table, [codes[p] for p in mech.parents], len(mass))
+        try:
+            outcomes = table.array(mech, pos)
+        except (VceError, KeyError) as err:  # KeyError: a CPT without the row
+            # Depth first, the rows before the first failing one, and all
+            # they lead to, come first: enumerate them, and raise the last
+            # failure met.
+            failure = err
+            stop = next(r for r, p in enumerate(pos.tolist()) if table.slots[p] is None)
+            pos, mass = pos[:stop], mass[:stop]
+            codes = {n: c[:stop] for n, c in codes.items()}
+            outcomes = table.array(mech, pos)
+        if outcomes.ndim == 1:  # deterministic: each row's one outcome, probability 1.0
+            codes[name] = outcomes[pos]
+            continue
+        probs = outcomes[pos]
+        rows, index = np.nonzero(probs)  # the slots' pairs: positive or NaN
+        mass = mass[rows] * probs[rows, index]
+        codes = {n: c[rows] for n, c in codes.items()}
+        codes[name] = index.astype(np.min_scalar_type(len(table.supports[0]) - 1))
+    if failure is not None:
+        raise failure
+    names = [v.name for v in model.variables]
+    return Distribution(names, columns=(
+        [model.support(n).values for n in names], map(codes.get, names), mass))
 
 
 def _check_mass(mass: float) -> None:
@@ -133,30 +270,36 @@ def build_joint(model: Model) -> Distribution:
 def marginal(joint: Distribution, variables: Sequence[str]) -> Distribution:
     """Marginalize the joint onto `variables` (empty list gives a point mass)."""
     cols = [joint.column(v) for v in variables]
-    project = itemgetter(*cols) if len(cols) > 1 else lambda key: tuple([key[c] for c in cols])
-    table: dict[tuple[float, ...], float] = {}
-    for key, p in joint.entries.items():
-        sub = project(key)
-        table[sub] = table.get(sub, 0.0) + p
-    return Distribution(tuple(variables), table)
+    group, first = joint.group(variables)
+    return Distribution(variables, columns=(
+        [joint.values[c] for c in cols], [joint.codes[c][first] for c in cols],
+        np.bincount(group, weights=joint.masses, minlength=len(first))))
 
 
+def _given(joint: Distribution, given: Mapping[str, float]) -> Distribution:
+    """The rows whose every `given` value is within VALUE_TOL of the given one."""
+    keep = np.ones(len(joint), dtype=bool)
+    for name, v in given.items():
+        c = joint.column(name)
+        near = np.array([not abs(x - v) > VALUE_TOL for x in joint.values[c]], dtype=bool)
+        keep &= near[joint.codes[c]]
+    return Distribution(joint.variables, columns=(
+        joint.values, [c[keep] for c in joint.codes], joint.masses[keep]))
+
+
+@_quiet
 def conditional(
     joint: Distribution, variables: Sequence[str], given: Mapping[str, float]
 ) -> Distribution:
     """P(variables | given); requires P(given) > 0."""
     for name in variables:  # an unknown name here is reported before one in `given`
         joint.column(name)
-    gcols = [(joint.column(n), v) for n, v in given.items()]
-    kept = {key: p for key, p in joint.entries.items()
-            if not any(abs(key[c] - v) > VALUE_TOL for c, v in gcols)}
-    mass = 0.0
-    for p in kept.values():  # in entry order: `sum` compensates from Python 3.12
-        mass += p
+    kept = _given(joint, given)
+    mass = kept.total_mass()
     if mass <= 0.0:
         raise ZeroProbabilityError(f"conditioning event {dict(given)} has zero probability")
-    table = marginal(Distribution(joint.variables, kept), variables).entries
-    return Distribution(tuple(variables), {k: v / mass for k, v in table.items()})
+    table = marginal(kept, variables)
+    return Distribution(variables, columns=(table.values, table.codes, table.masses / mass))
 
 
 def intervene(model: Model, do: Mapping[str, float]) -> Model:
@@ -167,6 +310,7 @@ def intervene(model: Model, do: Mapping[str, float]) -> Model:
     return Model(model.variables, mechanisms, model.parameters)
 
 
+@_quiet
 def expectation(
     joint: Distribution, target: str, given: Mapping[str, float] | None = None
 ) -> float:
@@ -175,7 +319,7 @@ def expectation(
         dist = conditional(joint, [target], given)
     else:
         dist = marginal(joint, [target])
-    return sum(k[0] * p for k, p in dist.items())
+    return _sum(dist.values_of(target) * dist.masses)
 
 
 def expectation_under(model: Model, target: str, do: Mapping[str, float]) -> float:
@@ -183,6 +327,7 @@ def expectation_under(model: Model, target: str, do: Mapping[str, float]) -> flo
     return interventional_means(model, target, list(do), [tuple(do.values())])[0]
 
 
+@_quiet
 def interventional_means(
     model: Model, target: str, names: Sequence[str], keys: Sequence[tuple[float, ...]],
     given: Mapping[str, float] | None = None,
@@ -198,23 +343,32 @@ def interventional_means(
     for name, snap in zip(names, snaps):
         mechanisms[name] = Root(dict.fromkeys(snap.values(), 1.0))
     joint = _enumerate(Model(model.variables, mechanisms, model.parameters))
-    cols = [joint.column(n) for n in names]
+    # All slices at once: each one's mass, P(given) in it, and the target's
+    # conditional marginal in it, summed as expectation sums it (cells and
+    # in_slice number their slices alike: by first appearance in `kept`).
+    kept = _given(joint, given or {})
+    slices, in_slice = marginal(joint, names), marginal(kept, names)
+    cells = marginal(kept, [*names, target])
+    of, _ = cells.group(names)
+    p = cells.masses / in_slice.masses[of] if given else cells.masses
+    means = np.bincount(of, weights=cells.values_of(target) * p, minlength=len(in_slice))
+    mass = dict(zip(slices.keys(), slices.masses.tolist()))
+    mean = dict(zip(in_slice.keys(), zip(in_slice.masses.tolist(), means.tolist())))
     snapped = [tuple(map(getitem, snaps, key)) for key in keys]
-    slices: dict[tuple[float, ...], dict] = {s: {} for s in snapped}
-    for key, p in joint.entries.items():
-        entries = slices.get(tuple([key[c] for c in cols]))
-        if entries is not None:
-            entries[key] = p
-    means = {}
-    for s, entries in slices.items():
-        _check_mass(sum(entries.values()))
-        means[s] = expectation(Distribution(joint.variables, entries), target, given)
-    return [means[s] for s in snapped]
+    for s in dict.fromkeys(snapped):
+        _check_mass(mass.get(s, 0))
+        if given and mean.get(s, (0.0,))[0] <= 0.0:
+            raise ZeroProbabilityError(f"conditioning event {dict(given)} has zero probability")
+    return [mean[s][1] for s in snapped]
 
 
 def entropy(dist: Distribution) -> float:
     """Shannon entropy in bits; zero-probability outcomes contribute nothing."""
-    return -sum(p * math.log2(p) for p in dist.entries.values() if p > 0.0)
+    total = 0.0
+    for p in dist.masses.tolist():
+        if p > 0.0:
+            total += p * math.log2(p)
+    return -total
 
 
 def cond_entropy(joint: Distribution, target: Sequence[str] | str, given: Sequence[str]) -> float:
@@ -222,12 +376,13 @@ def cond_entropy(joint: Distribution, target: Sequence[str] | str, given: Sequen
     targets = [target] if isinstance(target, str) else list(target)
     both = marginal(joint, list(given) + targets)
     gdist = marginal(joint, given)
-    k = len(given)
+    # Both marginals order their rows by first appearance in the joint, so
+    # both's rows meet their given values in gdist's row order.
+    group, _ = both.group(given)
     total = 0.0
-    for key, p in both.items():
+    for p, pg in zip(both.masses.tolist(), gdist.masses[group].tolist()):
         if p <= 0.0:
             continue
-        pg = gdist.probability(key[:k])
         total -= p * math.log2(p / pg)
     return total
 
@@ -251,6 +406,17 @@ def log_scale(base: float) -> float:
     return math.log(2.0) / math.log(base) if base != 2.0 else 1.0
 
 
+def _rows_of(dist: Distribution, keys: Distribution) -> np.ndarray:
+    """The row of `dist` with each row's key of `keys` (same variables), or -1."""
+    # Code len(vs) stands for a value that no row of `dist` has.
+    codes = [np.concatenate([c, keys.recode(name, vs, len(vs))])
+             for name, vs, c in zip(dist.variables, dist.values, dist.codes)]
+    group, first = _group(codes, [len(vs) + 1 for vs in dist.values], len(dist) + len(keys))
+    row = np.full(len(first), -1)
+    row[group[:len(dist)]] = np.arange(len(dist))
+    return row[group[len(dist):]]
+
+
 def kl_divergence(p: Distribution, q: Distribution, base: float = 2.0) -> float:
     """D_KL(P || Q) over a shared domain.
 
@@ -261,43 +427,47 @@ def kl_divergence(p: Distribution, q: Distribution, base: float = 2.0) -> float:
     if p.variables != q.variables:
         raise EngineError(f"KL domains differ: {p.variables} vs {q.variables}")
     scale = log_scale(base)
+    q_at = np.append(q.masses, 0.0)[_rows_of(q, p)]  # row -1: the appended 0.0
     total = 0.0
-    for key, pv in p.items():
+    for row, (pv, qv) in enumerate(zip(p.masses.tolist(), q_at.tolist())):
         if pv <= 0.0:
             continue
-        qv = q.probability(key)
         if qv <= 0.0:
-            raise AbsoluteContinuityError(f"Q vanishes at {key} where P = {pv}")
+            raise AbsoluteContinuityError(f"Q vanishes at {p.keys([row])[0]} where P = {pv}")
         total += pv * math.log2(pv / qv)
     return total * scale
 
 
-def joint_at(model: Model, keys: Iterable[tuple[float, ...]]) -> Distribution:
-    """The joint of `model` at full assignments `keys` (declaration order):
-    build_joint's products, taken in its order, without enumerating; a key
-    reuses the factors of the nodes it shares, as a prefix, with the one before."""
-    column = {v.name: i for i, v in enumerate(model.variables)}
-    values = [v.support.values for v in model.variables]
-    nodes = [(model.outcome_table(n), model.mechanisms[n], column[n],
-              [column[p] for p in model.mechanisms[n].parents]) for n in model.topological_order()]
-    masses = {}
-    prev, partial = (), [1.0]  # partial[i]: the product of the first i factors at `prev`
-    for key in keys:
-        i = 0
-        while i < len(partial) - 1 and key[nodes[i][2]] == prev[nodes[i][2]]:
-            i += 1
-        del partial[i + 1:]
-        for table, mech, col, parents in nodes[i:]:
-            if partial[-1] == 0.0:
-                break
-            pos = 0  # the slot's mixed-radix position; each parent was found at its own node
-            for c in parents:
-                pos = pos * len(values[c]) + values[c].index(key[c])
-            outcomes = table.slots[pos] or table.read(mech, tuple(key[c] for c in parents))
-            partial.append(partial[-1] * dict(outcomes).get(values[col].index(key[col]), 0.0))
-        masses[key] = partial[-1]
-        prev = key
-    return Distribution(tuple(column), masses)
+@_quiet
+def joint_at(model: Model, keys: Distribution | Iterable[tuple[float, ...]]) -> Distribution:
+    """The joint of `model` at the rows of `keys`, a Distribution over its
+    variables or full assignments in declaration order: build_joint's
+    products, taken in its order, without enumerating.  A mass that reaches
+    0.0 stays 0.0, whatever the later factors."""
+    if not isinstance(keys, Distribution):
+        keys = Distribution([v.name for v in model.variables], dict.fromkeys(keys, 0.0))
+    # Each row's support index of each variable; -1 off the support.
+    index = {v.name: keys.recode(v.name, v.support.values, -1) for v in model.variables}
+
+    def at(name: str, rows: np.ndarray) -> np.ndarray:
+        found = index[name][rows]
+        if (found < 0).any():
+            value = keys.keys([rows[np.argmax(found < 0)]])[0][keys.column(name)]
+            raise ValueError(f"{value!r} is not in the support of '{name}'")
+        return found
+
+    mass = np.ones(len(keys))
+    for name in model.topological_order():
+        mech, table = model.mechanisms[name], model.outcome_table(name)
+        live = np.flatnonzero(mass != 0.0)
+        pos = _positions(table, [at(p, live) for p in mech.parents], len(live))
+        outcomes, own = table.array(mech, pos), at(name, live)
+        if outcomes.ndim == 1:
+            factor = np.where(outcomes[pos] == own, 1.0, 0.0)
+        else:
+            factor = outcomes[pos, own]
+        mass[live] = mass[live] * factor
+    return Distribution(keys.variables, columns=(keys.values, keys.codes, mass))
 
 
 def sample(
@@ -305,10 +475,9 @@ def sample(
 ) -> tuple[tuple[str, ...], list[tuple[float, ...]]]:
     """Draw n iid assignments from the exact joint; returns (columns, rows)."""
     joint = build_joint(model)
-    keys = list(joint.entries.keys())
-    probs = np.array([joint.entries[k] for k in keys])
-    probs = probs / probs.sum()
+    probs = joint.masses / joint.masses.sum()
     if rng is None:
         rng = np.random.default_rng(seed)
-    picks = rng.choice(len(keys), size=n, p=probs)
+    picks = rng.choice(len(probs), size=n, p=probs)
+    keys = list(joint.entries)
     return joint.variables, [keys[i] for i in picks]

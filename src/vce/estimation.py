@@ -19,7 +19,9 @@ from __future__ import annotations
 import csv
 import math
 from dataclasses import dataclass
+from functools import reduce
 from itertools import groupby
+from operator import add
 from typing import Sequence
 
 from .errors import DatasetError, QueryError, UnavailableStratumError
@@ -175,7 +177,8 @@ def covariate_weighted_effect(
     rows = []
     for z_row, (_, group) in zip(z_table.rows, groupby(zc.rows, key=lambda r: r.key[:-1])):
         cells = [(r, r.probability / z_row.probability) for r in group]  # (row, P(c|z))
-        ws = tuple(sum(r.ps[i] * pc for r, pc in cells) for i in z_table.indices)
+        # Added in order (`sum` compensates from Python 3.12).
+        ws = tuple(reduce(add, (r.ps[i] * pc for r, pc in cells), 0.0) for i in z_table.indices)
         at_c0 = next((r for r, _ in cells if r.key[-1] == c0), None)
         for i, w in enumerate(ws):
             if w > 0.0 and (at_c0 is None or at_c0.ps[i] == 0.0):

@@ -122,6 +122,11 @@ class Deterministic:
         if (self.body is None) == (self.table is None):
             raise ModelError("deterministic mechanism needs exactly one of body or table")
 
+    @cached_property
+    def names(self) -> frozenset[str]:
+        """The identifiers the body reads (none for a table)."""
+        return frozenset(ex.free_names(self.body)) if self.body is not None else frozenset()
+
     def value(self, parent_values: tuple[float, ...]) -> float:
         if self.table is not None:
             try:
@@ -151,7 +156,7 @@ class OutcomeTable:
     support order, or None until first read.  Kept on the mechanism for models
     giving the node and its parents these `supports`; never holds a failure."""
 
-    __slots__ = ("supports", "parents", "offsets", "slots")
+    __slots__ = ("supports", "parents", "offsets", "slots", "_copy")
 
     def __init__(self, supports: tuple[FiniteSupport, ...]):
         self.supports = supports
@@ -163,6 +168,7 @@ class OutcomeTable:
             self.offsets.insert(0, {v: i * stride for i, v in enumerate(values)})
             stride *= len(values)
         self.slots: list[Outcomes | None] = [None] * stride
+        self._copy = None  # see array
 
     def read(self, mech: Mechanism, parent_values: tuple[float, ...]) -> Outcomes:
         """Outcomes at `parent_values`, evaluated on first read; a caller's value
@@ -176,6 +182,42 @@ class OutcomeTable:
         if self.slots[pos] is None:
             self.slots[pos] = self.evaluate(mech, parent_values)
         return self.slots[pos]
+
+    def array(self, mech: Mechanism, positions: np.ndarray) -> np.ndarray:
+        """The slots as one array: a deterministic node's (slot,) support
+        indices, another node's (slot x support) probabilities, zero where a
+        slot has no pair.  Each slot at `positions` is read first, the unread
+        ones in the order they first appear there, so a failing read leaves
+        the slots after it unread.  Rows of other slots may be zeros."""
+        if self._copy is None:
+            k = len(self.supports[0])
+            self._copy = (np.zeros(len(self.slots), dtype=bool),
+                          np.zeros(len(self.slots), np.min_scalar_type(k - 1))
+                          if isinstance(mech, Deterministic) else np.zeros((len(self.slots), k)))
+        # (which slots the array holds, or None once it holds all, the array);
+        # taken as one pair, so a concurrent reader fills a consistent one.
+        copied, array = self._copy
+        todo = copied is not None and list(dict.fromkeys(positions[~copied[positions]].tolist()))
+        if todo:
+            unread = [pos for pos in todo if self.slots[pos] is None]
+            keys = [()] * len(unread)  # each unread slot's parent values
+            if unread and self.parents:
+                digits = np.unravel_index(unread, [len(vs) for vs in self.parents])
+                keys = zip(*[np.asarray(vs)[d].tolist() for vs, d in zip(self.parents, digits)])
+            for pos, key in zip(unread, keys):
+                self.read(mech, key)
+            slots = [self.slots[pos] for pos in todo]
+            if array.ndim == 1:
+                array[todo] = [slot[0][0] for slot in slots]
+            else:
+                k = array.shape[1]
+                pairs = [(pos * k + i, p) for pos, slot in zip(todo, slots) for i, p in slot]
+                if pairs:
+                    np.put(array, *zip(*pairs))
+            copied[todo] = True
+            if copied.all():
+                self._copy = (None, array)
+        return array
 
     def evaluate(self, mech: Mechanism, parent_values: tuple[float, ...]) -> Outcomes:
         """Outcomes at `parent_values` computed from `mech`, without the table."""
@@ -474,11 +516,11 @@ def _check_deterministic(
                 diags.append(f"{name}: missing table row for {assignment}")
         return
     allowed = set(mech.parents) | set(model.parameter_map)
-    bad = ex.free_names(mech.body) - allowed
+    bad = mech.names - allowed
     if bad:
         diags.append(f"{name}: body references unknown identifier(s) {sorted(bad)}")
         return
-    if ex.free_names(mech.body) & set(model.parameter_map):
+    if mech.names & set(model.parameter_map):
         return  # totality checked after binding
     table = model.outcome_table(name)  # filled here, read by every later reader
     if None not in table.slots:
@@ -565,11 +607,14 @@ def bind(model: Model, bindings: Mapping[str, float] | None = None) -> Model:
         except EvalError as err:
             raise BindingError(str(err)) from None
 
+    # Mechanisms without parameters are kept, and with them their outcome
+    # tables, so a sweep reads those once rather than once per grid point.
     mechanisms: dict[str, Mechanism] = {}
     for name, mech in model.mechanisms.items():
-        if isinstance(mech, Root):
+        if isinstance(mech, Root) and not all(map(_is_number, mech.table.values())):
             mechanisms[name] = Root({v: entry_value(e) for v, e in mech.table.items()})
-        elif isinstance(mech, CPT):
+        elif isinstance(mech, CPT) and not all(
+                _is_number(e) for row in mech.rows.values() for e in row.values()):
             mechanisms[name] = CPT(
                 mech.parents,
                 {
@@ -577,7 +622,8 @@ def bind(model: Model, bindings: Mapping[str, float] | None = None) -> Model:
                     for key, row in mech.rows.items()
                 },
             )
-        elif mech.body is not None and ex.free_names(mech.body) & set(declared):
+        elif (isinstance(mech, Deterministic) and mech.body is not None
+              and mech.names & set(declared)):
             mechanisms[name] = Deterministic(
                 mech.parents, body=ex.substitute(mech.body, bindings)
             )

@@ -26,7 +26,13 @@ from typing import Mapping, Sequence
 
 import numpy as np
 
-from .engine import build_joint, deterministic_value, interventional_means, marginal
+from .engine import (
+    Distribution,
+    build_joint,
+    deterministic_value,
+    interventional_means,
+    marginal,
+)
 from .errors import QueryError, UnboundModelError, ZeroProbabilityError
 from .model import VALUE_TOL, Deterministic, Model, Partition
 
@@ -286,33 +292,42 @@ def _tabulate(
         if len(set(indices)) != len(indices):
             raise QueryError("support subset contains duplicate values")
     xs = [support.values[i] for i in indices]
-    z_dist = marginal(joint, z_vars)
-    xz_dist = marginal(joint, list(z_vars) + [cause])
+    # Each row's z, numbered in order of first appearance as marginal numbers
+    # it: P(z) and P(z, x) sum their rows' masses in row order, as marginal
+    # sums them.
+    z_of, z_first = joint.group(z_vars)
+    width = len(support)
+    pz = np.bincount(z_of, weights=joint.masses, minlength=len(z_first))
+    pxz = np.bincount(z_of * width + joint.codes[joint.column(cause)], weights=joint.masses,
+                      minlength=len(z_first) * width).reshape(-1, width)
+    z_codes = [joint.codes[joint.column(z)][z_first] for z in z_vars]
+    # The codes index the increasing supports: sorted codes, sorted keys.
+    order = np.lexsort(z_codes[::-1]) if z_vars else np.arange(len(z_first))
+    order = order[pz[order] > 0.0]  # a checked joint has no NaN mass
+    supports = [model.support(z).values for z in z_vars]
+    z_keys = Distribution(z_vars, columns=(supports, z_codes, pz)).keys(order)
+    pz = pz[order]
+    ps = (pxz[order][:, list(indices)] / pz[:, None]).tolist()
     if outcome is not None:
-        # g(x, z) is the outcome table's slot at z's position plus the cause's.
+        # g(x, z) is the outcome table's slot at z's parent codes and x's.
         table = model.outcome_table(outcome)
-        parents = model.mechanisms[outcome].parents
-        z_at = [offsets for p, offsets in zip(parents, table.offsets) if p != cause]
-        x_at = [sum(offsets[x] for p, offsets in zip(parents, table.offsets) if p == cause)
-                for x in xs]
+        first = z_first[order]
+        codes = [np.asarray(indices, dtype=np.intp)[None, :] if p == cause
+                 else joint.codes[joint.column(p)][first, None] for p in model.mechanisms[outcome].parents]
+        at = np.ravel_multi_index(codes, [len(values) for values in table.parents]).tolist()
         ys = table.supports[0].values
-    rows: list[_ZRow] = []
-    for z_key in sorted(z_dist.entries):
-        pz = z_dist.entries[z_key]
-        if pz <= 0.0:
-            continue
-        ps = tuple(xz_dist.probability(z_key + (x,)) / pz for x in xs)
-        if outcome is None:
-            gs = tuple(xs)
-        else:
-            base = sum([offsets[z] for offsets, z in zip(z_at, z_key)])
-            gs = []
-            for x, offset in zip(xs, x_at):
-                slot = table.slots[base + offset]  # None until read: evaluated by g_in
-                gs.append(ys[slot[0][0]] if slot else
-                          g_in(model, outcome, {**dict(zip(z_vars, z_key)), cause: x}))
-            gs = tuple(gs)
-        rows.append(_ZRow(z_key, pz, ps, gs))
+        gs = []
+        for z_key, z_at in zip(z_keys, at):
+            g = []
+            for x, pos in zip(xs, z_at):
+                slot = table.slots[pos]  # None until read: evaluated by g_in
+                g.append(ys[slot[0][0]] if slot else
+                         g_in(model, outcome, {**dict(zip(z_vars, z_key)), cause: x}))
+            gs.append(tuple(g))
+    else:
+        gs = [tuple(xs)] * len(order)
+    rows = [_ZRow(z_key, p, tuple(z_ps), g)
+            for z_key, p, z_ps, g in zip(z_keys, pz.tolist(), ps, gs)]
     return StratumTable(z_vars, tuple(rows), indices)
 
 

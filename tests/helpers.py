@@ -23,7 +23,7 @@ from vce.engine import (
     log_scale,
     marginal,
 )
-from vce.errors import QueryError, ZeroProbabilityError
+from vce.errors import AbsoluteContinuityError, EngineError, QueryError, ZeroProbabilityError
 from vce.model import (
     CPT,
     Deterministic,
@@ -295,6 +295,117 @@ def reference_joint_at(model: Model, keys) -> Distribution:
             if mass == 0.0:
                 break
         masses[key] = mass
+    return Distribution(tuple(column), masses)
+
+
+# --- the dict readers the columnar joint replaced ----------------------------
+#
+# engine's readers as they were when a Distribution was a dict of full-key
+# tuples: one Python pass over the entries each, summing in entry order.  The
+# columnar readers must give the same keys, order and float bits.
+
+
+def dict_marginal(joint: Distribution, variables) -> Distribution:
+    cols = [joint.column(v) for v in variables]
+    table: dict[tuple[float, ...], float] = {}
+    for key, p in joint.entries.items():
+        sub = tuple(key[c] for c in cols)
+        table[sub] = table.get(sub, 0.0) + p
+    return Distribution(tuple(variables), table)
+
+
+def dict_expectation(joint: Distribution, target: str, given=None) -> float:
+    if given:
+        dist = reference_conditional(joint, [target], given)
+    else:
+        dist = dict_marginal(joint, [target])
+    total = 0.0
+    for key, p in dist.entries.items():
+        total += key[0] * p
+    return total
+
+
+def dict_cond_entropy(joint: Distribution, target, given) -> float:
+    targets = [target] if isinstance(target, str) else list(target)
+    both = dict_marginal(joint, list(given) + targets)
+    gdist = dict_marginal(joint, given)
+    k = len(given)
+    total = 0.0
+    for key, p in both.entries.items():
+        if p <= 0.0:
+            continue
+        total -= p * math.log2(p / gdist.probability(key[:k]))
+    return total
+
+
+def dict_conditional_mutual_information(joint: Distribution, x: str, y: str, given) -> float:
+    return dict_cond_entropy(joint, y, list(given)) - dict_cond_entropy(joint, y, [x] + list(given))
+
+
+def dict_kl_divergence(p: Distribution, q: Distribution, base: float = 2.0) -> float:
+    scale = log_scale(base)
+    total = 0.0
+    for key, pv in p.entries.items():
+        if pv <= 0.0:
+            continue
+        qv = q.probability(key)
+        if qv <= 0.0:
+            raise AbsoluteContinuityError(f"Q vanishes at {key} where P = {pv}")
+        total += pv * math.log2(pv / qv)
+    return total * scale
+
+
+def dict_interventional_means(model: Model, target: str, names, keys, given=None) -> list[float]:
+    """One enumeration of the model with each named node an indicator root,
+    then one mass check and one expectation per slice, in first-request order."""
+    snaps = [{v: snap_to_support(model.support(name), v) for v in dict.fromkeys(k[i] for k in keys)}
+             for i, name in enumerate(names)]
+    mechanisms = dict(model.mechanisms)
+    for name, snap in zip(names, snaps):
+        mechanisms[name] = Root(dict.fromkeys(snap.values(), 1.0))
+    joint = reference_joint(Model(model.variables, mechanisms, model.parameters))
+    cols = [joint.column(n) for n in names]
+    snapped = [tuple(snap[v] for snap, v in zip(snaps, key)) for key in keys]
+    slices: dict[tuple[float, ...], dict] = {s: {} for s in snapped}
+    for key, p in joint.entries.items():
+        entries = slices.get(tuple(key[c] for c in cols))
+        if entries is not None:
+            entries[key] = p
+    means = {}
+    for s, entries in slices.items():
+        mass = 0  # as sum() starts: an empty slice has mass 0
+        for p in entries.values():
+            mass += p
+        if not abs(mass - 1.0) <= 1e-9:
+            raise EngineError(f"joint mass {mass} deviates from 1")
+        means[s] = dict_expectation(Distribution(joint.variables, entries), target, given)
+    return [means[s] for s in snapped]
+
+
+def dict_joint_at(model: Model, keys) -> Distribution:
+    """joint_at with each key reusing, as a prefix, the factors of the nodes
+    it shares with the key before."""
+    column = {v.name: i for i, v in enumerate(model.variables)}
+    values = [v.support.values for v in model.variables]
+    nodes = [(model.outcome_table(n), model.mechanisms[n], column[n],
+              [column[p] for p in model.mechanisms[n].parents]) for n in model.topological_order()]
+    masses = {}
+    prev, partial = (), [1.0]  # partial[i]: the product of the first i factors at `prev`
+    for key in keys:
+        i = 0
+        while i < len(partial) - 1 and key[nodes[i][2]] == prev[nodes[i][2]]:
+            i += 1
+        del partial[i + 1:]
+        for table, mech, col, parents in nodes[i:]:
+            if partial[-1] == 0.0:
+                break
+            pos = 0
+            for c in parents:
+                pos = pos * len(values[c]) + values[c].index(key[c])
+            outcomes = table.slots[pos] or table.read(mech, tuple(key[c] for c in parents))
+            partial.append(partial[-1] * dict(outcomes).get(values[col].index(key[col]), 0.0))
+        masses[key] = partial[-1]
+        prev = key
     return Distribution(tuple(column), masses)
 
 
