@@ -127,17 +127,28 @@ def _arrows():
 
 def commands() -> list[list[str]]:
     """Effect queries, checks, sweeps and counterfactuals on every arrow into
-    a deterministic node, baselines on every arrow, estimates on one CSV, and
-    an effect query on each malformed model."""
+    a deterministic node, baselines (and ANDE with the outcome's other parents
+    as mediators) on every arrow, one zero-probability counterfactual per
+    model, estimates on one CSV, and an effect query on each malformed model."""
     out: list[list[str]] = []
     queries: dict[str, list[str]] = {}
     for name, model, bind, cause, outcome in _arrows():
         path = f"{{models}}/{name}"
         query = [path, *bind, "--cause", cause, "--outcome", outcome]
+        first = name not in queries
         queries.setdefault(name, query[1:])
         for base in BASES:
             for fmt in FORMATS:
                 out.append(["baselines", *query, "--base", base, "--format", fmt])
+        others = ",".join(p for p in model.parents(outcome) if p != cause)
+        mediators = ["--mediators", others] if others else []
+        for fmt in FORMATS:
+            out.append(["baselines", *query, "--select", "ande", *mediators, "--format", fmt])
+        support = [f"{v:g}" for v in model.support(cause).values]
+        if first:  # evidence that its --context contradicts: zero probability, exit 2
+            out.append(["counterfactual", path, *bind, "--evidence", f"{cause}={support[-1]}",
+                        "--context", f"{cause}={support[0]}", "--do", f"{cause}={support[-1]}",
+                        "--target", outcome])
         if not isinstance(model.mechanisms[outcome], Deterministic):
             continue
         for variant in VARIANTS:
@@ -152,7 +163,6 @@ def commands() -> list[list[str]]:
         out.append(["sweep", *query, "--axis", "d=0:2:0.25"])
         if bind:
             out.append(["sweep", *query, "--axis", "p=0:1:0.25", "--axis", "d=0:2:1"])
-        support = [f"{v:g}" for v in model.support(cause).values]
         for y in (f"{v:g}" for v in model.support(outcome).values):
             for x in support:
                 cf = ["counterfactual", path, *bind, "--evidence", f"{outcome}={y}",
