@@ -1,5 +1,5 @@
 """Times in-process `vce eval` on chain-k models: the whole command, its
-parse + validate step and its stratum table.
+parse + validate step and its stratum table; and one `vce counterfactual`.
 
     python bench/eval.py --k 9 11 14 --repeats 5 --out BENCH.json
 
@@ -15,8 +15,11 @@ perfbench/workloads.chain_model, with seed k.  For each k it records:
   pays for the observational joint, P(z) and P(z, x) and the gather of g),
   and `joint_s`, of `build_joint` plus the marginals onto Z and onto
   (Z, X) on another fresh parse;
-- `layers`: the per-layer metrics of one traced command, from the span
-  recorder in perfbench/tracer.py.
+- `counterfactual_s`: the median wall time of `vce.cli.main` on
+  `counterfactual --evidence Z0=1 --context X=min --do X=max --target Y`
+  (min and max of X's support);
+- `layers`: the per-layer metrics of one traced `eval` command, from the
+  span recorder in perfbench/tracer.py.
 
 `small` times the same steps on one small model, models/sprinkler_functional.sem
 bound at p = 0.3 with cause R and outcome W, as a parameter sweep pays them
@@ -63,11 +66,20 @@ SMALL_CALLS = 200
 
 
 def _command(path: str) -> float:
+    return _timed(["eval", path, "--cause", "X", "--outcome", "Y", "--format", "json"])
+
+
+def _counterfactual(path: str, xs) -> float:
+    return _timed(["counterfactual", path, "--evidence", "Z0=1", "--context", f"X={xs[0]:g}",
+                   "--do", f"X={xs[-1]:g}", "--target", "Y"])
+
+
+def _timed(argv: list[str]) -> float:
     start = perf_counter()
     with contextlib.redirect_stdout(io.StringIO()):
-        code = cli.main(["eval", path, "--cause", "X", "--outcome", "Y", "--format", "json"])
+        code = cli.main(argv)
     if code != 0:
-        raise SystemExit(f"eval on {path} exited {code}")
+        raise SystemExit(f"{' '.join(argv)} exited {code}")
     return perf_counter() - start
 
 
@@ -123,13 +135,15 @@ def main(argv=None) -> dict:
     if args.repeats < 1 or any(k < 1 for k in args.k):
         parser.error("--repeats and every --k must be at least 1")
     with tempfile.TemporaryDirectory() as scratch:
-        texts, paths = {}, {}
+        texts, paths, xs = {}, {}, {}
         for k in args.k:
-            texts[k], _ = chain_model(random.Random(k), k)
+            texts[k], chain = chain_model(random.Random(k), k)
+            xs[k] = chain.xs
             paths[k] = os.path.join(scratch, f"chain{k}.sem")
             with open(paths[k], "w", encoding="utf-8") as fh:
                 fh.write(texts[k])
         runs = {k: [] for k in args.k}
+        cf_runs = {k: [] for k in args.k}
         measures = {k: [] for k in args.k}
         with open(SMALL_MODEL, encoding="utf-8") as fh:
             small_base = parse_model(fh.read())
@@ -139,6 +153,7 @@ def main(argv=None) -> dict:
             for k in args.k:
                 chunks.append(host.timed_chunk())
                 runs[k].append(_command(paths[k]))
+                cf_runs[k].append(_counterfactual(paths[k], xs[k]))
                 measures[k].append(_measures(texts[k], k))
             small.append(_small(small_base))
         chains = {}
@@ -147,6 +162,8 @@ def main(argv=None) -> dict:
                 "entries": 4 * 2 ** k,
                 "command_s": statistics.median(runs[k]),
                 "command_runs_s": runs[k],
+                "counterfactual_s": statistics.median(cf_runs[k]),
+                "counterfactual_runs_s": cf_runs[k],
                 "measures_s": {name: statistics.median(m[name] for m in measures[k])
                                for name in measures[k][0]},
                 "layers": _layers(paths[k]),
@@ -170,7 +187,8 @@ def main(argv=None) -> dict:
         fh.write("\n")
     for k, row in chains.items():
         parts = "  ".join(f"{n} {v:.4f}" for n, v in row["measures_s"].items())
-        print(f"chain-{k}: command {row['command_s']:.4f} s  ({parts})")
+        print(f"chain-{k}: command {row['command_s']:.4f} s  ({parts})  "
+              f"counterfactual {row['counterfactual_s']:.4f} s")
     parts = "  ".join(f"{n} {v * 1e3:.4f} ms" for n, v in result["small"]["measures_s"].items())
     print(f"sprinkler_functional p=0.3, per bind: {parts}")
     return result

@@ -6,8 +6,10 @@ from __future__ import annotations
 
 from typing import Iterable, Mapping, Sequence
 
-from .counterfactual import configurations, propagate
+from .counterfactual import _latent_joint, recompute
 from .engine import (
+    _quiet,
+    _sum,
     build_joint,
     conditional_mutual_information,
     interventional_means,
@@ -19,7 +21,7 @@ from .engine import (
 )
 from .errors import PositivityError, QueryError
 from .estimation import Dataset
-from .model import CPT, Deterministic, Model, snap_to_support
+from .model import CPT, Deterministic, Model
 from .rewrites import _cut, _functionalize
 
 
@@ -69,6 +71,7 @@ def acde(
     return total
 
 
+@_quiet
 def ande(
     model: Model,
     cause: str,
@@ -92,16 +95,14 @@ def ande(
     for m in mediators:
         if isinstance(model.mechanisms[m], CPT):
             raise QueryError(f"mediator '{m}' is stochastic and not convertible")
-    support = model.support(cause)
-    x0, x1 = snap_to_support(support, x0), snap_to_support(support, x1)
-    total = 0.0
-    for config, prior in configurations(model):
-        baseline = propagate(model, config, {cause: x0})
-        pinned = {m: baseline[m] for m in mediators}
-        y1 = propagate(model, config, dict(pinned, **{cause: x1}))[outcome]
-        y0 = propagate(model, config, dict(pinned, **{cause: x0}))[outcome]
-        total += prior * (y1 - y0)
-    return total
+    i0, i1 = (model.support(cause).index_of(x) for x in (x0, x1))
+    # Y(x0, M(x0)) is Y(x0): the x0 world's own outcome.
+    x0_world, failure = recompute(model, _latent_joint(model), {cause: i0})
+    held = {m: x0_world.codes[x0_world.column(m)] for m in mediators}
+    x1_world, failed = recompute(model, x0_world, {cause: i1, **held})
+    if failed is not None or failure is not None:
+        raise failure if failed is None else failed  # the last one met
+    return _sum(x0_world.masses * (x1_world.values_of(outcome) - x0_world.values_of(outcome)))
 
 
 def janzing_strength(

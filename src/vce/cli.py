@@ -56,16 +56,16 @@ def _fraction(text: str) -> float:
 
 def _parse_assignments(text: str) -> dict[str, float]:
     out: dict[str, float] = {}
-    if not text:
-        return out
     for piece in text.split(","):
         piece = piece.strip()
         if not piece:
             continue
-        name, sep, value = piece.partition("=")
+        name, sep, value = (part.strip() for part in piece.partition("="))
         if not sep:
             raise VceError(f"expected NAME=VALUE, got '{piece}'")
-        out[name.strip()] = _fraction(value.strip())
+        if name in out:
+            raise VceError(f"'{name}' is assigned twice")
+        out[name] = _fraction(value)
     return out
 
 

@@ -12,11 +12,13 @@ posterior through the model under the query intervention the same way.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Iterator, Mapping
+from typing import Mapping
 
-from .engine import Distribution, build_joint, deterministic_value
+import numpy as np
+
+from .engine import Distribution, _gather, _positions, _quiet, _sum, build_joint, marginal
 from .errors import QueryError, UnboundModelError, ZeroProbabilityError
-from .model import CPT, Deterministic, Model, Root, snap_to_support
+from .model import CPT, Deterministic, Model, Root
 
 
 @dataclass(frozen=True)
@@ -32,70 +34,61 @@ def stochastic_nodes(model: Model) -> tuple[str, ...]:
     return tuple(n for n in order if isinstance(model.mechanisms[n], (Root, CPT)))
 
 
-def configurations(model: Model) -> Iterator[tuple[dict[str, float], float]]:
-    """All positive-prior assignments of the stochastic nodes.
+def recompute(model: Model, rows: Distribution, pinned: Mapping[str, int | np.ndarray]):
+    """`rows` (coded by support index, as the joint is) with every node
+    recomputed, over the nodes in topological order (keys may repeat): a
+    `pinned` node holds its index (one, or one per row), another stochastic
+    node its column, and a deterministic node is gathered from its outcome
+    table at its parents' positions.  Returns it and None, or where a slot
+    fails, the rows before the first failing one and the failure (rows in
+    order, then nodes, as a walk row by row meets them)."""
+    n, codes, failure = len(rows), {}, None
+    for name in model.topological_order():
+        mech = model.mechanisms[name]
+        if name in pinned:
+            codes[name] = np.broadcast_to(pinned[name], len(rows))
+        elif not isinstance(mech, Deterministic):
+            codes[name] = rows.codes[rows.column(name)]
+        else:
+            table = model.outcome_table(name)
+            pos = _positions(table, [codes[p][:n] for p in mech.parents], n)
+            outcomes, n, failure = _gather(table, mech, pos, failure)
+            codes[name] = outcomes[pos[:n]]
+    table = Distribution(list(codes), columns=(
+        [model.support(v).values for v in codes], [c[:n] for c in codes.values()], rows.masses[:n]))
+    return table, failure
 
-    Each is the projection of one joint entry onto the stochastic nodes, so
-    the prior multiplies each node's conditional at its latent value, with
-    parents evaluated by plain observational propagation.  Deterministic
-    values are functions of the latents, so no two entries share a projection.
-    """
+
+def _indices(model: Model, assignment: Mapping[str, float]) -> dict[str, int]:
+    return {name: model.support(name).index_of(value) for name, value in assignment.items()}
+
+
+def _latent_joint(model: Model) -> Distribution:
     if not model.is_bound:
         raise UnboundModelError("counterfactuals need a fully bound model")
-    joint = build_joint(model)
-    names = stochastic_nodes(model)
-    columns = [joint.values_of(name).tolist() for name in names]
-    for *latent, mass in zip(*columns, joint.masses.tolist()):
-        yield dict(zip(names, latent)), mass
+    return build_joint(model)
 
 
-def propagate(model: Model, config: Mapping[str, float], do: Mapping[str, float]) -> dict[str, float]:
-    """Values of every node given latent values and an intervention.
-
-    Intervened nodes take the pinned value, a support value (see
-    _snap_assignment); other stochastic nodes keep their latent value;
-    deterministic nodes are recomputed.
-    """
-    values: dict[str, float] = {}
-    for name in model.topological_order():
-        if name in do:
-            values[name] = do[name]
-        elif isinstance(model.mechanisms[name], Deterministic):
-            values[name] = deterministic_value(model, name, values)
-        else:
-            values[name] = config[name]
-    return values
-
-
-def _snap_assignment(model: Model, assignment: Mapping[str, float]) -> dict[str, float]:
-    return {
-        name: snap_to_support(model.support(name), value) for name, value in assignment.items()
-    }
-
-
-def _posterior(model: Model, evidence: Evidence) -> list[tuple[dict[str, float], float]]:
-    observed = _snap_assignment(model, evidence.observed)
-    context = _snap_assignment(model, evidence.context)
-    weighted: list[tuple[dict[str, float], float]] = []
-    total = 0.0
-    for config, prior in configurations(model):
-        values = propagate(model, config, context)
-        if all(values[name] == v for name, v in observed.items()):
-            weighted.append((config, prior))
-            total += prior
+@_quiet
+def abduct(model: Model, evidence: Evidence) -> Distribution:
+    """Posterior over latent configurations given the evidence: the joint's
+    rows whose values under the context match it, renormalised."""
+    observed = _indices(model, evidence.observed)
+    context = _indices(model, evidence.context)
+    joint = _latent_joint(model)
+    world, failure = recompute(model, joint, context)
+    if failure is not None:
+        raise failure
+    keep = np.ones(len(joint), dtype=bool)
+    for name, index in observed.items():
+        keep &= world.codes[world.column(name)] == index
+    total = _sum(joint.masses[keep])
     if total <= 0.0:
         raise ZeroProbabilityError("evidence has zero probability under the model")
-    return [(config, p / total) for config, p in weighted]
-
-
-def abduct(model: Model, evidence: Evidence) -> Distribution:
-    """Posterior over latent configurations given the evidence."""
-    nodes = stochastic_nodes(model)
-    table: dict[tuple[float, ...], float] = {}
-    for config, p in _posterior(model, evidence):
-        key = tuple(config[n] for n in nodes)
-        table[key] = table.get(key, 0.0) + p
-    return Distribution(nodes, table)
+    cols = [joint.column(n) for n in stochastic_nodes(model)]  # a row per configuration
+    return Distribution(stochastic_nodes(model), columns=(
+        [joint.values[c] for c in cols], [joint.codes[c][keep] for c in cols],
+        joint.masses[keep] / total))
 
 
 def counterfactual_query(
@@ -108,9 +101,8 @@ def counterfactual_query(
     model.variable(target)
     if target in intervention:
         raise QueryError(f"target '{target}' is pinned by the intervention")
-    do = _snap_assignment(model, intervention)
-    table: dict[tuple[float, ...], float] = {}
-    for config, p in _posterior(model, evidence):
-        value = propagate(model, config, do)[target]
-        table[(value,)] = table.get((value,), 0.0) + p
-    return Distribution((target,), table)
+    do = _indices(model, intervention)
+    world, failure = recompute(model, abduct(model, evidence), do)
+    if failure is not None:
+        raise failure
+    return marginal(world, [target])

@@ -187,6 +187,16 @@ def _positions(table: OutcomeTable, codes: Sequence[np.ndarray], n: int) -> np.n
     return np.ravel_multi_index(codes, [len(values) for values in table.parents])
 
 
+def _gather(table: OutcomeTable, mech, pos: np.ndarray, failure: Exception | None):
+    """`table.array(mech, pos)`, the rows read and the last failure met: all
+    rows and `failure`, or the rows before the first failing row and its failure."""
+    try:
+        return table.array(mech, pos), len(pos), failure
+    except (VceError, KeyError) as err:  # KeyError: a CPT without the row
+        stop = next(r for r, p in enumerate(pos.tolist()) if table.slots[p] is None)
+        return table.array(mech, pos[:stop]), stop, err
+
+
 def local_distribution(model: Model, name: str, assignment: Mapping[str, float]) -> dict[float, float]:
     """P(name = . | parents), with `assignment` covering the parents."""
     mech = model.mechanisms[name]
@@ -224,17 +234,12 @@ def _enumerate(model: Model) -> Distribution:
     for name in model.topological_order():
         mech, table = model.mechanisms[name], model.outcome_table(name)
         pos = _positions(table, [codes[p] for p in mech.parents], len(mass))
-        try:
-            outcomes = table.array(mech, pos)
-        except (VceError, KeyError) as err:  # KeyError: a CPT without the row
-            # Depth first, the rows before the first failing one, and all
-            # they lead to, come first: enumerate them, and raise the last
-            # failure met.
-            failure = err
-            stop = next(r for r, p in enumerate(pos.tolist()) if table.slots[p] is None)
+        outcomes, stop, failure = _gather(table, mech, pos, failure)
+        if stop < len(pos):
+            # Depth first, the rows before the first failing one and all they
+            # lead to come first: enumerate them, raise the last failure met.
             pos, mass = pos[:stop], mass[:stop]
             codes = {n: c[:stop] for n, c in codes.items()}
-            outcomes = table.array(mech, pos)
         if outcomes.ndim == 1:  # deterministic: each row's one outcome, probability 1.0
             codes[name] = outcomes[pos]
             continue

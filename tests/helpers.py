@@ -17,13 +17,20 @@ from vce import expr as ex
 from vce.engine import (
     Distribution,
     build_joint,
+    deterministic_value,
     expectation,
     intervene,
     local_distribution,
     log_scale,
     marginal,
 )
-from vce.errors import AbsoluteContinuityError, EngineError, QueryError, ZeroProbabilityError
+from vce.errors import (
+    AbsoluteContinuityError,
+    EngineError,
+    QueryError,
+    UnboundModelError,
+    ZeroProbabilityError,
+)
 from vce.model import (
     CPT,
     Deterministic,
@@ -35,6 +42,7 @@ from vce.model import (
     Variable,
     snap_to_support,
 )
+from vce.rewrites import _functionalize
 
 MODELS_DIR = Path(__file__).resolve().parent.parent / "models"
 
@@ -414,7 +422,8 @@ def dict_joint_at(model: Model, keys) -> Distribution:
 
 def reference_configurations(model: Model):
     """Positive-prior assignments of the stochastic nodes by their own
-    recursion in topological order (oracle for counterfactual.configurations)."""
+    recursion in topological order (oracle for the joint's stochastic columns,
+    which counterfactuals take as their latent configurations)."""
     order = model.topological_order()
 
     def local_prob(name, value, values):
@@ -449,6 +458,102 @@ def reference_configurations(model: Model):
             del config[name]
 
     yield from recurse(0, {}, {}, 1.0)
+
+
+# --- reference counterfactuals: the scalar walk ------------------------------
+#
+# counterfactual.py and baselines.ande as they were before the propagation
+# kernel: one graph walk per joint row (and per world), one dict per row.
+# The column gathers must give the same keys, order, float bits, errors and
+# error precedence.
+
+
+def reference_propagate(model: Model, config, do) -> dict[str, float]:
+    """Every node's value: `do` nodes pinned (snapped values), other
+    stochastic nodes at their latent value, deterministic nodes recomputed."""
+    values: dict[str, float] = {}
+    for name in model.topological_order():
+        if name in do:
+            values[name] = do[name]
+        elif isinstance(model.mechanisms[name], Deterministic):
+            values[name] = deterministic_value(model, name, values)
+        else:
+            values[name] = config[name]
+    return values
+
+
+def _reference_snap(model: Model, assignment) -> dict[str, float]:
+    return {name: snap_to_support(model.support(name), v) for name, v in assignment.items()}
+
+
+def _reference_latents(model: Model):
+    """(latent values, prior) of each joint row, in row order."""
+    if not model.is_bound:
+        raise UnboundModelError("counterfactuals need a fully bound model")
+    joint = build_joint(model)
+    names = [n for n in model.topological_order() if not isinstance(model.mechanisms[n], Deterministic)]
+    columns = [joint.values_of(name).tolist() for name in names]
+    for *latent, mass in zip(*columns, joint.masses.tolist()):
+        yield dict(zip(names, latent)), mass
+
+
+def reference_posterior(model: Model, evidence) -> list[tuple[dict[str, float], float]]:
+    observed = _reference_snap(model, evidence.observed)
+    context = _reference_snap(model, evidence.context)
+    weighted = []
+    total = 0.0
+    for config, prior in _reference_latents(model):
+        values = reference_propagate(model, config, context)
+        if all(values[name] == v for name, v in observed.items()):
+            weighted.append((config, prior))
+            total += prior
+    if total <= 0.0:
+        raise ZeroProbabilityError("evidence has zero probability under the model")
+    return [(config, p / total) for config, p in weighted]
+
+
+def reference_abduct(model: Model, evidence) -> Distribution:
+    nodes = tuple(n for n in model.topological_order()
+                  if not isinstance(model.mechanisms[n], Deterministic))
+    table: dict[tuple[float, ...], float] = {}
+    for config, p in reference_posterior(model, evidence):
+        key = tuple(config[n] for n in nodes)
+        table[key] = table.get(key, 0.0) + p
+    return Distribution(nodes, table)
+
+
+def reference_counterfactual_query(model: Model, evidence, intervention, target: str) -> Distribution:
+    model.variable(target)
+    if target in intervention:
+        raise QueryError(f"target '{target}' is pinned by the intervention")
+    do = _reference_snap(model, intervention)
+    table: dict[tuple[float, ...], float] = {}
+    for config, p in reference_posterior(model, evidence):
+        value = reference_propagate(model, config, do)[target]
+        table[(value,)] = table.get((value,), 0.0) + p
+    return Distribution((target,), table)
+
+
+def reference_ande(model: Model, cause: str, x0: float, x1: float, outcome: str, mediators) -> float:
+    """E[Y(x1, M(x0)) - Y(x0, M(x0))] with three walks per latent row."""
+    if cause in mediators or outcome in mediators:
+        raise QueryError("mediators must exclude the cause and the outcome")
+    model = _functionalize(model, [outcome, *mediators])
+    if not isinstance(model.mechanisms[outcome], Deterministic):
+        raise QueryError(f"outcome '{outcome}' is stochastic and not convertible")
+    for m in mediators:
+        if isinstance(model.mechanisms[m], CPT):
+            raise QueryError(f"mediator '{m}' is stochastic and not convertible")
+    support = model.support(cause)
+    x0, x1 = snap_to_support(support, x0), snap_to_support(support, x1)
+    total = 0.0
+    for config, prior in _reference_latents(model):
+        baseline = reference_propagate(model, config, {cause: x0})
+        pinned = {m: baseline[m] for m in mediators}
+        y1 = reference_propagate(model, config, dict(pinned, **{cause: x1}))[outcome]
+        y0 = reference_propagate(model, config, dict(pinned, **{cause: x0}))[outcome]
+        total += prior * (y1 - y0)
+    return total
 
 
 # --- reference post-cutting strength ----------------------------------------

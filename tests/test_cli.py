@@ -386,6 +386,25 @@ def test_non_finite_numbers_exit_2(capsys, argv):
     assert err.startswith("error: expected a finite number") and err.count("\n") == 1
 
 
+@pytest.mark.parametrize(
+    "argv, name",
+    [
+        (["counterfactual", BSC, "--evidence", "Y=1,Y=0", "--do", "X=1", "--target", "Y"], "Y"),
+        (["counterfactual", BSC, "--evidence", "Y=1", "--do", "X=1, X=0", "--target", "Y"], "X"),
+        (["counterfactual", BSC, "--evidence", "Y=1", "--context", "X=0,X=0", "--do", "X=1",
+          "--target", "Y"], "X"),
+        (["eval", RARE, "--cause", "X", "--outcome", "Y", "--bind", "p=0.3", "--bind", "p=0.4"],
+         "p"),
+        (["eval", RARE, "--cause", "X", "--outcome", "Y", "--bind", "p=0.3,p=0.3"], "p"),
+        (["sweep", RARE, "--cause", "X", "--outcome", "Y", "--bind", "p=0.3", "--bind", "p=0.4",
+          "--axis", "d=0:1:1"], "p"),
+    ],
+)
+def test_a_name_assigned_twice_exits_2(capsys, argv, name):
+    code, out, err = run(capsys, *argv)
+    assert (code, out, err) == (2, "", f"error: '{name}' is assigned twice\n")
+
+
 @pytest.mark.parametrize("base", ["1", "-2", "0", "nan", "inf"])
 def test_baselines_bad_log_base_exit_2(capsys, base):
     code, out, err = run(

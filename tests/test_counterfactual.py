@@ -2,7 +2,7 @@ import numpy as np
 import pytest
 
 from helpers import random_dsl_model, reference_configurations
-from vce.counterfactual import Evidence, abduct, configurations, counterfactual_query
+from vce.counterfactual import Evidence, abduct, counterfactual_query, stochastic_nodes
 from vce.dsl import parse_model
 from vce.engine import build_joint, conditional, marginal
 from vce.errors import QueryError, ZeroProbabilityError
@@ -129,10 +129,16 @@ def test_cpt_latents_fixed_under_context():
 
 
 def test_configurations_match_recursive_reference():
+    """The latent configurations counterfactuals abduct over are the joint's
+    stochastic columns, in row order, with the joint's masses."""
     rng = np.random.default_rng(2208)
     for _ in range(250):
         model = random_dsl_model(rng)
         model = bind(model, {p.name: float(rng.uniform()) for p in model.parameters})
-        got = [(list(c.items()), prior) for c, prior in configurations(model)]
+        joint = build_joint(model)
+        names = stochastic_nodes(model)
+        columns = [joint.values_of(n).tolist() for n in names]
+        got = [(list(zip(names, latent)), mass)
+               for *latent, mass in zip(*columns, joint.masses.tolist())]
         want = [(list(c.items()), prior) for c, prior in reference_configurations(model)]
         assert got == want
