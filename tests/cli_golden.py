@@ -7,10 +7,11 @@ Regenerate only when a change of output is intended:
 
     PYTHONPATH=src python tests/cli_golden.py
 
-Argvs name models as `{models}/NAME.sem`, the dataset as `{csv}` and the
-malformed models as `{mutants}/NAME.sem`; each is substituted before a run and
-put back in the output before hashing.  The dataset and the malformed models
-(token-level mutations of `models/*.sem`) are written from fixed seeds.
+Argvs name models as `{models}/NAME.sem`, the dataset as `{csv}`, the small
+datasets of `BAD_CSVS` as `{csvs}/NAME.csv` and the malformed models as
+`{mutants}/NAME.sem`; each is substituted before a run and put back in the
+output before hashing.  The dataset and the malformed models (token-level
+mutations of `models/*.sem`) are written from fixed seeds.
 """
 
 from __future__ import annotations
@@ -49,6 +50,18 @@ MUTANT_POOL = ("param", "var", "root", "cpt", "def", "fun", "in", "if", "then", 
                "and", "or", "not", "xor", "==", "!=", "<", "<=", ">", ">=", "+", "-", "*",
                "/", "=", "(", ")", "{", "}", "[", "]", ",", ":", "|", "0", "1", "2", "0.5",
                "X", "p")
+# Small datasets that `estimate` rejects or reads at an edge: a value outside
+# sprinkler's {0, 1} supports (row 1's W before row 2's C), non-finite,
+# non-numeric, ragged and header-only files, and a given column holding both
+# -0 and 0 (in zeros.csv X = 1 is seen only at C = 1, so c0 = 0 lacks it).
+BAD_CSVS = {
+    "off": "C,R,S,W\n0,1,0,1\n1,0,1,2\n3,1,1,1\n0,0,0,0\n",
+    "nan": "C,R,S,W\n0,1,0,1\n1,nan,1,0\n",
+    "text": "C,R,S,W\n0,1,0,1\n1,0,yes,0\n",
+    "ragged": "C,R,S,W\n0,1,0,1\n1,0,1\n",
+    "header": "C,R,S,W\n",
+    "zeros": "S,T,C,X,Y\n-0,1,0,0,1\n0,0,0,0,1\n0,0,1,1,2\n-0,1,1,1,3\n",
+}
 _TOKEN = re.compile(r"#[^\n]*|[\d.]+(?:[eE][+-]?\d+)?|\w+|[=!<>]=|\S")
 
 
@@ -90,15 +103,20 @@ def mutants() -> list[tuple[str, str, str]]:
 
 
 def write_inputs(tmp: Path) -> dict[str, str]:
-    """Write the dataset and the malformed models under `tmp`; return the
+    """Write the datasets and the malformed models under `tmp`; return the
     placeholder -> path substitutions for `digest`."""
     csv_path = tmp / "data.csv"
     write_csv(csv_path)
+    csv_dir = tmp / "csvs"
+    csv_dir.mkdir()
+    for name, text in BAD_CSVS.items():
+        (csv_dir / f"{name}.csv").write_text(text, encoding="utf-8")
     mutant_dir = tmp / "mutants"
     mutant_dir.mkdir()
     for name, _, text in mutants():
         (mutant_dir / name).write_text(text, encoding="utf-8")
-    return {"{models}": str(MODELS_DIR), "{csv}": str(csv_path), "{mutants}": str(mutant_dir)}
+    return {"{models}": str(MODELS_DIR), "{csv}": str(csv_path), "{csvs}": str(csv_dir),
+            "{mutants}": str(mutant_dir)}
 
 
 def digest(argv: list[str], subs: dict[str, str]) -> str:
@@ -129,7 +147,8 @@ def commands() -> list[list[str]]:
     """Effect queries, checks, sweeps and counterfactuals on every arrow into
     a deterministic node, baselines (and ANDE with the outcome's other parents
     as mediators) on every arrow, one zero-probability counterfactual per
-    model, estimates on one CSV, and an effect query on each malformed model."""
+    model, estimates on one CSV and on the small datasets (their errors), and
+    an effect query on each malformed model."""
     out: list[list[str]] = []
     queries: dict[str, list[str]] = {}
     for name, model, bind, cause, outcome in _arrows():
@@ -182,6 +201,18 @@ def commands() -> list[list[str]]:
                     "--covariate", "C", "--c0", c0])
     out.append(["estimate", "{csv}", "--model", "{models}/sprinkler.sem", "--cause", "S",
                 "--outcome", "W", "--given", "C"])
+    rw = ["--cause", "R", "--outcome", "W"]
+    out.append(["estimate", "{csvs}/off.csv", "--model", "{models}/sprinkler.sem", *rw])
+    for name in ("nan", "text", "ragged", "header"):
+        out.append(["estimate", f"{{csvs}}/{name}.csv", *rw])
+    out.append(["estimate", "{csv}", *rw, "--given", "S", "--covariate", "C", "--c0", "5"])
+    xy = ["--cause", "X", "--outcome", "Y"]
+    for given in ("S", "S,T"):
+        out.append(["estimate", "{csvs}/zeros.csv", *xy, "--given", given, "--covariate", "C",
+                    "--c0", "0"])
+        out.append(["estimate", "{csvs}/zeros.csv", *xy, "--given", given, "--format", "json"])
+    for given in ("Q", "R", "S,S"):
+        out.append(["estimate", "{csv}", *rw, "--given", given])
     for name, source, _ in mutants():
         out.append(["eval", f"{{mutants}}/{name}", *queries[source]])
     return out
