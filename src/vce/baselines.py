@@ -6,6 +6,8 @@ from __future__ import annotations
 
 from typing import Iterable, Mapping, Sequence
 
+import numpy as np
+
 from .counterfactual import _latent_joint, recompute
 from .engine import (
     _quiet,
@@ -19,7 +21,7 @@ from .engine import (
     marginal,
     mutual_information,
 )
-from .errors import PositivityError, QueryError
+from .errors import QueryError
 from .estimation import Dataset
 from .model import CPT, Deterministic, Model
 from .rewrites import _cut, _functionalize
@@ -87,6 +89,8 @@ def ande(
     Remaining stochastic nodes act as latent context, enumerated exactly and
     held fixed across both potential worlds.
     """
+    if len(set(mediators)) != len(mediators):
+        raise QueryError(f"mediators name a variable twice: {list(mediators)}")
     if cause in mediators or outcome in mediators:
         raise QueryError("mediators must exclude the cause and the outcome")
     model = _functionalize(model, [outcome, *mediators])
@@ -144,25 +148,13 @@ def ipwe(
     """Inverse probability weighting estimate of E(Y(s)).
 
     Propensities are empirical conditional frequencies over exact covariate
-    strata; a zero propensity on a contributing record is a positivity error.
+    strata; each is positive, as the record it weights is in its stratum.
     """
-    ti = dataset.column_index(treatment)
-    yi = dataset.column_index(outcome)
-    ci = [dataset.column_index(c) for c in covariates]
-    stratum_n: dict[tuple[float, ...], int] = {}
-    stratum_s: dict[tuple[float, ...], int] = {}
-    for row in dataset.rows:
-        key = tuple(row[i] for i in ci)
-        stratum_n[key] = stratum_n.get(key, 0) + 1
-        if row[ti] == s:
-            stratum_s[key] = stratum_s.get(key, 0) + 1
-    total = 0.0
-    for row in dataset.rows:
-        if row[ti] != s:
-            continue
-        key = tuple(row[i] for i in ci)
-        propensity = stratum_s.get(key, 0) / stratum_n[key]
-        if propensity <= 0.0:
-            raise PositivityError(f"zero estimated propensity in stratum {key}")
-        total += row[yi] / propensity
-    return total / len(dataset)
+    for name in (treatment, outcome, *covariates):
+        dataset.column_index(name)  # an unknown name is a DatasetError
+    table = dataset.table
+    stratum = table.group(covariates)[0]
+    hit = table.values_of(treatment) == s
+    treated = stratum[hit]
+    propensity = np.bincount(treated)[treated] / np.bincount(stratum)[treated]
+    return _sum(table.values_of(outcome)[hit] / propensity) / len(dataset)

@@ -74,10 +74,12 @@ class Distribution:
             self._table = dict(zip(self.keys(), self.masses.tolist()))
         return self._table
 
-    def keys(self, rows: np.ndarray | None = None) -> list[tuple[float, ...]]:
-        """The key of each of `rows` (default: every row)."""
+    def keys(self, rows: np.ndarray | None = None, names: Sequence[str] | None = None
+             ) -> list[tuple[float, ...]]:
+        """The key of each of `rows` (default: every row) over `names` (default: all)."""
         rows = np.arange(len(self)) if rows is None else rows
-        columns = [list(map(vs.__getitem__, c[rows].tolist())) for vs, c in zip(self.values, self.codes)]
+        cols = range(len(self.variables)) if names is None else map(self.column, names)
+        columns = [list(map(self.values[c].__getitem__, self.codes[c][rows].tolist())) for c in cols]
         return list(zip(*columns)) if columns else [()] * len(rows)
 
     def __len__(self) -> int:
@@ -279,6 +281,25 @@ def marginal(joint: Distribution, variables: Sequence[str]) -> Distribution:
     return Distribution(variables, columns=(
         [joint.values[c] for c in cols], [joint.codes[c][first] for c in cols],
         np.bincount(group, weights=joint.masses, minlength=len(first))))
+
+
+def stratify(dist: Distribution, x: np.ndarray, width: int, z_names: Sequence[str],
+             weights: Sequence[np.ndarray] = ()) -> tuple[np.ndarray, np.ndarray, list]:
+    """The grouped reduction of every stratum table, of a joint or a dataset:
+    `dist`'s rows grouped by their values of `z_names` (value tables
+    increasing) and split by `x`, a code column taking `width` values.
+    Returns the groups of positive mass in ascending key order: each one's
+    first row and mass, and per (group, x) the sums of the masses and of each
+    of `weights` (one float per row), all added in row order."""
+    z_of, first = dist.group(z_names)
+    mass = np.bincount(z_of, weights=dist.masses, minlength=len(first))
+    keys = [dist.codes[dist.column(z)][first] for z in z_names]
+    order = np.lexsort(keys[::-1]) if keys else np.arange(len(first))
+    order = order[mass[order] > 0.0]  # a checked joint has no NaN mass
+    cells, size = z_of * width + x, len(first) * width
+    sums = [np.bincount(cells, weights=w, minlength=size).reshape(-1, width)[order]
+            for w in (dist.masses, *weights)]
+    return first[order], mass[order], sums
 
 
 def _given(joint: Distribution, given: Mapping[str, float]) -> Distribution:

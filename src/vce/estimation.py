@@ -19,19 +19,24 @@ from __future__ import annotations
 import csv
 import math
 from dataclasses import dataclass
-from functools import reduce
-from itertools import groupby
+from functools import cached_property, reduce
+from itertools import chain, groupby
 from operator import add
 from typing import Sequence
 
+import numpy as np
+
+from .engine import Distribution, stratify
 from .errors import DatasetError, QueryError, UnavailableStratumError
-from .model import Model
+from .model import Model, _snap_grid
 from .variational import EffectQuery, StratumTable, _ZRow
 
 
 @dataclass(frozen=True)
 class Dataset:
-    """Rectangular table of real-valued observations, one row per record."""
+    """Rectangular table of real-valued observations, one row per record;
+    `table` holds them as a Distribution of unit masses, each column coded by
+    its distinct values, ascending, each spelled as it first appears."""
 
     columns: tuple[str, ...]
     rows: tuple[tuple[float, ...], ...]
@@ -62,9 +67,15 @@ class Dataset:
         except ValueError:
             raise DatasetError(f"unknown column '{name}'") from None
 
-    def column(self, name: str) -> list[float]:
-        i = self.column_index(name)
-        return [r[i] for r in self.rows]
+    @cached_property
+    def table(self) -> Distribution:
+        values, codes = [], []
+        data = np.fromiter(chain.from_iterable(self.rows), float, len(self) * len(self.columns))
+        for column in data.reshape(len(self), -1).T:
+            _, first, code = np.unique(column, return_index=True, return_inverse=True)
+            values.append(tuple(column[first].tolist()))
+            codes.append(code)
+        return Distribution(self.columns, columns=(values, codes, np.ones(len(self))))
 
     @classmethod
     def from_csv(cls, path: str) -> "Dataset":
@@ -86,15 +97,13 @@ class Dataset:
 
     def validate_against(self, model: Model) -> None:
         """Check every value lies in the named variable's declared support."""
-        supports = []
-        for name in self.columns:
-            supports.append(model.support(name))
-        for i, row in enumerate(self.rows):
-            for name, support, v in zip(self.columns, supports, row):
-                if v not in support:
-                    raise DatasetError(
-                        f"row {i}: value {v!r} outside the declared support of '{name}'"
-                    )
+        supports = [model.support(name) for name in self.columns]
+        off = np.transpose([_snap_grid(support, np.asarray(vs))[1][c]
+                            for support, vs, c in zip(supports, self.table.values, self.table.codes)])
+        if off.any():  # the first failure in row order, as a scan row by row meets it
+            i, c = divmod(int(np.argmax(off)), len(self.columns))
+            raise DatasetError(f"row {i}: value {self.rows[i][c]!r} outside the declared "
+                               f"support of '{self.columns[c]}'")
 
 
 def estimate_conditionals(
@@ -105,32 +114,21 @@ def estimate_conditionals(
     One row per observed z, in ascending order, over the sorted observed
     cause values.  A cause value never seen with z has weight 0 and mean 0.0.
     """
-    xi = dataset.column_index(cause)
-    yi = dataset.column_index(outcome)
-    zi = [dataset.column_index(z) for z in z_vars]
+    xi, _, *zi = [dataset.column_index(name) for name in (cause, outcome, *z_vars)]
     if len(set(z_vars)) != len(z_vars) or {cause, outcome} & set(z_vars):
         raise QueryError("the conditioning set must name distinct variables "
                          "other than the cause and the outcome")
-    n = len(dataset)
-    z_count: dict[tuple[float, ...], int] = {}
-    xz_count: dict[tuple[tuple[float, ...], float], int] = {}
-    y_sum: dict[tuple[tuple[float, ...], float], float] = {}
-    seen: set[float] = set()
-    for row in dataset.rows:
-        z = tuple(row[i] for i in zi)
-        x = row[xi]
-        seen.add(x)
-        z_count[z] = z_count.get(z, 0) + 1
-        xz_count[(z, x)] = xz_count.get((z, x), 0) + 1
-        y_sum[(z, x)] = y_sum.get((z, x), 0.0) + row[yi]
-    xs = sorted(seen)
-    rows = []
-    for z in sorted(z_count):
-        counts = [xz_count.get((z, x), 0) for x in xs]
-        ps = tuple(c / z_count[z] for c in counts)
-        gs = tuple(y_sum[(z, x)] / c if c else 0.0 for x, c in zip(xs, counts))
-        rows.append(_ZRow(z, z_count[z] / n, ps, gs))
-    return StratumTable(tuple(z_vars), tuple(rows), tuple(range(len(xs))))
+    table = dataset.table
+    width = len(table.values[xi])
+    first, count_z, (count_xz, y_sum) = stratify(
+        table, table.codes[xi], width, z_vars, [table.values_of(outcome)])
+    ps = count_xz / count_z[:, None]
+    gs = np.divide(y_sum, count_xz, out=np.zeros_like(y_sum), where=count_xz > 0)
+    # Each key as its stratum's first record spells it (-0.0 or 0.0).
+    keys = [tuple(map(dataset.rows[r].__getitem__, zi)) for r in first.tolist()]
+    rows = map(_ZRow, keys, (count_z / len(dataset)).tolist(), map(tuple, ps.tolist()),
+               map(tuple, gs.tolist()))
+    return StratumTable(tuple(z_vars), tuple(rows), tuple(range(width)))
 
 
 def identifiable_effect(
@@ -164,7 +162,7 @@ def covariate_weighted_effect(
     query = EffectQuery(cause, outcome, degree, variant, sign)
     if covariate in z_vars or covariate in (cause, outcome):
         raise QueryError("covariate must be distinct from the query variables")
-    cvalues = sorted(set(dataset.column(covariate)))
+    cvalues = dataset.table.values[dataset.column_index(covariate)]  # ascending
     if c0 is None:
         c0 = cvalues[0]
     elif c0 not in cvalues:
@@ -182,7 +180,7 @@ def covariate_weighted_effect(
         at_c0 = next((r for r, _ in cells if r.key[-1] == c0), None)
         for i, w in enumerate(ws):
             if w > 0.0 and (at_c0 is None or at_c0.ps[i] == 0.0):
-                x = sorted(set(dataset.column(cause)))[i]
+                x = dataset.table.values[dataset.column_index(cause)][i]
                 raise UnavailableStratumError(
                     f"no records for cause value {x!r} in stratum {z_row.key}"
                 )

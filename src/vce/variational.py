@@ -27,11 +27,11 @@ from typing import Mapping, Sequence
 import numpy as np
 
 from .engine import (
-    Distribution,
     build_joint,
     deterministic_value,
     interventional_means,
     marginal,
+    stratify,
 )
 from .errors import QueryError, UnboundModelError, ZeroProbabilityError
 from .model import VALUE_TOL, Deterministic, Model, Partition
@@ -292,26 +292,13 @@ def _tabulate(
         if len(set(indices)) != len(indices):
             raise QueryError("support subset contains duplicate values")
     xs = [support.values[i] for i in indices]
-    # Each row's z, numbered in order of first appearance as marginal numbers
-    # it: P(z) and P(z, x) sum their rows' masses in row order, as marginal
-    # sums them.
-    z_of, z_first = joint.group(z_vars)
-    width = len(support)
-    pz = np.bincount(z_of, weights=joint.masses, minlength=len(z_first))
-    pxz = np.bincount(z_of * width + joint.codes[joint.column(cause)], weights=joint.masses,
-                      minlength=len(z_first) * width).reshape(-1, width)
-    z_codes = [joint.codes[joint.column(z)][z_first] for z in z_vars]
-    # The codes index the increasing supports: sorted codes, sorted keys.
-    order = np.lexsort(z_codes[::-1]) if z_vars else np.arange(len(z_first))
-    order = order[pz[order] > 0.0]  # a checked joint has no NaN mass
-    supports = [model.support(z).values for z in z_vars]
-    z_keys = Distribution(z_vars, columns=(supports, z_codes, pz)).keys(order)
-    pz = pz[order]
-    ps = (pxz[order][:, list(indices)] / pz[:, None]).tolist()
+    # P(z) and P(z, x) sum their rows' masses in row order, as marginal sums them.
+    first, pz, (pxz,) = stratify(joint, joint.codes[joint.column(cause)], len(support), z_vars)
+    z_keys = joint.keys(first, z_vars)
+    ps = (pxz[:, list(indices)] / pz[:, None]).tolist()
     if outcome is not None:
         # g(x, z) is the outcome table's slot at z's parent codes and x's.
         table = model.outcome_table(outcome)
-        first = z_first[order]
         codes = [np.asarray(indices, dtype=np.intp)[None, :] if p == cause
                  else joint.codes[joint.column(p)][first, None] for p in model.mechanisms[outcome].parents]
         at = np.ravel_multi_index(codes, [len(values) for values in table.parents]).tolist()
@@ -325,7 +312,7 @@ def _tabulate(
                          g_in(model, outcome, {**dict(zip(z_vars, z_key)), cause: x}))
             gs.append(tuple(g))
     else:
-        gs = [tuple(xs)] * len(order)
+        gs = [tuple(xs)] * len(first)
     rows = [_ZRow(z_key, p, tuple(z_ps), g)
             for z_key, p, z_ps, g in zip(z_keys, pz.tolist(), ps, gs)]
     return StratumTable(z_vars, tuple(rows), indices)

@@ -8,7 +8,9 @@ probability rows sum to one for every admissible parameter value.
 from __future__ import annotations
 
 import math
-from itertools import product
+from functools import reduce
+from itertools import groupby, product
+from operator import add
 from pathlib import Path
 
 import numpy as np
@@ -26,8 +28,11 @@ from vce.engine import (
 )
 from vce.errors import (
     AbsoluteContinuityError,
+    DatasetError,
     EngineError,
+    PositivityError,
     QueryError,
+    UnavailableStratumError,
     UnboundModelError,
     ZeroProbabilityError,
 )
@@ -43,6 +48,7 @@ from vce.model import (
     snap_to_support,
 )
 from vce.rewrites import _functionalize
+from vce.variational import EffectQuery, StratumTable, _ZRow
 
 MODELS_DIR = Path(__file__).resolve().parent.parent / "models"
 
@@ -605,6 +611,107 @@ def reference_janzing_strength(model: Model, arrows, base: float = 2.0) -> float
             continue
         total += p * math.log2(p / post[key])
     return total * scale
+
+
+# --- the row-at-a-time dataset readers (oracle of the stratification kernel) -
+
+
+def reference_validate_against(dataset, model: Model) -> None:
+    """Dataset.validate_against as a scan row by row, value by value."""
+    supports = [model.support(name) for name in dataset.columns]
+    for i, row in enumerate(dataset.rows):
+        for name, support, v in zip(dataset.columns, supports, row):
+            if v not in support:
+                raise DatasetError(f"row {i}: value {v!r} outside the declared support of '{name}'")
+
+
+def reference_estimate_conditionals(dataset, cause: str, outcome: str, z_vars):
+    """estimate_conditionals from three accumulation dicts, record by record."""
+    xi = dataset.column_index(cause)
+    yi = dataset.column_index(outcome)
+    zi = [dataset.column_index(z) for z in z_vars]
+    if len(set(z_vars)) != len(z_vars) or {cause, outcome} & set(z_vars):
+        raise QueryError("the conditioning set must name distinct variables "
+                         "other than the cause and the outcome")
+    n = len(dataset)
+    z_count: dict = {}
+    xz_count: dict = {}
+    y_sum: dict = {}
+    seen: set = set()
+    for row in dataset.rows:
+        z = tuple(row[i] for i in zi)
+        x = row[xi]
+        seen.add(x)
+        z_count[z] = z_count.get(z, 0) + 1
+        xz_count[(z, x)] = xz_count.get((z, x), 0) + 1
+        y_sum[(z, x)] = y_sum.get((z, x), 0.0) + row[yi]
+    xs = sorted(seen)
+    rows = []
+    for z in sorted(z_count):
+        counts = [xz_count.get((z, x), 0) for x in xs]
+        ps = tuple(c / z_count[z] for c in counts)
+        gs = tuple(y_sum[(z, x)] / c if c else 0.0 for x, c in zip(xs, counts))
+        rows.append(_ZRow(z, z_count[z] / n, ps, gs))
+    return StratumTable(tuple(z_vars), tuple(rows), tuple(range(len(xs))))
+
+
+def reference_covariate_weighted_effect(dataset, cause, outcome, z_vars, covariate, degree,
+                                        variant="pace", sign="abs", c0=None) -> float:
+    """covariate_weighted_effect over reference_estimate_conditionals and
+    list columns."""
+    query = EffectQuery(cause, outcome, degree, variant, sign)
+    if covariate in z_vars or covariate in (cause, outcome):
+        raise QueryError("covariate must be distinct from the query variables")
+
+    def column(name):
+        i = dataset.column_index(name)
+        return [r[i] for r in dataset.rows]
+
+    cvalues = sorted(set(column(covariate)))
+    if c0 is None:
+        c0 = cvalues[0]
+    elif c0 not in cvalues:
+        raise UnavailableStratumError(f"covariate stratum c0={c0!r} never observed")
+    zc = reference_estimate_conditionals(dataset, cause, outcome, list(z_vars) + [covariate])
+    z_table = reference_estimate_conditionals(dataset, cause, outcome, z_vars)
+    rows = []
+    for z_row, (_, group) in zip(z_table.rows, groupby(zc.rows, key=lambda r: r.key[:-1])):
+        cells = [(r, r.probability / z_row.probability) for r in group]
+        ws = tuple(reduce(add, (r.ps[i] * pc for r, pc in cells), 0.0) for i in z_table.indices)
+        at_c0 = next((r for r, _ in cells if r.key[-1] == c0), None)
+        for i, w in enumerate(ws):
+            if w > 0.0 and (at_c0 is None or at_c0.ps[i] == 0.0):
+                x = sorted(set(column(cause)))[i]
+                raise UnavailableStratumError(
+                    f"no records for cause value {x!r} in stratum {z_row.key}"
+                )
+        rows.append(_ZRow(z_row.key, z_row.probability, ws, at_c0.gs))
+    table = StratumTable(z_table.z_variables, tuple(rows), z_table.indices)
+    return table.aggregate(query.degree, query.variant, query.sign)[0]
+
+
+def reference_ipwe(dataset, treatment: str, s: float, outcome: str, covariates) -> float:
+    """ipwe from two accumulation dicts and a second pass over the records."""
+    ti = dataset.column_index(treatment)
+    yi = dataset.column_index(outcome)
+    ci = [dataset.column_index(c) for c in covariates]
+    stratum_n: dict = {}
+    stratum_s: dict = {}
+    for row in dataset.rows:
+        key = tuple(row[i] for i in ci)
+        stratum_n[key] = stratum_n.get(key, 0) + 1
+        if row[ti] == s:
+            stratum_s[key] = stratum_s.get(key, 0) + 1
+    total = 0.0
+    for row in dataset.rows:
+        if row[ti] != s:
+            continue
+        key = tuple(row[i] for i in ci)
+        propensity = stratum_s.get(key, 0) / stratum_n[key]
+        if propensity <= 0.0:
+            raise PositivityError(f"zero estimated propensity in stratum {key}")
+        total += row[yi] / propensity
+    return total / len(dataset)
 
 
 # --- random expressions paired with an independent Python oracle ------------

@@ -179,6 +179,12 @@ def test_ande_rejects_nonbinary_stochastic_mediator():
         ande(m, "X", 0.0, 1.0, "Y", ["M"])
 
 
+def test_ande_rejects_a_mediator_named_twice():
+    m = _direct_and_mediated_model()
+    with pytest.raises(QueryError, match=r"^mediators name a variable twice: \['M', 'M'\]$"):
+        ande(m, "X", 0.0, 1.0, "Y", ["M", "M"])
+
+
 # --- Janzing strength ------------------------------------------------------------
 
 

@@ -218,6 +218,13 @@ def test_baselines_controlled_set_named_twice_exit_2(capsys):
     assert err == "error: controlled set names a variable twice: ['S', 'S']\n"
 
 
+def test_baselines_mediator_named_twice_exit_2(capsys):
+    code, out, err = run(capsys, "baselines", BSC, "--cause", "X", "--outcome", "Y",
+                         "--select", "ande", "--mediators", "Z,Z")
+    assert (code, out) == (2, "")
+    assert err == "error: mediators name a variable twice: ['Z', 'Z']\n"
+
+
 def test_baselines_sprinkler_table(capsys):
     code, out, _ = run(
         capsys, "baselines", SPRINKLER, "--cause", "R", "--outcome", "W",
