@@ -27,39 +27,23 @@ of the host spreads over every size.
 from __future__ import annotations
 
 import argparse
-import contextlib
-import io
-import json
 import os
-import platform
 import random
 import statistics
-import sys
 import tempfile
 from time import perf_counter
 
-ROOT = os.getcwd()
-sys.path.insert(0, os.path.join(ROOT, "src"))
-sys.path.insert(0, os.path.join(ROOT, "perfbench"))
+from harness import host, layers, timed, write
+from workloads import chain_model
 
-import host  # noqa: E402
-from tracer import Tracer  # noqa: E402
-from workloads import chain_model  # noqa: E402
-
-from vce import baselines as bl  # noqa: E402
-from vce import cli  # noqa: E402  (called as cli.main, which the span recorder wraps)
-from vce.dsl import parse_model  # noqa: E402
+from vce import baselines as bl
+from vce.dsl import parse_model
 
 MEASURES = ("ace", "acde", "janzing", "mi", "cmi")
 
 
 def _command(path: str) -> float:
-    start = perf_counter()
-    with contextlib.redirect_stdout(io.StringIO()):
-        code = cli.main(["baselines", path, "--cause", "X", "--outcome", "Y", "--format", "json"])
-    if code != 0:
-        raise SystemExit(f"baselines on {path} exited {code}")
-    return perf_counter() - start
+    return timed(["baselines", path, "--cause", "X", "--outcome", "Y", "--format", "json"])
 
 
 def _measures(text: str, k: int) -> dict[str, float]:
@@ -80,18 +64,6 @@ def _measures(text: str, k: int) -> dict[str, float]:
         calls[name]()
         times[f"{name}_s"] = perf_counter() - start
     return times
-
-
-def _layers(path: str) -> dict[str, float]:
-    tracer = Tracer()
-    tracer.enable()
-    try:
-        tracer.begin_op(0)
-        _command(path)
-        tracer.end_op()
-    finally:
-        tracer.disable()
-    return tracer.metrics({0: 1.0})
 
 
 def main(argv=None) -> dict:
@@ -125,20 +97,9 @@ def main(argv=None) -> dict:
                 "command_runs_s": runs[k],
                 "measures_s": {name: statistics.median(m[name] for m in measures[k])
                                for name in measures[k][0]},
-                "layers": _layers(paths[k]),
+                "layers": layers(lambda: _command(paths[k])),
             }
-    result = {
-        "argv": ["bench/baselines.py", *(argv if argv is not None else sys.argv[1:])],
-        "python": platform.python_version(),
-        "machine": platform.machine(),
-        "cpus": os.cpu_count(),
-        "repeats": args.repeats,
-        "host_factor": host.factor(chunks),
-        "chains": chains,
-    }
-    with open(args.out, "w", encoding="utf-8") as fh:
-        json.dump(result, fh, indent=2, sort_keys=True)
-        fh.write("\n")
+    result = write(args.out, "bench/baselines.py", argv, args.repeats, chunks, chains=chains)
     for k, row in chains.items():
         parts = "  ".join(f"{n} {v:.3f}" for n, v in row["measures_s"].items())
         print(f"chain-{k}: command {row['command_s']:.3f} s  ({parts})")

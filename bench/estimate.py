@@ -30,28 +30,17 @@ slow spell of the host spreads over every size.
 from __future__ import annotations
 
 import argparse
-import contextlib
-import io
-import json
 import os
-import platform
 import statistics
-import sys
 import tempfile
 from time import perf_counter
 
-ROOT = os.getcwd()
-sys.path.insert(0, os.path.join(ROOT, "src"))
-sys.path.insert(0, os.path.join(ROOT, "perfbench"))
+from harness import host, layers, timed, write
+from workloads import sample_csv
 
-import host  # noqa: E402
-from tracer import Tracer  # noqa: E402
-from workloads import sample_csv  # noqa: E402
-
-from vce import cli  # noqa: E402  (called as cli.main, which the span recorder wraps)
-from vce import estimation as est  # noqa: E402
-from vce.dsl import parse_model  # noqa: E402
-from vce.model import bind  # noqa: E402
+from vce import estimation as est
+from vce.dsl import parse_model
+from vce.model import bind
 
 MODEL = os.path.join("models", "sprinkler_functional.sem")
 SEED = 14
@@ -63,13 +52,7 @@ SHAPES = {
 
 
 def _command(path: str, shape: str) -> float:
-    argv = ["estimate", path, "--cause", "R", "--outcome", "W", *SHAPES[shape]]
-    start = perf_counter()
-    with contextlib.redirect_stdout(io.StringIO()):
-        code = cli.main(argv)
-    if code != 0:
-        raise SystemExit(f"{' '.join(argv)} exited {code}")
-    return perf_counter() - start
+    return timed(["estimate", path, "--cause", "R", "--outcome", "W", *SHAPES[shape]])
 
 
 def _stages(path: str, model) -> dict[str, float]:
@@ -84,18 +67,6 @@ def _stages(path: str, model) -> dict[str, float]:
     times.append(perf_counter())
     names = ("from_csv_s", "validate_against_s", "estimate_conditionals_s", "aggregate_s")
     return {name: b - a for name, a, b in zip(names, times, times[1:])}
-
-
-def _layers(path: str) -> dict[str, float]:
-    tracer = Tracer()
-    tracer.enable()
-    try:
-        tracer.begin_op(0)
-        _command(path, "model")
-        tracer.end_op()
-    finally:
-        tracer.disable()
-    return tracer.metrics({0: 1.0})
 
 
 def main(argv=None) -> dict:
@@ -129,20 +100,9 @@ def main(argv=None) -> dict:
                 "command_runs_s": runs[n],
                 "stages_s": {name: statistics.median(s[name] for s in stages[n])
                              for name in stages[n][0]},
-                "layers": _layers(paths[n]),
+                "layers": layers(lambda: _command(paths[n], "model")),
             }
-    result = {
-        "argv": ["bench/estimate.py", *(argv if argv is not None else sys.argv[1:])],
-        "python": platform.python_version(),
-        "machine": platform.machine(),
-        "cpus": os.cpu_count(),
-        "repeats": args.repeats,
-        "host_factor": host.factor(chunks),
-        "rows": sizes,
-    }
-    with open(args.out, "w", encoding="utf-8") as fh:
-        json.dump(result, fh, indent=2, sort_keys=True)
-        fh.write("\n")
+    result = write(args.out, "bench/estimate.py", argv, args.repeats, chunks, rows=sizes)
     for n, row in sizes.items():
         commands = "  ".join(f"{s} {v:.4f}" for s, v in row["commands_s"].items())
         parts = "  ".join(f"{s} {v:.4f}" for s, v in row["stages_s"].items())

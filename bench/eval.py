@@ -36,51 +36,31 @@ of the host spreads over every size.
 from __future__ import annotations
 
 import argparse
-import contextlib
-import io
-import json
 import os
-import platform
 import random
 import statistics
-import sys
 import tempfile
 from time import perf_counter
 
-ROOT = os.getcwd()
-sys.path.insert(0, os.path.join(ROOT, "src"))
-sys.path.insert(0, os.path.join(ROOT, "perfbench"))
+from harness import ROOT, host, layers, timed, write
+from workloads import chain_model
 
-import host  # noqa: E402
-from tracer import Tracer  # noqa: E402
-from workloads import chain_model  # noqa: E402
-
-from vce import cli  # noqa: E402  (called as cli.main, which the span recorder wraps)
-from vce.dsl import parse_model  # noqa: E402
-from vce.engine import build_joint, marginal  # noqa: E402
-from vce.model import bind  # noqa: E402
-from vce.variational import strata  # noqa: E402
+from vce.dsl import parse_model
+from vce.engine import build_joint, marginal
+from vce.model import bind
+from vce.variational import strata
 
 SMALL_MODEL = os.path.join(ROOT, "models", "sprinkler_functional.sem")
 SMALL_CALLS = 200
 
 
 def _command(path: str) -> float:
-    return _timed(["eval", path, "--cause", "X", "--outcome", "Y", "--format", "json"])
+    return timed(["eval", path, "--cause", "X", "--outcome", "Y", "--format", "json"])
 
 
 def _counterfactual(path: str, xs) -> float:
-    return _timed(["counterfactual", path, "--evidence", "Z0=1", "--context", f"X={xs[0]:g}",
-                   "--do", f"X={xs[-1]:g}", "--target", "Y"])
-
-
-def _timed(argv: list[str]) -> float:
-    start = perf_counter()
-    with contextlib.redirect_stdout(io.StringIO()):
-        code = cli.main(argv)
-    if code != 0:
-        raise SystemExit(f"{' '.join(argv)} exited {code}")
-    return perf_counter() - start
+    return timed(["counterfactual", path, "--evidence", "Z0=1", "--context", f"X={xs[0]:g}",
+                  "--do", f"X={xs[-1]:g}", "--target", "Y"])
 
 
 def _joint(model, z_vars: list[str], cause: str) -> float:
@@ -112,18 +92,6 @@ def _small(base) -> dict[str, float]:
         strata(model, "R", "W")
         strata_s += perf_counter() - start
     return {"joint_s": joint_s / SMALL_CALLS, "strata_s": strata_s / SMALL_CALLS}
-
-
-def _layers(path: str) -> dict[str, float]:
-    tracer = Tracer()
-    tracer.enable()
-    try:
-        tracer.begin_op(0)
-        _command(path)
-        tracer.end_op()
-    finally:
-        tracer.disable()
-    return tracer.metrics({0: 1.0})
 
 
 def main(argv=None) -> dict:
@@ -166,25 +134,13 @@ def main(argv=None) -> dict:
                 "counterfactual_runs_s": cf_runs[k],
                 "measures_s": {name: statistics.median(m[name] for m in measures[k])
                                for name in measures[k][0]},
-                "layers": _layers(paths[k]),
+                "layers": layers(lambda: _command(paths[k])),
             }
-    result = {
-        "argv": ["bench/eval.py", *(argv if argv is not None else sys.argv[1:])],
-        "python": platform.python_version(),
-        "machine": platform.machine(),
-        "cpus": os.cpu_count(),
-        "repeats": args.repeats,
-        "host_factor": host.factor(chunks),
-        "chains": chains,
-        "small": {
-            "model": "models/sprinkler_functional.sem", "bind": {"p": 0.3},
-            "cause": "R", "outcome": "W", "calls": SMALL_CALLS,
-            "measures_s": {name: statistics.median(m[name] for m in small) for name in small[0]},
-        },
-    }
-    with open(args.out, "w", encoding="utf-8") as fh:
-        json.dump(result, fh, indent=2, sort_keys=True)
-        fh.write("\n")
+    result = write(args.out, "bench/eval.py", argv, args.repeats, chunks, chains=chains, small={
+        "model": "models/sprinkler_functional.sem", "bind": {"p": 0.3},
+        "cause": "R", "outcome": "W", "calls": SMALL_CALLS,
+        "measures_s": {name: statistics.median(m[name] for m in small) for name in small[0]},
+    })
     for k, row in chains.items():
         parts = "  ".join(f"{n} {v:.4f}" for n, v in row["measures_s"].items())
         print(f"chain-{k}: command {row['command_s']:.4f} s  ({parts})  "

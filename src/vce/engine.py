@@ -46,6 +46,7 @@ _quiet = np.errstate(all="ignore")
 class Distribution:
     """Probability table over an ordered tuple of variables: a joint, a
     marginal, a conditional or a slice.  A joint omits zero-mass entries.
+    (`Dataset.table` is none: its rows are records, keys repeating, of mass 1.)
 
     Row r gives variable i the value `values[i][codes[i][r]]` and has mass
     `masses[r]`.  `entries` is the same table as a {key: mass} mapping, keys
@@ -151,14 +152,13 @@ def _group(codes: Sequence[np.ndarray], sizes: Sequence[int], n: int) -> tuple[n
     parts: list[np.ndarray] = []
     dims: list[int] = []
     for column, size in zip(codes, sizes):
-        if parts and math.prod(dims) * size > 4 * n + 1024:  # keep _number's tables small
+        if parts and math.prod(dims) * size > 4 * n + 1024:  # renumber: keys stay below n * size
             key, first = _number(np.ravel_multi_index(parts, dims), math.prod(dims), n)
             parts, dims = [key], [len(first)]
         parts.append(column)
         dims.append(size)
-    if not parts:
-        return np.zeros(n, dtype=np.intp), np.zeros(min(n, 1), dtype=np.intp)
-    return _number(np.ravel_multi_index(parts, dims), math.prod(dims), n)
+    key = np.ravel_multi_index(parts, dims) if parts else np.zeros(n, dtype=np.intp)
+    return _number(key, math.prod(dims), n)
 
 
 SMALL = 64  # rows up to which one Python pass beats numpy's per-call cost
@@ -174,6 +174,8 @@ def _number(key: np.ndarray, span: int, n: int) -> tuple[np.ndarray, np.ndarray]
             if i == len(first):
                 first.append(row)
         return np.array(number, dtype=np.intp), np.array(first, dtype=np.intp)
+    if span > 4 * n + 1024:  # rank sparse keys first, so the tables take O(n)
+        key, span = np.unique(key, return_inverse=True)[1].reshape(-1), n
     first_of = np.full(span, n)
     np.minimum.at(first_of, key, np.arange(n))
     first = np.sort(first_of[first_of < n])

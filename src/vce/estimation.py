@@ -35,8 +35,9 @@ from .variational import EffectQuery, StratumTable, _ZRow
 @dataclass(frozen=True)
 class Dataset:
     """Rectangular table of real-valued observations, one row per record;
-    `table` holds them as a Distribution of unit masses, each column coded by
-    its distinct values, ascending, each spelled as it first appears."""
+    `table` holds them as a Distribution of unit masses whose keys repeat (no
+    probability table), each column coded by its distinct values, ascending,
+    each spelled as it first appears."""
 
     columns: tuple[str, ...]
     rows: tuple[tuple[float, ...], ...]
@@ -69,13 +70,11 @@ class Dataset:
 
     @cached_property
     def table(self) -> Distribution:
-        values, codes = [], []
         data = np.fromiter(chain.from_iterable(self.rows), float, len(self) * len(self.columns))
-        for column in data.reshape(len(self), -1).T:
-            _, first, code = np.unique(column, return_index=True, return_inverse=True)
-            values.append(tuple(column[first].tolist()))
-            codes.append(code)
-        return Distribution(self.columns, columns=(values, codes, np.ones(len(self))))
+        data = data.reshape(len(self), -1).T
+        coded = [np.unique(c, return_index=True, return_inverse=True) for c in data]
+        values = [tuple(c[first].tolist()) for c, (_, first, _) in zip(data, coded)]
+        return Distribution(self.columns, columns=(values, [code for *_, code in coded], np.ones(len(self))))
 
     @classmethod
     def from_csv(cls, path: str) -> "Dataset":

@@ -4,6 +4,7 @@ zero keeps its -0.0 or 0.0 spelling), order, float bits, error types and
 error texts."""
 
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -173,3 +174,49 @@ def test_dataset_length_and_table_are_the_records():
     assert data.table.values == ((0.0, 2.0), (-1.0, 1.0))
     assert [c.tolist() for c in data.table.codes] == [[1, 0, 1], [1, 1, 0]]
     assert data.table.masses.tolist() == [1.0, 1.0, 1.0]
+
+
+def _distinct_strata(n, seed):
+    """n records whose S and T columns are all distinct reals (but for a
+    -0.0 and a 0.0 in each), with a binary cause X and a real outcome Y."""
+    rng = np.random.default_rng(seed)
+    s, t = rng.permutation(n) - n / 2 + 0.25, rng.normal(size=n)
+    s[:2], t[:2] = (-0.0, 0.0), (0.0, -0.0)
+    x, y = rng.integers(0, 2, size=n).astype(float), rng.normal(size=n)
+    return Dataset(("S", "T", "X", "Y"), tuple(zip(s.tolist(), t.tolist(), x.tolist(), y.tolist())))
+
+
+def test_readers_match_the_dict_readers_on_all_distinct_strata():
+    for n, seed in ((65, 1), (300, 2), (1000, 3)):
+        data = _distinct_strata(n, seed)
+        for z_vars in (["S", "T"], ["T", "S"], ["S"]):
+            assert (_outcome(estimate_conditionals, data, "X", "Y", z_vars)
+                    == _outcome(reference_estimate_conditionals, data, "X", "Y", z_vars))
+            for s in (0.0, 1.0):
+                assert (_outcome(ipwe, data, "X", s, "Y", z_vars)
+                        == _outcome(reference_ipwe, data, "X", s, "Y", z_vars))
+        args = (data, "X", "Y", ["S"], "T", 1.0)
+        assert (_outcome(covariate_weighted_effect, *args)
+                == _outcome(reference_covariate_weighted_effect, *args))
+
+
+def test_grouping_all_distinct_columns_takes_memory_linear_in_the_records():
+    # Two all-distinct columns make 3000 ** 2 joint keys: a table with a slot
+    # per key would take 72 MB, the records' own columns take 24 kB each.
+    data = _distinct_strata(3000, 4)
+    table = data.table
+    tracemalloc.start()
+    try:
+        table.group(["S", "T", "X"])
+        estimate_conditionals(data, "X", "Y", ["S", "T"])
+        ipwe(data, "X", 1.0, "Y", ["S", "T"])
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 8 * 2 ** 20, peak
+    for names in (["S", "T", "X"], ["T", "S"]):
+        group, first = table.group(names)
+        ids: dict = {}
+        number = [ids.setdefault(key, len(ids)) for key in table.keys(names=names)]
+        assert group.tolist() == number
+        assert first.tolist() == [number.index(i) for i in range(len(ids))]
