@@ -63,7 +63,7 @@ def _stages(path: str, model) -> dict[str, float]:
     times.append(perf_counter())
     table = est.estimate_conditionals(dataset, "R", "W", ["S", "V3"])
     times.append(perf_counter())
-    table.aggregate(1.0, "pace", "abs")
+    table.aggregate([1.0], "pace", "abs")
     times.append(perf_counter())
     names = ("from_csv_s", "validate_against_s", "estimate_conditionals_s", "aggregate_s")
     return {name: b - a for name, a, b in zip(names, times, times[1:])}

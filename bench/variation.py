@@ -1,0 +1,122 @@
+"""Times the variation DP: an l = 128 `vce sweep` over the degree for each
+variant, the aggregation alone on that sweep's stratum table, and the
+aggregation of a chain-11 `vce eval`.
+
+    python bench/variation.py --repeats 7 --out BENCH.json
+
+Run it from the root of a checkout: the program is imported from ./src.  The
+wide model (Z with 4 strata -> X with l = 128 values, some of zero
+probability, Y = a zig-zag of X and Z) comes from the benchmark's own
+generator, perfbench/workloads.wide_model, and the chain-11 model from
+perfbench/workloads.chain_model, both with seed 15.  It records:
+
+- `sweep_s`: for each variant, the median wall time of `vce.cli.main` on
+  `sweep --cause X --outcome Y --axis d=0:2:0.2 --variant V` (11 degrees);
+- `aggregate_s`: for each variant, the median time of the sweep table's
+  aggregation over those 11 degrees (`StratumTable.aggregate`, the table
+  built untimed);
+- `chain_eval_s` and `chain_aggregate_s`: the median wall time of
+  `eval --cause X --outcome Y` on chain-11 (2,048 strata of l = 4), and of
+  its table's PACE aggregation at d = 1;
+- `layers`: the per-layer metrics of one traced PACE sweep, from the span
+  recorder in perfbench/tracer.py.
+
+`host_factor` is the median slowdown of a fixed pure-Python chunk run
+between commands (perfbench/host.py), against that chunk's reference time;
+divide a time by it to compare runs made while the host ran at other speeds.
+Times are raw wall seconds; the repeats alternate across the measures.
+"""
+
+from __future__ import annotations
+
+import argparse
+import os
+import random
+import statistics
+import tempfile
+from time import perf_counter
+
+from harness import host, layers, timed, write
+from workloads import chain_model, grid_points, wide_model
+
+from vce.dsl import parse_model
+from vce.variational import VARIANTS, strata
+
+SEED = 15
+WIDE = (128, 4)  # (cause support l, strata)
+CHAIN_K = 11
+AXIS = "d=0:2:0.2"
+
+
+def _aggregate(table, degrees: list[float], variant: str):
+    """`table.aggregate` over `degrees`; a table whose aggregate takes one
+    degree (before the batched kernel) is called once per degree."""
+    try:
+        return table.aggregate(degrees, variant, "abs")
+    except TypeError:
+        return [table.aggregate(d, variant, "abs") for d in degrees]
+
+
+def _timed_call(call) -> float:
+    start = perf_counter()
+    call()
+    return perf_counter() - start
+
+
+def main(argv=None) -> dict:
+    parser = argparse.ArgumentParser(description=__doc__.split("\n\n")[0])
+    parser.add_argument("--repeats", type=int, default=7)
+    parser.add_argument("--out", required=True, help="where to write the JSON results")
+    args = parser.parse_args(argv)
+    if args.repeats < 1:
+        parser.error("--repeats must be at least 1")
+    rng = random.Random(SEED)
+    wide_text, _ = wide_model(rng, *WIDE)
+    chain_text, _ = chain_model(random.Random(SEED), CHAIN_K)
+    degrees = grid_points(0.0, 2.0, 0.2)
+    with tempfile.TemporaryDirectory() as scratch:
+        paths = {}
+        for name, text in (("wide", wide_text), ("chain", chain_text)):
+            paths[name] = os.path.join(scratch, f"{name}.sem")
+            with open(paths[name], "w", encoding="utf-8") as fh:
+                fh.write(text)
+        wide_table = strata(parse_model(wide_text), "X", "Y")
+        chain_table = strata(parse_model(chain_text), "X", "Y")
+
+        def sweep(variant):
+            return ["sweep", paths["wide"], "--cause", "X", "--outcome", "Y", "--axis", AXIS,
+                    "--variant", variant]
+
+        runs ={(kind, v): [] for kind in ("sweep", "aggregate") for v in VARIANTS}
+        chain_runs = {"chain_eval_s": [], "chain_aggregate_s": []}
+        chunks = []
+        for _ in range(args.repeats):
+            for variant in VARIANTS:
+                chunks.append(host.timed_chunk())
+                runs["sweep", variant].append(timed(sweep(variant)))
+                runs["aggregate", variant].append(
+                    _timed_call(lambda: _aggregate(wide_table, degrees, variant)))
+            chunks.append(host.timed_chunk())
+            chain_runs["chain_eval_s"].append(
+                timed(["eval", paths["chain"], "--cause", "X", "--outcome", "Y"]))
+            chain_runs["chain_aggregate_s"].append(
+                _timed_call(lambda: _aggregate(chain_table, [1.0], "pace")))
+        results = {
+            "wide": {"l": WIDE[0], "strata": WIDE[1], "axis": AXIS},
+            "chain_k": CHAIN_K,
+            "sweep_s": {v: statistics.median(runs["sweep", v]) for v in VARIANTS},
+            "aggregate_s": {v: statistics.median(runs["aggregate", v]) for v in VARIANTS},
+            **{name: statistics.median(r) for name, r in chain_runs.items()},
+            "runs_s": {f"{kind}_{v}": r for (kind, v), r in runs.items()} | chain_runs,
+            "layers": layers(lambda: timed(sweep("pace"))),
+        }
+    result = write(args.out, "bench/variation.py", argv, args.repeats, chunks, **results)
+    for kind in ("sweep_s", "aggregate_s"):
+        print(f"l = 128 {kind}: " + "  ".join(f"{v} {t:.4f}" for v, t in result[kind].items()))
+    print(f"chain-{CHAIN_K}: eval {result['chain_eval_s']:.4f} s  "
+          f"aggregate {result['chain_aggregate_s']:.4f} s")
+    return result
+
+
+if __name__ == "__main__":
+    main()

@@ -21,7 +21,7 @@ from .engine import (
     marginal,
     mutual_information,
 )
-from .errors import QueryError
+from .errors import PositivityError, QueryError
 from .estimation import Dataset
 from .model import CPT, Deterministic, Model
 from .rewrites import _cut, _functionalize
@@ -148,13 +148,16 @@ def ipwe(
     """Inverse probability weighting estimate of E(Y(s)).
 
     Propensities are empirical conditional frequencies over exact covariate
-    strata; each is positive, as the record it weights is in its stratum.
+    strata; each is positive, as the record it weights is in its stratum.  A
+    level `s` that no record takes has no estimate (PositivityError).
     """
     for name in (treatment, outcome, *covariates):
         dataset.column_index(name)  # an unknown name is a DatasetError
     table = dataset.table
     stratum = table.group(covariates)[0]
     hit = table.values_of(treatment) == s
+    if not hit.any():
+        raise PositivityError(f"no record has {treatment} = {s!r}")
     treated = stratum[hit]
     propensity = np.bincount(treated)[treated] / np.bincount(stratum)[treated]
     return _sum(table.values_of(outcome)[hit] / propensity) / len(dataset)

@@ -21,7 +21,7 @@ import json
 import math
 import sys
 from functools import cache
-from itertools import product
+from itertools import groupby, product
 from typing import Sequence
 
 from . import baselines as bl
@@ -177,27 +177,27 @@ def cmd_sweep(args) -> int:
         if name != "d" and name not in param_names:
             raise VceError(f"axis '{name}' is neither a parameter nor the degree 'd'")
 
+    def point(combo) -> tuple[dict, float]:  # the bindings and the degree
+        named = dict(zip([name for name, _ in axes], combo))
+        degree = named.pop("d", args.degree)
+        return {**fixed, **named}, degree
+
     # Consecutive grid points with equal bindings share one bound model and
-    # one stratum table.  Each point binds before it validates its query, so
+    # one stratum table, aggregated once over all their degrees.  Each point
+    # binds before it validates its query, and aggregating raises nothing, so
     # the first error a grid raises is the one a per-point evaluation raises.
-    rows = []
-    bound_for, table = None, None
-    for combo in product(*(values for _, values in axes)):
-        bindings = dict(fixed)
-        degree = args.degree
-        for (name, _), value in zip(axes, combo):
-            if name == "d":
-                degree = value
-            else:
-                bindings[name] = value
-        if bindings != bound_for:
-            model = bind(base, bindings) if (base.parameters or bindings) else base
-            bound_for, table = bindings, None
-        query = vr.EffectQuery(args.cause, args.outcome, degree, args.variant, args.sign)
-        if table is None:
-            table = vr.strata(model, query.cause, query.outcome)
-        value, _ = table.aggregate(query.degree, query.variant, query.sign)
-        rows.append(combo + (value,))
+    rows, variant = [], (args.variant, args.sign)
+    grid = product(*(values for _, values in axes))
+    for bindings, combos in groupby(grid, key=lambda combo: point(combo)[0]):
+        model = bind(base, bindings) if (base.parameters or bindings) else base
+        combos, table, degrees = list(combos), None, []
+        for combo in combos:
+            query = vr.EffectQuery(args.cause, args.outcome, point(combo)[1], *variant)
+            if table is None:
+                table = vr.strata(model, query.cause, query.outcome)
+            degrees.append(query.degree)
+        values = table.aggregate(degrees, *variant)
+        rows += [combo + (value,) for combo, (value, _) in zip(combos, values)]
 
     header = [name for name, _ in axes] + ["value"]
     out = open(args.out, "w", newline="", encoding="utf-8") if args.out else sys.stdout
@@ -305,8 +305,8 @@ def cmd_check(args) -> int:
     table = vr.strata(model, query.cause, query.outcome)
     d, sign = query.degree, query.sign
     worst = 0.0
-    for row in table.rows:
-        dp_value, chain = vr.total_variation(row.gs, row.ps, d, sign)
+    [(_, per_row)] = table.aggregate([d], "pace", sign)  # the DP that `eval` runs
+    for row, (dp_value, chain) in zip(table.rows, per_row):
         bf_value, _ = vr.brute_force_total_variation(row.gs, row.ps, d, sign)
         worst = max(worst, abs(dp_value - bf_value))
         if chain is not None:

@@ -142,7 +142,7 @@ def identifiable_effect(
     """Plug-in estimate of the chosen variational effect from data alone."""
     query = EffectQuery(cause, outcome, degree, variant, sign)
     table = estimate_conditionals(dataset, cause, outcome, z_vars)
-    return table.aggregate(query.degree, query.variant, query.sign)[0]
+    return table.aggregate([query.degree], query.variant, query.sign)[0][0]
 
 
 def covariate_weighted_effect(
@@ -185,4 +185,4 @@ def covariate_weighted_effect(
                 )
         rows.append(_ZRow(z_row.key, z_row.probability, ws, at_c0.gs))
     table = StratumTable(z_table.z_variables, tuple(rows), z_table.indices)
-    return table.aggregate(query.degree, query.variant, query.sign)[0]
+    return table.aggregate([query.degree], query.variant, query.sign)[0][0]

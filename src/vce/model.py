@@ -553,6 +553,7 @@ def _check_deterministic(
                 diags.append(f"{name}: body yields {value!r} at {assignment}, outside support")
 
 
+@np.errstate(over="ignore")  # a distance past the largest float is rightly not near
 def _snap_grid(support: FiniteSupport, values: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     """FiniteSupport.index_of over an array: each value's first support index
     within VALUE_TOL, and a mask of the values (NaN and infinities too) with none."""

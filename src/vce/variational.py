@@ -21,7 +21,8 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field
-from itertools import combinations
+from functools import partial
+from itertools import combinations, repeat
 from typing import Mapping, Sequence
 
 import numpy as np
@@ -77,10 +78,6 @@ def chain_value(gs, ps, chain: Sequence[int], degree: float, sign: str) -> float
     for a, b in zip(chain, chain[1:]):
         total += _pair_term(gs, ps, a, b, degree, sign)
     return total
-
-
-def easy_variation(gs, ps, degree: float, sign: str) -> float:
-    return chain_value(gs, ps, range(len(gs)), degree, sign)
 
 
 def _better(a: tuple[float, int, Chain], b: tuple[float, int, Chain]) -> bool:
@@ -157,12 +154,119 @@ def variation(gs, ps, degree: float, variant: str, sign: str) -> tuple[float, Ch
     if variant == "pace":
         return total_variation(gs, ps, degree, sign)
     if variant == "peace":
-        return easy_variation(gs, ps, degree, sign), None
+        return chain_value(gs, ps, range(len(gs)), degree, sign), None
     if variant == "space":
         return supremum_variation(gs, ps, degree, sign)
     if variant == "apace":
         return aggregated_variation(gs, ps, degree, sign), None
     raise QueryError(f"unknown variant '{variant}'")
+
+
+# Below this many pair terms (rows x degrees x pairs) the loops above serve
+# a call.  On x86-64 (Python 3.11, numpy 2.4) the kernel breaks even with them
+# at about 150 terms for space, apace and peace, and for pace, whose DP pays
+# per column, at about 250 for l = 4, 2,000 for l = 16 and 5,000 for l = 48.
+KERNEL_MIN_TERMS = 2048
+
+
+def variations(gs, ps, degrees: Sequence[float], variant: str, sign: str) -> list[list]:
+    """`variation` of every row (gs[r], ps[r]) at every degree, bit for bit:
+    out[k][r] is its (value, witness) at degrees[k].  Past KERNEL_MIN_TERMS
+    one numpy kernel serves all rows and degrees: the signed differences and
+    bases 4 p_j p_i are built once, and only the weights (Python `**`;
+    np.power differs in the last bit) depend on d."""
+    pairs = len(gs[0]) * (len(gs[0]) - 1) // 2 if len(gs) else 0
+    if len(gs) * len(degrees) * pairs >= KERNEL_MIN_TERMS:
+        g = np.array(gs, dtype=float)
+        with np.errstate(all="ignore"):  # Python floats overflow without a warning
+            if np.isfinite(np.ptp(g, axis=1)).all():  # else the loops compare NaN their way
+                return _kernel(g, np.array(ps, dtype=float), list(degrees), variant, sign)
+    return [[variation(g, p, d, variant, sign) for g, p in zip(gs, ps)] for d in degrees]
+
+
+def _kernel(gs, ps, degrees, variant, sign):
+    for d in degrees:  # raise what the loops raise, at their first term
+        variation(gs[0, :2].tolist(), ps[0, :2].tolist(), d, variant, sign)
+    l = gs.shape[1]
+    if variant == "pace":  # column by column: (0, 1), (0, 2), (1, 2), (0, 3), ...
+        j, i = np.tril_indices(l, -1)
+    else:  # as the loops take them: the chain's steps, or every pair row by row
+        i, j = (np.arange(l - 1), np.arange(1, l)) if variant == "peace" else np.triu_indices(l, 1)
+    diff = gs[:, j] - gs[:, i] if sign != "negative" else gs[:, i] - gs[:, j]
+    diff = np.abs(diff) if sign == "abs" else np.where(diff > 0.0, diff, 0.0)  # 0.0, not -0.0
+    base = 4.0 * ps[:, j] * ps[:, i]
+    live = (ps > 0.0)[:, j] & (ps > 0.0)[:, i]  # weight() is 0 for the others, at every d
+    if variant == "pace":
+        return _total_variations(diff, base, live, degrees, l)
+    out = []
+    for d in degrees:
+        terms = np.zeros(base.shape)
+        for r, on in enumerate(live):  # a row at a time holds few Python floats
+            terms[r, on] = np.fromiter(map(pow, base[r, on].tolist(), repeat(d)), float)
+        terms *= diff
+        if variant == "space":  # the first largest term, as `_better` keeps it
+            at = terms.argmax(axis=1)
+            out.append(list(zip(terms[np.arange(len(terms)), at].tolist(),
+                                zip(i[at].tolist(), j[at].tolist()))))
+        else:  # added in order, as the loops add them
+            out.append([(v, None) for v in np.cumsum(terms, axis=1)[:, -1].tolist()])
+    return out
+
+
+def _winner(value, points, pred):
+    """Over the last axis, the positive candidate `_better` picks: the largest,
+    then fewest points, then the smallest chain (through `pred`, in Python,
+    only where two still tie); meaningless where none is positive (not won)."""
+    best = value.max(axis=-1)
+    won = best > 0.0
+    hit = (value == best[..., None]) & won[..., None]
+    points = np.where(hit, points, value.shape[-1] + 2)  # more than any chain here
+    fewest = points.min(axis=-1)
+    hit &= points == fewest[..., None]
+    at = hit.argmax(axis=-1)
+    if np.count_nonzero(hit) > np.count_nonzero(won):  # some row ties twice
+        for r in zip(*np.nonzero(hit.sum(axis=-1) > 1)):
+            at[r] = min(np.flatnonzero(hit[r]).tolist(), key=partial(_chain, pred[r].tolist()))
+    return best, won, fewest, at
+
+
+def _chain(pred: list[int], end: int) -> list[int]:
+    chain = []
+    while end >= 0:
+        chain.append(end)
+        end = pred[end]
+    return chain[::-1]
+
+
+def _total_variations(diff, base, live, degrees, l):
+    """total_variation's DP over every (degree, row) at once, column by
+    column; pair (i, j) sits at j (j - 1) / 2 + i."""
+    shape = (len(degrees), len(diff), l)
+    # The best chain ending at each point: its value, points and predecessor.
+    value, points, pred = np.zeros(shape), np.ones(shape, dtype=np.intp), np.full(shape, -1)
+    for j in range(1, l):
+        a, b = j * (j - 1) // 2, j * (j + 1) // 2
+        on = live[:, a:b]
+        weights = np.zeros(shape[:2] + (j,))
+        bases = base[:, a:b][on].tolist()  # pow(x, d) is x ** d
+        weights[:, on] = [np.fromiter(map(pow, bases, repeat(d)), float, len(bases))
+                          for d in degrees]
+        best, won, fewest, at = _winner(value[..., :j] + diff[:, a:b] * weights,
+                                        points[..., :j] + 1, pred)
+        value[..., j] = best  # where not won, the single point (0.0, 1, (j,)) stands
+        np.copyto(points[..., j], fewest, where=won)
+        np.copyto(pred[..., j], at, where=won)
+    best, won, size, end = (x.ravel() for x in _winner(value, points, pred))
+    # Read every chain back from its end, all rows at once; a row whose every
+    # term is 0 takes (0, 1).
+    size, rows, pred = np.where(won, size, 2), np.arange(len(end)), pred.reshape(-1, l)
+    nodes = [end]
+    for _ in range(size.max() - 1):
+        nodes.append(pred[rows, nodes[-1]])
+    backward = np.array(nodes[::-1]).T.tolist()
+    pairs = [(v, tuple(c[len(c) - n:]) if w else (0, 1))
+             for v, w, c, n in zip(best.tolist(), won.tolist(), backward, size.tolist())]
+    return [pairs[k:k + len(diff)] for k in range(0, len(pairs), len(diff))]
 
 
 # --- queries over models --------------------------------------------------
@@ -259,15 +363,18 @@ class StratumTable:
         raise ZeroProbabilityError(f"z assignment {dict(z)} has zero probability")
 
     def aggregate(
-        self, degree: float, variant: str, sign: str
-    ) -> tuple[float, list[tuple[float, Chain | None]]]:
-        """Expectation over z of the per-z variation, with each row's
-        (value, witness chain over positions of `indices`)."""
-        per_row = [variation(row.gs, row.ps, degree, variant, sign) for row in self.rows]
-        total = 0.0
-        for row, (value, _) in zip(self.rows, per_row):
-            total += row.probability * value
-        return total, per_row
+        self, degrees: Sequence[float], variant: str, sign: str
+    ) -> list[tuple[float, list[tuple[float, Chain | None]]]]:
+        """At each degree, the expectation over z of the per-z variation, with
+        each row's (value, witness chain over positions of `indices`)."""
+        out = []
+        for per_row in variations([row.gs for row in self.rows], [row.ps for row in self.rows],
+                                  degrees, variant, sign):
+            total = 0.0
+            for row, (value, _) in zip(self.rows, per_row):
+                total += row.probability * value
+            out.append((total, per_row))
+        return out
 
 
 def _tabulate(
@@ -313,6 +420,11 @@ def _tabulate(
             gs.append(tuple(g))
     else:
         gs = [tuple(xs)] * len(first)
+    values = ys if outcome is not None else support.values  # every g is one of these
+    for z_key, g in zip(z_keys, gs) if not math.isfinite(values[-1] - values[0]) else ():
+        if g and not math.isfinite(max(g) - min(g)):  # inf times a zero weight is NaN
+            raise QueryError(f"'{outcome or cause}' values {min(g)!r} and {max(g)!r} differ "
+                             f"by more than the largest float at z = {z_key}")
     rows = [_ZRow(z_key, p, tuple(z_ps), g)
             for z_key, p, z_ps, g in zip(z_keys, pz.tolist(), ps, gs)]
     return StratumTable(z_vars, tuple(rows), indices)
@@ -344,7 +456,7 @@ def effect(
     probability are skipped; their conditional weights are undefined.
     """
     table = strata(model, query.cause, query.outcome, support_subset)
-    value, per_row = table.aggregate(query.degree, query.variant, query.sign)
+    [(value, per_row)] = table.aggregate([query.degree], query.variant, query.sign)
     breakdown = {
         row.key: ZSlice(row.probability, v, _witness(table.indices, chain))
         for row, (v, chain) in zip(table.rows, per_row)
@@ -370,7 +482,7 @@ def pace_vector(
         raise QueryError("grid degrees must be ascending")
     EffectQuery(cause, outcome, variant=variant, sign=sign)  # checks the variant and the sign
     table = strata(model, cause, outcome)
-    return [table.aggregate(d, variant, sign)[0] for d in degrees]
+    return [value for value, _ in table.aggregate(degrees, variant, sign)]
 
 
 def degree_grid(max_degree: float = 1.0, steps: int = 10) -> list[float]:
@@ -396,7 +508,7 @@ def natural_availability(
         raise QueryError("conditioning set must not contain the cause")
     for z in z_vars:
         model.variable(z)
-    return _tabulate(model, cause, None, tuple(z_vars)).aggregate(degree, variant, "abs")[0]
+    return _tabulate(model, cause, None, tuple(z_vars)).aggregate([degree], variant, "abs")[0][0]
 
 
 # --- per-z operations (the oracle-facing surface) ---------------------------
@@ -420,7 +532,7 @@ def piev(
 def piv(model: Model, query: EffectQuery, z: Mapping[str, float]) -> tuple[float, Partition | None]:
     """Normalized total variation at one z (DP), with a witnessing partition."""
     row, indices = _z_row(model, query, z)
-    value, chain = total_variation(row.gs, row.ps, query.degree, query.sign)
+    [[(value, chain)]] = variations([row.gs], [row.ps], [query.degree], "pace", query.sign)
     return value, _witness(indices, chain)
 
 
@@ -436,14 +548,14 @@ def brute_force_piv(
 def spiv(model: Model, query: EffectQuery, z: Mapping[str, float]) -> tuple[float, Partition | None]:
     """Normalized supremum (single-pair) variation at one z."""
     row, indices = _z_row(model, query, z)
-    value, chain = supremum_variation(row.gs, row.ps, query.degree, query.sign)
+    [[(value, chain)]] = variations([row.gs], [row.ps], [query.degree], "space", query.sign)
     return value, _witness(indices, chain)
 
 
 def apiv(model: Model, query: EffectQuery, z: Mapping[str, float]) -> float:
     """Normalized aggregated (all-pairs) variation at one z."""
     row, _ = _z_row(model, query, z)
-    return aggregated_variation(row.gs, row.ps, query.degree, query.sign)
+    return variations([row.gs], [row.ps], [query.degree], "apace", query.sign)[0][0][0]
 
 
 def matrix_form_chain_value(gs, ps, chain: Sequence[int], degree: float, sign: str) -> float:
@@ -489,4 +601,4 @@ def ace_flavored_effect(
     px = marginal(joint, [cause])
     ps = [px.probability((x,)) for x in support.values]
     ms = interventional_means(model, outcome, [cause], [(x,) for x in support.values])
-    return variation(ms, ps, query.degree, query.variant, query.sign)[0]
+    return variations([ms], [ps], [query.degree], query.variant, query.sign)[0][0][0]

@@ -687,7 +687,7 @@ def reference_covariate_weighted_effect(dataset, cause, outcome, z_vars, covaria
                 )
         rows.append(_ZRow(z_row.key, z_row.probability, ws, at_c0.gs))
     table = StratumTable(z_table.z_variables, tuple(rows), z_table.indices)
-    return table.aggregate(query.degree, query.variant, query.sign)[0]
+    return table.aggregate([query.degree], query.variant, query.sign)[0][0]
 
 
 def reference_ipwe(dataset, treatment: str, s: float, outcome: str, covariates) -> float:
@@ -695,6 +695,8 @@ def reference_ipwe(dataset, treatment: str, s: float, outcome: str, covariates) 
     ti = dataset.column_index(treatment)
     yi = dataset.column_index(outcome)
     ci = [dataset.column_index(c) for c in covariates]
+    if not any(row[ti] == s for row in dataset.rows):
+        raise PositivityError(f"no record has {treatment} = {s!r}")
     stratum_n: dict = {}
     stratum_s: dict = {}
     for row in dataset.rows:

@@ -324,7 +324,7 @@ def test_c12_estimation_consistency(ramp_reset, sprinkler, sprinkler_functional)
         table = StratumTable(tuple(z_vars), tuple(rows), tuple(range(len(xs))))
         d = float(rng.choice((0.0, 0.3, 1.0, 2.0)))
         for variant in VARIANTS:
-            assert table.aggregate(d, variant, "abs")[0] == pytest.approx(
+            assert table.aggregate([d], variant, "abs")[0][0] == pytest.approx(
                 effect(model, EffectQuery(cause, outcome, d, variant)).value, abs=1e-9
             )
 

@@ -21,7 +21,7 @@ from vce.baselines import (
 )
 from vce.dsl import parse_model
 from vce.engine import build_joint, expectation_under, marginal, sample
-from vce.errors import QueryError
+from vce.errors import PositivityError, QueryError
 from vce.estimation import Dataset
 from vce.model import bind
 from vce.variational import g_in
@@ -370,6 +370,12 @@ def test_ipwe_uniform_treatment_matches_stratified_mean():
 def test_ipwe_single_record():
     data = Dataset(("T", "Y"), ((1.0, 3.0),))
     assert ipwe(data, "T", 1.0, "Y", []) == pytest.approx(3.0, abs=0)
+
+
+def test_ipwe_rejects_a_level_no_record_takes():
+    data = Dataset(("T", "Y"), ((0.0, 1.0), (1.0, 2.0)))
+    with pytest.raises(PositivityError, match=r"^no record has T = 7\.0$"):
+        ipwe(data, "T", 7.0, "Y", [])
 
 
 def test_ipwe_sprinkler_close_to_interventional_mean(sprinkler):

@@ -567,3 +567,27 @@ def test_parser_reused_across_calls_matches_a_fresh_parser(capsys, monkeypatch):
     assert shared == fresh
     assert [code for code, _, _ in fresh[:3]] == [0, 0, 2]
     assert "unbound parameter(s) ['p']" in fresh[2][2]
+
+
+OVERFLOW = """var X in {0, 1, 2}
+var Y in {-1e308, 1e308}
+root X {0: 0.5, 1: 0, 2: 0.5}
+def Y = if X == 1 then 1e308 else -1e308
+"""
+
+
+@pytest.mark.parametrize("variant", ["pace", "peace", "space", "apace"])
+def test_eval_rejects_outcome_differences_past_the_largest_float(capsys, tmp_path, variant):
+    # 1e308 - (-1e308) is inf, and inf times a zero weight is NaN.
+    path = tmp_path / "overflow.sem"
+    path.write_text(OVERFLOW)
+    code, out, err = run(capsys, "eval", str(path), "--cause", "X", "--outcome", "Y",
+                         "--variant", variant, "--format", "json")
+    assert code == 2 and out == ""
+    assert "'Y' values -1e+308 and 1e+308 differ by more than the largest float at z = ()" in err
+
+
+def test_validating_a_model_with_far_apart_support_values_warns_nothing():
+    # Snapping a def table onto {-1e308, 1e308} measures a distance past the
+    # largest float; the suite turns any RuntimeWarning into an error.
+    parse_model(OVERFLOW)

@@ -138,7 +138,7 @@ def test_plugin_consistency_with_exact_probabilities():
         d = float(rng.choice((0.0, 0.3, 1.0, 2.0)))
         for variant in ("pace", "peace", "space", "apace"):
             for sign in ("abs", "positive", "negative"):
-                plug = table.aggregate(d, variant, sign)[0]
+                plug = table.aggregate([d], variant, sign)[0][0]
                 exact = effect(model, EffectQuery(cause, outcome, d, variant, sign)).value
                 assert plug == pytest.approx(exact, abs=1e-9), (variant, sign)
 

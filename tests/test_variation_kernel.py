@@ -1,0 +1,137 @@
+"""The batched variation kernel (`variational.variations` and the numpy
+`_kernel` behind it) against the row-at-a-time loops (`variation`): the
+float bits of every value and every witness chain, on random stacks of
+strata x degrees with ties, zero probabilities and -0.0 outcomes."""
+
+import math
+
+import numpy as np
+import pytest
+
+from vce import variational as vr
+
+STACKS = 520
+DEGREES = (0.0, 1 / 3, 1.0, 2.0, 40.0)
+
+
+def _stack(rng):
+    """(gs, ps, degrees): 1 to 2,048 rows over l = 1 to 130 cause values.
+    Integer outcomes and equal or zero probabilities make ties; rows repeat
+    now and then, some only up to a -0.0."""
+    shape = rng.random()
+    if shape < 0.1:
+        l, n = int(rng.integers(48, 131)), int(rng.integers(1, 4))
+    elif shape < 0.2:
+        l, n = int(rng.integers(2, 5)), int(rng.integers(256, 2049))
+    else:
+        l, n = int(rng.choice((1, 2, 2, 3, 4, 5, 8, 12, 20))), int(rng.integers(1, 40))
+    if rng.random() < 0.5:
+        gs = rng.integers(-3, 4, (n, l)).astype(float)
+        gs[rng.random((n, l)) < 0.3] = -0.0
+    else:
+        gs = rng.normal(size=(n, l)) * 10.0 ** float(rng.integers(-3, 4))
+    ps = rng.random((n, l))
+    if rng.random() < 0.3:
+        ps[:] = 1.0
+    ps[rng.random((n, l)) < 0.2] = 0.0
+    ps /= np.maximum(ps.sum(axis=1, keepdims=True), 1e-300)
+    if rng.random() < 0.1:  # 4 p q underflows to 0.0 while p, q > 0: (0.0) ** 0 is 1
+        ps[rng.random((n, l)) < 0.3] = 1e-170
+    if rng.random() < 0.3:  # repeated rows, some only up to a -0.0
+        pick = rng.integers(0, max(1, n // 8), n)
+        gs, ps = gs[pick], ps[pick]
+        gs[gs == 0.0] = np.where(rng.random(np.count_nonzero(gs == 0.0)) < 0.5, -0.0, 0.0)
+    k = int(rng.integers(1, 4)) if n * l * l < 40_000 else 1
+    degrees = [float(d) for d in rng.choice(DEGREES, size=k, replace=k > len(DEGREES))]
+    return [tuple(r) for r in gs.tolist()], [tuple(r) for r in ps.tolist()], degrees
+
+
+def _bits(out):
+    return [[(float(v).hex(), chain) for v, chain in per_row] for per_row in out]
+
+
+def test_kernel_matches_the_loops_bit_for_bit(monkeypatch):
+    rng = np.random.default_rng(1515)
+    ties = []
+    chain = vr._chain
+    monkeypatch.setattr(vr, "_chain", lambda *args: ties.append(1) or chain(*args))
+    seen = dict.fromkeys(("l1", "l2", "wide", "tall", "mixed", "repeats", "negzero"), 0)
+    for _ in range(STACKS):
+        gs, ps, degrees = _stack(rng)
+        l = len(gs[0])
+        sign = str(rng.choice(vr.SIGNS))
+        for variant in vr.VARIANTS:
+            want = _bits([[vr.variation(g, p, d, variant, sign) for g, p in zip(gs, ps)]
+                          for d in degrees])
+            assert _bits(vr.variations(gs, ps, degrees, variant, sign)) == want, (variant, sign)
+            if l > 1:
+                got = vr._kernel(np.array(gs), np.array(ps), degrees, variant, sign)
+                assert _bits(got) == want, (variant, sign, l, len(gs), degrees)
+        seen["l1"] += l == 1
+        seen["l2"] += l == 2
+        seen["wide"] += l >= 100
+        seen["tall"] += len(gs) >= 1024
+        seen["mixed"] += len(set(degrees)) > 1
+        seen["repeats"] += len(set(zip(gs, ps))) < len(gs)
+        seen["negzero"] += any(math.copysign(1.0, g) < 0 for row in gs for g in row if g == 0.0)
+    assert seen["l1"] >= 10 and seen["l2"] >= 30 and seen["wide"] >= 10, seen
+    assert seen["tall"] >= 20 and seen["mixed"] >= 150, seen
+    assert seen["repeats"] >= 100 and seen["negzero"] >= 150, seen
+    assert len(ties) >= 100  # candidates that tie on value and points, settled by chain
+
+
+def test_ties_settle_on_fewer_points_then_the_smallest_chain():
+    # g rises by 1 at every step, all weights are 1 at d = 0: every chain
+    # from 0 to 3 is worth 3; (0, 3) has the fewest points.
+    gs, ps = [(0.0, 1.0, 2.0, 3.0)], [(0.25, 0.25, 0.25, 0.25)]
+    assert vr._kernel(np.array(gs), np.array(ps), [0.0], "pace", "abs") == [[(3.0, (0, 3))]]
+    # Two pairs worth 1 each: (0, 1) comes first, and no chain is worth more.
+    gs = [(0.0, 1.0, 1.0, 0.0)]
+    assert vr._kernel(np.array(gs), np.array(ps), [0.0], "pace", "positive") == [[(1.0, (0, 1))]]
+    assert vr._kernel(np.array(gs), np.array(ps), [0.0], "space", "positive") == [[(1.0, (0, 1))]]
+
+
+def test_every_term_zero_gives_the_first_pair():
+    gs, ps = [(2.0, 1.0, 0.0)] * 2, [(0.5, 0.0, 0.5), (0.2, 0.3, 0.5)]
+    for variant in ("pace", "space"):
+        got = vr._kernel(np.array(gs), np.array(ps), [1.0, 0.0], variant, "positive")
+        assert got == [[(0.0, (0, 1))] * 2] * 2
+
+
+def test_an_infinite_difference_takes_the_loops():
+    # 1e308 - (-1e308) overflows; the loops' NaN comparisons decide.
+    gs, ps = [(-1e308, 1e308) * 32], [(0.0, 1 / 32) * 32]
+    for variant in vr.VARIANTS:
+        want = vr.variation(gs[0], ps[0], 1.0, variant, "abs")
+        got = vr.variations(gs, ps, [1.0] * 11, variant, "abs")
+        assert [repr(v) for [(v, _)] in got] == [repr(want[0])] * 11
+        assert [chain for [(_, chain)] in got] == [want[1]] * 11
+
+
+@pytest.mark.parametrize("variant, sign, degree, message", [
+    ("pace", "abs", -1.0, "degree must be >= 0, got -1.0"),
+    ("space", "abs", math.inf, "degree must be finite, got inf"),
+    ("apace", "up", 1.0, "unknown sign 'up'"),
+    ("most", "abs", 1.0, "unknown variant 'most'"),
+])
+def test_the_kernel_raises_what_the_loops_raise(variant, sign, degree, message):
+    gs, ps = [tuple(range(64))] * 2, [(1 / 64,) * 64] * 2
+    for call in (lambda: vr.variations(gs, ps, [1.0, degree], variant, sign),
+                 lambda: [vr.variation(g, p, d, variant, sign) for d in (1.0, degree)
+                          for g, p in zip(gs, ps)]):
+        with pytest.raises(vr.QueryError, match=f"^{message}$"):
+            call()
+
+
+def test_a_tie_between_chains_of_one_length_deep_in_the_dp():
+    # At d = 40 every live pair weighs the same tiny amount, so sums of the
+    # negative parts tie between chains that part early and meet again.
+    gs = [(-0.04105949542588391, 0.034763413951044334, 0.043074284144778374, 0.028270851496307727,
+           -0.02108961212635721, -0.07997222244194552, -0.20072130346228306, -0.11605634774578324,
+           -0.06672047090089188, -0.04742359878822348, -0.030058039149591095, 0.14964197629814904,
+           -0.01833449041402807, -0.1665848925680085, -0.09102573682192881, -0.05314929628702451,
+           -0.1287709466687316, -0.03249011995362235, -0.005620788904710843, 0.030504059530461414)]
+    ps = [(0.0, 1 / 18, 0.0) + (1 / 18,) * 17]
+    want = vr.variation(gs[0], ps[0], 40.0, "pace", "negative")
+    assert want[1] == (1, 5, 6, 11, 13, 15, 16)
+    assert vr._kernel(np.array(gs), np.array(ps), [40.0], "pace", "negative") == [[want]]
