@@ -9,7 +9,7 @@ Regenerate only when a change of output is intended:
 
 Argvs name models as `{models}/NAME.sem`, the dataset as `{csv}`, the small
 datasets of `BAD_CSVS` as `{csvs}/NAME.csv` and the malformed models as
-`{mutants}/NAME.sem`; each is substituted before a run and put back in the
+`{mutants}/NAME.sem` (with the models of `BAD_MODELS`); each is substituted before a run and put back in the
 output before hashing.  The dataset and the malformed models (token-level
 mutations of `models/*.sem`) are written from fixed seeds.
 """
@@ -61,6 +61,21 @@ BAD_CSVS = {
     "ragged": "C,R,S,W\n0,1,0,1\n1,0,1\n",
     "header": "C,R,S,W\n",
     "zeros": "S,T,C,X,Y\n-0,1,0,0,1\n0,0,0,0,1\n0,0,1,1,2\n-0,1,1,1,3\n",
+    # Y's sums over X = 0 overflow; Y's two means differ by more than the largest float.
+    "big": "X,Y\n0,1e308\n0,1e308\n1,0\n",
+    "spread": "X,Y\n0,1e308\n1,-1e308\n",
+}
+# Models that parse but fail validation: a `def` on line 6 whose condition is
+# not 0 or 1, failures in two mechanisms (the first an indented `cpt` on line
+# 4), a variable without a mechanism, and a cycle.
+BAD_MODELS = {
+    "bad_if": "# a def whose 'if' condition is not 0 or 1\nvar X in {0, 1}\nvar Y in {0, 1}\n\n"
+              "root X {0: 0.5, 1: 0.5}\ndef Y = if X * 0.75 then 1 else 0\n",
+    "bad_two": "var X in {0, 1}\nvar Y in {0, 1, 2}\nvar W in {0, 1}\n"
+               "  cpt W | X {(0): {0: 0.5, 1: 0.6}, (1): {0: 1, 1: 0}}\n"
+               "root X {0: 0.5, 1: 0.5}\ndef Y = if X * 0.75 then 1 else 3\n",
+    "bad_unset": "var X in {0, 1}\nvar Y in {0, 1}\nroot X {0: 0.5, 1: 0.5}\n",
+    "bad_cycle": "var X in {0, 1}\nvar Y in {0, 1}\ndef X = Y\ndef Y = X\n",
 }
 _TOKEN = re.compile(r"#[^\n]*|[\d.]+(?:[eE][+-]?\d+)?|\w+|[=!<>]=|\S")
 
@@ -115,6 +130,8 @@ def write_inputs(tmp: Path) -> dict[str, str]:
     mutant_dir.mkdir()
     for name, _, text in mutants():
         (mutant_dir / name).write_text(text, encoding="utf-8")
+    for name, text in BAD_MODELS.items():
+        (mutant_dir / f"{name}.sem").write_text(text, encoding="utf-8")
     return {"{models}": str(MODELS_DIR), "{csv}": str(csv_path), "{csvs}": str(csv_dir),
             "{mutants}": str(mutant_dir)}
 
@@ -213,6 +230,11 @@ def commands() -> list[list[str]]:
         out.append(["estimate", "{csvs}/zeros.csv", *xy, "--given", given, "--format", "json"])
     for given in ("Q", "R", "S,S"):
         out.append(["estimate", "{csv}", *rw, "--given", given])
+    for name in ("big", "spread"):
+        for fmt in FORMATS:
+            out.append(["estimate", f"{{csvs}}/{name}.csv", *xy, "--format", fmt])
+    for name in BAD_MODELS:
+        out.append(["eval", f"{{mutants}}/{name}.sem", *xy])
     for name, source, _ in mutants():
         out.append(["eval", f"{{mutants}}/{name}", *queries[source]])
     return out
