@@ -1,5 +1,6 @@
-"""Times in-process `vce eval` on chain-k models: the whole command, its
-parse + validate step and its stratum table; and one `vce counterfactual`.
+"""Times in-process `vce eval` on chain-k models: the whole command in JSON
+and table format, its parse + validate step, its stratum table, the effect
+and the printing of its report; and one `vce counterfactual`.
 
     python bench/eval.py --k 9 11 14 --repeats 5 --out BENCH.json
 
@@ -9,12 +10,15 @@ entries and Y slots) come from the benchmark's own generator,
 perfbench/workloads.chain_model, with seed k.  For each k it records:
 
 - `command_s`: the median wall time of `vce.cli.main` on
-  `eval --cause X --outcome Y --format json`;
+  `eval --cause X --outcome Y --format json`, and `table_command_s` on the
+  same command in table format;
 - `measures_s`: the median time of `parse_model` (parse + validate, which
   fills the outcome tables), of `strata` on the model just parsed (so it
   pays for the observational joint, P(z) and P(z, x) and the gather of g),
-  and `joint_s`, of `build_joint` plus the marginals onto Z and onto
-  (Z, X) on another fresh parse;
+  `joint_s`, of `build_joint` plus the marginals onto Z and onto (Z, X) on
+  another fresh parse, `effect_s`, of `effect` (PACE, d = 1) on a third
+  fresh parse, and `print_s` and `print_table_s`, of printing that report
+  in JSON and in table format (stdout captured);
 - `counterfactual_s`: the median wall time of `vce.cli.main` on
   `counterfactual --evidence Z0=1 --context X=min --do X=max --target Y`
   (min and max of X's support);
@@ -36,26 +40,35 @@ of the host spreads over every size.
 from __future__ import annotations
 
 import argparse
+import contextlib
+import io
 import os
 import random
 import statistics
 import tempfile
 from time import perf_counter
 
-from harness import ROOT, host, layers, timed, write
+from harness import ROOT, cli, host, layers, timed, write
 from workloads import chain_model
 
 from vce.dsl import parse_model
 from vce.engine import build_joint, marginal
 from vce.model import bind
-from vce.variational import strata
+from vce.variational import EffectQuery, effect, strata
 
 SMALL_MODEL = os.path.join(ROOT, "models", "sprinkler_functional.sem")
 SMALL_CALLS = 200
 
 
-def _command(path: str) -> float:
-    return timed(["eval", path, "--cause", "X", "--outcome", "Y", "--format", "json"])
+def _command(path: str, fmt: str = "json") -> float:
+    return timed(["eval", path, "--cause", "X", "--outcome", "Y", "--format", fmt])
+
+
+def _printing(report, fmt: str) -> float:
+    start = perf_counter()
+    with contextlib.redirect_stdout(io.StringIO()):
+        cli._print_report(report, fmt)
+    return perf_counter() - start
 
 
 def _counterfactual(path: str, xs) -> float:
@@ -79,7 +92,13 @@ def _measures(text: str, k: int) -> dict[str, float]:
     strata(model, "X", "Y")
     done = perf_counter()
     joint_s = _joint(parse_model(text), [f"Z{i}" for i in range(k)], "X")
-    return {"parse_model_s": parsed - start, "strata_s": done - parsed, "joint_s": joint_s}
+    model = parse_model(text)
+    begun = perf_counter()
+    report = effect(model, EffectQuery("X", "Y"))
+    effect_s = perf_counter() - begun
+    return {"parse_model_s": parsed - start, "strata_s": done - parsed, "joint_s": joint_s,
+            "effect_s": effect_s, "print_s": _printing(report, "json"),
+            "print_table_s": _printing(report, "table")}
 
 
 def _small(base) -> dict[str, float]:
@@ -111,6 +130,7 @@ def main(argv=None) -> dict:
             with open(paths[k], "w", encoding="utf-8") as fh:
                 fh.write(texts[k])
         runs = {k: [] for k in args.k}
+        table_runs = {k: [] for k in args.k}
         cf_runs = {k: [] for k in args.k}
         measures = {k: [] for k in args.k}
         with open(SMALL_MODEL, encoding="utf-8") as fh:
@@ -121,6 +141,7 @@ def main(argv=None) -> dict:
             for k in args.k:
                 chunks.append(host.timed_chunk())
                 runs[k].append(_command(paths[k]))
+                table_runs[k].append(_command(paths[k], "table"))
                 cf_runs[k].append(_counterfactual(paths[k], xs[k]))
                 measures[k].append(_measures(texts[k], k))
             small.append(_small(small_base))
@@ -130,6 +151,8 @@ def main(argv=None) -> dict:
                 "entries": 4 * 2 ** k,
                 "command_s": statistics.median(runs[k]),
                 "command_runs_s": runs[k],
+                "table_command_s": statistics.median(table_runs[k]),
+                "table_command_runs_s": table_runs[k],
                 "counterfactual_s": statistics.median(cf_runs[k]),
                 "counterfactual_runs_s": cf_runs[k],
                 "measures_s": {name: statistics.median(m[name] for m in measures[k])
@@ -143,7 +166,8 @@ def main(argv=None) -> dict:
     })
     for k, row in chains.items():
         parts = "  ".join(f"{n} {v:.4f}" for n, v in row["measures_s"].items())
-        print(f"chain-{k}: command {row['command_s']:.4f} s  ({parts})  "
+        print(f"chain-{k}: command {row['command_s']:.4f} s  table {row['table_command_s']:.4f} s  "
+              f"({parts})  "
               f"counterfactual {row['counterfactual_s']:.4f} s")
     parts = "  ".join(f"{n} {v * 1e3:.4f} ms" for n, v in result["small"]["measures_s"].items())
     print(f"sprinkler_functional p=0.3, per bind: {parts}")

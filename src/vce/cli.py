@@ -24,6 +24,8 @@ from functools import cache
 from itertools import groupby, product
 from typing import Sequence
 
+import numpy as np
+
 from . import baselines as bl
 from . import counterfactual as cf
 from . import estimation as est
@@ -82,45 +84,58 @@ def _fmt(value: float) -> str:
     return f"{value:.12g}"
 
 
-def _report_json(report: vr.EffectReport) -> dict:
-    breakdown = []
-    for key in sorted(report.breakdown):
-        z = report.breakdown[key]
-        breakdown.append(
-            {
-                "z": {name: value for name, value in zip(report.z_variables, key)},
-                "probability": z.probability,
-                "value": z.value,
-                "partition": list(z.partition.indices) if z.partition else None,
-            }
-        )
-    return {
-        "query": {"cause": report.query.cause, "outcome": report.query.outcome},
-        "degree": report.query.degree,
-        "variant": report.query.variant,
-        "sign": report.query.sign,
-        "value": report.value,
-        "breakdown": breakdown,
-    }
+def _json_floats(values: list[float]) -> list[str]:
+    """Each float as json.dumps writes it (repr, or NaN, Infinity, -Infinity)."""
+    return json.dumps(values)[1:-1].split(", ") if values else []
+
+
+def _z_strings(z, form, names) -> list[list[str]]:
+    """Per z variable of `names` (positions in z.variables), each stratum's
+    value as `form` writes that variable's values: each written once and
+    gathered by code."""
+    return [np.array(form(c), dtype=object)[z.codes[c]].tolist() for c in names]
+
+
+def _report_json(report: vr.EffectReport) -> str:
+    """json.dumps(..., indent=2, sort_keys=True) of the report, written from
+    the stratum table's columns in its ascending row order."""
+    q, table, per_row = report.query, report.breakdown.table, report.breakdown.per_row
+    z, indices, witness = table.z, table.indices, {None: "null"}
+    names = sorted(range(len(z.variables)), key=z.variables.__getitem__)  # as sort_keys orders
+    cols = _z_strings(z, lambda c: [f"        {json.dumps(z.variables[c])}: {v}"
+                                    for v in _json_floats(list(z.values[c]))], names)
+    zs = ["{\n" + ",\n".join(t) + "\n      }" for t in zip(*cols)] if names else ["{}"] * len(per_row)
+    rows = []
+    for p, v, (_, chain), zz in zip(_json_floats(table.probability.tolist()),
+                                   _json_floats([v for v, _ in per_row]), per_row, zs):
+        if chain not in witness:
+            witness[chain] = "[\n        " + ",\n        ".join(str(indices[i]) for i in chain) + "\n      ]"
+        rows.append(f'    {{\n      "partition": {witness[chain]},\n      "probability": {p},\n'
+                    f'      "value": {v},\n      "z": {zz}\n    }}')
+    rest = json.dumps({"query": {"cause": q.cause, "outcome": q.outcome}, "degree": q.degree,
+                       "variant": q.variant, "sign": q.sign, "value": report.value},
+                      indent=2, sort_keys=True)
+    breakdown = "[\n" + ",\n".join(rows) + "\n  ]" if rows else "[]"
+    return '{\n  "breakdown": ' + breakdown + ",\n" + rest[2:]  # "breakdown" sorts first
 
 
 def _print_report(report: vr.EffectReport, fmt: str):
     if fmt == "json":
-        print(json.dumps(_report_json(report), indent=2, sort_keys=True))
+        print(_report_json(report))
         return
     q = report.query
-    print(f"{q.variant.upper()}_{_fmt(q.degree)}({q.cause} -> {q.outcome}) "
-          f"[sign={q.sign}] = {_fmt(report.value)}")
+    lines = [f"{q.variant.upper()}_{_fmt(q.degree)}({q.cause} -> {q.outcome}) "
+             f"[sign={q.sign}] = {_fmt(report.value)}"]
     if report.z_variables:
-        header = ", ".join(report.z_variables)
-        print(f"  per-z breakdown over ({header}):")
-        for key in sorted(report.breakdown):
-            z = report.breakdown[key]
-            assign = ", ".join(_fmt(v) for v in key)
-            witness = ""
-            if z.partition is not None:
-                witness = f"  partition={list(z.partition.indices)}"
-            print(f"    z=({assign})  P(z)={_fmt(z.probability)}  value={_fmt(z.value)}{witness}")
+        table, per_row = report.breakdown.table, report.breakdown.per_row
+        z, indices, witness = table.z, table.indices, {None: ""}
+        lines.append(f"  per-z breakdown over ({', '.join(report.z_variables)}):")
+        cols = _z_strings(z, lambda c: [_fmt(v) for v in z.values[c]], range(len(z.variables)))
+        for assign, p, (v, chain) in zip(map(", ".join, zip(*cols)), table.probability.tolist(), per_row):
+            if chain not in witness:
+                witness[chain] = f"  partition={[indices[i] for i in chain]}"
+            lines.append(f"    z=({assign})  P(z)={p:.12g}  value={v:.12g}{witness[chain]}")
+    print("\n".join(lines))
 
 
 def cmd_eval(args) -> int:
@@ -306,14 +321,14 @@ def cmd_check(args) -> int:
     d, sign = query.degree, query.sign
     worst = 0.0
     [(_, per_row)] = table.aggregate([d], "pace", sign)  # the DP that `eval` runs
-    for row, (dp_value, chain) in zip(table.rows, per_row):
-        bf_value, _ = vr.brute_force_total_variation(row.gs, row.ps, d, sign)
+    for gs, ps, (dp_value, chain) in zip(table.gs.tolist(), table.ps.tolist(), per_row):
+        bf_value, _ = vr.brute_force_total_variation(gs, ps, d, sign)
         worst = max(worst, abs(dp_value - bf_value))
         if chain is not None:
-            direct = vr.chain_value(row.gs, row.ps, chain, d, sign)
-            matrix = vr.matrix_form_chain_value(row.gs, row.ps, chain, d, sign)
+            direct = vr.chain_value(gs, ps, chain, d, sign)
+            matrix = vr.matrix_form_chain_value(gs, ps, chain, d, sign)
             worst = max(worst, abs(direct - matrix), abs(direct - dp_value))
-    checked = len(table.rows)
+    checked = len(per_row)
     if worst > ORACLE_TOL:
         print(f"MISMATCH: max deviation {worst:.3e} over {checked} z-strata")
         return EXIT_MISMATCH

@@ -123,6 +123,10 @@ class _Parser:
         self.declared: dict[str, Token] = {}
         # deferred identifier references checked once declarations are in
         self.pending_refs: list[tuple[str, Token, str]] = []
+        # variable -> first token of its mechanism statement (else of its
+        # declaration), where validation diagnostics about it are reported
+        self.statements: dict[str, Token] = {}
+        self.statement: Token | None = None
         self.depth = 0
 
     # --- token plumbing -------------------------------------------------
@@ -169,6 +173,7 @@ class _Parser:
     def parse(self) -> md.Model:
         while (tok := self.next()).kind != "eof":
             if tok.kind in STATEMENTS:
+                self.statement = tok
                 getattr(self, f"parse_{tok.kind}")()
             elif tok.kind in KEYWORDS:
                 self.fail(f"unexpected keyword '{tok.text}' at statement level", tok)
@@ -178,9 +183,10 @@ class _Parser:
             raise ParseError("no variables declared", 1, 1)
         self.resolve_references()
         model = md.Model(tuple(self.variables), self.mechanisms, tuple(self.parameters))
-        diags = md.validate(model)
-        if diags:
-            raise ParseError("; ".join(diags), 1, 1)
+        diags = md.diagnostics(model)
+        if diags:  # at the statement the first diagnostic is about
+            tok = self.statements.get(diags[0][0], Token("", "", 1, 1))
+            raise ParseError("; ".join(diag for _, diag in diags), tok.line, tok.column)
         return model
 
     def declare(self, tok: Token):
@@ -217,12 +223,14 @@ class _Parser:
         except md.ModelError as err:
             self.fail(str(err), name)
         self.variables.append(md.Variable(name.text, support))
+        self.statements.setdefault(name.text, self.statement)
 
     def mechanism_target(self) -> Token:
         name = self.expect("ident", "variable name")
         if name.text in self.mechanisms:
             self.fail(f"variable '{name.text}' already has a mechanism", name)
         self.pending_refs.append((name.text, name, "variable"))
+        self.statements[name.text] = self.statement
         return name
 
     def parse_parent_list(self) -> tuple[str, ...]:

@@ -19,9 +19,8 @@ from __future__ import annotations
 import csv
 import math
 from dataclasses import dataclass
-from functools import cached_property, reduce
+from functools import cached_property
 from itertools import chain, groupby
-from operator import add
 from typing import Sequence
 
 import numpy as np
@@ -29,7 +28,7 @@ import numpy as np
 from .engine import Distribution, stratify
 from .errors import DatasetError, QueryError, UnavailableStratumError
 from .model import Model, _snap_grid
-from .variational import EffectQuery, StratumTable, _ZRow
+from .variational import EffectQuery, StratumTable
 
 
 @dataclass(frozen=True)
@@ -112,6 +111,8 @@ def estimate_conditionals(
 
     One row per observed z, in ascending order, over the sorted observed
     cause values.  A cause value never seen with z has weight 0 and mean 0.0.
+    Outcome sums, and so means, or a stratum's spread of means that overflow
+    are rejected.
     """
     xi, _, *zi = [dataset.column_index(name) for name in (cause, outcome, *z_vars)]
     if len(set(z_vars)) != len(z_vars) or {cause, outcome} & set(z_vars):
@@ -123,11 +124,16 @@ def estimate_conditionals(
         table, table.codes[xi], width, z_vars, [table.values_of(outcome)])
     ps = count_xz / count_z[:, None]
     gs = np.divide(y_sum, count_xz, out=np.zeros_like(y_sum), where=count_xz > 0)
-    # Each key as its stratum's first record spells it (-0.0 or 0.0).
-    keys = [tuple(map(dataset.rows[r].__getitem__, zi)) for r in first.tolist()]
-    rows = map(_ZRow, keys, (count_z / len(dataset)).tolist(), map(tuple, ps.tolist()),
-               map(tuple, gs.tolist()))
-    return StratumTable(tuple(z_vars), tuple(rows), tuple(range(width)))
+    # Each z value as its stratum's first record spells it (-0.0 or 0.0).
+    spelt = [tuple(dataset.rows[r][i] for r in first.tolist()) for i in zi]
+    z = Distribution(z_vars, columns=(spelt, [np.arange(len(first))] * len(zi), count_z / len(dataset)))
+    with np.errstate(all="ignore"):  # where a sum, so a mean, or two means' difference overflow
+        wide = np.flatnonzero(~np.isfinite(np.ptp(gs, axis=1)))
+    if len(wide):
+        raise DatasetError(f"'{outcome}' means over '{cause}' = {list(table.values[xi])} at z = "
+                           f"{z.keys(wide[:1])[0]} are {gs[wide[0]].tolist()}: not finite, or "
+                           f"farther apart than the largest float")
+    return StratumTable(z, ps, gs, tuple(range(width)))
 
 
 def identifiable_effect(
@@ -171,18 +177,22 @@ def covariate_weighted_effect(
     # keys put each z's rows together, in ascending c.
     zc = estimate_conditionals(dataset, cause, outcome, list(z_vars) + [covariate])
     z_table = estimate_conditionals(dataset, cause, outcome, z_vars)
-    rows = []
-    for z_row, (_, group) in zip(z_table.rows, groupby(zc.rows, key=lambda r: r.key[:-1])):
-        cells = [(r, r.probability / z_row.probability) for r in group]  # (row, P(c|z))
-        # Added in order (`sum` compensates from Python 3.12).
-        ws = tuple(reduce(add, (r.ps[i] * pc for r, pc in cells), 0.0) for i in z_table.indices)
-        at_c0 = next((r for r, _ in cells if r.key[-1] == c0), None)
-        for i, w in enumerate(ws):
-            if w > 0.0 and (at_c0 is None or at_c0.ps[i] == 0.0):
-                x = dataset.table.values[dataset.column_index(cause)][i]
-                raise UnavailableStratumError(
-                    f"no records for cause value {x!r} in stratum {z_row.key}"
-                )
-        rows.append(_ZRow(z_row.key, z_row.probability, ws, at_c0.gs))
-    table = StratumTable(z_table.z_variables, tuple(rows), z_table.indices)
+    sizes = [len(list(rows)) for _, rows in groupby(key[:-1] for key in zc.z.keys())]
+    group = np.repeat(np.arange(len(sizes)), sizes)  # each (z, c) row's z row
+    # P(x|z) = sum over c of P(x|z,c) P(c|z), added in row order as bincount adds.
+    terms = zc.ps * (zc.probability / z_table.probability[group])[:, None]
+    l = terms.shape[1]
+    cells = (group[:, None] * l + np.arange(l)).ravel()
+    ws = np.bincount(cells, weights=terms.ravel(), minlength=len(sizes) * l).reshape(-1, l)
+    at_c0 = np.flatnonzero(np.asarray(zc.z.values[-1]) == c0)  # at most one row per z
+    ps_c0, gs_c0 = np.zeros_like(ws), np.zeros_like(ws)
+    ps_c0[group[at_c0]], gs_c0[group[at_c0]] = zc.ps[at_c0], zc.gs[at_c0]
+    lacking = (ws > 0.0) & (ps_c0 == 0.0)
+    if lacking.any():
+        s, i = divmod(int(lacking.argmax()), l)
+        x = dataset.table.values[dataset.column_index(cause)][i]
+        raise UnavailableStratumError(
+            f"no records for cause value {x!r} in stratum {z_table.z.keys(np.array([s]))[0]}"
+        )
+    table = StratumTable(z_table.z, ws, gs_c0, z_table.indices)
     return table.aggregate([query.degree], query.variant, query.sign)[0][0]

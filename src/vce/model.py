@@ -435,6 +435,13 @@ def validate(model: Model) -> list[str]:
     Rows containing parameter expressions are checked symbolically only;
     their numeric invariants are enforced at bind time.
     """
+    return [diag for _, diag in diagnostics(model)]
+
+
+def diagnostics(model: Model) -> list[tuple[str | None, str]]:
+    """validate's diagnostics in order, each with the variable whose
+    declaration or mechanism it is about (None: the model as a whole)."""
+    owned: list[tuple[str | None, str]] = []
     diags: list[str] = []
     names = [v.name for v in model.variables]
     seen: set[str] = set()
@@ -450,16 +457,14 @@ def validate(model: Model) -> list[str]:
             diags.append(f"parameter '{p.name}' collides with a variable name")
         pseen.add(p.name)
 
-    for n in names:
-        if n not in model.mechanisms:
-            diags.append(f"variable '{n}' has no mechanism")
-    for n in model.mechanisms:
-        if n not in seen:
-            diags.append(f"mechanism for undeclared variable '{n}'")
+    owned += [(None, d) for d in diags]
+    owned += [(n, f"variable '{n}' has no mechanism") for n in names if n not in model.mechanisms]
+    owned += [(n, f"mechanism for undeclared variable '{n}'") for n in model.mechanisms if n not in seen]
 
     for n, mech in model.mechanisms.items():
         if n not in model.variable_map:
             continue
+        diags = []
         support = model.variable_map[n].support
         parents = mech.parents
         for p in parents:
@@ -476,12 +481,13 @@ def validate(model: Model) -> list[str]:
             _check_cpt(model, n, support, mech, diags)
         else:
             _check_deterministic(model, n, support, mech, diags)
+        owned += [(n, d) for d in diags]
 
     try:
         model.topological_order()
     except ModelError as err:
-        diags.append(str(err))
-    return diags
+        owned.append((None, str(err)))
+    return owned
 
 
 def _check_cpt(model: Model, name: str, support: FiniteSupport, mech: CPT, diags: list[str]):

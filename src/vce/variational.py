@@ -20,14 +20,16 @@ including d = 0 (0^0 is taken as 0 here).
 from __future__ import annotations
 
 import math
+from collections.abc import Mapping as MappingABC
 from dataclasses import dataclass, field
-from functools import partial
+from functools import cached_property, partial
 from itertools import combinations, repeat
 from typing import Mapping, Sequence
 
 import numpy as np
 
 from .engine import (
+    Distribution,
     build_joint,
     deterministic_value,
     interventional_means,
@@ -170,18 +172,19 @@ KERNEL_MIN_TERMS = 2048
 
 
 def variations(gs, ps, degrees: Sequence[float], variant: str, sign: str) -> list[list]:
-    """`variation` of every row (gs[r], ps[r]) at every degree, bit for bit:
-    out[k][r] is its (value, witness) at degrees[k].  Past KERNEL_MIN_TERMS
-    one numpy kernel serves all rows and degrees: the signed differences and
-    bases 4 p_j p_i are built once, and only the weights (Python `**`;
-    np.power differs in the last bit) depend on d."""
-    pairs = len(gs[0]) * (len(gs[0]) - 1) // 2 if len(gs) else 0
-    if len(gs) * len(degrees) * pairs >= KERNEL_MIN_TERMS:
-        g = np.array(gs, dtype=float)
+    """`variation` of every row (gs[r], ps[r]) of two (rows x l) arrays at
+    every degree, bit for bit: out[k][r] is its (value, witness) at
+    degrees[k].  Past KERNEL_MIN_TERMS one numpy kernel serves all rows and
+    degrees: the signed differences and bases 4 p_j p_i are built once, and
+    only the weights (Python `**`; np.power differs in the last bit) depend
+    on d.  Smaller calls run the loops on the rows as Python floats."""
+    gs, ps = np.asarray(gs, dtype=float), np.asarray(ps, dtype=float)
+    if gs.size * (gs.shape[-1] - 1) // 2 * len(degrees) >= KERNEL_MIN_TERMS:
         with np.errstate(all="ignore"):  # Python floats overflow without a warning
-            if np.isfinite(np.ptp(g, axis=1)).all():  # else the loops compare NaN their way
-                return _kernel(g, np.array(ps, dtype=float), list(degrees), variant, sign)
-    return [[variation(g, p, d, variant, sign) for g, p in zip(gs, ps)] for d in degrees]
+            if np.isfinite(np.ptp(gs, axis=1)).all():  # else the loops compare NaN their way
+                return _kernel(gs, ps, list(degrees), variant, sign)
+    rows = list(zip(gs.tolist(), ps.tolist()))
+    return [[variation(g, p, d, variant, sign) for g, p in rows] for d in degrees]
 
 
 def _kernel(gs, ps, degrees, variant, sign):
@@ -300,10 +303,12 @@ class ZSlice:
 
 @dataclass(frozen=True)
 class EffectReport:
+    """An effect's value and its per-z `breakdown` (a _Breakdown view)."""
+
     query: EffectQuery
     value: float
     z_variables: tuple[str, ...]
-    breakdown: dict[tuple[float, ...], ZSlice] = field(repr=False)
+    breakdown: Mapping[tuple[float, ...], ZSlice] = field(repr=False)
 
 
 def _query_context(model: Model, cause: str, outcome: str) -> tuple[str, ...]:
@@ -340,18 +345,36 @@ class _ZRow:
     gs: tuple[float, ...]
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class StratumTable:
-    """The z strata of one bound model, enumerated once and read by every
-    effect, grid and per-z oracle over it.
+    """The z strata of one bound model (or dataset), enumerated once and read
+    as columns by every effect, grid and per-z oracle over it.
 
-    Rows cover every z with P(z) > 0 in ascending key order; `indices` are
-    the cause's support positions the chains run over.
+    `z` has one row per z with P(z) > 0, in ascending key order: its z values
+    as codes (a model's support tables; a dataset's values as each stratum's
+    first record spells them) and P(z) as its mass.  Row s of the (strata x l)
+    arrays `ps` and `gs` holds P(x|z) and g(x, z) at the cause's support
+    positions `indices`, which the chains run over.
     """
 
-    z_variables: tuple[str, ...]
-    rows: tuple[_ZRow, ...]
+    z: Distribution
+    ps: np.ndarray
+    gs: np.ndarray
     indices: tuple[int, ...]
+
+    @property
+    def z_variables(self) -> tuple[str, ...]:
+        return self.z.variables
+
+    @property
+    def probability(self) -> np.ndarray:
+        return self.z.masses
+
+    @property
+    def rows(self) -> tuple[_ZRow, ...]:
+        """One _ZRow per stratum, built on each read; the effect path reads the columns."""
+        return tuple(map(_ZRow, self.z.keys(), self.probability.tolist(),
+                         map(tuple, self.ps.tolist()), map(tuple, self.gs.tolist())))
 
     def row(self, z: Mapping[str, float]) -> _ZRow:
         """The stratum whose key matches `z` within 1e-9, as supports match."""
@@ -362,19 +385,48 @@ class StratumTable:
                 return row
         raise ZeroProbabilityError(f"z assignment {dict(z)} has zero probability")
 
+    def partition(self, chain: Chain | None) -> Partition | None:
+        """A witness chain over positions of `indices` as a support partition."""
+        return None if chain is None else Partition(tuple(self.indices[i] for i in chain))
+
     def aggregate(
         self, degrees: Sequence[float], variant: str, sign: str
     ) -> list[tuple[float, list[tuple[float, Chain | None]]]]:
         """At each degree, the expectation over z of the per-z variation, with
         each row's (value, witness chain over positions of `indices`)."""
         out = []
-        for per_row in variations([row.gs for row in self.rows], [row.ps for row in self.rows],
-                                  degrees, variant, sign):
+        probability = self.probability.tolist()
+        for per_row in variations(self.gs, self.ps, degrees, variant, sign):
             total = 0.0
-            for row, (value, _) in zip(self.rows, per_row):
-                total += row.probability * value
+            for p, (value, _) in zip(probability, per_row):
+                total += p * value
             out.append((total, per_row))
         return out
+
+
+class _Breakdown(MappingABC):
+    """EffectReport.breakdown: {z key: ZSlice} over a stratum table and each
+    stratum's (value, witness chain), in the table's ascending row order.
+    The key index is built on first use and a ZSlice (with its Partition)
+    when one is read; len() builds nothing."""
+
+    def __init__(self, table: StratumTable, per_row: list[tuple[float, Chain | None]]):
+        self.table, self.per_row = table, per_row
+
+    def __len__(self) -> int:
+        return len(self.per_row)
+
+    def __iter__(self):
+        return iter(self._at)
+
+    def __getitem__(self, key) -> ZSlice:
+        r = self._at[key]
+        value, chain = self.per_row[r]
+        return ZSlice(self.table.probability[r].item(), value, self.table.partition(chain))
+
+    @cached_property
+    def _at(self) -> dict[tuple[float, ...], int]:
+        return {key: r for r, key in enumerate(self.table.z.keys())}
 
 
 def _tabulate(
@@ -398,36 +450,33 @@ def _tabulate(
         indices = tuple(sorted(support.index_of(v) for v in support_subset))
         if len(set(indices)) != len(indices):
             raise QueryError("support subset contains duplicate values")
-    xs = [support.values[i] for i in indices]
     # P(z) and P(z, x) sum their rows' masses in row order, as marginal sums them.
     first, pz, (pxz,) = stratify(joint, joint.codes[joint.column(cause)], len(support), z_vars)
-    z_keys = joint.keys(first, z_vars)
-    ps = (pxz[:, list(indices)] / pz[:, None]).tolist()
+    cols = [joint.column(v) for v in z_vars]
+    z = Distribution(z_vars, columns=([joint.values[c] for c in cols],
+                                      [joint.codes[c][first] for c in cols], pz))
+    ps = pxz[:, list(indices)] / pz[:, None]
     if outcome is not None:
         # g(x, z) is the outcome table's slot at z's parent codes and x's.
-        table = model.outcome_table(outcome)
+        mech, table = model.mechanisms[outcome], model.outcome_table(outcome)
         codes = [np.asarray(indices, dtype=np.intp)[None, :] if p == cause
-                 else joint.codes[joint.column(p)][first, None] for p in model.mechanisms[outcome].parents]
-        at = np.ravel_multi_index(codes, [len(values) for values in table.parents]).tolist()
-        ys = table.supports[0].values
-        gs = []
-        for z_key, z_at in zip(z_keys, at):
-            g = []
-            for x, pos in zip(xs, z_at):
-                slot = table.slots[pos]  # None until read: evaluated by g_in
-                g.append(ys[slot[0][0]] if slot else
-                         g_in(model, outcome, {**dict(zip(z_vars, z_key)), cause: x}))
-            gs.append(tuple(g))
+                 else z.codes[z_vars.index(p)][:, None] for p in mech.parents]
+        at = np.broadcast_to(np.ravel_multi_index(codes, [len(vs) for vs in table.parents]), ps.shape)
+        if None in table.slots:  # not validated: g_in reads the slots the joint left, in row order
+            keys = z.keys()
+            for s, i in zip(*np.nonzero(np.array([slot is None for slot in table.slots])[at])):
+                if table.slots[at[s, i]] is None:
+                    g_in(model, outcome, {**dict(zip(z_vars, keys[s])), cause: support.values[indices[i]]})
+        values = table.supports[0].values
+        gs = np.asarray(values)[table.array(mech, at.ravel())[at]]
     else:
-        gs = [tuple(xs)] * len(first)
-    values = ys if outcome is not None else support.values  # every g is one of these
-    for z_key, g in zip(z_keys, gs) if not math.isfinite(values[-1] - values[0]) else ():
+        values = support.values
+        gs = np.broadcast_to(np.asarray(values)[list(indices)], ps.shape)
+    for z_key, g in zip(z.keys(), gs.tolist()) if not math.isfinite(values[-1] - values[0]) else ():
         if g and not math.isfinite(max(g) - min(g)):  # inf times a zero weight is NaN
             raise QueryError(f"'{outcome or cause}' values {min(g)!r} and {max(g)!r} differ "
                              f"by more than the largest float at z = {z_key}")
-    rows = [_ZRow(z_key, p, tuple(z_ps), g)
-            for z_key, p, z_ps, g in zip(z_keys, pz.tolist(), ps, gs)]
-    return StratumTable(z_vars, tuple(rows), indices)
+    return StratumTable(z, ps, gs, indices)
 
 
 def strata(
@@ -436,12 +485,6 @@ def strata(
     """Stratum table of an effect query; Z is the outcome's other parents."""
     z_vars = _query_context(model, cause, outcome)
     return _tabulate(model, cause, outcome, z_vars, support_subset)
-
-
-def _witness(indices: tuple[int, ...], chain: Chain | None) -> Partition | None:
-    if chain is None:
-        return None
-    return Partition(tuple(indices[i] for i in chain))
 
 
 def effect(
@@ -457,11 +500,7 @@ def effect(
     """
     table = strata(model, query.cause, query.outcome, support_subset)
     [(value, per_row)] = table.aggregate([query.degree], query.variant, query.sign)
-    breakdown = {
-        row.key: ZSlice(row.probability, v, _witness(table.indices, chain))
-        for row, (v, chain) in zip(table.rows, per_row)
-    }
-    return EffectReport(query, value, table.z_variables, breakdown)
+    return EffectReport(query, value, table.z_variables, _Breakdown(table, per_row))
 
 
 def pace_vector(
@@ -514,9 +553,9 @@ def natural_availability(
 # --- per-z operations (the oracle-facing surface) ---------------------------
 
 
-def _z_row(model: Model, query: EffectQuery, z: Mapping[str, float]) -> tuple[_ZRow, tuple[int, ...]]:
+def _z_row(model: Model, query: EffectQuery, z: Mapping[str, float]) -> tuple[_ZRow, StratumTable]:
     table = strata(model, query.cause, query.outcome)
-    return table.row(z), table.indices
+    return table.row(z), table
 
 
 def piev(
@@ -531,25 +570,25 @@ def piev(
 
 def piv(model: Model, query: EffectQuery, z: Mapping[str, float]) -> tuple[float, Partition | None]:
     """Normalized total variation at one z (DP), with a witnessing partition."""
-    row, indices = _z_row(model, query, z)
+    row, table = _z_row(model, query, z)
     [[(value, chain)]] = variations([row.gs], [row.ps], [query.degree], "pace", query.sign)
-    return value, _witness(indices, chain)
+    return value, table.partition(chain)
 
 
 def brute_force_piv(
     model: Model, query: EffectQuery, z: Mapping[str, float]
 ) -> tuple[float, Partition | None]:
     """Exhaustive-enumeration twin of piv; the DP's correctness oracle."""
-    row, indices = _z_row(model, query, z)
+    row, table = _z_row(model, query, z)
     value, chain = brute_force_total_variation(row.gs, row.ps, query.degree, query.sign)
-    return value, _witness(indices, chain)
+    return value, table.partition(chain)
 
 
 def spiv(model: Model, query: EffectQuery, z: Mapping[str, float]) -> tuple[float, Partition | None]:
     """Normalized supremum (single-pair) variation at one z."""
-    row, indices = _z_row(model, query, z)
+    row, table = _z_row(model, query, z)
     [[(value, chain)]] = variations([row.gs], [row.ps], [query.degree], "space", query.sign)
-    return value, _witness(indices, chain)
+    return value, table.partition(chain)
 
 
 def apiv(model: Model, query: EffectQuery, z: Mapping[str, float]) -> float:

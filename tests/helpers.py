@@ -7,6 +7,7 @@ probability rows sum to one for every admissible parameter value.
 
 from __future__ import annotations
 
+import json
 import math
 from functools import reduce
 from itertools import groupby, product
@@ -25,6 +26,7 @@ from vce.engine import (
     local_distribution,
     log_scale,
     marginal,
+    stratify,
 )
 from vce.errors import (
     AbsoluteContinuityError,
@@ -42,13 +44,14 @@ from vce.model import (
     FiniteSupport,
     Model,
     Parameter,
+    Partition,
     Root,
     VALUE_TOL,
     Variable,
     snap_to_support,
 )
 from vce.rewrites import _functionalize
-from vce.variational import EffectQuery, StratumTable, _ZRow
+from vce.variational import EffectQuery, StratumTable, ZSlice, _ZRow, g_in
 
 MODELS_DIR = Path(__file__).resolve().parent.parent / "models"
 
@@ -625,6 +628,17 @@ def reference_validate_against(dataset, model: Model) -> None:
                 raise DatasetError(f"row {i}: value {v!r} outside the declared support of '{name}'")
 
 
+def table_of_rows(z_vars, rows, indices) -> StratumTable:
+    """A StratumTable from one _ZRow per stratum, in ascending key order; each
+    z value keeps its key's spelling (-0.0 or 0.0)."""
+    spelt = [tuple(row.key[i] for row in rows) for i in range(len(z_vars))]
+    z = Distribution(tuple(z_vars), columns=(spelt, [np.arange(len(rows))] * len(z_vars),
+                                             np.array([row.probability for row in rows], dtype=float)))
+    shape = (len(rows), len(indices))
+    return StratumTable(z, np.array([row.ps for row in rows], dtype=float).reshape(shape),
+                        np.array([row.gs for row in rows], dtype=float).reshape(shape), tuple(indices))
+
+
 def reference_estimate_conditionals(dataset, cause: str, outcome: str, z_vars):
     """estimate_conditionals from three accumulation dicts, record by record."""
     xi = dataset.column_index(cause)
@@ -652,7 +666,7 @@ def reference_estimate_conditionals(dataset, cause: str, outcome: str, z_vars):
         ps = tuple(c / z_count[z] for c in counts)
         gs = tuple(y_sum[(z, x)] / c if c else 0.0 for x, c in zip(xs, counts))
         rows.append(_ZRow(z, z_count[z] / n, ps, gs))
-    return StratumTable(tuple(z_vars), tuple(rows), tuple(range(len(xs))))
+    return table_of_rows(z_vars, rows, range(len(xs)))
 
 
 def reference_covariate_weighted_effect(dataset, cause, outcome, z_vars, covariate, degree,
@@ -686,7 +700,7 @@ def reference_covariate_weighted_effect(dataset, cause, outcome, z_vars, covaria
                     f"no records for cause value {x!r} in stratum {z_row.key}"
                 )
         rows.append(_ZRow(z_row.key, z_row.probability, ws, at_c0.gs))
-    table = StratumTable(z_table.z_variables, tuple(rows), z_table.indices)
+    table = table_of_rows(z_table.z_variables, rows, z_table.indices)
     return table.aggregate([query.degree], query.variant, query.sign)[0][0]
 
 
@@ -714,6 +728,103 @@ def reference_ipwe(dataset, treatment: str, s: float, outcome: str, covariates) 
             raise PositivityError(f"zero estimated propensity in stratum {key}")
         total += row[yi] / propensity
     return total / len(dataset)
+
+
+# --- the per-stratum effect path (oracle of the columnar one) ----------------
+
+
+def reference_tabulate(model: Model, cause: str, outcome: str | None, z_vars, support_subset=None):
+    """_tabulate's rows as it built them one stratum at a time: a _ZRow per
+    stratum, g read slot by slot (g_in for a slot not yet filled); returns
+    (rows, indices)."""
+    joint = build_joint(model)
+    support = model.support(cause)
+    if support_subset is None:
+        indices = tuple(range(len(support)))
+    else:
+        indices = tuple(sorted(support.index_of(v) for v in support_subset))
+        if len(set(indices)) != len(indices):
+            raise QueryError("support subset contains duplicate values")
+    xs = [support.values[i] for i in indices]
+    first, pz, (pxz,) = stratify(joint, joint.codes[joint.column(cause)], len(support), z_vars)
+    z_keys = joint.keys(first, z_vars)
+    ps = (pxz[:, list(indices)] / pz[:, None]).tolist()
+    if outcome is not None:
+        table = model.outcome_table(outcome)
+        codes = [np.asarray(indices, dtype=np.intp)[None, :] if p == cause
+                 else joint.codes[joint.column(p)][first, None] for p in model.mechanisms[outcome].parents]
+        at = np.ravel_multi_index(codes, [len(values) for values in table.parents]).tolist()
+        ys = table.supports[0].values
+        gs = []
+        for z_key, z_at in zip(z_keys, at):
+            g = []
+            for x, pos in zip(xs, z_at):
+                slot = table.slots[pos]
+                g.append(ys[slot[0][0]] if slot else
+                         g_in(model, outcome, {**dict(zip(z_vars, z_key)), cause: x}))
+            gs.append(tuple(g))
+    else:
+        gs = [tuple(xs)] * len(first)
+    values = ys if outcome is not None else support.values
+    for z_key, g in zip(z_keys, gs) if not math.isfinite(values[-1] - values[0]) else ():
+        if g and not math.isfinite(max(g) - min(g)):
+            raise QueryError(f"'{outcome or cause}' values {min(g)!r} and {max(g)!r} differ "
+                             f"by more than the largest float at z = {z_key}")
+    rows = [_ZRow(z_key, p, tuple(z_ps), g)
+            for z_key, p, z_ps, g in zip(z_keys, pz.tolist(), ps, gs)]
+    return tuple(rows), indices
+
+
+def reference_breakdown(rows, indices, per_row) -> dict:
+    """effect's per-stratum dict: {key: ZSlice(P(z), value, witness partition)}."""
+    return {row.key: ZSlice(row.probability, v, None if chain is None else
+                            Partition(tuple(indices[i] for i in chain)))
+            for row, (v, chain) in zip(rows, per_row)}
+
+
+def reference_report_json(report) -> dict:
+    breakdown = []
+    for key in sorted(report.breakdown):
+        z = report.breakdown[key]
+        breakdown.append(
+            {
+                "z": {name: value for name, value in zip(report.z_variables, key)},
+                "probability": z.probability,
+                "value": z.value,
+                "partition": list(z.partition.indices) if z.partition else None,
+            }
+        )
+    return {
+        "query": {"cause": report.query.cause, "outcome": report.query.outcome},
+        "degree": report.query.degree,
+        "variant": report.query.variant,
+        "sign": report.query.sign,
+        "value": report.value,
+        "breakdown": breakdown,
+    }
+
+
+def reference_print_report(report, fmt: str):
+    """The report printer over a dict breakdown, key by sorted key."""
+    def _fmt(value):
+        return f"{value:.12g}"
+
+    if fmt == "json":
+        print(json.dumps(reference_report_json(report), indent=2, sort_keys=True))
+        return
+    q = report.query
+    print(f"{q.variant.upper()}_{_fmt(q.degree)}({q.cause} -> {q.outcome}) "
+          f"[sign={q.sign}] = {_fmt(report.value)}")
+    if report.z_variables:
+        header = ", ".join(report.z_variables)
+        print(f"  per-z breakdown over ({header}):")
+        for key in sorted(report.breakdown):
+            z = report.breakdown[key]
+            assign = ", ".join(_fmt(v) for v in key)
+            witness = ""
+            if z.partition is not None:
+                witness = f"  partition={list(z.partition.indices)}"
+            print(f"    z=({assign})  P(z)={_fmt(z.probability)}  value={_fmt(z.value)}{witness}")
 
 
 # --- random expressions paired with an independent Python oracle ------------

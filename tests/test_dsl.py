@@ -51,8 +51,32 @@ def test_parse_error_locations():
 
 def test_parse_error_cycle():
     text = "var A in {0, 1}\nvar B in {0, 1}\ndef A = B\ndef B = A\n"
-    with pytest.raises(ParseError, match="cycle"):
+    with pytest.raises(ParseError, match="cycle") as err:
         parse_model(text)
+    assert (err.value.line, err.value.column) == (1, 1)  # no one statement is at fault
+
+
+@pytest.mark.parametrize("text, where, message", [
+    # A def body failing on line 6 is reported at its statement.
+    ("# comment\nvar X in {0, 1}\nvar Y in {0, 1}\n\nroot X {0: 0.5, 1: 0.5}\n"
+     "def Y = if X * 0.75 then 1 else 0\n", (6, 1),
+     "Y: body fails at (1.0,): 'if' condition expects 0 or 1, got 0.75"),
+    # Every diagnostic is listed, at the first one's statement: an indented cpt.
+    ("var X in {0, 1}\nvar W in {0, 1}\n  cpt W | X {(0): {0: 0.5, 1: 0.6}, "
+     "(1): {0: 1, 1: 0}}\ndef Y = X\nvar Y in {0}\nroot X {0: 0.5, 1: 0.5}\n", (3, 3),
+     "W: row (0.0,) sums to 1.1, expected 1; Y: body yields 1.0 at (1.0,), outside support"),
+    # A variable without a mechanism is reported at its declaration.
+    ("var X in {0, 1}\nvar Y in {0, 1}\nroot X {0: 0.5, 1: 0.5}\n", (2, 1),
+     "variable 'Y' has no mechanism"),
+    # A mechanism stated before its variable is declared is still its statement.
+    ("root X {0: 0.5, 1: 0.75}\nvar X in {0, 1}\n", (1, 1), "X: root table sums to 1.25, expected 1"),
+    ("var X in {0, 1}\n\n   root X {0: 0.5, 1: 0.75}\n", (3, 4), "X: root table sums to 1.25, expected 1"),
+])
+def test_validation_errors_carry_the_statement_location(text, where, message):
+    with pytest.raises(ParseError) as err:
+        parse_model(text)
+    assert (err.value.line, err.value.column) == where
+    assert str(err.value) == f"{where[0]}:{where[1]}: {message}"
 
 
 def test_parse_error_malformed_table():

@@ -1,7 +1,7 @@
 import numpy as np
 import pytest
 
-from helpers import random_effect_model
+from helpers import random_effect_model, table_of_rows
 from vce.dsl import parse_model
 from vce.engine import build_joint, conditional, marginal, sample
 from vce.errors import DatasetError, UnavailableStratumError
@@ -11,7 +11,7 @@ from vce.estimation import (
     estimate_conditionals,
     identifiable_effect,
 )
-from vce.variational import EffectQuery, StratumTable, _ZRow, effect, g_in
+from vce.variational import EffectQuery, _ZRow, effect, g_in
 
 
 # --- Dataset ------------------------------------------------------------------
@@ -126,7 +126,7 @@ def _exact_strata(model, cause, outcome, z_vars):
             else:
                 means.append(0.0)  # weight 0 makes the value irrelevant
         rows.append(_ZRow(z_key, pz, tuple(ws), tuple(means)))
-    return StratumTable(tuple(z_vars), tuple(rows), tuple(range(len(xs))))
+    return table_of_rows(z_vars, rows, range(len(xs)))
 
 
 def test_plugin_consistency_with_exact_probabilities():
@@ -256,3 +256,30 @@ def test_covariate_c0_never_observed():
     data = Dataset(("X", "C", "Y"), ((0.0, 1.0, 1.0), (1.0, 1.0, 2.0)))
     with pytest.raises(UnavailableStratumError):
         covariate_weighted_effect(data, "X", "Y", [], "C", 1.0, "peace", c0=5.0)
+
+
+@pytest.mark.parametrize("rows, means", [
+    (((0.0, 1e308), (0.0, 1e308), (1.0, 0.0)), "[inf, 0.0]"),  # a sum, so a mean, overflows
+    (((0.0, 1e308), (1.0, -1e308)), "[1e+308, -1e+308]"),  # their difference overflows
+    (((0.0, -1e308), (0.0, -1e308), (1.0, 1.0)), "[-inf, 1.0]"),
+])
+def test_overflowing_outcome_means_are_rejected(rows, means):
+    data = Dataset(("X", "Y"), rows)
+    message = (f"'Y' means over 'X' = [0.0, 1.0] at z = () are {means}: not finite, "
+               "or farther apart than the largest float")
+    with pytest.raises(DatasetError) as err:
+        estimate_conditionals(data, "X", "Y", [])
+    assert str(err.value) == message
+    for estimate in (lambda: identifiable_effect(data, "X", "Y", [], 1.0),
+                     lambda: covariate_weighted_effect(Dataset(("X", "Y", "C"), [r + (0.0,) for r in rows]),
+                                                       "X", "Y", [], "C", 1.0)):
+        with pytest.raises(DatasetError, match="not finite"):
+            estimate()
+
+
+def test_an_overflow_is_reported_in_its_stratum():
+    data = Dataset(("Z", "X", "Y"), ((0.0, 0.0, 1.0), (0.0, 1.0, 2.0), (-0.0, 1.0, 3.0),
+                                     (1.0, 0.0, 1e308), (1.0, 0.0, 1e308), (1.0, 1.0, 5.0)))
+    with pytest.raises(DatasetError, match=r"at z = \(1\.0,\) are \[inf, 5\.0\]"):
+        estimate_conditionals(data, "X", "Y", ["Z"])
+    estimate_conditionals(Dataset(("X", "Y"), ((0.0, 1e308), (1.0, 0.0))), "X", "Y", [])  # finite
