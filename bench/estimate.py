@@ -15,8 +15,10 @@ perfbench/workloads.sample_csv, with seed 14.  For each row count it records:
   `model` = `--given S,V3 --model models/sprinkler_functional.sem --bind p=0.3`;
 - `stages_s`: the median time of each stage of the `model` shape, called in
   the command's order on one dataset: `from_csv` (parse and checks),
-  `validate_against` (on the bound model, parsed untimed), `estimate_conditionals`
-  (the stratum table over S, V3) and `aggregate` (PACE at d = 1);
+  `table` (each column coded by its distinct values, built on first read,
+  which the command meets in `validate_against`), `validate_against` (on
+  the bound model, parsed untimed), `estimate_conditionals` (the stratum
+  table over S, V3) and `aggregate` (PACE at d = 1);
 - `layers`: the per-layer metrics of one traced `model` command, from the
   span recorder in perfbench/tracer.py.
 
@@ -59,13 +61,15 @@ def _stages(path: str, model) -> dict[str, float]:
     times = [perf_counter()]
     dataset = est.Dataset.from_csv(path)
     times.append(perf_counter())
+    dataset.table
+    times.append(perf_counter())
     dataset.validate_against(model)
     times.append(perf_counter())
     table = est.estimate_conditionals(dataset, "R", "W", ["S", "V3"])
     times.append(perf_counter())
     table.aggregate([1.0], "pace", "abs")
     times.append(perf_counter())
-    names = ("from_csv_s", "validate_against_s", "estimate_conditionals_s", "aggregate_s")
+    names = ("from_csv_s", "table_s", "validate_against_s", "estimate_conditionals_s", "aggregate_s")
     return {name: b - a for name, a, b in zip(names, times, times[1:])}
 
 

@@ -423,7 +423,7 @@ def main(argv: Sequence[str] | None = None) -> int:
     except ParseError as err:
         print(f"parse error: {err}", file=sys.stderr)
         return EXIT_PARSE
-    except OSError as err:
+    except (OSError, UnicodeDecodeError) as err:
         print(f"io error: {err}", file=sys.stderr)
         return EXIT_PARSE
     except VceError as err:

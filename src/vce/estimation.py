@@ -18,9 +18,9 @@ from __future__ import annotations
 
 import csv
 import math
-from dataclasses import dataclass
+from collections import defaultdict
 from functools import cached_property
-from itertools import chain, groupby
+from itertools import chain, count, groupby
 from typing import Sequence
 
 import numpy as np
@@ -31,35 +31,26 @@ from .model import Model, _snap_grid
 from .variational import EffectQuery, StratumTable
 
 
-@dataclass(frozen=True)
 class Dataset:
-    """Rectangular table of real-valued observations, one row per record;
-    `table` holds them as a Distribution of unit masses whose keys repeat (no
-    probability table), each column coded by its distinct values, ascending,
-    each spelled as it first appears."""
+    """Rectangular table of real-valued observations, `cells` a read-only
+    (records x columns) float64 array; built on first read, `rows` holds them
+    as tuples and `table` as a Distribution of unit masses whose keys repeat
+    (no probability table), each column coded by its distinct values,
+    ascending, each spelled as it first appears."""
 
-    columns: tuple[str, ...]
-    rows: tuple[tuple[float, ...], ...]
+    def __init__(self, columns: Sequence[str], rows: Sequence[Sequence[float]]):
+        columns, rows = tuple(columns), tuple(map(tuple, rows))
+        _check_shape(columns, len(rows))
+        for i, row in enumerate(rows):
+            _check_row(i, row, len(columns))
+        self._hold(columns, np.array(rows, dtype=float).reshape(len(rows), len(columns)))
 
-    def __post_init__(self):
-        object.__setattr__(self, "columns", tuple(self.columns))
-        object.__setattr__(self, "rows", tuple(tuple(r) for r in self.rows))
-        if len(set(self.columns)) != len(self.columns):
-            raise DatasetError("duplicate column names")
-        if not self.rows:
-            raise DatasetError("dataset must contain at least one record")
-        width = len(self.columns)
-        for i, row in enumerate(self.rows):
-            if len(row) != width:
-                raise DatasetError(f"row {i} has {len(row)} values, expected {width}")
-            for v in row:
-                if not isinstance(v, float):
-                    raise DatasetError(f"row {i} holds a non-numeric value {v!r}")
-                if not math.isfinite(v):
-                    raise DatasetError(f"row {i} holds a non-finite value {v!r}")
+    def _hold(self, columns: tuple[str, ...], cells: np.ndarray) -> None:
+        cells.flags.writeable = False
+        self.columns, self.cells = columns, cells
 
     def __len__(self) -> int:
-        return len(self.rows)
+        return len(self.cells)
 
     def column_index(self, name: str) -> int:
         try:
@@ -68,30 +59,53 @@ class Dataset:
             raise DatasetError(f"unknown column '{name}'") from None
 
     @cached_property
+    def rows(self) -> tuple[tuple[float, ...], ...]:
+        return tuple(map(tuple, self.cells.tolist()))
+
+    @cached_property
     def table(self) -> Distribution:
-        data = np.fromiter(chain.from_iterable(self.rows), float, len(self) * len(self.columns))
-        data = data.reshape(len(self), -1).T
-        coded = [np.unique(c, return_index=True, return_inverse=True) for c in data]
-        values = [tuple(c[first].tolist()) for c, (_, first, _) in zip(data, coded)]
+        coded = [np.unique(c, return_index=True, return_inverse=True) for c in self.cells.T]
+        values = [tuple(c[first].tolist()) for c, (_, first, _) in zip(self.cells.T, coded)]
         return Distribution(self.columns, columns=(values, [code for *_, code in coded], np.ones(len(self))))
 
     @classmethod
     def from_csv(cls, path: str) -> "Dataset":
-        with open(path, newline="", encoding="utf-8") as fh:
+        """A header row of names, then records of spellings `float` accepts;
+        each error is the one a scan record by record meets first."""
+        with open(path, newline="", encoding="utf-8-sig") as fh:
             reader = csv.reader(fh)
             try:
-                header = next(reader)
-            except StopIteration:
-                raise DatasetError("empty CSV file") from None
-            rows = []
-            for lineno, record in enumerate(reader, start=2):
-                if not record:
-                    continue
-                try:
-                    rows.append(tuple(float(v) for v in record))
-                except ValueError:
-                    raise DatasetError(f"line {lineno}: non-numeric value") from None
-        return cls(tuple(h.strip() for h in header), tuple(rows))
+                header = next(reader, None)
+                records = list(map(tuple, reader))  # tuples of strings drop out of gc tracking
+            except csv.Error as err:
+                raise DatasetError(f"line {reader.line_num}: {err}") from None
+        if header is None:
+            raise DatasetError("empty CSV file")
+        lengths = np.fromiter(filter(None, map(len, records)), np.intp)  # blank records skipped
+        # Each distinct spelling is numbered as it first appears, so the first
+        # that `float` rejects is held by the first record that holds one.
+        spellings = defaultdict(count().__next__)
+        codes = np.fromiter(map(spellings.__getitem__, chain.from_iterable(records)), np.intp, lengths.sum())
+        numbers = []
+        for spelling in spellings:
+            try:
+                numbers.append(float(spelling))
+            except ValueError:
+                line = next(i for i, r in enumerate(records, start=2) if spelling in r)
+                raise DatasetError(f"line {line}: non-numeric value") from None
+        del records, spellings
+        columns = tuple(h.strip() for h in header)
+        _check_shape(columns, len(lengths))
+        cells = np.array(numbers, dtype=float)[codes]
+        ends = np.cumsum(lengths)
+        odd = [*np.flatnonzero(lengths != len(columns))[:1],
+               *np.searchsorted(ends, np.flatnonzero(~np.isfinite(cells))[:1], side="right")]
+        if odd:  # the first record that is ragged or holds a non-finite value
+            i = int(min(odd))
+            _check_row(i, cells[ends[i] - lengths[i]:ends[i]].tolist(), len(columns))
+        dataset = cls.__new__(cls)
+        dataset._hold(columns, cells.reshape(len(lengths), len(columns)))
+        return dataset
 
     def validate_against(self, model: Model) -> None:
         """Check every value lies in the named variable's declared support."""
@@ -100,8 +114,25 @@ class Dataset:
                             for support, vs, c in zip(supports, self.table.values, self.table.codes)])
         if off.any():  # the first failure in row order, as a scan row by row meets it
             i, c = divmod(int(np.argmax(off)), len(self.columns))
-            raise DatasetError(f"row {i}: value {self.rows[i][c]!r} outside the declared "
+            raise DatasetError(f"row {i}: value {self.cells[i, c].item()!r} outside the declared "
                                f"support of '{self.columns[c]}'")
+
+
+def _check_shape(columns: tuple[str, ...], records: int) -> None:
+    if len(set(columns)) != len(columns):
+        raise DatasetError("duplicate column names")
+    if not records:
+        raise DatasetError("dataset must contain at least one record")
+
+
+def _check_row(i: int, row: Sequence, width: int) -> None:
+    if len(row) != width:
+        raise DatasetError(f"row {i} has {len(row)} values, expected {width}")
+    for v in row:
+        if not isinstance(v, float):
+            raise DatasetError(f"row {i} holds a non-numeric value {v!r}")
+        if not math.isfinite(v):
+            raise DatasetError(f"row {i} holds a non-finite value {v!r}")
 
 
 def estimate_conditionals(
@@ -125,7 +156,7 @@ def estimate_conditionals(
     ps = count_xz / count_z[:, None]
     gs = np.divide(y_sum, count_xz, out=np.zeros_like(y_sum), where=count_xz > 0)
     # Each z value as its stratum's first record spells it (-0.0 or 0.0).
-    spelt = [tuple(dataset.rows[r][i] for r in first.tolist()) for i in zi]
+    spelt = [tuple(dataset.cells[first, i].tolist()) for i in zi]
     z = Distribution(z_vars, columns=(spelt, [np.arange(len(first))] * len(zi), count_z / len(dataset)))
     with np.errstate(all="ignore"):  # where a sum, so a mean, or two means' difference overflow
         wide = np.flatnonzero(~np.isfinite(np.ptp(gs, axis=1)))

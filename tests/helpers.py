@@ -7,10 +7,12 @@ probability rows sum to one for every admissible parameter value.
 
 from __future__ import annotations
 
+import csv
 import json
 import math
-from functools import reduce
-from itertools import groupby, product
+from dataclasses import dataclass
+from functools import cached_property, reduce
+from itertools import chain, groupby, product
 from operator import add
 from pathlib import Path
 
@@ -614,6 +616,65 @@ def reference_janzing_strength(model: Model, arrows, base: float = 2.0) -> float
             continue
         total += p * math.log2(p / post[key])
     return total * scale
+
+
+# --- the record-by-record CSV reader (oracle of the column-wise one) ---------
+
+
+@dataclass(frozen=True)
+class ReferenceDataset:
+    """Dataset as a tuple of float rows: `from_csv` calls `float` on every
+    cell and the constructor checks every value; `table` flattens the rows
+    again and codes each column with `np.unique`."""
+
+    columns: tuple[str, ...]
+    rows: tuple[tuple[float, ...], ...]
+
+    def __post_init__(self):
+        object.__setattr__(self, "columns", tuple(self.columns))
+        object.__setattr__(self, "rows", tuple(tuple(r) for r in self.rows))
+        if len(set(self.columns)) != len(self.columns):
+            raise DatasetError("duplicate column names")
+        if not self.rows:
+            raise DatasetError("dataset must contain at least one record")
+        width = len(self.columns)
+        for i, row in enumerate(self.rows):
+            if len(row) != width:
+                raise DatasetError(f"row {i} has {len(row)} values, expected {width}")
+            for v in row:
+                if not isinstance(v, float):
+                    raise DatasetError(f"row {i} holds a non-numeric value {v!r}")
+                if not math.isfinite(v):
+                    raise DatasetError(f"row {i} holds a non-finite value {v!r}")
+
+    def __len__(self) -> int:
+        return len(self.rows)
+
+    @cached_property
+    def table(self) -> Distribution:
+        data = np.fromiter(chain.from_iterable(self.rows), float, len(self) * len(self.columns))
+        data = data.reshape(len(self), -1).T
+        coded = [np.unique(c, return_index=True, return_inverse=True) for c in data]
+        values = [tuple(c[first].tolist()) for c, (_, first, _) in zip(data, coded)]
+        return Distribution(self.columns, columns=(values, [code for *_, code in coded], np.ones(len(self))))
+
+    @classmethod
+    def from_csv(cls, path: str) -> "ReferenceDataset":
+        with open(path, newline="", encoding="utf-8") as fh:
+            reader = csv.reader(fh)
+            try:
+                header = next(reader)
+            except StopIteration:
+                raise DatasetError("empty CSV file") from None
+            rows = []
+            for lineno, record in enumerate(reader, start=2):
+                if not record:
+                    continue
+                try:
+                    rows.append(tuple(float(v) for v in record))
+                except ValueError:
+                    raise DatasetError(f"line {lineno}: non-numeric value") from None
+        return cls(tuple(h.strip() for h in header), tuple(rows))
 
 
 # --- the row-at-a-time dataset readers (oracle of the stratification kernel) -

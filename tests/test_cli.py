@@ -443,6 +443,41 @@ def test_estimate_non_finite_csv_exit_2(capsys, tmp_path, value):
     assert err.startswith("error: row 1 holds a non-finite value") and err.count("\n") == 1
 
 
+@pytest.mark.parametrize("command, name, data", [
+    ("estimate", "data.csv", b"X,Y\n0,1\n1,\xff\n"),
+    ("eval", "model.sem", b"var X in {0, 1}\n# caf\xe9\nroot X {0: 0.5, 1: 0.5}\n"
+                          b"var Y in {0, 1}\ndef Y = X\n"),
+])
+def test_undecodable_input_exit_1(capsys, tmp_path, command, name, data):
+    path = tmp_path / name
+    path.write_bytes(data)
+    code, out, err = run(capsys, command, str(path), "--cause", "X", "--outcome", "Y")
+    assert code == 1
+    assert out == ""
+    assert err.startswith("io error: 'utf-8' codec can't decode byte") and err.count("\n") == 1
+
+
+def test_estimate_oversized_field_exit_2(capsys, tmp_path):
+    path = tmp_path / "data.csv"
+    path.write_text(f"X,Y\n0,1\n1,{'1' * 131_073}\n0,0\n", encoding="utf-8")
+    code, out, err = run(capsys, "estimate", str(path), "--cause", "X", "--outcome", "Y")
+    assert code == 2
+    assert out == ""
+    assert err == "error: line 3: field larger than field limit (131072)\n"
+
+
+def test_estimate_reads_past_a_byte_order_mark(capsys, tmp_path):
+    # Spreadsheet exports start with a UTF-8 BOM; the first name is still 'X'.
+    text = "X,Y\n0,1\n1,0\n1,1\n0,0\n1,1\n"
+    plain, marked = tmp_path / "plain.csv", tmp_path / "marked.csv"
+    plain.write_text(text, encoding="utf-8")
+    marked.write_text(text, encoding="utf-8-sig")
+    assert marked.read_bytes().startswith(b"\xef\xbb\xbfX,")
+    want = run(capsys, "estimate", str(plain), "--cause", "X", "--outcome", "Y")
+    assert want[0] == 0
+    assert run(capsys, "estimate", str(marked), "--cause", "X", "--outcome", "Y") == want
+
+
 @pytest.mark.parametrize("covariate", [[], ["--covariate", "C"]])
 @pytest.mark.parametrize("given", ["X", "Y", "Z,Z", "Z,X"])
 def test_estimate_bad_conditioning_set_exit_2(capsys, tmp_path, given, covariate):
