@@ -1,7 +1,7 @@
 """Times in-process `vce baselines` on chain-k models: the whole command, each
 measure, and each layer.
 
-    python bench/baselines.py --k 8 9 10 11 12 --repeats 5 --out BENCH.json
+    python bench/baselines.py --k 8 9 10 11 12 14 --repeats 5 --out BENCH.json
 
 Run it from the root of a checkout: the program is imported from ./src, and
 the chain-k models (X -> Z0 -> ... -> Z{k-1}, Y = X + sum(Z), 4 * 2^k joint
@@ -14,6 +14,8 @@ perfbench/workloads.chain_model, with seed k.  For each k it records:
   command's order on a freshly loaded model (so `acde`, the first to need
   the observational joint, pays for building it), plus `load_s` for parsing
   and validating the model;
+- `enumerations`: how many models one command enumerates in full
+  (`engine._enumerate` calls);
 - `layers`: the per-layer metrics of one traced command, from the span
   recorder in perfbench/tracer.py.
 
@@ -37,6 +39,7 @@ from harness import host, layers, timed, write
 from workloads import chain_model
 
 from vce import baselines as bl
+from vce import engine
 from vce.dsl import parse_model
 
 MEASURES = ("ace", "acde", "janzing", "mi", "cmi")
@@ -44,6 +47,16 @@ MEASURES = ("ace", "acde", "janzing", "mi", "cmi")
 
 def _command(path: str) -> float:
     return timed(["baselines", path, "--cause", "X", "--outcome", "Y", "--format", "json"])
+
+
+def _enumerations(path: str) -> int:
+    real, calls = engine._enumerate, []
+    engine._enumerate = lambda model: calls.append(model) or real(model)
+    try:
+        _command(path)
+    finally:
+        engine._enumerate = real
+    return len(calls)
 
 
 def _measures(text: str, k: int) -> dict[str, float]:
@@ -68,7 +81,7 @@ def _measures(text: str, k: int) -> dict[str, float]:
 
 def main(argv=None) -> dict:
     parser = argparse.ArgumentParser(description=__doc__.split("\n\n")[0])
-    parser.add_argument("--k", type=int, nargs="+", default=[8, 9, 10, 11, 12])
+    parser.add_argument("--k", type=int, nargs="+", default=[8, 9, 10, 11, 12, 14])
     parser.add_argument("--repeats", type=int, default=5)
     parser.add_argument("--out", required=True, help="where to write the JSON results")
     args = parser.parse_args(argv)
@@ -97,12 +110,13 @@ def main(argv=None) -> dict:
                 "command_runs_s": runs[k],
                 "measures_s": {name: statistics.median(m[name] for m in measures[k])
                                for name in measures[k][0]},
+                "enumerations": _enumerations(paths[k]),
                 "layers": layers(lambda: _command(paths[k])),
             }
     result = write(args.out, "bench/baselines.py", argv, args.repeats, chunks, chains=chains)
     for k, row in chains.items():
         parts = "  ".join(f"{n} {v:.3f}" for n, v in row["measures_s"].items())
-        print(f"chain-{k}: command {row['command_s']:.3f} s  ({parts})")
+        print(f"chain-{k}: command {row['command_s']:.3f} s, {row['enumerations']} enumerations  ({parts})")
     return result
 
 

@@ -10,6 +10,7 @@ import numpy as np
 
 from .counterfactual import _latent_joint, recompute
 from .engine import (
+    Distribution,
     _quiet,
     _sum,
     build_joint,
@@ -46,6 +47,7 @@ def cace(
     return hi - lo
 
 
+@_quiet
 def acde(
     model: Model,
     cause: str,
@@ -64,13 +66,13 @@ def acde(
     if not controlled:
         return ace(model, cause, x0, x1, outcome)
     mdist = marginal(build_joint(model), list(controlled))
-    ms = [(m, pm) for m, pm in mdist.items() if not pm <= 0.0]
-    keys = [(*m, x) for m, _ in ms for x in (x1, x0)]
-    means = interventional_means(model, outcome, [*controlled, cause], keys)
-    total = 0.0
-    for i, (_, pm) in enumerate(ms):
-        total += pm * (means[2 * i] - means[2 * i + 1])
-    return total
+    ms = np.flatnonzero(~(mdist.masses <= 0.0))
+    # The keys (m, x1), (m, x0) for each m of the controlled set's law, as codes.
+    keys = Distribution([*controlled, cause], columns=(
+        [*mdist.values, (x1, x0)], [*(c[ms.repeat(2)] for c in mdist.codes), np.tile([0, 1], len(ms))],
+        np.zeros(2 * len(ms))))
+    means = np.array(interventional_means(model, outcome, [*controlled, cause], keys))
+    return float(_sum(mdist.masses[ms] * (means[0::2] - means[1::2])))
 
 
 @_quiet

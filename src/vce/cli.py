@@ -20,6 +20,7 @@ import csv
 import json
 import math
 import sys
+from contextlib import contextmanager
 from functools import cache
 from itertools import groupby, product
 from typing import Sequence
@@ -71,9 +72,23 @@ def _parse_assignments(text: str) -> dict[str, float]:
     return out
 
 
+@contextmanager
+def _reading(path: str):
+    """Name `path` in the error of a file that is not UTF-8."""
+    try:
+        yield
+    except UnicodeDecodeError as err:
+        raise OSError(f"{path}: {err}") from None
+
+
+def _read_model(path: str) -> Model:
+    with _reading(path), open(path, encoding="utf-8") as fh:
+        text = fh.read()
+    return parse_model(text)
+
+
 def _load_model(path: str, bindings: Sequence[str]) -> Model:
-    with open(path, encoding="utf-8") as fh:
-        model = parse_model(fh.read())
+    model = _read_model(path)
     merged = _parse_assignments(",".join(bindings))
     if model.parameters or merged:
         model = bind(model, merged)
@@ -184,8 +199,7 @@ def cmd_sweep(args) -> int:
     if not axes:
         raise VceError("sweep needs at least one --axis")
 
-    with open(args.model, encoding="utf-8") as fh:
-        base = parse_model(fh.read())
+    base = _read_model(args.model)
     fixed = _parse_assignments(",".join(args.bind))
     param_names = {p.name for p in base.parameters}
     for name, _ in axes:
@@ -285,7 +299,8 @@ def cmd_baselines(args) -> int:
 
 
 def cmd_estimate(args) -> int:
-    dataset = est.Dataset.from_csv(args.data)
+    with _reading(args.data):
+        dataset = est.Dataset.from_csv(args.data)
     if args.model:
         model = _load_model(args.model, args.bind)
         dataset.validate_against(model)

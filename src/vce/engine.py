@@ -12,7 +12,6 @@ from __future__ import annotations
 
 import math
 from collections.abc import Mapping as MappingABC
-from operator import getitem
 from typing import Iterable, Mapping, Sequence
 
 import numpy as np
@@ -97,10 +96,10 @@ class Distribution:
         c = self.column(name)
         return np.asarray(self.values[c], dtype=float)[self.codes[c]]
 
-    def recode(self, name: str, values: Sequence[float], missing: int) -> np.ndarray:
-        """Each row's index of its `name` value in `values` (`missing` where absent)."""
+    def recode(self, name: str | int, values: Sequence[float], missing: int) -> np.ndarray:
+        """Each row's index of its `name` (or column `name`) value in `values` (`missing` where absent)."""
         at = {v: i for i, v in enumerate(values)}
-        c = self.column(name)
+        c = name if isinstance(name, int) else self.column(name)
         return np.array([at.get(v, missing) for v in self.values[c]], dtype=np.intp)[self.codes[c]]
 
     def group(self, names: Sequence[str]) -> tuple[np.ndarray, np.ndarray]:
@@ -199,13 +198,6 @@ def _gather(table: OutcomeTable, mech, pos: np.ndarray, failure: Exception | Non
     except (VceError, KeyError) as err:  # KeyError: a CPT without the row
         stop = next(r for r, p in enumerate(pos.tolist()) if table.slots[p] is None)
         return table.array(mech, pos[:stop]), stop, err
-
-
-def local_distribution(model: Model, name: str, assignment: Mapping[str, float]) -> dict[float, float]:
-    """P(name = . | parents), with `assignment` covering the parents."""
-    mech = model.mechanisms[name]
-    pairs = dict(model.outcome_table(name).read(mech, tuple(assignment[p] for p in mech.parents)))
-    return {v: pairs.get(i, 0.0) for i, v in enumerate(model.support(name).values)}
 
 
 def deterministic_value(model: Model, name: str, assignment: Mapping[str, float]) -> float:
@@ -357,19 +349,27 @@ def expectation_under(model: Model, target: str, do: Mapping[str, float]) -> flo
 
 @_quiet
 def interventional_means(
-    model: Model, target: str, names: Sequence[str], keys: Sequence[tuple[float, ...]],
-    given: Mapping[str, float] | None = None,
+    model: Model, target: str, names: Sequence[str],
+    keys: Distribution | Sequence[tuple[float, ...]], given: Mapping[str, float] | None = None,
 ) -> list[float]:
-    """E(target | do(names = key), given) for each key, bit for bit as
-    expectation(build_joint(intervene(model, do)), target, given), from one
-    enumeration (truncated factorisation, Pearl 2009, §3.2): each named node is
-    an indicator root, weight 1.0 on each value the keys use, so a key's slice
-    is that intervened joint.  Only the slices the keys name are checked."""
-    snaps = [{v: snap_to_support(model.support(name), v) for v in dict.fromkeys(k[i] for k in keys)}
-             for i, name in enumerate(names)]
+    """E(target | do(names = key), given) for each key (a row of `keys` over
+    `names`, or a tuple), bit for bit as expectation(build_joint(intervene(model,
+    do)), target, given), from one enumeration (truncated factorisation, Pearl
+    2009, §3.2): each named node is an indicator root, weight 1.0 on each value
+    the keys use, so a key's slice is that intervened joint.  Only the slices
+    the keys name are checked, in the order the keys first name them."""
+    if not isinstance(keys, Distribution):  # one slice per distinct tuple
+        at = {key: i for i, key in enumerate(dict.fromkeys(keys))}
+        table = Distribution(names, dict.fromkeys(at, 0.0))
+        means = interventional_means(model, target, names, table, given)
+        return [means[at[key]] for key in keys]
+    # Each key's snapped support index of each name (value tables snapped in order).
+    codes = [np.array([model.support(n).index_of(v) for v in vs], dtype=np.intp)[c]
+             for n, vs, c in zip(names, keys.values, keys.codes)]
     mechanisms = dict(model.mechanisms)
-    for name, snap in zip(names, snaps):
-        mechanisms[name] = Root(dict.fromkeys(snap.values(), 1.0))
+    for name, c in zip(names, codes):
+        values = model.support(name).values
+        mechanisms[name] = Root({values[i]: 1.0 for i in np.unique(c).tolist()})
     joint = _enumerate(Model(model.variables, mechanisms, model.parameters))
     # All slices at once: each one's mass, P(given) in it, and the target's
     # conditional marginal in it, summed as expectation sums it (cells and
@@ -380,25 +380,31 @@ def interventional_means(
     of, _ = cells.group(names)
     p = cells.masses / in_slice.masses[of] if given else cells.masses
     means = np.bincount(of, weights=cells.values_of(target) * p, minlength=len(in_slice))
-    mass = dict(zip(slices.keys(), slices.masses.tolist()))
-    mean = dict(zip(in_slice.keys(), zip(in_slice.masses.tolist(), means.tolist())))
-    snapped = [tuple(map(getitem, snaps, key)) for key in keys]
-    for s in dict.fromkeys(snapped):
-        _check_mass(mass.get(s, 0))
-        if given and mean.get(s, (0.0,))[0] <= 0.0:
-            raise ZeroProbabilityError(f"conditioning event {dict(given)} has zero probability")
-    return [mean[s][1] for s in snapped]
+    snapped = Distribution(names, columns=(slices.values, codes, keys.masses))
+    found, inside = _rows_of(slices, snapped), _rows_of(in_slice, snapped)
+    mass = np.append(slices.masses, 0.0)[found]
+    vanishes = bool(given) & (np.append(in_slice.masses, 0.0)[inside] <= 0.0)
+    bad = ~(np.abs(mass - 1.0) <= MASS_TOL) | vanishes
+    if bad.any():  # the first key whose slice fails a check
+        i = int(np.argmax(bad))
+        _check_mass(mass[i].item() if found[i] >= 0 else 0)
+        raise ZeroProbabilityError(f"conditioning event {dict(given)} has zero probability")
+    return means[inside].tolist()
 
 
+def _log2s(values: np.ndarray) -> np.ndarray:
+    """math.log2 of each value, in order (np.log2's bits may differ)."""
+    return np.fromiter(map(math.log2, values.tolist()), float, len(values))
+
+
+@_quiet
 def entropy(dist: Distribution) -> float:
     """Shannon entropy in bits; zero-probability outcomes contribute nothing."""
-    total = 0.0
-    for p in dist.masses.tolist():
-        if p > 0.0:
-            total += p * math.log2(p)
-    return -total
+    p = dist.masses[dist.masses > 0.0]
+    return -float(_sum(p * _log2s(p)))
 
 
+@_quiet
 def cond_entropy(joint: Distribution, target: Sequence[str] | str, given: Sequence[str]) -> float:
     """H(target | given) = sum_g P(g) H(target | g), in bits."""
     targets = [target] if isinstance(target, str) else list(target)
@@ -407,12 +413,9 @@ def cond_entropy(joint: Distribution, target: Sequence[str] | str, given: Sequen
     # Both marginals order their rows by first appearance in the joint, so
     # both's rows meet their given values in gdist's row order.
     group, _ = both.group(given)
-    total = 0.0
-    for p, pg in zip(both.masses.tolist(), gdist.masses[group].tolist()):
-        if p <= 0.0:
-            continue
-        total -= p * math.log2(p / pg)
-    return total
+    keep = ~(both.masses <= 0.0)
+    p = both.masses[keep]
+    return float(_sum(-(p * _log2s(p / gdist.masses[group[keep]]))))
 
 
 def mutual_information(joint: Distribution, x: str, y: str) -> float:
@@ -435,16 +438,18 @@ def log_scale(base: float) -> float:
 
 
 def _rows_of(dist: Distribution, keys: Distribution) -> np.ndarray:
-    """The row of `dist` with each row's key of `keys` (same variables), or -1."""
+    """The row of `dist` with each row's key of `keys` (same variables, matched
+    column by column), or -1."""
     # Code len(vs) stands for a value that no row of `dist` has.
-    codes = [np.concatenate([c, keys.recode(name, vs, len(vs))])
-             for name, vs, c in zip(dist.variables, dist.values, dist.codes)]
+    codes = [np.concatenate([c, keys.recode(i, vs, len(vs))])
+             for i, (vs, c) in enumerate(zip(dist.values, dist.codes))]
     group, first = _group(codes, [len(vs) + 1 for vs in dist.values], len(dist) + len(keys))
     row = np.full(len(first), -1)
     row[group[:len(dist)]] = np.arange(len(dist))
     return row[group[len(dist):]]
 
 
+@_quiet
 def kl_divergence(p: Distribution, q: Distribution, base: float = 2.0) -> float:
     """D_KL(P || Q) over a shared domain.
 
@@ -456,14 +461,15 @@ def kl_divergence(p: Distribution, q: Distribution, base: float = 2.0) -> float:
         raise EngineError(f"KL domains differ: {p.variables} vs {q.variables}")
     scale = log_scale(base)
     q_at = np.append(q.masses, 0.0)[_rows_of(q, p)]  # row -1: the appended 0.0
-    total = 0.0
-    for row, (pv, qv) in enumerate(zip(p.masses.tolist(), q_at.tolist())):
-        if pv <= 0.0:
-            continue
-        if qv <= 0.0:
-            raise AbsoluteContinuityError(f"Q vanishes at {p.keys([row])[0]} where P = {pv}")
-        total += pv * math.log2(pv / qv)
-    return total * scale
+    keep = ~(p.masses <= 0.0)
+    vanish = np.flatnonzero(keep & (q_at <= 0.0))
+    stop = vanish[0] if len(vanish) else len(p)
+    pv = p.masses[:stop][keep[:stop]]
+    logs = _log2s(pv / q_at[:stop][keep[:stop]])  # a row loop meets these before row `stop`
+    if len(vanish):
+        at = p.keys([stop])[0]
+        raise AbsoluteContinuityError(f"Q vanishes at {at} where P = {p.masses[stop].item()}")
+    return _sum(pv * logs) * scale
 
 
 @_quiet

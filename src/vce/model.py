@@ -11,6 +11,7 @@ from __future__ import annotations
 
 import math
 import os
+from collections.abc import Mapping as MappingABC
 from dataclasses import dataclass
 from functools import cache, cached_property
 from itertools import product
@@ -219,6 +220,10 @@ class OutcomeTable:
                 self._copy = (None, array)
         return array
 
+    def fill(self, array: np.ndarray) -> None:
+        """Take `array` (as `array` returns it) for every slot; `read` still evaluates."""
+        self._copy = (None, array)
+
     def evaluate(self, mech: Mechanism, parent_values: tuple[float, ...]) -> Outcomes:
         """Outcomes at `parent_values` computed from `mech`, without the table."""
         support = self.supports[0]
@@ -228,6 +233,27 @@ class OutcomeTable:
         probabilities = [float(row.get(v, 0.0)) for v in support.values]
         # Entries <= 0 are pruned; a NaN entry is kept, so that it shows in the joint.
         return tuple([(i, p) for i, p in enumerate(probabilities) if not p <= 0.0])
+
+
+class TableRows(MappingABC):
+    """The rows of a CPT whose outcome table is filled (see OutcomeTable.fill):
+    a row per parent assignment, in slot order, with its nonzero entries."""
+
+    def __init__(self, table: OutcomeTable):
+        self._table = table
+
+    def __len__(self) -> int:
+        return len(self._table.slots)
+
+    def __iter__(self):
+        return product(*self._table.parents)
+
+    def __getitem__(self, key):
+        offsets = self._table.offsets
+        if len(key) != len(offsets):
+            raise KeyError(key)
+        probs = self._table._copy[1][sum(o[v] for o, v in zip(offsets, key))].tolist()
+        return {v: q for v, q in zip(self._table.supports[0].values, probs) if q != 0.0}
 
 
 @dataclass(frozen=True)

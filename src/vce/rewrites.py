@@ -7,20 +7,22 @@ post-cutting model of Janzing et al. (2013), which changes it on purpose.
 
 from __future__ import annotations
 
-import math
 from typing import Iterable
+
+import numpy as np
 
 from . import expr as ex
 from .dsl import MAX_DEPTH
-from .engine import Distribution, build_joint, deterministic_value, marginal
+from .engine import Distribution, _check_mass, _quiet, _sum, deterministic_value
 from .errors import NoiseConversionError, QueryError, UnboundModelError
 from .model import (
     CPT,
     Deterministic,
     FiniteSupport,
     Model,
+    OutcomeTable,
     Parameter,
-    Root,
+    TableRows,
     Variable,
     _parent_space,
 )
@@ -169,30 +171,47 @@ def _functionalize(model: Model, names: Iterable[str]) -> Model:
     return out
 
 
+@_quiet
 def _cut(model: Model, arrows: ArrowSet, joint: Distribution) -> Model:
     """The model after `arrows` are cut: each cut target is fed independent
     draws from its cut sources' observational marginals in `joint`.
 
-    A cut target's mechanism becomes a CPT over its kept parents.  Its rows
-    are read off a local model where the kept parents are uniform roots, the
-    cut sources are roots with their marginals and the target keeps its
-    mechanism, so every kept assignment gets a row: cutting can reach parent
-    values that P never reaches.
+    A cut target's mechanism becomes a CPT over its kept parents, with a row
+    for every kept assignment (cutting can reach parent values that P never
+    reaches): P(t | kept) = sum over the sources' values of prod P(source) *
+    P(t | kept, sources).  The rows are those of a local model with the kept
+    parents uniform roots and the sources roots with their marginals, times
+    the number of kept assignments, taken as its enumeration takes them:
+    one gather of the target's outcomes at every branch, factors multiplied
+    in parent order, sums in depth-first row order.  The CPT's outcome table
+    comes filled, so reading the cut model reads no slot.
     """
     mechanisms = dict(model.mechanisms)
     for target in {t for _, t in arrows}:
-        local = {target: model.mechanisms[target]}
-        kept = tuple(p for p in model.parents(target) if (p, target) not in arrows)
-        for p in model.parents(target):
-            values = model.support(p).values
-            local[p] = Root(
-                {v: 1.0 / len(values) for v in values} if p in kept
-                else {key[0]: w for key, w in marginal(joint, [p]).items()}
-            )
-        sub = Model(tuple(map(model.variable, local)), local)
-        assignments = math.prod(len(model.support(p)) for p in kept)
-        rows: dict[tuple[float, ...], dict[float, float]] = {}
-        for key, mass in marginal(build_joint(sub), [*kept, target]).items():
-            rows.setdefault(key[:-1], {})[key[-1]] = mass * assignments
-        mechanisms[target] = CPT(kept, rows)
+        mech, parents, table = model.mechanisms[target], model.parents(target), model.outcome_table(target)
+        kept = tuple(p for p in parents if (p, target) not in arrows)
+        # The local model's branches, depth first in parent order: each
+        # parent's values of nonzero weight (uniform if kept, else its marginal:
+        # the joint's value tables are the supports), and per branch its mass,
+        # its slot in the target's table and its kept assignment.
+        mass, pos, row = np.ones(1), np.zeros(1, dtype=np.intp), np.zeros(1, dtype=np.intp)
+        for p in parents:
+            n = len(model.support(p))
+            w = np.full(n, 1.0 / n) if p in kept else np.bincount(joint.codes[joint.column(p)], joint.masses, n)
+            live = np.flatnonzero(w)
+            mass = (mass[:, None] * w[live]).reshape(-1)
+            pos = (pos[:, None] * n + live).reshape(-1)
+            row = (row[:, None] * n + live).reshape(-1) if p in kept else row.repeat(len(live))
+        outcomes, size = table.array(mech, pos), len(table.supports[0])
+        if outcomes.ndim == 1:  # deterministic: each branch's one outcome, probability 1.0
+            cell = row * size + outcomes[pos]
+        else:
+            branch, t = np.nonzero(outcomes[pos])
+            cell, mass = row[branch] * size + t, mass[branch] * outcomes[pos][branch, t]
+        _check_mass(_sum(mass))
+        filled = OutcomeTable(tuple(map(model.support, (target, *kept))))
+        assignments = len(filled.slots)
+        filled.fill(np.bincount(cell, mass, assignments * size).reshape(assignments, size) * assignments)
+        mechanisms[target] = CPT(kept, TableRows(filled))
+        object.__setattr__(mechanisms[target], "_outcome_table", filled)  # where Model.outcome_table looks
     return Model(model.variables, mechanisms, model.parameters)

@@ -25,7 +25,6 @@ from vce.engine import (
     deterministic_value,
     expectation,
     intervene,
-    local_distribution,
     log_scale,
     marginal,
     stratify,
@@ -344,6 +343,14 @@ def dict_expectation(joint: Distribution, target: str, given=None) -> float:
     return total
 
 
+def dict_entropy(dist: Distribution) -> float:
+    total = 0.0
+    for p in dist.masses.tolist():
+        if p > 0.0:
+            total += p * math.log2(p)
+    return -total
+
+
 def dict_cond_entropy(joint: Distribution, target, given) -> float:
     targets = [target] if isinstance(target, str) else list(target)
     both = dict_marginal(joint, list(given) + targets)
@@ -399,6 +406,21 @@ def dict_interventional_means(model: Model, target: str, names, keys, given=None
             raise EngineError(f"joint mass {mass} deviates from 1")
         means[s] = dict_expectation(Distribution(joint.variables, entries), target, given)
     return [means[s] for s in snapped]
+
+
+def dict_acde(model: Model, cause: str, x0: float, x1: float, outcome: str, controlled) -> float:
+    """baselines.acde with the controlled law's keys as tuples: one slice per
+    positive-mass assignment m, two keys (m, x1), (m, x0) each."""
+    if not controlled:
+        hi, lo = dict_interventional_means(model, outcome, [cause], [(x1,), (x0,)])
+        return hi - lo
+    ms = [(m, pm) for m, pm in marginal(build_joint(model), list(controlled)).items() if not pm <= 0.0]
+    keys = [(*m, x) for m, _ in ms for x in (x1, x0)]
+    means = dict_interventional_means(model, outcome, [*controlled, cause], keys)
+    total = 0.0
+    for i, (_, pm) in enumerate(ms):
+        total += pm * (means[2 * i] - means[2 * i + 1])
+    return total
 
 
 def dict_joint_at(model: Model, keys) -> Distribution:
@@ -568,6 +590,36 @@ def reference_ande(model: Model, cause: str, x0: float, x1: float, outcome: str,
 
 
 # --- reference post-cutting strength ----------------------------------------
+
+
+def local_distribution(model: Model, name: str, assignment) -> dict[float, float]:
+    """P(name = . | parents), with `assignment` covering the parents."""
+    mech = model.mechanisms[name]
+    pairs = dict(model.outcome_table(name).read(mech, tuple(assignment[p] for p in mech.parents)))
+    return {v: pairs.get(i, 0.0) for i, v in enumerate(model.support(name).values)}
+
+
+def reference_cut(model: Model, arrows, joint: Distribution) -> Model:
+    """rewrites._cut as it read a cut target's rows off an enumeration of a
+    local model: the kept parents uniform roots, the cut sources roots with
+    their marginals in `joint`, the target with its mechanism."""
+    mechanisms = dict(model.mechanisms)
+    for target in {t for _, t in arrows}:
+        local = {target: model.mechanisms[target]}
+        kept = tuple(p for p in model.parents(target) if (p, target) not in arrows)
+        for p in model.parents(target):
+            values = model.support(p).values
+            local[p] = Root(
+                {v: 1.0 / len(values) for v in values} if p in kept
+                else {key[0]: w for key, w in marginal(joint, [p]).items()}
+            )
+        sub = Model(tuple(map(model.variable, local)), local)
+        assignments = math.prod(len(model.support(p)) for p in kept)
+        rows: dict[tuple[float, ...], dict[float, float]] = {}
+        for key, mass in marginal(build_joint(sub), [*kept, target]).items():
+            rows.setdefault(key[:-1], {})[key[-1]] = mass * assignments
+        mechanisms[target] = CPT(kept, rows)
+    return Model(model.variables, mechanisms, model.parameters)
 
 
 def reference_janzing_strength(model: Model, arrows, base: float = 2.0) -> float:

@@ -454,7 +454,7 @@ def test_undecodable_input_exit_1(capsys, tmp_path, command, name, data):
     code, out, err = run(capsys, command, str(path), "--cause", "X", "--outcome", "Y")
     assert code == 1
     assert out == ""
-    assert err.startswith("io error: 'utf-8' codec can't decode byte") and err.count("\n") == 1
+    assert err.startswith(f"io error: {path}: 'utf-8' codec can't decode byte") and err.count("\n") == 1
 
 
 def test_estimate_oversized_field_exit_2(capsys, tmp_path):

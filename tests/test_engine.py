@@ -5,7 +5,7 @@ from itertools import product
 import numpy as np
 import pytest
 
-from helpers import random_dsl_model, random_effect_model, reference_conditional
+from helpers import local_distribution, random_dsl_model, random_effect_model, reference_conditional
 from vce.engine import (
     Distribution,
     build_joint,
@@ -17,7 +17,6 @@ from vce.engine import (
     expectation_under,
     intervene,
     kl_divergence,
-    local_distribution,
     marginal,
     mutual_information,
     sample,

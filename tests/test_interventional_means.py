@@ -257,9 +257,9 @@ def test_baselines_enumerations_do_not_grow_with_the_support(tmp_path, capsys, e
                      "--select", "ace,acde,mi,cmi,janzing"]) == 0
         counts[k] = len(enumerations) - before
     assert "ACDE" in capsys.readouterr().out
-    # The observational joint, one indicator model each for ACE and ACDE, and
-    # the local model the cut target's rows are read from.
-    assert counts == {6: 4, 9: 4}
+    # The observational joint and one indicator model each for ACE and ACDE;
+    # the cut target's rows are one gather over its parents, not an enumeration.
+    assert counts == {6: 3, 9: 3}
 
 
 def test_build_joint_is_kept_on_the_model(enumerations, monkeypatch):
