@@ -27,8 +27,10 @@ perfbench/workloads.chain_model, with seed k.  For each k it records:
 
 `small` times the same steps on one small model, models/sprinkler_functional.sem
 bound at p = 0.3 with cause R and outcome W, as a parameter sweep pays them
-at every grid point: per bind, `joint_s` and `strata_s` (each the median
-over --repeats rounds of the mean of 200 calls on fresh binds).
+at every grid point: `bind_s`, of a fresh `bind` (which validates the bound
+model), and per bind, `joint_s` (which fills the bound `cpt` and `root`
+outcome tables) and `strata_s`; each the median over --repeats rounds of the
+mean of 200 calls.
 
 `host_factor` is the median slowdown of a fixed pure-Python chunk run
 between commands (perfbench/host.py), against that chunk's reference time;
@@ -102,15 +104,19 @@ def _measures(text: str, k: int) -> dict[str, float]:
 
 
 def _small(base) -> dict[str, float]:
-    """Mean seconds per fresh bind of the small model (the bind untimed)."""
-    joint_s = strata_s = 0.0
+    """Mean seconds of a bind of the small model, and per fresh bind of its joint and strata."""
+    bind_s = joint_s = strata_s = 0.0
     for _ in range(SMALL_CALLS):
-        joint_s += _joint(bind(base, {"p": 0.3}), ["S", "V3"], "R")
+        start = perf_counter()
+        model = bind(base, {"p": 0.3})
+        bind_s += perf_counter() - start
+        joint_s += _joint(model, ["S", "V3"], "R")
         model = bind(base, {"p": 0.3})
         start = perf_counter()
         strata(model, "R", "W")
         strata_s += perf_counter() - start
-    return {"joint_s": joint_s / SMALL_CALLS, "strata_s": strata_s / SMALL_CALLS}
+    return {"bind_s": bind_s / SMALL_CALLS, "joint_s": joint_s / SMALL_CALLS,
+            "strata_s": strata_s / SMALL_CALLS}
 
 
 def main(argv=None) -> dict:

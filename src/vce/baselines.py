@@ -11,13 +11,13 @@ import numpy as np
 from .counterfactual import _latent_joint, recompute
 from .engine import (
     Distribution,
+    _kl_at,
     _quiet,
     _sum,
     build_joint,
     conditional_mutual_information,
     interventional_means,
     joint_at,
-    kl_divergence,
     log_scale,
     marginal,
     mutual_information,
@@ -103,11 +103,9 @@ def ande(
             raise QueryError(f"mediator '{m}' is stochastic and not convertible")
     i0, i1 = (model.support(cause).index_of(x) for x in (x0, x1))
     # Y(x0, M(x0)) is Y(x0): the x0 world's own outcome.
-    x0_world, failure = recompute(model, _latent_joint(model), {cause: i0})
+    x0_world = recompute(model, _latent_joint(model), {cause: i0})
     held = {m: x0_world.codes[x0_world.column(m)] for m in mediators}
-    x1_world, failed = recompute(model, x0_world, {cause: i1, **held})
-    if failed is not None or failure is not None:
-        raise failure if failed is None else failed  # the last one met
+    x1_world = recompute(model, x0_world, {cause: i1, **held})
     return _sum(x0_world.masses * (x1_world.values_of(outcome) - x0_world.values_of(outcome)))
 
 
@@ -115,14 +113,15 @@ def janzing_strength(
     model: Model, arrows: Iterable[tuple[str, str]], base: float = 2.0
 ) -> float:
     """Post-cutting causal strength D_KL(P || P_S) of Janzing et al. (2013),
-    where P_S is the joint of the model with `arrows` cut (see `_cut`) at P's entries."""
-    log_scale(base)  # a bad base fails before any joint is built
+    where P_S is the joint of the model with `arrows` cut (see `_cut`) at P's entries,
+    row for row."""
+    scale = log_scale(base)  # a bad base fails before any joint is built
     arrow_set = frozenset((str(s), str(t)) for s, t in arrows)
     for src, tgt in arrow_set:
         if src not in model.parents(tgt):
             raise QueryError(f"({src} -> {tgt}) is not an edge of the model")
     joint = build_joint(model)
-    return kl_divergence(joint, joint_at(_cut(model, arrow_set, joint), joint), base)
+    return _kl_at(joint, joint_at(_cut(model, arrow_set, joint), joint).masses, scale)
 
 
 def mi_strength(model: Model, cause: str, outcome: str) -> float:

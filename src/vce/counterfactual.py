@@ -16,7 +16,7 @@ from typing import Mapping
 
 import numpy as np
 
-from .engine import Distribution, _gather, _positions, _quiet, _sum, build_joint, marginal
+from .engine import Distribution, _positions, _quiet, _sum, build_joint, marginal
 from .errors import QueryError, UnboundModelError, ZeroProbabilityError
 from .model import CPT, Deterministic, Model, Root
 
@@ -34,15 +34,13 @@ def stochastic_nodes(model: Model) -> tuple[str, ...]:
     return tuple(n for n in order if isinstance(model.mechanisms[n], (Root, CPT)))
 
 
-def recompute(model: Model, rows: Distribution, pinned: Mapping[str, int | np.ndarray]):
+def recompute(model: Model, rows: Distribution, pinned: Mapping[str, int | np.ndarray]) -> Distribution:
     """`rows` (coded by support index, as the joint is) with every node
     recomputed, over the nodes in topological order (keys may repeat): a
     `pinned` node holds its index (one, or one per row), another stochastic
     node its column, and a deterministic node is gathered from its outcome
-    table at its parents' positions.  Returns it and None, or where a slot
-    fails, the rows before the first failing one and the failure (rows in
-    order, then nodes, as a walk row by row meets them)."""
-    n, codes, failure = len(rows), {}, None
+    table at its parents' positions."""
+    codes = {}
     for name in model.topological_order():
         mech = model.mechanisms[name]
         if name in pinned:
@@ -51,12 +49,9 @@ def recompute(model: Model, rows: Distribution, pinned: Mapping[str, int | np.nd
             codes[name] = rows.codes[rows.column(name)]
         else:
             table = model.outcome_table(name)
-            pos = _positions(table, [codes[p][:n] for p in mech.parents], n)
-            outcomes, n, failure = _gather(table, mech, pos, failure)
-            codes[name] = outcomes[pos[:n]]
-    table = Distribution(list(codes), columns=(
-        [model.support(v).values for v in codes], [c[:n] for c in codes.values()], rows.masses[:n]))
-    return table, failure
+            codes[name] = table.array[_positions(table, [codes[p] for p in mech.parents], len(rows))]
+    return Distribution(list(codes), columns=(
+        [model.support(v).values for v in codes], list(codes.values()), rows.masses))
 
 
 def _indices(model: Model, assignment: Mapping[str, float]) -> dict[str, int]:
@@ -76,9 +71,7 @@ def abduct(model: Model, evidence: Evidence) -> Distribution:
     observed = _indices(model, evidence.observed)
     context = _indices(model, evidence.context)
     joint = _latent_joint(model)
-    world, failure = recompute(model, joint, context)
-    if failure is not None:
-        raise failure
+    world = recompute(model, joint, context)
     keep = np.ones(len(joint), dtype=bool)
     for name, index in observed.items():
         keep &= world.codes[world.column(name)] == index
@@ -102,7 +95,4 @@ def counterfactual_query(
     if target in intervention:
         raise QueryError(f"target '{target}' is pinned by the intervention")
     do = _indices(model, intervention)
-    world, failure = recompute(model, abduct(model, evidence), do)
-    if failure is not None:
-        raise failure
-    return marginal(world, [target])
+    return marginal(recompute(model, abduct(model, evidence), do), [target])

@@ -22,7 +22,6 @@ from .errors import (
     QueryError,
     StateSpaceError,
     UnboundModelError,
-    VceError,
     ZeroProbabilityError,
 )
 from .model import (
@@ -190,23 +189,12 @@ def _positions(table: OutcomeTable, codes: Sequence[np.ndarray], n: int) -> np.n
     return np.ravel_multi_index(codes, [len(values) for values in table.parents])
 
 
-def _gather(table: OutcomeTable, mech, pos: np.ndarray, failure: Exception | None):
-    """`table.array(mech, pos)`, the rows read and the last failure met: all
-    rows and `failure`, or the rows before the first failing row and its failure."""
-    try:
-        return table.array(mech, pos), len(pos), failure
-    except (VceError, KeyError) as err:  # KeyError: a CPT without the row
-        stop = next(r for r, p in enumerate(pos.tolist()) if table.slots[p] is None)
-        return table.array(mech, pos[:stop]), stop, err
-
-
 def deterministic_value(model: Model, name: str, assignment: Mapping[str, float]) -> float:
     mech = model.mechanisms[name]
     if not isinstance(mech, Deterministic):
         raise EngineError(f"'{name}' is not a deterministic node")
     table = model.outcome_table(name)
-    pairs = table.read(mech, tuple([assignment[p] for p in mech.parents]))
-    return table.supports[0].values[pairs[0][0]]
+    return table.supports[0].values[table.read(mech, tuple([assignment[p] for p in mech.parents]))]
 
 
 def _check_size(model: Model) -> None:
@@ -226,26 +214,18 @@ def _enumerate(model: Model) -> Distribution:
     _check_size(model)
     codes: dict[str, np.ndarray] = {}
     mass = np.array([1.0])
-    failure = None
     for name in model.topological_order():
         mech, table = model.mechanisms[name], model.outcome_table(name)
         pos = _positions(table, [codes[p] for p in mech.parents], len(mass))
-        outcomes, stop, failure = _gather(table, mech, pos, failure)
-        if stop < len(pos):
-            # Depth first, the rows before the first failing one and all they
-            # lead to come first: enumerate them, raise the last failure met.
-            pos, mass = pos[:stop], mass[:stop]
-            codes = {n: c[:stop] for n, c in codes.items()}
+        outcomes = table.array
         if outcomes.ndim == 1:  # deterministic: each row's one outcome, probability 1.0
             codes[name] = outcomes[pos]
             continue
         probs = outcomes[pos]
-        rows, index = np.nonzero(probs)  # the slots' pairs: positive or NaN
+        rows, index = np.nonzero(probs)  # each row's outcomes: positive or NaN
         mass = mass[rows] * probs[rows, index]
         codes = {n: c[rows] for n, c in codes.items()}
         codes[name] = index.astype(np.min_scalar_type(len(table.supports[0]) - 1))
-    if failure is not None:
-        raise failure
     names = [v.name for v in model.variables]
     return Distribution(names, columns=(
         [model.support(n).values for n in names], map(codes.get, names), mass))
@@ -449,7 +429,6 @@ def _rows_of(dist: Distribution, keys: Distribution) -> np.ndarray:
     return row[group[len(dist):]]
 
 
-@_quiet
 def kl_divergence(p: Distribution, q: Distribution, base: float = 2.0) -> float:
     """D_KL(P || Q) over a shared domain.
 
@@ -460,7 +439,12 @@ def kl_divergence(p: Distribution, q: Distribution, base: float = 2.0) -> float:
     if p.variables != q.variables:
         raise EngineError(f"KL domains differ: {p.variables} vs {q.variables}")
     scale = log_scale(base)
-    q_at = np.append(q.masses, 0.0)[_rows_of(q, p)]  # row -1: the appended 0.0
+    return _kl_at(p, np.append(q.masses, 0.0)[_rows_of(q, p)], scale)  # row -1: the appended 0.0
+
+
+@_quiet
+def _kl_at(p: Distribution, q_at: np.ndarray, scale: float) -> float:
+    """D_KL(P || Q) times `scale` (see log_scale), with Q's mass at each of P's rows in `q_at`."""
     keep = ~(p.masses <= 0.0)
     vanish = np.flatnonzero(keep & (q_at <= 0.0))
     stop = vanish[0] if len(vanish) else len(p)
@@ -495,7 +479,7 @@ def joint_at(model: Model, keys: Distribution | Iterable[tuple[float, ...]]) -> 
         mech, table = model.mechanisms[name], model.outcome_table(name)
         live = np.flatnonzero(mass != 0.0)
         pos = _positions(table, [at(p, live) for p in mech.parents], len(live))
-        outcomes, own = table.array(mech, pos), at(name, live)
+        outcomes, own = table.array, at(name, live)
         if outcomes.ndim == 1:
             factor = np.where(outcomes[pos] == own, 1.0, 0.0)
         else:

@@ -13,7 +13,7 @@ import math
 import os
 from collections.abc import Mapping as MappingABC
 from dataclasses import dataclass
-from functools import cache, cached_property
+from functools import cached_property
 from itertools import product
 from typing import Iterable, Iterator, Mapping, Union
 
@@ -142,24 +142,19 @@ class Deterministic:
 
 Mechanism = Union[Root, CPT, Deterministic]
 
-Outcomes = tuple[tuple[int, float], ...]
-
-
-@cache
-def _point(index: int) -> Outcomes:  # a deterministic outcome
-    return ((index, 1.0),)
-
 
 class OutcomeTable:
-    """A node's conditional at each parent tuple, evaluated at most once.
-    Slot `pos` (the mixed-radix position of the parents' support indices, last
-    parent fastest) holds its positive (support index, probability) pairs in
-    support order, or None until first read.  Kept on the mechanism for models
-    giving the node and its parents these `supports`; never holds a failure."""
+    """A node's conditional at every parent tuple, as one array: a
+    deterministic node's (slot,) support indices, another node's (slot x
+    support) probabilities, entries <= 0 as 0.0 and NaN kept (so that it
+    shows in the joint).  Slot `pos` is the mixed-radix position of the
+    parents' support indices, last parent fastest.  Filled whole by
+    Model.outcome_table and kept on the mechanism for models giving the node
+    and its parents these `supports`."""
 
-    __slots__ = ("supports", "parents", "offsets", "slots", "_copy")
+    __slots__ = ("supports", "parents", "offsets", "array")
 
-    def __init__(self, supports: tuple[FiniteSupport, ...]):
+    def __init__(self, supports: tuple[FiniteSupport, ...], array: np.ndarray):
         self.supports = supports
         self.parents = [s.values for s in supports[1:]]
         # Per parent, each support value's share of the slot position.
@@ -168,82 +163,69 @@ class OutcomeTable:
         for values in reversed(self.parents):
             self.offsets.insert(0, {v: i * stride for i, v in enumerate(values)})
             stride *= len(values)
-        self.slots: list[Outcomes | None] = [None] * stride
-        self._copy = None  # see array
+        self.array = array
 
-    def read(self, mech: Mechanism, parent_values: tuple[float, ...]) -> Outcomes:
-        """Outcomes at `parent_values`, evaluated on first read; a caller's value
-        that is not exactly a support value is evaluated and not stored."""
+    def read(self, mech: Mechanism, parent_values: tuple[float, ...]):
+        """The array's entry at `parent_values`; a caller's value that is not
+        exactly a support value is evaluated and not stored."""
         pos = 0
         for offsets, v in zip(self.offsets, parent_values):
             offset = offsets.get(v)
             if offset is None:
-                return self.evaluate(mech, parent_values)
+                return _entry(self.supports[0], mech, parent_values)
             pos += offset
-        if self.slots[pos] is None:
-            self.slots[pos] = self.evaluate(mech, parent_values)
-        return self.slots[pos]
+        return self.array[pos]
 
-    def array(self, mech: Mechanism, positions: np.ndarray) -> np.ndarray:
-        """The slots as one array: a deterministic node's (slot,) support
-        indices, another node's (slot x support) probabilities, zero where a
-        slot has no pair.  Each slot at `positions` is read first, the unread
-        ones in the order they first appear there, so a failing read leaves
-        the slots after it unread.  Rows of other slots may be zeros."""
-        if self._copy is None:
-            k = len(self.supports[0])
-            self._copy = (np.zeros(len(self.slots), dtype=bool),
-                          np.zeros(len(self.slots), np.min_scalar_type(k - 1))
-                          if isinstance(mech, Deterministic) else np.zeros((len(self.slots), k)))
-        # (which slots the array holds, or None once it holds all, the array);
-        # taken as one pair, so a concurrent reader fills a consistent one.
-        copied, array = self._copy
-        todo = copied is not None and list(dict.fromkeys(positions[~copied[positions]].tolist()))
-        if todo:
-            unread = [pos for pos in todo if self.slots[pos] is None]
-            keys = [()] * len(unread)  # each unread slot's parent values
-            if unread and self.parents:
-                digits = np.unravel_index(unread, [len(vs) for vs in self.parents])
-                keys = zip(*[np.asarray(vs)[d].tolist() for vs, d in zip(self.parents, digits)])
-            for pos, key in zip(unread, keys):
-                self.read(mech, key)
-            slots = [self.slots[pos] for pos in todo]
-            if array.ndim == 1:
-                array[todo] = [slot[0][0] for slot in slots]
-            else:
-                k = array.shape[1]
-                pairs = [(pos * k + i, p) for pos, slot in zip(todo, slots) for i, p in slot]
-                if pairs:
-                    np.put(array, *zip(*pairs))
-            copied[todo] = True
-            if copied.all():
-                self._copy = (None, array)
-        return array
 
-    def fill(self, array: np.ndarray) -> None:
-        """Take `array` (as `array` returns it) for every slot; `read` still evaluates."""
-        self._copy = (None, array)
+def _entry(support: FiniteSupport, mech: Mechanism, parent_values: tuple[float, ...]):
+    """One slot's entry computed from `mech`: a support index, or a list of
+    probabilities (see OutcomeTable)."""
+    if isinstance(mech, Deterministic):
+        return support.index_of(mech.value(parent_values))
+    row = mech.rows[parent_values] if isinstance(mech, CPT) else mech.table
+    return [0.0 if p <= 0.0 else p for p in [float(row.get(v, 0.0)) for v in support.values]]
 
-    def evaluate(self, mech: Mechanism, parent_values: tuple[float, ...]) -> Outcomes:
-        """Outcomes at `parent_values` computed from `mech`, without the table."""
-        support = self.supports[0]
-        if isinstance(mech, Deterministic):
-            return _point(support.index_of(mech.value(parent_values)))
-        row = mech.rows[parent_values] if isinstance(mech, CPT) else mech.table
-        probabilities = [float(row.get(v, 0.0)) for v in support.values]
-        # Entries <= 0 are pruned; a NaN entry is kept, so that it shows in the joint.
-        return tuple([(i, p) for i, p in enumerate(probabilities) if not p <= 0.0])
+
+def _fill(mech: Mechanism, supports: tuple[FiniteSupport, ...]) -> tuple[np.ndarray, list]:
+    """The array of `mech`'s outcome table over `supports`, and the (parent
+    values, error) of each slot a `def` body fails at, in slot order.  Other
+    mechanisms take one pass in slot order and raise at their first failing slot."""
+    support, parents = supports[0], [s.values for s in supports[1:]]
+    dtype = np.min_scalar_type(len(support) - 1)
+    if not isinstance(mech, Deterministic) or mech.body is None:
+        entries = [_entry(support, mech, key) for key in product(*parents)]
+        return np.array(entries, dtype=dtype if isinstance(mech, Deterministic) else float), []
+    size = math.prod(map(len, parents))
+    index, failures = np.empty(size, dtype=dtype), []
+    for start in range(0, size, GRID_BLOCK):
+        stop = min(start + GRID_BLOCK, size)
+        # The parents' support indices at each position, last parent fastest.
+        digits, rest = [], np.arange(start, stop)
+        for vs in reversed(parents):
+            rest, digit = np.divmod(rest, len(vs))
+            digits.insert(0, digit)
+        columns = {p: np.asarray(vs)[d] for p, vs, d in zip(mech.parents, parents, digits)}
+        values, failed = ex.evaluate_grid(mech.body, columns)
+        index[start:stop], off = _snap_grid(support, np.broadcast_to(values, (stop - start,)))
+        # The scalar evaluator gives each failing position its entry or its error.
+        for j in np.flatnonzero(failed | off).tolist():
+            assignment = tuple([vs[d[j]] for vs, d in zip(parents, digits)])
+            try:
+                index[start + j] = _entry(support, mech, assignment)
+            except (EvalError, ModelError) as err:
+                failures.append((assignment, err))
+    return index, failures
 
 
 class TableRows(MappingABC):
-    """The rows of a CPT whose outcome table is filled (see OutcomeTable.fill):
-    a row per parent assignment, in slot order, with its nonzero entries."""
+    """The rows of a CPT given by its outcome table (see rewrites._cut): a row
+    per parent assignment, in slot order, with its nonzero entries."""
 
     def __init__(self, table: OutcomeTable):
         self._table = table
 
     def __len__(self) -> int:
-        return len(self._table.slots)
+        return len(self._table.array)
 
     def __iter__(self):
         return product(*self._table.parents)
@@ -252,7 +234,7 @@ class TableRows(MappingABC):
         offsets = self._table.offsets
         if len(key) != len(offsets):
             raise KeyError(key)
-        probs = self._table._copy[1][sum(o[v] for o, v in zip(offsets, key))].tolist()
+        probs = self._table.array[sum(o[v] for o, v in zip(offsets, key))].tolist()
         return {v: q for v, q in zip(self._table.supports[0].values, probs) if q != 0.0}
 
 
@@ -336,16 +318,13 @@ class Model:
         return size
 
     def outcome_table(self, name: str) -> OutcomeTable:
-        """`name`'s outcome table, kept on its mechanism (see OutcomeTable) and
-        looked up there once per model."""
+        """`name`'s outcome table (see OutcomeTable), looked up once per model.
+        Filling it raises the error of its first failing slot."""
         table = self._outcome_tables.get(name)
         if table is None:
-            mech = self.mechanisms[name]
-            supports = tuple([self.variable_map[n].support for n in (name, *mech.parents)])
-            table = mech.__dict__.get("_outcome_table")
-            if table is None or table.supports != supports:
-                table = OutcomeTable(supports)
-                object.__setattr__(mech, "_outcome_table", table)
+            table, failures = _table(self, name)
+            if failures:
+                raise failures[0][1]
             self._outcome_tables[name] = table
         return table
 
@@ -554,35 +533,28 @@ def _check_deterministic(
         return
     if mech.names & set(model.parameter_map):
         return  # totality checked after binding
-    table = model.outcome_table(name)  # filled here, read by every later reader
-    if None not in table.slots:
-        return  # filled for a model sharing the mechanism (bind keeps parameter-free ones)
-    points = [_point(i) for i in range(len(support))] + [None]  # None: a failing slot
-    size = len(table.slots)
-    for start in range(0, size, GRID_BLOCK):
-        stop = min(start + GRID_BLOCK, size)
-        # The parents' support indices at each position, last parent fastest.
-        digits, rest = [], np.arange(start, stop)
-        for vs in reversed(table.parents):
-            rest, digit = np.divmod(rest, len(vs))
-            digits.insert(0, digit)
-        columns = {p: np.asarray(vs)[d] for p, vs, d in zip(mech.parents, table.parents, digits)}
-        values, failed = ex.evaluate_grid(mech.body, columns)
-        index, off = _snap_grid(support, np.broadcast_to(values, (stop - start,)))
-        failed = failed | off
-        fresh = [points[i] for i in np.where(failed, len(support), index).tolist()]
-        table.slots[start:stop] = [old or new for old, new in zip(table.slots[start:stop], fresh)]
-        # The scalar evaluator gives each failing slot its diagnostic.
-        for j in np.flatnonzero(failed).tolist():
-            pos = start + j
-            assignment = tuple([vs[d[j]] for vs, d in zip(table.parents, digits)])
-            try:
-                table.slots[pos] = table.slots[pos] or table.evaluate(mech, assignment)
-            except EvalError as err:
-                diags.append(f"{name}: body fails at {assignment}: {err}")
-            except ModelError:
-                value = mech.value(assignment)
-                diags.append(f"{name}: body yields {value!r} at {assignment}, outside support")
+    for assignment, err in _table(model, name)[1]:  # a clean table is kept for every later reader
+        if isinstance(err, EvalError):
+            diags.append(f"{name}: body fails at {assignment}: {err}")
+        else:
+            value = mech.value(assignment)
+            diags.append(f"{name}: body yields {value!r} at {assignment}, outside support")
+
+
+def _table(model: Model, name: str) -> tuple[OutcomeTable | None, list]:
+    """`name`'s outcome table as kept on its mechanism, filled if it is not kept
+    there for these supports, and the failures of that fill (see _fill); a
+    table with a failing slot is not kept."""
+    mech = model.mechanisms[name]
+    supports = tuple([model.variable_map[n].support for n in (name, *mech.parents)])
+    table = mech.__dict__.get("_outcome_table")
+    if table is None or table.supports != supports:
+        array, failures = _fill(mech, supports)
+        if failures:
+            return None, failures
+        table = OutcomeTable(supports, array)
+        object.__setattr__(mech, "_outcome_table", table)
+    return table, []
 
 
 @np.errstate(over="ignore")  # a distance past the largest float is rightly not near

@@ -7,6 +7,7 @@ post-cutting model of Janzing et al. (2013), which changes it on purpose.
 
 from __future__ import annotations
 
+import math
 from typing import Iterable
 
 import numpy as np
@@ -183,12 +184,12 @@ def _cut(model: Model, arrows: ArrowSet, joint: Distribution) -> Model:
     parents uniform roots and the sources roots with their marginals, times
     the number of kept assignments, taken as its enumeration takes them:
     one gather of the target's outcomes at every branch, factors multiplied
-    in parent order, sums in depth-first row order.  The CPT's outcome table
-    comes filled, so reading the cut model reads no slot.
+    in parent order, sums in depth-first row order.  The CPT comes with its
+    outcome table, and its rows are a view of it.
     """
     mechanisms = dict(model.mechanisms)
     for target in {t for _, t in arrows}:
-        mech, parents, table = model.mechanisms[target], model.parents(target), model.outcome_table(target)
+        parents, table = model.parents(target), model.outcome_table(target)
         kept = tuple(p for p in parents if (p, target) not in arrows)
         # The local model's branches, depth first in parent order: each
         # parent's values of nonzero weight (uniform if kept, else its marginal:
@@ -202,16 +203,17 @@ def _cut(model: Model, arrows: ArrowSet, joint: Distribution) -> Model:
             mass = (mass[:, None] * w[live]).reshape(-1)
             pos = (pos[:, None] * n + live).reshape(-1)
             row = (row[:, None] * n + live).reshape(-1) if p in kept else row.repeat(len(live))
-        outcomes, size = table.array(mech, pos), len(table.supports[0])
+        outcomes, size = table.array, len(table.supports[0])
         if outcomes.ndim == 1:  # deterministic: each branch's one outcome, probability 1.0
             cell = row * size + outcomes[pos]
         else:
             branch, t = np.nonzero(outcomes[pos])
             cell, mass = row[branch] * size + t, mass[branch] * outcomes[pos][branch, t]
         _check_mass(_sum(mass))
-        filled = OutcomeTable(tuple(map(model.support, (target, *kept))))
-        assignments = len(filled.slots)
-        filled.fill(np.bincount(cell, mass, assignments * size).reshape(assignments, size) * assignments)
+        supports = tuple(map(model.support, (target, *kept)))
+        assignments = math.prod(map(len, supports[1:]))
+        filled = OutcomeTable(supports, np.bincount(cell, mass, assignments * size).reshape(
+            assignments, size) * assignments)
         mechanisms[target] = CPT(kept, TableRows(filled))
         object.__setattr__(mechanisms[target], "_outcome_table", filled)  # where Model.outcome_table looks
     return Model(model.variables, mechanisms, model.parameters)

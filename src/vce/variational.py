@@ -462,13 +462,8 @@ def _tabulate(
         codes = [np.asarray(indices, dtype=np.intp)[None, :] if p == cause
                  else z.codes[z_vars.index(p)][:, None] for p in mech.parents]
         at = np.broadcast_to(np.ravel_multi_index(codes, [len(vs) for vs in table.parents]), ps.shape)
-        if None in table.slots:  # not validated: g_in reads the slots the joint left, in row order
-            keys = z.keys()
-            for s, i in zip(*np.nonzero(np.array([slot is None for slot in table.slots])[at])):
-                if table.slots[at[s, i]] is None:
-                    g_in(model, outcome, {**dict(zip(z_vars, keys[s])), cause: support.values[indices[i]]})
         values = table.supports[0].values
-        gs = np.asarray(values)[table.array(mech, at.ravel())[at]]
+        gs = np.asarray(values)[table.array[at]]
     else:
         values = support.values
         gs = np.broadcast_to(np.asarray(values)[list(indices)], ps.shape)

@@ -49,10 +49,11 @@ from vce.model import (
     Root,
     VALUE_TOL,
     Variable,
+    bind,
     snap_to_support,
 )
 from vce.rewrites import _functionalize
-from vce.variational import EffectQuery, StratumTable, ZSlice, _ZRow, g_in
+from vce.variational import EffectQuery, StratumTable, ZSlice, _ZRow
 
 MODELS_DIR = Path(__file__).resolve().parent.parent / "models"
 
@@ -216,6 +217,64 @@ def random_dsl_model(rng: np.random.Generator) -> Model:
     return Model(tuple(variables), mechanisms, tuple(params))
 
 
+def raw_row(rng: np.random.Generator, values) -> dict[float, float]:
+    """A probability row that may hold zeros, entries below zero, NaN and
+    entries small enough for their products to underflow to 0.0."""
+    probs = random_probs(rng, len(values), allow_zero=True)
+    roll = rng.random()
+    if roll < 0.08:
+        probs[int(rng.integers(0, len(values)))] = math.nan
+    elif roll < 0.35:
+        probs[int(rng.integers(0, len(values)))] = float(rng.choice([1e-200, 1e-170, -1e-12]))
+    return dict(zip(values, probs))
+
+
+def raw_model(rng: np.random.Generator) -> Model:
+    """An unvalidated model: roots and CPTs with rows as raw_row draws them,
+    deterministic tables and indicator roots (weight 1.0 on several values,
+    as interventional_means builds them)."""
+    variables, mechanisms = [], {}
+    for i in range(int(rng.integers(1, 6))):
+        support = FiniteSupport(tuple(float(v) for v in sorted(
+            rng.choice(np.arange(-2, 7), size=int(rng.integers(1, 4)), replace=False))))
+        name = f"V{i}"
+        parents = [v for v in variables if rng.random() < 0.5][:2]
+        kind = rng.choice(["root", "indicator", "cpt", "fun"][: 4 if parents else 2])
+        if kind == "root":
+            mechanisms[name] = Root(raw_row(rng, support.values))
+        elif kind == "indicator":
+            size = int(rng.integers(1, len(support) + 1))
+            chosen = rng.choice(support.values, size=size, replace=False)
+            mechanisms[name] = Root(dict.fromkeys(sorted(float(v) for v in chosen), 1.0))
+        else:
+            space = list(product(*(v.support.values for v in parents)))
+            names = tuple(v.name for v in parents)
+            if kind == "cpt":
+                mechanisms[name] = CPT(names, {key: raw_row(rng, support.values) for key in space})
+            else:
+                mechanisms[name] = Deterministic(
+                    names, table={key: float(rng.choice(support.values)) for key in space})
+        variables.append(Variable(name, support))
+    return Model(tuple(variables), mechanisms)
+
+
+def mixed_models(seed: int, count: int):
+    """Random bound DSL models, each also under a random intervention, and
+    raw models, each with the generator that drew it."""
+    rng = np.random.default_rng(seed)
+    for i in range(count):
+        if i % 3 == 2:
+            yield rng, raw_model(rng)
+            continue
+        model = random_dsl_model(rng)
+        if model.parameters:
+            model = bind(model, {"p": float(rng.uniform())})
+        yield rng, model
+        names = [v.name for v in model.variables]
+        name = names[int(rng.integers(0, len(names)))]
+        yield rng, intervene(model, {name: float(rng.choice(model.support(name).values))})
+
+
 # --- reference joint enumeration ---------------------------------------------
 
 
@@ -298,18 +357,29 @@ def reference_conditional(joint: Distribution, variables, given) -> Distribution
     return Distribution(tuple(variables), {k: v / mass for k, v in table.items()})
 
 
+def evaluate_slot(support: FiniteSupport, mech, parent_values) -> tuple[tuple[int, float], ...]:
+    """A node's conditional at `parent_values` by plain evaluation of its
+    mechanism (oracle for the outcome tables): its positive (support index,
+    probability) pairs in support order, a NaN entry kept."""
+    if isinstance(mech, Deterministic):
+        return ((support.index_of(mech.value(parent_values)), 1.0),)
+    row = mech.rows[parent_values] if isinstance(mech, CPT) else mech.table
+    probabilities = [float(row.get(v, 0.0)) for v in support.values]
+    return tuple([(i, p) for i, p in enumerate(probabilities) if not p <= 0.0])
+
+
 def reference_joint_at(model: Model, keys) -> Distribution:
     """The product of the node conditionals at each full assignment, every
-    slot read by value and every factor taken afresh (oracle for joint_at)."""
+    factor evaluated afresh (oracle for joint_at)."""
     column = {v.name: i for i, v in enumerate(model.variables)}
-    nodes = [(model.outcome_table(n), model.mechanisms[n], column[n],
+    nodes = [(model.support(n), model.mechanisms[n], column[n],
               [column[p] for p in model.mechanisms[n].parents]) for n in model.topological_order()]
     masses = {}
     for key in keys:
         mass = 1.0
-        for table, mech, col, parents in nodes:
-            pairs = dict(table.read(mech, tuple(key[c] for c in parents)))
-            mass *= pairs.get(table.supports[0].values.index(key[col]), 0.0)
+        for support, mech, col, parents in nodes:
+            pairs = dict(evaluate_slot(support, mech, tuple(key[c] for c in parents)))
+            mass *= pairs.get(support.values.index(key[col]), 0.0)
             if mass == 0.0:
                 break
         masses[key] = mass
@@ -428,7 +498,7 @@ def dict_joint_at(model: Model, keys) -> Distribution:
     it shares with the key before."""
     column = {v.name: i for i, v in enumerate(model.variables)}
     values = [v.support.values for v in model.variables]
-    nodes = [(model.outcome_table(n), model.mechanisms[n], column[n],
+    nodes = [(model.support(n), model.mechanisms[n], column[n],
               [column[p] for p in model.mechanisms[n].parents]) for n in model.topological_order()]
     masses = {}
     prev, partial = (), [1.0]  # partial[i]: the product of the first i factors at `prev`
@@ -437,13 +507,12 @@ def dict_joint_at(model: Model, keys) -> Distribution:
         while i < len(partial) - 1 and key[nodes[i][2]] == prev[nodes[i][2]]:
             i += 1
         del partial[i + 1:]
-        for table, mech, col, parents in nodes[i:]:
+        for support, mech, col, parents in nodes[i:]:
             if partial[-1] == 0.0:
                 break
-            pos = 0
             for c in parents:
-                pos = pos * len(values[c]) + values[c].index(key[c])
-            outcomes = table.slots[pos] or table.read(mech, tuple(key[c] for c in parents))
+                values[c].index(key[c])  # a value off the support fails here
+            outcomes = evaluate_slot(support, mech, tuple(key[c] for c in parents))
             partial.append(partial[-1] * dict(outcomes).get(values[col].index(key[col]), 0.0))
         masses[key] = partial[-1]
         prev = key
@@ -595,7 +664,7 @@ def reference_ande(model: Model, cause: str, x0: float, x1: float, outcome: str,
 def local_distribution(model: Model, name: str, assignment) -> dict[float, float]:
     """P(name = . | parents), with `assignment` covering the parents."""
     mech = model.mechanisms[name]
-    pairs = dict(model.outcome_table(name).read(mech, tuple(assignment[p] for p in mech.parents)))
+    pairs = dict(evaluate_slot(model.support(name), mech, tuple(assignment[p] for p in mech.parents)))
     return {v: pairs.get(i, 0.0) for i, v in enumerate(model.support(name).values)}
 
 
@@ -848,8 +917,7 @@ def reference_ipwe(dataset, treatment: str, s: float, outcome: str, covariates) 
 
 def reference_tabulate(model: Model, cause: str, outcome: str | None, z_vars, support_subset=None):
     """_tabulate's rows as it built them one stratum at a time: a _ZRow per
-    stratum, g read slot by slot (g_in for a slot not yet filled); returns
-    (rows, indices)."""
+    stratum, each g by plain evaluation; returns (rows, indices)."""
     joint = build_joint(model)
     support = model.support(cause)
     if support_subset is None:
@@ -863,18 +931,15 @@ def reference_tabulate(model: Model, cause: str, outcome: str | None, z_vars, su
     z_keys = joint.keys(first, z_vars)
     ps = (pxz[:, list(indices)] / pz[:, None]).tolist()
     if outcome is not None:
-        table = model.outcome_table(outcome)
-        codes = [np.asarray(indices, dtype=np.intp)[None, :] if p == cause
-                 else joint.codes[joint.column(p)][first, None] for p in model.mechanisms[outcome].parents]
-        at = np.ravel_multi_index(codes, [len(values) for values in table.parents]).tolist()
-        ys = table.supports[0].values
+        mech, ys = model.mechanisms[outcome], model.support(outcome).values
         gs = []
-        for z_key, z_at in zip(z_keys, at):
+        for z_key in z_keys:
             g = []
-            for x, pos in zip(xs, z_at):
-                slot = table.slots[pos]
-                g.append(ys[slot[0][0]] if slot else
-                         g_in(model, outcome, {**dict(zip(z_vars, z_key)), cause: x}))
+            for x in xs:
+                assignment = {**dict(zip(z_vars, z_key)), cause: x}
+                ((index, _),) = evaluate_slot(model.support(outcome), mech,
+                                              tuple(assignment[p] for p in mech.parents))
+                g.append(ys[index])
             gs.append(tuple(g))
     else:
         gs = [tuple(xs)] * len(first)

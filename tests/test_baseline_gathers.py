@@ -20,8 +20,10 @@ from helpers import (
     dict_kl_divergence,
     random_dsl_model,
     reference_cut,
+    reference_joint,
 )
 from vce import expr as ex
+from vce import model as model_module
 from vce.baselines import acde, ace, cace, janzing_strength
 from vce.dsl import parse_model
 from vce.engine import (
@@ -57,8 +59,7 @@ def _tables(cut, model, arrows, joint):
     for target in sorted({t for _, t in arrows}):
         mech, table = q_model.mechanisms[target], q_model.outcome_table(target)
         rows = {key: {v: q.hex() for v, q in row.items() if q != 0.0} for key, row in mech.rows.items()}
-        array = table.array(mech, np.arange(len(table.slots)))
-        out[target] = mech.parents, rows, [q.hex() for q in array.ravel().tolist()]
+        out[target] = mech.parents, rows, [q.hex() for q in table.array.ravel().tolist()]
     return out
 
 
@@ -174,16 +175,11 @@ def test_baselines_match_the_paths_they_replaced_on_random_models():
 
 @pytest.fixture()
 def slot_reads(monkeypatch):
-    """Counts OutcomeTable.read and OutcomeTable.evaluate calls."""
+    """Counts outcome table fills and OutcomeTable.read calls."""
     calls = []
-    for method in ("read", "evaluate"):
-        real = getattr(OutcomeTable, method)
-
-        def counted(self, *args, _real=real, _method=method):
-            calls.append(_method)
-            return _real(self, *args)
-
-        monkeypatch.setattr(OutcomeTable, method, counted)
+    fill, read = model_module._fill, OutcomeTable.read
+    monkeypatch.setattr(model_module, "_fill", lambda *args: calls.append("fill") or fill(*args))
+    monkeypatch.setattr(OutcomeTable, "read", lambda *args: calls.append("read") or read(*args))
     return calls
 
 
@@ -225,17 +221,18 @@ def test_acde_leaves_out_a_controlled_assignment_of_zero_mass():
 
 
 def test_interventional_means_read_only_the_values_the_keys_use():
-    # Y's body fails at X = 1; do(X = 0) alone never enumerates X = 1.
+    # Y's row at X = 1 sums to 0.5 (unvalidated); do(X = 0) alone gives X = 1
+    # no weight, so only a key at X = 1 meets that row's slice.
     binary = FiniteSupport((0.0, 1.0))
     model = Model((Variable("X", binary), Variable("Y", binary)), {
         "X": Root({0.0: 0.5, 1.0: 0.5}),
-        "Y": Deterministic(("X",), body=ex.IfElse(
-            ex.Binary("==", ex.Name("X"), ex.Num(0.0)), ex.Num(1.0), ex.Name("W"))),
+        "Y": CPT(("X",), {(0.0,): {0.0: 0.5, 1.0: 0.5}, (1.0,): {0.0: 0.25, 1.0: 0.25}}),
     })
     for x0, x1 in [(0.0, 0.0), (0.0, 1.0)]:
         assert _outcome(ace, model, "X", x0, x1, "Y") == _outcome(
             lambda *a: _cace_as_it_was(*a, None), model, "X", x0, x1, "Y")
     assert _outcome(ace, model, "X", 0.0, 0.0, "Y") == (0.0).hex()
+    assert _outcome(ace, model, "X", 0.0, 1.0, "Y") == ("EngineError", "joint mass 0.5 deviates from 1")
 
 
 def test_interventional_means_match_slices_whose_given_rows_come_in_another_order():
@@ -251,21 +248,31 @@ def test_interventional_means_match_slices_whose_given_rows_come_in_another_orde
 
 def test_cut_reads_the_target_where_only_the_cut_reaches():
     # B = A, so P reaches (A, B) = (0, 0) and (1, 1) only; cutting A -> C feeds
-    # C every B with every A, and C's body fails at A != B, in the same
-    # first failing slot either way.
+    # C every B with every A.  C's table is filled whole before the cut, so a
+    # body that fails at A != B raises at the joint, at its first failing slot
+    # (0, 1), although plain recursion never meets it.
     binary = FiniteSupport((0.0, 1.0))
     same = ex.Binary("==", ex.Name("A"), ex.Name("B"))
-    model = Model(tuple(Variable(n, binary) for n in "ABC"), {
-        "A": Root({0.0: 0.5, 1.0: 0.5}),
-        "B": Deterministic(("A",), body=ex.Name("A")),
-        "C": Deterministic(("A", "B"), body=ex.IfElse(same, ex.Name("A"), ex.Name("W"))),
-    })
-    joint = build_joint(model)
     arrows = frozenset([("A", "C")])
-    want = _outcome(reference_cut, model, arrows, joint)
-    assert want[0] == "EvalError"
-    assert _outcome(_cut, model, arrows, joint) == want
-    assert _outcome(janzing_strength, model, arrows) == want
+    for otherwise, want in [(ex.Num(1.0), None),
+                            (ex.Name("W"), ("EvalError", "unknown identifier 'W'"))]:
+        model = Model(tuple(Variable(n, binary) for n in "ABC"), {
+            "A": Root({0.0: 0.5, 1.0: 0.5}),
+            "B": Deterministic(("A",), body=ex.Name("A")),
+            "C": Deterministic(("A", "B"), body=ex.IfElse(same, ex.Name("A"), otherwise)),
+        })
+        joint = reference_joint(model)
+        assert list(joint.entries) == [(0.0, 0.0, 0.0), (1.0, 1.0, 1.0)]
+        if want is None:
+            tables = _outcome(_tables, _cut, model, arrows, joint)
+            assert tables == _outcome(_tables, reference_cut, model, arrows, joint)
+            half, one = (0.5).hex(), (1.0).hex()
+            assert tables["C"][1] == {(0.0,): {0.0: half, 1.0: half}, (1.0,): {1.0: one}}
+            assert _outcome(janzing_strength, model, arrows, 2.0) == _outcome(
+                _reference_janzing, model, arrows, 2.0)
+        else:
+            assert _outcome(build_joint, model) == want
+            assert _outcome(janzing_strength, model, arrows) == want
 
 
 def test_information_measures_stay_quiet_on_infinite_masses():

@@ -5,9 +5,11 @@ plain recursive enumeration and with the dict readers it replaced
 """
 
 import math
+import re
 from itertools import product
 
 import numpy as np
+import pytest
 
 from helpers import (
     chain_source,
@@ -19,6 +21,7 @@ from helpers import (
     dict_kl_divergence,
     dict_marginal,
     joint_bits,
+    mixed_models,
     random_dsl_model,
     random_effect_model,
     random_probs,
@@ -53,62 +56,6 @@ def _bound(rng, model):
     return bind(model, {"p": float(rng.uniform())}) if model.parameters else model
 
 
-def _row(rng, values):
-    """A probability row that may hold zeros, entries below zero, NaN and
-    entries small enough for their products to underflow to 0.0."""
-    probs = random_probs(rng, len(values), allow_zero=True)
-    roll = rng.random()
-    if roll < 0.08:
-        probs[int(rng.integers(0, len(values)))] = math.nan
-    elif roll < 0.35:
-        probs[int(rng.integers(0, len(values)))] = float(rng.choice([1e-200, 1e-170, -1e-12]))
-    return dict(zip(values, probs))
-
-
-def _raw_model(rng):
-    """An unvalidated model: roots and CPTs with rows as _row draws them,
-    deterministic tables and indicator roots (weight 1.0 on several values,
-    as interventional_means builds them)."""
-    variables, mechanisms = [], {}
-    for i in range(int(rng.integers(1, 6))):
-        support = FiniteSupport(tuple(float(v) for v in sorted(
-            rng.choice(np.arange(-2, 7), size=int(rng.integers(1, 4)), replace=False))))
-        name = f"V{i}"
-        parents = [v for v in variables if rng.random() < 0.5][:2]
-        kind = rng.choice(["root", "indicator", "cpt", "fun"][: 4 if parents else 2])
-        if kind == "root":
-            mechanisms[name] = Root(_row(rng, support.values))
-        elif kind == "indicator":
-            size = int(rng.integers(1, len(support) + 1))
-            chosen = rng.choice(support.values, size=size, replace=False)
-            mechanisms[name] = Root(dict.fromkeys(sorted(float(v) for v in chosen), 1.0))
-        else:
-            space = list(product(*(v.support.values for v in parents)))
-            names = tuple(v.name for v in parents)
-            if kind == "cpt":
-                mechanisms[name] = CPT(names, {key: _row(rng, support.values) for key in space})
-            else:
-                mechanisms[name] = Deterministic(
-                    names, table={key: float(rng.choice(support.values)) for key in space})
-        variables.append(Variable(name, support))
-    return Model(tuple(variables), mechanisms)
-
-
-def _models(seed, count):
-    """Random bound DSL models, each also under a random intervention, and
-    raw models."""
-    rng = np.random.default_rng(seed)
-    for i in range(count):
-        if i % 3 == 2:
-            yield rng, _raw_model(rng)
-            continue
-        model = _bound(rng, random_dsl_model(rng))
-        yield rng, model
-        names = [v.name for v in model.variables]
-        name = names[int(rng.integers(0, len(names)))]
-        yield rng, intervene(model, {name: float(rng.choice(model.support(name).values))})
-
-
 def _outcome(fn, *args):
     """The value as exact hex (a table as its keys and hex masses), or the
     error's type and text."""
@@ -125,7 +72,7 @@ def _outcome(fn, *args):
 
 def test_enumerate_matches_plain_recursion_on_random_models():
     seen = {"models": 0, "nan": 0, "zero": 0, "pruned": 0}
-    for _, model in _models(91, 330):
+    for _, model in mixed_models(91, 330):
         want = reference_joint(model)
         got = _enumerate(model)
         assert joint_bits(got) == joint_bits(want)
@@ -140,7 +87,7 @@ def test_enumerate_matches_plain_recursion_on_random_models():
 
 def test_readers_match_the_dict_readers_on_random_models():
     seen = {"checks": 0, "errors": 0}
-    for rng, model in _models(92, 330):
+    for rng, model in mixed_models(92, 330):
         try:
             joint = build_joint(model)
         except VceError:
@@ -173,7 +120,7 @@ def test_readers_match_the_dict_readers_on_random_models():
 
 def test_kl_divergence_and_joint_at_match_the_dict_readers():
     vanished = 0
-    for rng, p_model in _models(93, 300):
+    for rng, p_model in mixed_models(93, 300):
         try:
             joint = build_joint(p_model)
         except VceError:
@@ -222,7 +169,7 @@ def test_a_mass_that_reaches_zero_stays_zero_through_a_nan_factor():
 
 def test_interventional_means_match_the_per_slice_dict_path():
     seen = {"values": 0, "errors": set()}
-    for rng, model in _models(94, 320):
+    for rng, model in mixed_models(94, 320):
         names = [v.name for v in model.variables]
         if len(names) < 2:
             continue
@@ -357,17 +304,15 @@ def test_counterfactual_propagation_takes_snapped_values():
 
 def test_the_first_failing_row_decides_the_error():
     # Y's parents are (B, A) and A comes first in topological order, so the
-    # rows reach Y's slots out of position order: row (A, B) = (0, 1) is
-    # slot 2 and fails before row (1, 0), slot 1, which fails too.
+    # joint's rows reach Y's slots out of position order: row (A, B) = (0, 1)
+    # is slot 2 and fails before row (1, 0), slot 1, which fails too.  Y's
+    # table is filled in slot order, so its first missing row, (B, A) =
+    # (0, 1), decides the error; plain recursion meets the other first.
     binary = FiniteSupport((0.0, 1.0))
     model = Model(tuple(Variable(n, binary) for n in "ABY"), {
         "A": Root({0.0: 0.5, 1.0: 0.5}), "B": Root({0.0: 0.5, 1.0: 0.5}),
         "Y": Deterministic(("B", "A"), table={(0.0, 0.0): 0.0, (1.0, 1.0): 1.0}),
     })
-    for build in (reference_joint, _enumerate):
-        try:
+    for build, row in [(_enumerate, "(0.0, 1.0)"), (reference_joint, "(1.0, 0.0)")]:
+        with pytest.raises(ModelError, match=f"^{re.escape(f'deterministic table has no row for {row}')}$"):
             build(model)
-        except ModelError as err:
-            assert str(err) == "deterministic table has no row for (1.0, 0.0)"
-        else:
-            raise AssertionError("no error")

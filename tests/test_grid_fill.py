@@ -1,7 +1,7 @@
 """`validate` fills each `def` table over the whole parent grid with
 expr.evaluate_grid; the scalar evaluator stays the oracle.  Every filled slot
 is the one a scalar fill gives, and failing slots give the scalar fill's
-diagnostics, in its order, and its errors when read.
+diagnostics, in its order, and the first one's error when the table is read.
 """
 
 import math
@@ -11,7 +11,7 @@ from itertools import product
 import numpy as np
 import pytest
 
-from helpers import joint_bits, random_dsl_model, random_probs, reference_joint
+from helpers import evaluate_slot, random_dsl_model, random_probs, reference_joint
 from vce import expr as ex
 from vce import variational
 from vce.dsl import parse_model
@@ -21,7 +21,6 @@ from vce.model import (
     Deterministic,
     FiniteSupport,
     Model,
-    OutcomeTable,
     Root,
     Variable,
     _snap_grid,
@@ -31,20 +30,22 @@ from vce.model import (
 
 
 def _scalar_fill(model, name):
-    """A fresh table of `name` filled one parent tuple at a time, and the
-    diagnostics of the failing tuples, as validate wrote them before the grid."""
-    mech = model.mechanisms[name]
-    table = OutcomeTable(model.outcome_table(name).supports)
-    diags = []
-    for pos, assignment in enumerate(product(*table.parents)):
+    """`name`'s table filled one parent tuple at a time by plain evaluation:
+    each slot's support index (None where it fails), and the diagnostics of
+    the failing tuples, as validate wrote them before the grid."""
+    mech, support = model.mechanisms[name], model.support(name)
+    slots, diags = [], []
+    for assignment in product(*(model.support(p).values for p in mech.parents)):
         try:
-            table.slots[pos] = table.evaluate(mech, assignment)
+            slots.append(evaluate_slot(support, mech, assignment)[0][0])
         except EvalError as err:
+            slots.append(None)
             diags.append(f"{name}: body fails at {assignment}: {err}")
         except ModelError:
+            slots.append(None)
             value = mech.value(assignment)
             diags.append(f"{name}: body yields {value!r} at {assignment}, outside support")
-    return table.slots, diags
+    return slots, diags
 
 
 def _defs(model):
@@ -64,9 +65,7 @@ def test_grid_fill_matches_scalar_fill_on_random_models():
         for name in _defs(model):
             slots, diags = _scalar_fill(model, name)
             assert diags == []
-            got = model.outcome_table(name).slots
-            assert len(got) == len(slots)
-            assert all(a is b for a, b in zip(got, slots)), name  # the shared _point(i)
+            assert model.outcome_table(name).array.tolist() == slots, name
             compared += 1
     assert compared >= 100
 
@@ -126,29 +125,34 @@ def test_failing_bodies_give_the_scalar_diagnostics_and_errors():
             expected += diags
         assert validate(model) == expected  # same text, same order
         kinds["fails" if expected else "clean"] += 1
-        for name in _defs(model):
-            got = model.outcome_table(name).slots
-            assert all(a is b for a, b in zip(got, oracle[name])), name
-            # A failing slot stays empty; reading it raises the scalar error.
+        first = None  # the error of the first failing table's first failing slot
+        for name in [n for n in model.topological_order() if n in oracle]:
             mech = model.mechanisms[name]
-            for slot, assignment in zip(got, product(*model.outcome_table(name).parents)):
-                if slot is None:
-                    with pytest.raises((EvalError, ModelError)) as want:
-                        model.outcome_table(name).evaluate(mech, assignment)
-                    with pytest.raises(type(want.value), match=f"^{re.escape(str(want.value))}$"):
-                        deterministic_value(model, name, dict(zip(mech.parents, assignment)))
+            if None not in oracle[name]:
+                assert model.outcome_table(name).array.tolist() == oracle[name], name
+                continue
+            # A table with a failing slot is not kept: each reader raises
+            # plain evaluation's error at its first failing slot.
+            assignment = list(product(*(model.support(p).values for p in mech.parents)))[
+                oracle[name].index(None)]
+            with pytest.raises((EvalError, ModelError)) as want:
+                evaluate_slot(model.support(name), mech, assignment)
+            first = first or want.value
+            for read in (lambda: model.outcome_table(name),
+                         lambda: deterministic_value(model, name, dict(zip(mech.parents, assignment)))):
+                with pytest.raises(type(want.value), match=f"^{re.escape(str(want.value))}$"):
+                    read()
         if expected:
-            # The joint reaches a failing tuple or it does not; either way the
-            # enumeration behaves as plain evaluation does.
+            # Plain recursion reaches a failing tuple or it does not; the
+            # enumeration fills every table whole and raises the first failure.
             try:
-                want = joint_bits(reference_joint(model))
-            except (EvalError, ModelError) as err:
+                reference_joint(model)
+            except (EvalError, ModelError):
                 kinds["reached"] += 1
-                with pytest.raises(type(err), match=f"^{re.escape(str(err))}$"):
-                    build_joint(model)
             else:
                 kinds["unreached"] += 1
-                assert joint_bits(build_joint(model)) == want
+            with pytest.raises(type(first), match=f"^{re.escape(str(first))}$"):
+                build_joint(model)
     assert min(kinds.values()) >= 10, kinds
 
 
@@ -252,11 +256,10 @@ def test_strata_gathers_filled_slots_without_g_in(monkeypatch):
     table = variational.strata(model, "X", "Y")
     assert calls == []
     assert [row.gs for row in table.rows] == [(0.0, 1.0, 2.0), (1.0, 2.0, 3.0)]
-    # An unvalidated model's joint leaves the X = 2 slots empty; g_in reads
-    # them, once.
+    # An unvalidated model's table is filled whole too, the X = 2 slots that
+    # the joint never reaches included.
     fresh = Model(model.variables, {**model.mechanisms,
                                     "Y": Deterministic(("Z", "X"), body=model.mechanisms["Y"].body)})
     assert variational.strata(fresh, "X", "Y").rows == table.rows
-    assert len(calls) == 2
-    variational.strata(fresh, "X", "Y")
-    assert len(calls) == 2
+    assert fresh.outcome_table("Y").array.tolist() == _scalar_fill(fresh, "Y")[0] == [0, 1, 2, 1, 2, 3]
+    assert calls == []

@@ -11,6 +11,7 @@ import pytest
 
 from helpers import (
     chain_source,
+    evaluate_slot,
     random_dsl_model,
     random_probs,
     reference_expectation_under,
@@ -275,9 +276,9 @@ def test_build_joint_is_kept_on_the_model(enumerations, monkeypatch):
 
 def test_acde_reads_every_slice_of_the_indicator_model():
     # M2 = 1 - M1, so (M1, M2) = (1, 1) has zero probability and no
-    # intervened joint at it was ever built; Y's body fails only there.  An
-    # unvalidated library model now raises, because the one enumeration
-    # crosses every value of M1 with every value of M2.
+    # intervened joint at it is ever built; Y's body fails only there.  Y's
+    # table is filled whole, at its first slot that fails, (X, M1, M2) =
+    # (0, 1, 1), so every controlled set raises plain evaluation's error there.
     binary = FiniteSupport((0.0, 1.0))
     both = ex.Binary("and", ex.Binary("==", ex.Name("M1"), ex.Num(1.0)),
                      ex.Binary("==", ex.Name("M2"), ex.Num(1.0)))
@@ -291,7 +292,10 @@ def test_acde_reads_every_slice_of_the_indicator_model():
                                body=ex.IfElse(both, ex.Name("W"), ex.Name("X"))),
         },
     )
-    assert _ref_acde(m, "X", 0.0, 1.0, "Y", ["M1", "M2"]) == 1.0
-    with pytest.raises(EvalError, match="W"):
-        acde(m, "X", 0.0, 1.0, "Y", ["M1", "M2"])
-    assert acde(m, "X", 0.0, 1.0, "Y", ["M1"]) == 1.0  # no unreached slice
+    with pytest.raises(EvalError) as plain:
+        evaluate_slot(m.support("Y"), m.mechanisms["Y"], (0.0, 1.0, 1.0))
+    assert str(plain.value) == "unknown identifier 'W'"
+    for controlled in (["M1", "M2"], ["M1"]):
+        for fn in (acde, _ref_acde):
+            with pytest.raises(EvalError, match=f"^{re.escape(str(plain.value))}$"):
+                fn(m, "X", 0.0, 1.0, "Y", controlled)

@@ -1,6 +1,7 @@
 """Each node's conditional is evaluated once per parent tuple, mechanism and
-supports, and every reader of the outcome tables sees what plain evaluation
-gives: the same joint bit for bit, the same values and the same errors.
+supports, into one array filled whole, and every reader of the outcome
+tables sees what plain evaluation gives: the same joint bit for bit, the same
+values, and the error of the first failing slot of the first failing table.
 """
 
 import re
@@ -9,12 +10,20 @@ from itertools import product
 import numpy as np
 import pytest
 
-from helpers import chain_source, joint_bits, random_dsl_model, random_probs, reference_joint
+from helpers import (
+    chain_source,
+    evaluate_slot,
+    joint_bits,
+    mixed_models,
+    random_dsl_model,
+    random_probs,
+    reference_joint,
+)
 from vce import expr as ex
 from vce.cli import main
 from vce.dsl import parse_model
 from vce.engine import build_joint, deterministic_value, intervene, joint_at, kl_divergence
-from vce.errors import AbsoluteContinuityError, EngineError, EvalError, ModelError
+from vce.errors import AbsoluteContinuityError, EngineError, EvalError, ModelError, VceError
 from vce.model import (
     CPT,
     Deterministic,
@@ -131,10 +140,26 @@ def _failing_models(reach: float):
     return {k: Model((x, y), {"X": root, "Y": mech}) for k, mech in bodies.items()}
 
 
-def test_failure_at_an_unreachable_parent_tuple_still_builds():
-    for model in _failing_models(0.0).values():
-        assert build_joint(model).entries == {(0.0, 0.0): 1.0}
-        assert deterministic_value(model, "Y", {"X": 0.0}) == 0.0
+# Plain evaluation's error at X = 1, the first (and only) failing slot of Y.
+_FIRST_FAILURES = {
+    "unknown identifier": (EvalError, "unknown identifier 'W'"),
+    "value outside support": (ModelError, "value 2.0 not in support (0.0, 1.0)"),
+    "missing table row": (ModelError, "deterministic table has no row for (1.0,)"),
+}
+
+
+def test_failure_at_an_unreachable_parent_tuple_raises_at_the_fill():
+    # P(X = 1) = 0: plain recursion never evaluates Y there and builds, but
+    # Y's table is filled whole, so every reader of it raises.
+    for kind, model in _failing_models(0.0).items():
+        assert reference_joint(model).entries == {(0.0, 0.0): 1.0}
+        kind_of, text = _FIRST_FAILURES[kind]
+        with pytest.raises(kind_of, match=f"^{re.escape(text)}$"):
+            evaluate_slot(model.support("Y"), model.mechanisms["Y"], (1.0,))
+        with pytest.raises(kind_of, match=f"^{re.escape(text)}$"):
+            build_joint(model)
+        with pytest.raises(kind_of, match=f"^{re.escape(text)}$"):
+            deterministic_value(model, "Y", {"X": 0.0})
 
 
 @pytest.mark.parametrize("kind", ["unknown identifier", "value outside support",
@@ -143,28 +168,32 @@ def test_failure_at_a_reached_parent_tuple_raises_as_plain_evaluation(kind):
     model = _failing_models(0.5)[kind]
     with pytest.raises((EvalError, ModelError)) as expected:
         reference_joint(model)
-    for _ in range(2):  # a failure is never stored
+    assert (type(expected.value), str(expected.value)) == _FIRST_FAILURES[kind]
+    for _ in range(2):  # a table with a failing slot is never kept
         with pytest.raises(type(expected.value)) as got:
             build_joint(model)
         assert str(got.value) == str(expected.value)
-        with pytest.raises(type(expected.value)) as got:
-            deterministic_value(model, "Y", {"X": 1.0})
-        assert str(got.value) == str(expected.value)
-    assert model.outcome_table("Y").slots == [((0, 1.0),), None]
+        for x in (0.0, 1.0):
+            with pytest.raises(type(expected.value)) as got:
+                deterministic_value(model, "Y", {"X": x})
+            assert str(got.value) == str(expected.value)
+    assert "_outcome_table" not in model.mechanisms["Y"].__dict__
 
 
 def test_row_entries_are_pruned_as_plain_enumeration_prunes_them():
     x = Variable("X", FiniteSupport((0.0, 1.0, 2.0)))
-    for row in ({0.0: 0.0, 1.0: 1.0}, {0.0: -1e-10, 1.0: 1.0, 2.0: 1e-10}):
+    for row, array in [({0.0: 0.0, 1.0: 1.0}, [0.0, 1.0, 0.0]),
+                       ({0.0: -1e-10, 1.0: 1.0, 2.0: 1e-10}, [0.0, 1.0, 1e-10])]:
         m = Model((x,), {"X": Root(row)})
         assert joint_bits(build_joint(m)) == joint_bits(reference_joint(m)), row
+        assert m.outcome_table("X").array.tolist() == [array]
     # A NaN entry is kept, as plain enumeration keeps it, so the joint-mass
     # check sees it and rejects the joint.
     m = Model((x,), {"X": Root({0.0: float("nan"), 1.0: 1.0})})
     assert list(reference_joint(m).entries) == [(0.0,), (1.0,)]
     with pytest.raises(EngineError, match="joint mass nan deviates from 1"):
         build_joint(m)
-    assert [i for i, _ in m.outcome_table("X").slots[0]] == [0, 1]
+    assert np.flatnonzero(m.outcome_table("X").array[0]).tolist() == [0, 1]
 
 
 def test_caller_values_off_the_supports_are_evaluated_not_stored(value_calls):
@@ -176,7 +205,7 @@ def test_caller_values_off_the_supports_are_evaluated_not_stored(value_calls):
     assert deterministic_value(m, "Y", {"X": 1.0 + 1e-12}) == 2.0
     assert deterministic_value(m, "Y", {"X": 1.0 + 1e-12}) == 2.0
     assert len(value_calls) == before + 2
-    assert m.outcome_table("Y").slots == [((0, 1.0),), ((2, 1.0),)]
+    assert m.outcome_table("Y").array.tolist() == [0, 2]
 
 
 def test_eval_chain10_evaluates_each_outcome_once(tmp_path, capsys, value_calls, grid_fills):
@@ -250,7 +279,95 @@ def test_cpt_rows_compile_to_positive_pairs_in_support_order():
     rows = {(0.0,): {2.0: 0.75, 0.0: 0.25}, (1.0,): {1.0: 1.0, 2.0: 0.0}}
     m = Model((x, y), {"X": Root({0.0: 0.5, 1.0: 0.5}), "Y": CPT(("X",), rows)})
     table = m.outcome_table("Y")
-    assert table.read(m.mechanisms["Y"], (0.0,)) == ((0, 0.25), (2, 0.75))
-    assert table.read(m.mechanisms["Y"], (1.0,)) == ((1, 1.0),)
-    assert table.slots == [((0, 0.25), (2, 0.75)), ((1, 1.0),)]
+    assert table.read(m.mechanisms["Y"], (0.0,)).tolist() == [0.25, 0.0, 0.75]
+    assert table.read(m.mechanisms["Y"], (1.0,)).tolist() == [0.0, 1.0, 0.0]
+    assert table.array.tolist() == [[0.25, 0.0, 0.75], [0.0, 1.0, 0.0]]
     assert list(product(*table.parents)) == list(rows)
+
+
+# --- the whole fill against plain evaluation, slot by slot --------------------
+
+
+def _plain_array(model, name):
+    """`name`'s outcome array by plain evaluation in slot order (support
+    indices, or rows of float hex); raises at the first failing slot."""
+    mech, support = model.mechanisms[name], model.support(name)
+    out = []
+    for key in product(*(model.support(p).values for p in mech.parents)):
+        pairs = evaluate_slot(support, mech, key)
+        if isinstance(mech, Deterministic):
+            out.append(pairs[0][0])
+            continue
+        row = [0.0] * len(support)
+        for i, p in pairs:
+            row[i] = p
+        out.append([p.hex() for p in row])
+    return out
+
+
+def _array(table):
+    got = table.array.tolist()
+    return got if table.array.ndim == 1 else [[p.hex() for p in row] for row in got]
+
+
+def _broken(rng, model):
+    """`model` with one mechanism that has parents failing at some slots: a
+    CPT or `fun` table without one or two rows, a `fun` value off the
+    support, or a body that fails at one value of its first parent, with a
+    text that names the value of its last."""
+    names = [n for n in model.topological_order() if model.mechanisms[n].parents]
+    if not names:
+        return None
+    name = names[int(rng.integers(0, len(names)))]
+    mech = model.mechanisms[name]
+    if getattr(mech, "body", None) is not None:
+        first, last = mech.parents[0], mech.parents[-1]
+        at = ex.Binary("==", ex.Name(first), ex.Num(float(rng.choice(model.support(first).values))))
+        fails = ex.Call("xor", (ex.Binary("+", ex.Name(last), ex.Num(0.5)), ex.Num(0.0)))
+        broken = Deterministic(mech.parents, body=ex.IfElse(at, fails, mech.body))
+    else:
+        table = dict(mech.rows if isinstance(mech, CPT) else mech.table)
+        keys = list(table)
+        for i in rng.choice(len(keys), size=min(len(keys), int(rng.integers(1, 3))), replace=False):
+            if isinstance(mech, CPT) or rng.random() < 0.5:
+                del table[keys[int(i)]]
+            else:
+                table[keys[int(i)]] = 99.5
+        broken = (CPT(mech.parents, table) if isinstance(mech, CPT)
+                  else Deterministic(mech.parents, table=table))
+    return Model(model.variables, {**model.mechanisms, name: broken}, model.parameters)
+
+
+def test_tables_are_filled_whole_as_plain_evaluation_fills_them():
+    seen = {"models": 0, "tables": 0, "nan": 0, "negative": 0, "failing": 0, "errors": set()}
+    for rng, model in mixed_models(191, 300):
+        for m in (model, _broken(rng, model)):
+            if m is None:
+                continue
+            seen["models"] += 1
+            first, want = None, {}
+            for name in m.topological_order():
+                try:
+                    want[name] = _plain_array(m, name)
+                except (VceError, KeyError) as err:  # KeyError: a CPT without the row
+                    first = err
+                    break
+            if first is not None:
+                # The first failing table in topological order raises at its
+                # first failing slot, at every read, and is not kept.
+                seen["failing"] += 1
+                seen["errors"].add(type(first).__name__)
+                for read in (build_joint, lambda m: m.outcome_table(name), build_joint):
+                    with pytest.raises(type(first)) as got:
+                        read(m)
+                    assert str(got.value) == str(first)
+            for name, array in want.items():
+                assert _array(m.outcome_table(name)) == array, name
+                seen["tables"] += 1
+                seen["nan"] += "nan" in str(array)
+                mech = m.mechanisms[name]
+                rows = [mech.table] if isinstance(mech, Root) else getattr(mech, "rows", {}).values()
+                seen["negative"] += any(p < 0.0 for row in rows for p in row.values())
+    assert seen["models"] >= 600 and seen["tables"] >= 1500 and seen["failing"] >= 150, seen
+    assert seen["nan"] >= 10 and seen["negative"] >= 10, seen
+    assert seen["errors"] == {"KeyError", "ModelError", "EvalError"}, seen

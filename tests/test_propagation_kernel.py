@@ -6,6 +6,7 @@ import numpy as np
 import pytest
 
 from helpers import (
+    evaluate_slot,
     random_dsl_model,
     reference_abduct,
     reference_ande,
@@ -102,9 +103,9 @@ def _binary(name):
 
 def _precedence_model() -> Model:
     """U and W fair coins (rows (U, W) = (0,0), (0,2), (1,0), (1,2)); X is
-    observed only at 0.  Under do(X=1), A lacks the row (1, 1) (rows 2 and 3 fail) and the
-    later B lacks (1, 2) (rows 1 and 3 fail): a walk row by row meets B's
-    failure first."""
+    observed only at 0.  A lacks the row (1, 1) and the later B lacks (1, 2):
+    under do(X=1) a walk row by row meets B's failure first (row 1), but A's
+    table, filled whole with the joint, fails first."""
     two = Variable("W", FiniteSupport((0.0, 2.0)))
     variables = (_binary("U"), two, _binary("X"), _binary("A"), _binary("B"))
     mechanisms = {
@@ -118,31 +119,30 @@ def _precedence_model() -> Model:
 
 
 @pytest.mark.parametrize("query", [
-    lambda m: counterfactual_query(m, Evidence({}), {"X": 1.0}, "B"),
-    lambda m: abduct(m, Evidence({"U": 0.0}, context={"X": 1.0})),
-    lambda m: counterfactual_query(m, Evidence({}, context={"X": 1.0}), {}, "A"),
+    lambda m, cf, ab: cf(m, Evidence({}), {"X": 1.0}, "B"),
+    lambda m, cf, ab: ab(m, Evidence({"U": 0.0}, context={"X": 1.0})),
+    lambda m, cf, ab: cf(m, Evidence({}, context={"X": 1.0}), {}, "A"),
+    # Evidence W=0 keeps rows 0 and 2, which a walk finds failing on A only.
+    lambda m, cf, ab: cf(m, Evidence({"W": 0.0}), {"X": 1.0}, "B"),
 ])
 def test_first_failing_row_decides_the_error(query):
-    assert _outcome(query, _precedence_model())[1:] == (
-        ModelError, "deterministic table has no row for (1.0, 2.0)")
+    """The first table in topological order with a failing slot raises plain
+    evaluation's error at its first failing slot (a missing table row),
+    whatever the rows, as the scalar walk does."""
+    model = _precedence_model()
+    with pytest.raises(ModelError) as plain:
+        evaluate_slot(model.support("A"), model.mechanisms["A"], (1.0, 1.0))
+    got = _outcome(query, model, counterfactual_query, abduct)
+    assert got[1:] == (ModelError, str(plain.value)) == (
+        ModelError, "deterministic table has no row for (1.0, 1.0)")
+    assert got == _outcome(query, model, reference_counterfactual_query, reference_abduct)
 
 
-def test_rows_the_evidence_drops_are_not_walked():
-    # Evidence W=0 keeps rows 0 and 2: under do(X=1) the prediction fails at
-    # row 2, on A, and never meets B's failure at row 1.
-    evidence = Evidence({"W": 0.0})
-    got = _outcome(counterfactual_query, _precedence_model(), evidence, {"X": 1.0}, "B")
-    assert got == _outcome(reference_counterfactual_query, _precedence_model(), evidence,
-                           {"X": 1.0}, "B")
-    assert got[1:] == (ModelError, "deterministic table has no row for (1.0, 1.0)")
-
-
-@pytest.mark.parametrize("x1, row", [(2.0, "(2.0, 1.0, 1.0)"), (0.0, "(1.0, 1.0)")])
+@pytest.mark.parametrize("x1, row", [(2.0, "(1.0, 1.0)"), (0.0, "(1.0, 1.0)")])
 def test_ande_first_failing_row_across_worlds(x1, row):
-    """X observed only at 0.  The x0 = 1 world fails on the mediator M at rows
-    2 and 3 (U = 1).  The x1 = 2 world fails on Y at row 1 (W = 1), which a
-    walk row by row (x0 world, then x1 world) meets first; the x1 = 0 world
-    does not fail, so M's failure is raised."""
+    """X observed only at 0.  M lacks the row (1, 1) and Y the rows (2, m, 1):
+    a walk row by row meets Y's failure first in the x1 = 2 world (row 1), M's
+    in the x1 = 0 world.  Either way M's table, filled with the joint, raises."""
     three = Variable("X", FiniteSupport((0.0, 1.0, 2.0)))
     variables = (_binary("U"), _binary("W"), three, _binary("M"), _binary("Y"))
     m_rows = {(0.0, 0.0): 0.0, (0.0, 1.0): 1.0, (1.0, 0.0): 1.0, (2.0, 0.0): 0.0, (2.0, 1.0): 1.0}
