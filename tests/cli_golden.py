@@ -64,10 +64,13 @@ BAD_CSVS = {
     # Y's sums over X = 0 overflow; Y's two means differ by more than the largest float.
     "big": "X,Y\n0,1e308\n0,1e308\n1,0\n",
     "spread": "X,Y\n0,1e308\n1,-1e308\n",
+    # Y's means 0, 1.5e308, 0 are finite, but at d = 0 their variation is not.
+    "peak": "X,Y\n0,0\n1,1.5e308\n2,0\n",
 }
 # Models that parse but fail validation: a `def` on line 6 whose condition is
 # not 0 or 1, failures in two mechanisms (the first an indented `cpt` on line
-# 4), a variable without a mechanism, and a cycle.
+# 4), a variable without a mechanism, and a cycle; and a valid model whose
+# variation overflows at d = 0 (Y = 0, 1.5e308, 0 along X).
 BAD_MODELS = {
     "bad_if": "# a def whose 'if' condition is not 0 or 1\nvar X in {0, 1}\nvar Y in {0, 1}\n\n"
               "root X {0: 0.5, 1: 0.5}\ndef Y = if X * 0.75 then 1 else 0\n",
@@ -76,6 +79,8 @@ BAD_MODELS = {
                "root X {0: 0.5, 1: 0.5}\ndef Y = if X * 0.75 then 1 else 3\n",
     "bad_unset": "var X in {0, 1}\nvar Y in {0, 1}\nroot X {0: 0.5, 1: 0.5}\n",
     "bad_cycle": "var X in {0, 1}\nvar Y in {0, 1}\ndef X = Y\ndef Y = X\n",
+    "big": "var X in {0, 1, 2}\nvar Y in {0, 1.5e308}\nroot X {0: 0.25, 1: 0.5, 2: 0.25}\n"
+           "fun Y | X {(0): 0, (1): 1.5e308, (2): 0}\n",
 }
 _TOKEN = re.compile(r"#[^\n]*|[\d.]+(?:[eE][+-]?\d+)?|\w+|[=!<>]=|\S")
 
@@ -164,8 +169,8 @@ def commands() -> list[list[str]]:
     """Effect queries, checks, sweeps and counterfactuals on every arrow into
     a deterministic node, baselines (and ANDE with the outcome's other parents
     as mediators) on every arrow, one zero-probability counterfactual per
-    model, estimates on one CSV and on the small datasets (their errors), and
-    an effect query on each malformed model."""
+    model, estimates on one CSV and on the small datasets (their errors), an
+    effect query on each malformed model, and effects that overflow."""
     out: list[list[str]] = []
     queries: dict[str, list[str]] = {}
     for name, model, bind, cause, outcome in _arrows():
@@ -235,6 +240,11 @@ def commands() -> list[list[str]]:
             out.append(["estimate", f"{{csvs}}/{name}.csv", *xy, "--format", fmt])
     for name in BAD_MODELS:
         out.append(["eval", f"{{mutants}}/{name}.sem", *xy])
+    big, d0 = ["{mutants}/big.sem", *xy], ["--degree", "0"]
+    for fmt in FORMATS:
+        out.append(["eval", *big, *d0, "--format", fmt])
+        out.append(["estimate", "{csvs}/peak.csv", *xy, *d0, "--format", fmt])
+    out += [["eval", *big, *d0, "--variant", "apace"], ["sweep", *big, "--axis", "d=0:1:0.5"]]
     for name, source, _ in mutants():
         out.append(["eval", f"{{mutants}}/{name}", *queries[source]])
     return out
