@@ -1,14 +1,16 @@
 """Times the variation DP: an l = 128 `vce sweep` over the degree for each
 variant, the aggregation alone on that sweep's stratum table, and the
-aggregation of a chain-11 `vce eval`.
+aggregation of a chain-11 `vce eval`; and the exhaustive PACE oracle: `vce
+check` on wide `fun` tables, and one brute-force row at l = 12 to 20.
 
     python bench/variation.py --repeats 7 --out BENCH.json
 
 Run it from the root of a checkout: the program is imported from ./src.  The
 wide model (Z with 4 strata -> X with l = 128 values, some of zero
 probability, Y = a zig-zag of X and Z) comes from the benchmark's own
-generator, perfbench/workloads.wide_model, and the chain-11 model from
-perfbench/workloads.chain_model, both with seed 15.  It records:
+generator, perfbench/workloads.wide_model, the chain-11 model from
+perfbench/workloads.chain_model and the `check` models from
+perfbench/workloads.fun_model, all with seed 15.  It records:
 
 - `sweep_s`: for each variant, the median wall time of `vce.cli.main` on
   `sweep --cause X --outcome Y --axis d=0:2:0.2 --variant V` (11 degrees);
@@ -18,6 +20,13 @@ perfbench/workloads.chain_model, both with seed 15.  It records:
 - `chain_eval_s` and `chain_aggregate_s`: the median wall time of
   `eval --cause X --outcome Y` on chain-11 (2,048 strata of l = 4), and of
   its table's PACE aggregation at d = 1;
+- `check_s`: for (l, strata) = (10, 9) and (12, 6), the median wall time of
+  `check --cause X --outcome Y` on a fun-table model (Z -> X, Y | X, Z), as
+  the benchmark's wide_variation workload checks them;
+- `brute_force_s`: for l = 12, 14 and 16, the median time of one
+  `brute_force_total_variation` call on a random row at d = 1;
+- `brute_force_l20`: one call at l = 20 in a fresh process: its seconds and
+  how far it raises the process's peak RSS (MB) above the peak after import;
 - `layers`: the per-layer metrics of one traced PACE sweep, from the span
   recorder in perfbench/tracer.py.
 
@@ -30,22 +39,47 @@ Times are raw wall seconds; the repeats alternate across the measures.
 from __future__ import annotations
 
 import argparse
+import json
 import os
 import random
 import statistics
+import subprocess
+import sys
 import tempfile
 from time import perf_counter
 
 from harness import host, layers, timed, write
-from workloads import chain_model, grid_points, wide_model
+from workloads import chain_model, fun_model, grid_points, wide_model
 
 from vce.dsl import parse_model
-from vce.variational import VARIANTS, strata
+from vce.variational import VARIANTS, brute_force_total_variation, strata
 
 SEED = 15
 WIDE = (128, 4)  # (cause support l, strata)
 CHAIN_K = 11
 AXIS = "d=0:2:0.2"
+CHECKS = ((10, 9), (12, 6))  # (cause support l, strata) of wide_variation's slowest checks
+BRUTE_LS = (12, 14, 16)
+# One l = 20 row in a fresh process, so the peak RSS it adds is its own.
+L20 = """
+import json, random, resource, sys, time
+sys.path.insert(0, "src")
+from vce.variational import brute_force_total_variation
+rng = random.Random(%d)
+gs, ps = [rng.uniform(-1, 1) for _ in range(20)], [rng.random() / 10 for _ in range(20)]
+before = resource.getrusage(resource.RUSAGE_SELF).ru_maxrss
+start = time.perf_counter()
+brute_force_total_variation(gs, ps, 1.0, "abs")
+seconds = time.perf_counter() - start
+added = (resource.getrusage(resource.RUSAGE_SELF).ru_maxrss - before) / 1024
+print(json.dumps({"s": seconds, "added_peak_rss_mb": added}))
+""" % SEED
+
+
+def _row(rng: random.Random, l: int) -> tuple[list[float], list[float]]:
+    """Outcomes in [-1, 1) and probabilities that sum to 1."""
+    ps = [rng.random() for _ in range(l)]
+    return [rng.uniform(-1, 1) for _ in range(l)], [p / sum(ps) for p in ps]
 
 
 def _aggregate(table, degrees: list[float], variant: str):
@@ -74,9 +108,11 @@ def main(argv=None) -> dict:
     wide_text, _ = wide_model(rng, *WIDE)
     chain_text, _ = chain_model(random.Random(SEED), CHAIN_K)
     degrees = grid_points(0.0, 2.0, 0.2)
+    checks = {f"l{l}_s{n}": fun_model(random.Random(SEED), l, n) for l, n in CHECKS}
+    brute_rows = {l: _row(random.Random(SEED), l) for l in BRUTE_LS}
     with tempfile.TemporaryDirectory() as scratch:
         paths = {}
-        for name, text in (("wide", wide_text), ("chain", chain_text)):
+        for name, text in (("wide", wide_text), ("chain", chain_text), *checks.items()):
             paths[name] = os.path.join(scratch, f"{name}.sem")
             with open(paths[name], "w", encoding="utf-8") as fh:
                 fh.write(text)
@@ -89,6 +125,8 @@ def main(argv=None) -> dict:
 
         runs ={(kind, v): [] for kind in ("sweep", "aggregate") for v in VARIANTS}
         chain_runs = {"chain_eval_s": [], "chain_aggregate_s": []}
+        check_runs = {name: [] for name in checks}
+        brute_runs = {l: [] for l in BRUTE_LS}
         chunks = []
         for _ in range(args.repeats):
             for variant in VARIANTS:
@@ -101,13 +139,27 @@ def main(argv=None) -> dict:
                 timed(["eval", paths["chain"], "--cause", "X", "--outcome", "Y"]))
             chain_runs["chain_aggregate_s"].append(
                 _timed_call(lambda: _aggregate(chain_table, [1.0], "pace")))
+            for name in checks:
+                chunks.append(host.timed_chunk())
+                check_runs[name].append(
+                    timed(["check", paths[name], "--cause", "X", "--outcome", "Y"]))
+            for l, (gs, ps) in brute_rows.items():
+                brute_runs[l].append(
+                    _timed_call(lambda: brute_force_total_variation(gs, ps, 1.0, "abs")))
+        l20 = subprocess.run([sys.executable, "-c", L20], check=True, capture_output=True,
+                             text=True).stdout
         results = {
             "wide": {"l": WIDE[0], "strata": WIDE[1], "axis": AXIS},
             "chain_k": CHAIN_K,
             "sweep_s": {v: statistics.median(runs["sweep", v]) for v in VARIANTS},
             "aggregate_s": {v: statistics.median(runs["aggregate", v]) for v in VARIANTS},
             **{name: statistics.median(r) for name, r in chain_runs.items()},
-            "runs_s": {f"{kind}_{v}": r for (kind, v), r in runs.items()} | chain_runs,
+            "check_s": {name: statistics.median(r) for name, r in check_runs.items()},
+            "brute_force_s": {str(l): statistics.median(r) for l, r in brute_runs.items()},
+            "brute_force_l20": json.loads(l20),
+            "runs_s": {f"{kind}_{v}": r for (kind, v), r in runs.items()} | chain_runs
+            | {f"check_{name}": r for name, r in check_runs.items()}
+            | {f"brute_force_{l}": r for l, r in brute_runs.items()},
             "layers": layers(lambda: timed(sweep("pace"))),
         }
     result = write(args.out, "bench/variation.py", argv, args.repeats, chunks, **results)
@@ -115,6 +167,11 @@ def main(argv=None) -> dict:
         print(f"l = 128 {kind}: " + "  ".join(f"{v} {t:.4f}" for v, t in result[kind].items()))
     print(f"chain-{CHAIN_K}: eval {result['chain_eval_s']:.4f} s  "
           f"aggregate {result['chain_aggregate_s']:.4f} s")
+    print("check_s: " + "  ".join(f"{n} {t:.4f}" for n, t in result["check_s"].items()))
+    print("brute_force_s: " + "  ".join(f"l = {l} {t:.4f}"
+                                        for l, t in result["brute_force_s"].items())
+          + f"  l = 20 {result['brute_force_l20']['s']:.4f} "
+          f"(+{result['brute_force_l20']['added_peak_rss_mb']:.1f} MB peak RSS)")
     return result
 
 

@@ -164,7 +164,7 @@ def estimate_conditionals(
         raise DatasetError(f"'{outcome}' means over '{cause}' = {list(table.values[xi])} at z = "
                            f"{z.keys(wide[:1])[0]} are {gs[wide[0]].tolist()}: not finite, or "
                            f"farther apart than the largest float")
-    return StratumTable(z, ps, gs, tuple(range(width)))
+    return StratumTable(z, ps, gs, tuple(range(width)), outcome)
 
 
 def identifiable_effect(
@@ -225,5 +225,5 @@ def covariate_weighted_effect(
         raise UnavailableStratumError(
             f"no records for cause value {x!r} in stratum {z_table.z.keys(np.array([s]))[0]}"
         )
-    table = StratumTable(z_table.z, ws, gs_c0, z_table.indices)
+    table = StratumTable(z_table.z, ws, gs_c0, z_table.indices, outcome)
     return table.aggregate([query.degree], query.variant, query.sign)[0][0]

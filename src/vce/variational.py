@@ -23,7 +23,7 @@ import math
 from collections.abc import Mapping as MappingABC
 from dataclasses import dataclass, field
 from functools import cached_property, partial
-from itertools import combinations, repeat
+from itertools import accumulate, combinations, repeat
 from typing import Mapping, Sequence
 
 import numpy as np
@@ -114,19 +114,48 @@ def total_variation(gs, ps, degree: float, sign: str) -> tuple[float, Chain | No
 
 
 def brute_force_total_variation(gs, ps, degree: float, sign: str) -> tuple[float, Chain | None]:
-    """Exhaustive max over all 2^l - l - 1 increasing chains (oracle)."""
+    """Exhaustive max over all 2^l - l - 1 increasing chains (the DP's oracle).
+
+    Every chain is enumerated, in numpy.  A chain with bitmask b (bit i set
+    for each of its points i) sits at index b - 1 of one array, so the chains
+    ending at j fill [2^j - 1, 2^(j+1) - 1): the singleton (j), worth 0.0,
+    then the chains ending at each i < j in turn, each extended by the pair
+    term t(i, j).  A value is thus built by chain_value's own additions, left
+    to right from 0.0, and has its bits.  The winner is the one the loop over
+    sizes and combinations keeps (`_better`): the largest value, then the
+    fewest points, then the lexicographically smallest chain.  A NaN chain
+    never wins, unless it is the loop's first candidate (0, 1), which then
+    nothing beats.
+    """
     l = len(gs)
     if l < 2:
         return 0.0, None
     if l > 20:
         raise QueryError(f"support too large for brute force ({l} values)")
-    winner: tuple[float, int, Chain] | None = None
-    for size in range(2, l + 1):
-        for chain in combinations(range(l), size):
-            cand = (chain_value(gs, ps, chain, degree, sign), size, chain)
-            if winner is None or _better(cand, winner):
-                winner = cand
-    return winner[0], winner[2]
+    # In the loop's order, so the first pair term to raise is the loop's.
+    terms = {(i, j): _pair_term(gs, ps, i, j, degree, sign) for i, j in combinations(range(l), 2)}
+    values = np.zeros(2 ** l - 1)
+    with np.errstate(over="ignore"):  # a Python float sum overflows to inf without a warning
+        for j in range(1, l):
+            for i in range(j):
+                np.add(values[2 ** i - 1:2 ** (i + 1) - 1], terms[i, j],
+                       out=values[2 ** j + 2 ** i - 1:2 ** j + 2 ** (i + 1) - 1])
+    if math.isnan(values[2]):  # the chain (0, 1)
+        return values[2].item(), (0, 1)
+    # Terms are >= 0 or NaN, so the singletons' 0.0 never exceeds the best chain.
+    hit = values == np.fmax.reduce(values)
+    hit[(1 << np.arange(l)) - 1] = False
+    one = points = np.ones(1, dtype=np.uint8)  # the chain at index b - 1 has popcount(b) points
+    for _ in range(1, l):
+        points = np.concatenate([points, one, points + 1])
+    hit &= points == points[hit].min()
+    chains = rest = np.flatnonzero(hit) + 1
+    while len(chains) > 1:  # the smallest first point, then the smallest second, ...
+        low = rest & -rest
+        keep = low == low.min()
+        chains, rest = chains[keep], (rest - low)[keep]
+    chain = int(chains[0])
+    return values[chain - 1].item(), tuple(i for i in range(l) if chain >> i & 1)
 
 
 def supremum_variation(gs, ps, degree: float, sign: str) -> tuple[float, Chain | None]:
@@ -354,13 +383,14 @@ class StratumTable:
     as codes (a model's support tables; a dataset's values as each stratum's
     first record spells them) and P(z) as its mass.  Row s of the (strata x l)
     arrays `ps` and `gs` holds P(x|z) and g(x, z) at the cause's support
-    positions `indices`, which the chains run over.
+    positions `indices`, which the chains run over; g is `outcome`'s value.
     """
 
     z: Distribution
     ps: np.ndarray
     gs: np.ndarray
     indices: tuple[int, ...]
+    outcome: str
 
     @property
     def z_variables(self) -> tuple[str, ...]:
@@ -393,13 +423,19 @@ class StratumTable:
         self, degrees: Sequence[float], variant: str, sign: str
     ) -> list[tuple[float, list[tuple[float, Chain | None]]]]:
         """At each degree, the expectation over z of the per-z variation, with
-        each row's (value, witness chain over positions of `indices`)."""
+        each row's (value, witness chain over positions of `indices`).  An
+        effect that is not finite (the terms' sum overflows) is rejected."""
         out = []
         probability = self.probability.tolist()
-        for per_row in variations(self.gs, self.ps, degrees, variant, sign):
+        for d, per_row in zip(degrees, variations(self.gs, self.ps, degrees, variant, sign)):
             total = 0.0
             for p, (value, _) in zip(probability, per_row):
                 total += p * value
+            if not math.isfinite(total):  # P(z) > 0, so a row that is not finite makes it so
+                partial = accumulate(p * value for p, (value, _) in zip(probability, per_row))
+                r = next(r for r, t in enumerate(partial) if not math.isfinite(t))
+                raise QueryError(f"the {variant} variation of '{self.outcome}' is not finite "
+                                 f"at d = {d!r}, z = {self.z.keys(np.array([r]))[0]}")
             out.append((total, per_row))
         return out
 
@@ -471,7 +507,7 @@ def _tabulate(
         if g and not math.isfinite(max(g) - min(g)):  # inf times a zero weight is NaN
             raise QueryError(f"'{outcome or cause}' values {min(g)!r} and {max(g)!r} differ "
                              f"by more than the largest float at z = {z_key}")
-    return StratumTable(z, ps, gs, indices)
+    return StratumTable(z, ps, gs, indices, outcome or cause)
 
 
 def strata(

@@ -244,7 +244,8 @@ def commands() -> list[list[str]]:
     for fmt in FORMATS:
         out.append(["eval", *big, *d0, "--format", fmt])
         out.append(["estimate", "{csvs}/peak.csv", *xy, *d0, "--format", fmt])
-    out += [["eval", *big, *d0, "--variant", "apace"], ["sweep", *big, "--axis", "d=0:1:0.5"]]
+    out += [["eval", *big, *d0, "--variant", "apace"], ["sweep", *big, "--axis", "d=0:1:0.5"],
+            ["check", *big, *d0]]
     for name, source, _ in mutants():
         out.append(["eval", f"{{mutants}}/{name}", *queries[source]])
     return out

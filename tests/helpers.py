@@ -12,7 +12,7 @@ import json
 import math
 from dataclasses import dataclass
 from functools import cached_property, reduce
-from itertools import chain, groupby, product
+from itertools import chain, combinations, groupby, product
 from operator import add
 from pathlib import Path
 
@@ -53,7 +53,7 @@ from vce.model import (
     snap_to_support,
 )
 from vce.rewrites import _functionalize
-from vce.variational import EffectQuery, StratumTable, ZSlice, _ZRow
+from vce.variational import EffectQuery, StratumTable, ZSlice, _better, _ZRow, chain_value
 
 MODELS_DIR = Path(__file__).resolve().parent.parent / "models"
 
@@ -810,15 +810,16 @@ def reference_validate_against(dataset, model: Model) -> None:
                 raise DatasetError(f"row {i}: value {v!r} outside the declared support of '{name}'")
 
 
-def table_of_rows(z_vars, rows, indices) -> StratumTable:
-    """A StratumTable from one _ZRow per stratum, in ascending key order; each
-    z value keeps its key's spelling (-0.0 or 0.0)."""
+def table_of_rows(z_vars, rows, indices, outcome: str) -> StratumTable:
+    """A StratumTable of `outcome` from one _ZRow per stratum, in ascending key
+    order; each z value keeps its key's spelling (-0.0 or 0.0)."""
     spelt = [tuple(row.key[i] for row in rows) for i in range(len(z_vars))]
     z = Distribution(tuple(z_vars), columns=(spelt, [np.arange(len(rows))] * len(z_vars),
                                              np.array([row.probability for row in rows], dtype=float)))
     shape = (len(rows), len(indices))
     return StratumTable(z, np.array([row.ps for row in rows], dtype=float).reshape(shape),
-                        np.array([row.gs for row in rows], dtype=float).reshape(shape), tuple(indices))
+                        np.array([row.gs for row in rows], dtype=float).reshape(shape), tuple(indices),
+                        outcome)
 
 
 def reference_estimate_conditionals(dataset, cause: str, outcome: str, z_vars):
@@ -848,7 +849,7 @@ def reference_estimate_conditionals(dataset, cause: str, outcome: str, z_vars):
         ps = tuple(c / z_count[z] for c in counts)
         gs = tuple(y_sum[(z, x)] / c if c else 0.0 for x, c in zip(xs, counts))
         rows.append(_ZRow(z, z_count[z] / n, ps, gs))
-    return table_of_rows(z_vars, rows, range(len(xs)))
+    return table_of_rows(z_vars, rows, range(len(xs)), outcome)
 
 
 def reference_covariate_weighted_effect(dataset, cause, outcome, z_vars, covariate, degree,
@@ -882,7 +883,7 @@ def reference_covariate_weighted_effect(dataset, cause, outcome, z_vars, covaria
                     f"no records for cause value {x!r} in stratum {z_row.key}"
                 )
         rows.append(_ZRow(z_row.key, z_row.probability, ws, at_c0.gs))
-    table = table_of_rows(z_table.z_variables, rows, z_table.indices)
+    table = table_of_rows(z_table.z_variables, rows, z_table.indices, outcome)
     return table.aggregate([query.degree], query.variant, query.sign)[0][0]
 
 
@@ -910,6 +911,24 @@ def reference_ipwe(dataset, treatment: str, s: float, outcome: str, covariates) 
             raise PositivityError(f"zero estimated propensity in stratum {key}")
         total += row[yi] / propensity
     return total / len(dataset)
+
+
+def reference_brute_force_total_variation(gs, ps, degree: float, sign: str):
+    """brute_force_total_variation as one chain_value call per chain: every
+    chain of 2 or more points, by size and then lexicographically, kept when
+    `_better` than the winner so far."""
+    l = len(gs)
+    if l < 2:
+        return 0.0, None
+    if l > 20:
+        raise QueryError(f"support too large for brute force ({l} values)")
+    winner = None
+    for size in range(2, l + 1):
+        for chain in combinations(range(l), size):
+            cand = (chain_value(gs, ps, chain, degree, sign), size, chain)
+            if winner is None or _better(cand, winner):
+                winner = cand
+    return winner[0], winner[2]
 
 
 # --- the per-stratum effect path (oracle of the columnar one) ----------------

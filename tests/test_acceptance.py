@@ -320,7 +320,7 @@ def test_c12_estimation_consistency(ramp_reset, sprinkler, sprinkler_functional)
                 else:
                     means.append(0.0)  # weight 0 makes the value irrelevant
             rows.append(_ZRow(z_key, pz, tuple(ws), tuple(means)))
-        table = table_of_rows(z_vars, rows, range(len(xs)))
+        table = table_of_rows(z_vars, rows, range(len(xs)), outcome)
         d = float(rng.choice((0.0, 0.3, 1.0, 2.0)))
         for variant in VARIANTS:
             assert table.aggregate([d], variant, "abs")[0][0] == pytest.approx(

@@ -622,6 +622,45 @@ def test_eval_rejects_outcome_differences_past_the_largest_float(capsys, tmp_pat
     assert "'Y' values -1e+308 and 1e+308 differ by more than the largest float at z = ()" in err
 
 
+PEAK = """var X in {0, 1, 2}
+var Y in {0, 1.5e308}
+root X {0: 0.25, 1: 0.5, 2: 0.25}
+fun Y | X {(0): 0, (1): 1.5e308, (2): 0}
+"""
+
+
+@pytest.mark.parametrize("command", [
+    ["eval", "{sem}"], ["eval", "{sem}", "--format", "json"], ["eval", "{sem}", "--variant", "apace"],
+    ["check", "{sem}"], ["sweep", "{sem}", "--axis", "d=0:1:0.5"], ["estimate", "{csv}"],
+    ["estimate", "{csv}", "--format", "json"],
+])
+def test_an_effect_that_overflows_exits_2(capsys, tmp_path, command):
+    # Each difference is 1.5e308, but at d = 0 every weight is 1 and their sum is inf.
+    (tmp_path / "peak.sem").write_text(PEAK)
+    (tmp_path / "peak.csv").write_text("X,Y\n0,0\n1,1.5e308\n2,0\n")
+    argv = [a.format(sem=tmp_path / "peak.sem", csv=tmp_path / "peak.csv") for a in command]
+    if command[0] != "sweep":
+        argv += ["--degree", "0"]
+    code, out, err = run(capsys, *argv, "--cause", "X", "--outcome", "Y")
+    variant = "apace" if "apace" in command else "pace"
+    assert (code, out) == (2, "")
+    assert err == f"error: the {variant} variation of 'Y' is not finite at d = 0.0, z = ()\n"
+
+
+def test_check_caps_the_brute_force_at_20_values(capsys, tmp_path):
+    for l, want in ((20, 0), (21, 2)):
+        xs = ", ".join(map(str, range(l)))
+        path = tmp_path / f"wide{l}.sem"
+        path.write_text(f"var X in {{{xs}}}\nvar Y in {{{xs}}}\n"
+                        f"root X {{{', '.join(f'{x}: 1/{l}' for x in range(l))}}}\ndef Y = X\n")
+        code, out, err = run(capsys, "check", str(path), "--cause", "X", "--outcome", "Y")
+        assert code == want
+        if want:
+            assert (out, err) == ("", "error: support too large for brute force (21 values)\n")
+        else:
+            assert out.startswith("OK, max deviation")
+
+
 def test_validating_a_model_with_far_apart_support_values_warns_nothing():
     # Snapping a def table onto {-1e308, 1e308} measures a distance past the
     # largest float; the suite turns any RuntimeWarning into an error.

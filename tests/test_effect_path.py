@@ -166,7 +166,7 @@ def _random_table(rng):
     z = Distribution(names, columns=(supports, list(codes.T), probability))
     indices = tuple(sorted(rng.choice(8, size=int(rng.integers(1, 6)), replace=False).tolist()))
     blank = np.zeros((len(keep), len(indices)))
-    return StratumTable(z, blank, blank, indices)
+    return StratumTable(z, blank, blank, indices, "Y")
 
 
 def _random_chain(rng, l):

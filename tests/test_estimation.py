@@ -126,7 +126,7 @@ def _exact_strata(model, cause, outcome, z_vars):
             else:
                 means.append(0.0)  # weight 0 makes the value irrelevant
         rows.append(_ZRow(z_key, pz, tuple(ws), tuple(means)))
-    return table_of_rows(z_vars, rows, range(len(xs)))
+    return table_of_rows(z_vars, rows, range(len(xs)), outcome)
 
 
 def test_plugin_consistency_with_exact_probabilities():

@@ -1,7 +1,7 @@
 import numpy as np
 import pytest
 
-from helpers import random_effect_model
+from helpers import random_effect_model, table_of_rows
 from vce import expr as ex
 from vce.dsl import parse_model
 from vce.engine import build_joint, marginal, expectation_under
@@ -828,3 +828,17 @@ def test_eliminate_mediator_stays_within_the_depth_bound(mediator_terms, child_t
         assert y.table == {(0.0,): 0.0, (1.0,): 1.0}
     assert parse_model(serialize_model(reduced)) == reduced
     assert build_joint(reduced).entries == {(0.0, 0.0): 0.25, (1.0, 1.0): 0.75}
+
+
+def test_aggregate_names_the_first_stratum_whose_variation_is_not_finite():
+    from vce.variational import _ZRow
+
+    ps = (0.25, 0.5, 0.25)
+    rows = [_ZRow((z,), 1 / 3, ps, (0.0, peak, 0.0))
+            for z, peak in ((-1.0, 1.0), (0.0, 1.5e308), (2.0, 1.5e308))]
+    table = table_of_rows(("Z",), rows, range(3), "Y")
+    for variant in ("pace", "peace", "apace"):
+        assert table.aggregate([1.0], variant, "abs")[0][0] > 1e307  # d = 1 halves each term
+        with pytest.raises(QueryError, match=rf"^the {variant} variation of 'Y' is not finite "
+                                             r"at d = 0\.0, z = \(0\.0,\)$"):
+            table.aggregate([1.0, 0.0], variant, "abs")
