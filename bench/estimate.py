@@ -2,12 +2,16 @@
 of the benchmark's three shapes, each stage of the `--model` shape, and each
 layer.
 
-    python bench/estimate.py --rows 20000 200000 --repeats 5 --out BENCH.json
+    python bench/estimate.py --rows 20000 200000 --distinct-rows 20000 --repeats 5 --out BENCH.json
 
 Run it from the root of a checkout: the program is imported from ./src, and
 each CSV (columns C, R, S, V3, W) is drawn from
 models/sprinkler_functional.sem at p = 0.3 by the benchmark's own sampler,
-perfbench/workloads.sample_csv, with seed 14.  For each row count it records:
+perfbench/workloads.sample_csv, with seed 14.  Those files hold a handful of
+distinct records.  The `--distinct-rows` file is the same draw with each W
+moved off its value by its own amount below 1e-9 (within the tolerance of
+the declared support), so that every record is distinct and W real-valued;
+its row is keyed "<n> distinct".  For each file it records:
 
 - `commands_s`: the median wall time of `vce.cli.main` on
   `estimate --cause R --outcome W` with
@@ -32,11 +36,13 @@ slow spell of the host spreads over every size.
 from __future__ import annotations
 
 import argparse
+import csv
 import os
 import statistics
 import tempfile
 from time import perf_counter
 
+import numpy as np
 from harness import host, layers, timed, write
 from workloads import sample_csv
 
@@ -55,6 +61,18 @@ SHAPES = {
 
 def _command(path: str, shape: str) -> float:
     return timed(["estimate", path, "--cause", "R", "--outcome", "W", *SHAPES[shape]])
+
+
+def _distinct_csv(path: str, rows: int) -> None:
+    """The seed-14 draw of `rows` records, each W moved by a distinct
+    amount in (0, 5e-10], written as the sampler writes its files."""
+    columns, data = sample_csv(path, SEED, rows)
+    data[:, columns.index("W")] += np.arange(1, rows + 1) * (5e-10 / rows)
+    with open(path, "w", newline="", encoding="utf-8") as fh:
+        writer = csv.writer(fh)
+        writer.writerow(columns)
+        writer.writerows([[str(int(v)) if v.is_integer() else repr(v) for v in row]
+                          for row in data.tolist()])
 
 
 def _stages(path: str, model) -> dict[str, float]:
@@ -76,30 +94,35 @@ def _stages(path: str, model) -> dict[str, float]:
 def main(argv=None) -> dict:
     parser = argparse.ArgumentParser(description=__doc__.split("\n\n")[0])
     parser.add_argument("--rows", type=int, nargs="+", default=[20_000, 200_000])
+    parser.add_argument("--distinct-rows", type=int, default=20_000,
+                        help="records of the file whose records are all distinct")
     parser.add_argument("--repeats", type=int, default=5)
     parser.add_argument("--out", required=True, help="where to write the JSON results")
     args = parser.parse_args(argv)
-    if args.repeats < 1 or any(n < 1 for n in args.rows):
-        parser.error("--repeats and every --rows must be at least 1")
+    if args.repeats < 1 or min(args.rows) < 1 or args.distinct_rows < 1:
+        parser.error("--repeats, every --rows and --distinct-rows must be at least 1")
     with open(MODEL, encoding="utf-8") as fh:
         model = bind(parse_model(fh.read()), {"p": 0.3})
     with tempfile.TemporaryDirectory() as scratch:
         paths = {}
         for n in args.rows:
-            paths[n] = os.path.join(scratch, f"sample{n}.csv")
-            sample_csv(paths[n], SEED, n)
-        runs = {n: {shape: [] for shape in SHAPES} for n in args.rows}
-        stages = {n: [] for n in args.rows}
+            paths[str(n)] = os.path.join(scratch, f"sample{n}.csv")
+            sample_csv(paths[str(n)], SEED, n)
+        key = f"{args.distinct_rows} distinct"
+        paths[key] = os.path.join(scratch, "distinct.csv")
+        _distinct_csv(paths[key], args.distinct_rows)
+        runs = {n: {shape: [] for shape in SHAPES} for n in paths}
+        stages = {n: [] for n in paths}
         chunks = []
         for _ in range(args.repeats):
-            for n in args.rows:
+            for n in paths:
                 for shape in SHAPES:
                     chunks.append(host.timed_chunk())
                     runs[n][shape].append(_command(paths[n], shape))
                 stages[n].append(_stages(paths[n], model))
         sizes = {}
-        for n in args.rows:
-            sizes[str(n)] = {
+        for n in paths:
+            sizes[n] = {
                 "commands_s": {shape: statistics.median(r) for shape, r in runs[n].items()},
                 "command_runs_s": runs[n],
                 "stages_s": {name: statistics.median(s[name] for s in stages[n])

@@ -17,10 +17,11 @@ differences read off a designated covariate stratum c0.
 from __future__ import annotations
 
 import csv
+import io
 import math
 from collections import defaultdict
 from functools import cached_property
-from itertools import chain, count, groupby
+from itertools import chain, count, groupby, repeat
 from typing import Sequence
 
 import numpy as np
@@ -43,11 +44,13 @@ class Dataset:
         _check_shape(columns, len(rows))
         for i, row in enumerate(rows):
             _check_row(i, row, len(columns))
-        self._hold(columns, np.array(rows, dtype=float).reshape(len(rows), len(columns)))
+        cells = np.array(rows, dtype=float).reshape(len(rows), len(columns))
+        self._hold(columns, cells, np.arange(len(rows)))
 
-    def _hold(self, columns: tuple[str, ...], cells: np.ndarray) -> None:
-        cells.flags.writeable = False
-        self.columns, self.cells = columns, cells
+    def _hold(self, columns: tuple[str, ...], distinct: np.ndarray, codes: np.ndarray) -> None:
+        """Hold record i as row codes[i] of `distinct`, whose rows are in order of first appearance."""
+        self.columns, self.cells, self._distinct, self._codes = columns, distinct[codes], distinct, codes
+        self.cells.flags.writeable = False
 
     def __len__(self) -> int:
         return len(self.cells)
@@ -64,47 +67,41 @@ class Dataset:
 
     @cached_property
     def table(self) -> Distribution:
-        coded = [np.unique(c, return_index=True, return_inverse=True) for c in self.cells.T]
-        values = [tuple(c[first].tolist()) for c, (_, first, _) in zip(self.cells.T, coded)]
-        return Distribution(self.columns, columns=(values, [code for *_, code in coded], np.ones(len(self))))
+        # Each column is coded over the distinct records, then gathered by record.  The
+        # first distinct record holding a value is the first record holding it.
+        coded = [np.unique(c, return_index=True, return_inverse=True) for c in self._distinct.T]
+        values = [tuple(c[first].tolist()) for c, (_, first, _) in zip(self._distinct.T, coded)]
+        codes = [inverse[self._codes] for *_, inverse in coded]
+        return Distribution(self.columns, columns=(values, codes, np.ones(len(self))))
 
     @classmethod
     def from_csv(cls, path: str) -> "Dataset":
         """A header row of names, then records of spellings `float` accepts;
-        each error is the one a scan record by record meets first."""
-        with open(path, newline="", encoding="utf-8-sig") as fh:
-            reader = csv.reader(fh)
-            try:
-                header = next(reader, None)
-                records = list(map(tuple, reader))  # tuples of strings drop out of gc tracking
-            except csv.Error as err:
-                raise DatasetError(f"line {reader.line_num}: {err}") from None
-        if header is None:
-            raise DatasetError("empty CSV file")
-        lengths = np.fromiter(filter(None, map(len, records)), np.intp)  # blank records skipped
-        # Each distinct spelling is numbered as it first appears, so the first
-        # that `float` rejects is held by the first record that holds one.
-        spellings = defaultdict(count().__next__)
-        codes = np.fromiter(map(spellings.__getitem__, chain.from_iterable(records)), np.intp, lengths.sum())
-        numbers = []
-        for spelling in spellings:
-            try:
-                numbers.append(float(spelling))
-            except ValueError:
-                line = next(i for i, r in enumerate(records, start=2) if spelling in r)
-                raise DatasetError(f"line {line}: non-numeric value") from None
-        del records, spellings
+        each error is the one a scan record by record meets first.  Records
+        are numbered as they first appear and each distinct one is parsed once."""
+        with open(path, "rb") as fh:
+            data = fh.read()
+        # Distinct record 0 is the blank one, which holds no cells.
+        header, widths, cells, codes = _lines(data) or _csv_records(data)
+        ends, unread = np.cumsum(widths), iter(cells)
+        try:
+            flat = np.fromiter(map(float, unread), float, len(cells))
+        except ValueError:  # the cells left unread place the one `float` rejects, in
+            # the first distinct record that holds one, which first appears lowest
+            k = np.searchsorted(ends, len(cells) - sum(1 for _ in unread) - 1, side="right")
+            raise DatasetError(f"line {int(np.argmax(codes == k)) + 2}: non-numeric value") from None
         columns = tuple(h.strip() for h in header)
-        _check_shape(columns, len(lengths))
-        cells = np.array(numbers, dtype=float)[codes]
-        ends = np.cumsum(lengths)
-        odd = [*np.flatnonzero(lengths != len(columns))[:1],
-               *np.searchsorted(ends, np.flatnonzero(~np.isfinite(cells))[:1], side="right")]
-        if odd:  # the first record that is ragged or holds a non-finite value
-            i = int(min(odd))
-            _check_row(i, cells[ends[i] - lengths[i]:ends[i]].tolist(), len(columns))
+        codes = codes[codes > 0]  # blank records skipped
+        _check_shape(columns, len(codes))
+        odd = widths != len(columns)
+        odd[np.searchsorted(ends, np.flatnonzero(~np.isfinite(flat)), side="right")] = True
+        odd = odd[codes]
+        if odd.any():  # the first record that is ragged or holds a non-finite value
+            i = int(np.argmax(odd))
+            k = codes[i]
+            _check_row(i, flat[ends[k] - widths[k]:ends[k]].tolist(), len(columns))
         dataset = cls.__new__(cls)
-        dataset._hold(columns, cells.reshape(len(lengths), len(columns)))
+        dataset._hold(columns, flat.reshape(-1, len(columns)), codes - 1)
         return dataset
 
     def validate_against(self, model: Model) -> None:
@@ -116,6 +113,57 @@ class Dataset:
             i, c = divmod(int(np.argmax(off)), len(self.columns))
             raise DatasetError(f"row {i}: value {self.cells[i, c].item()!r} outside the declared "
                                f"support of '{self.columns[c]}'")
+
+
+def _lines(data: bytes):
+    """The header's fields, each distinct record's width, all their cells and
+    each record's number, from UTF-8 text split at line feeds as `csv.reader`
+    reads it; None for text that is empty or not UTF-8, quotes, holds NUL or
+    a bare carriage return, or has a line longer than the field limit."""
+    try:
+        text = data.decode("utf-8-sig")
+    except UnicodeDecodeError:
+        return None
+    crlf = text.count("\r\n")
+    if not text or '"' in text or "\0" in text or text.count("\r") != crlf:
+        return None
+    # Not splitlines: csv keeps \x0c, \x85, \u2028, ... inside a cell.
+    lines = text.split("\r\n") if crlf == text.count("\n") else text.replace("\r\n", "\n").split("\n")
+    records, codes = _number(lines[1:], "")
+    if max(map(len, [lines[0], *records])) > csv.field_size_limit():
+        return None
+    widths = np.fromiter(map(str.count, records, repeat(",")), np.intp, len(records)) + 1
+    widths[0] = 0  # a blank line is an empty record, as to csv
+    cells = ",".join(records).split(",")[1:]  # the first cell is the blank record's
+    return lines[0].split(",") if lines[0] else [], widths, cells, codes
+
+
+def _csv_records(data: bytes):
+    """`_lines` by `csv.reader`, which reads undecodable text as a stream
+    and so raises the decode error at the position it meets the bad byte."""
+    try:
+        fh = io.StringIO(data.decode("utf-8-sig"), newline="")
+    except UnicodeDecodeError:
+        fh = io.TextIOWrapper(io.BytesIO(data), encoding="utf-8-sig", newline="")
+    reader = csv.reader(fh)
+    try:
+        header = next(reader, None)
+        records = list(map(tuple, reader))  # tuples of strings drop out of gc tracking
+    except csv.Error as err:
+        raise DatasetError(f"line {reader.line_num}: {err}") from None
+    if header is None:
+        raise DatasetError("empty CSV file")
+    records, codes = _number(records, ())
+    widths = np.fromiter(map(len, records), np.intp, len(records))
+    return header, widths, list(chain.from_iterable(records)), codes
+
+
+def _number(records: list, blank) -> tuple[list, np.ndarray]:
+    """The distinct `records`, `blank` first whether or not it appears and the
+    rest in order of first appearance, and each record's index among them."""
+    index = defaultdict(count(1).__next__, {blank: 0})
+    codes = np.fromiter(map(index.__getitem__, records), np.intp, len(records))
+    return list(index), codes
 
 
 def _check_shape(columns: tuple[str, ...], records: int) -> None:

@@ -663,7 +663,8 @@ def ace_flavored_effect(
     sign: str = "abs",
 ) -> float:
     """Total-effect analogue: interventional means replace outcome values and
-    marginal cause probabilities replace conditional weights (no E_Z)."""
+    marginal cause probabilities replace conditional weights (no E_Z), in one
+    stratum of probability 1.  An effect that is not finite is rejected."""
     query = EffectQuery(cause, outcome, degree, variant, sign)
     model.variable(outcome)
     support = model.support(cause)
@@ -671,4 +672,6 @@ def ace_flavored_effect(
     px = marginal(joint, [cause])
     ps = [px.probability((x,)) for x in support.values]
     ms = interventional_means(model, outcome, [cause], [(x,) for x in support.values])
-    return variations([ms], [ps], [query.degree], query.variant, query.sign)[0][0][0]
+    z = Distribution((), columns=((), (), np.ones(1)))
+    table = StratumTable(z, np.array([ps]), np.array([ms], dtype=float), tuple(range(len(ps))), outcome)
+    return table.aggregate([query.degree], query.variant, query.sign)[0][0]

@@ -783,18 +783,21 @@ class ReferenceDataset:
     def from_csv(cls, path: str) -> "ReferenceDataset":
         with open(path, newline="", encoding="utf-8") as fh:
             reader = csv.reader(fh)
+            try:  # csv's own errors (a field over the limit; NUL before 3.11) come first
+                header = next(reader, None)
+                records = list(reader)
+            except csv.Error as err:
+                raise DatasetError(f"line {reader.line_num}: {err}") from None
+        if header is None:
+            raise DatasetError("empty CSV file")
+        rows = []
+        for lineno, record in enumerate(records, start=2):
+            if not record:
+                continue
             try:
-                header = next(reader)
-            except StopIteration:
-                raise DatasetError("empty CSV file") from None
-            rows = []
-            for lineno, record in enumerate(reader, start=2):
-                if not record:
-                    continue
-                try:
-                    rows.append(tuple(float(v) for v in record))
-                except ValueError:
-                    raise DatasetError(f"line {lineno}: non-numeric value") from None
+                rows.append(tuple(float(v) for v in record))
+            except ValueError:
+                raise DatasetError(f"line {lineno}: non-numeric value") from None
         return cls(tuple(h.strip() for h in header), tuple(rows))
 
 

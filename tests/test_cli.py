@@ -457,6 +457,17 @@ def test_undecodable_input_exit_1(capsys, tmp_path, command, name, data):
     assert err.startswith(f"io error: {path}: 'utf-8' codec can't decode byte") and err.count("\n") == 1
 
 
+def test_estimate_undecodable_byte_past_the_first_chunk_exit_1(capsys, tmp_path):
+    # The position is counted within the 8 KB chunk that holds the bad byte.
+    data = ("X,Y\n" + "".join(f"{i % 2},{i % 3}\n" for i in range(6000))).encode()
+    path = tmp_path / "data.csv"
+    path.write_bytes(data[:20_004] + b"\xff" + data[20_005:])
+    code, out, err = run(capsys, "estimate", str(path), "--cause", "X", "--outcome", "Y")
+    assert (code, out) == (1, "")
+    assert err == (f"io error: {path}: 'utf-8' codec can't decode byte 0xff in position 3620: "
+                   "invalid start byte\n")
+
+
 def test_estimate_oversized_field_exit_2(capsys, tmp_path):
     path = tmp_path / "data.csv"
     path.write_text(f"X,Y\n0,1\n1,{'1' * 131_073}\n0,0\n", encoding="utf-8")

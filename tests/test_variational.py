@@ -565,6 +565,17 @@ def test_ace_flavored_binary_formula(sprinkler):
         )
 
 
+@pytest.mark.parametrize("variant", ["pace", "peace", "apace"])
+def test_ace_flavored_effect_that_overflows_raises(variant):
+    # Each difference is 1.5e308, but at d = 0 every weight is 1 and their sum is inf.
+    m = parse_model("var X in {0, 1, 2}\nvar Y in {0, 1.5e308}\nroot X {0: 0.25, 1: 0.5, 2: 0.25}\n"
+                    "fun Y | X {(0): 0, (1): 1.5e308, (2): 0}\n")
+    with pytest.raises(QueryError, match=rf"^the {variant} variation of 'Y' is not finite "
+                                         r"at d = 0\.0, z = \(\)$"):
+        ace_flavored_effect(m, "X", "Y", 0.0, variant)
+    assert ace_flavored_effect(m, "X", "Y", 0.0, "space") == 1.5e308
+
+
 def test_ace_flavored_signed_parts(sprinkler):
     pos = ace_flavored_effect(sprinkler, "R", "W", 1.0, "peace", "positive")
     neg = ace_flavored_effect(sprinkler, "R", "W", 1.0, "peace", "negative")
