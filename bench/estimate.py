@@ -2,16 +2,16 @@
 of the benchmark's three shapes, each stage of the `--model` shape, and each
 layer.
 
-    python bench/estimate.py --rows 20000 200000 --distinct-rows 20000 --repeats 5 --out BENCH.json
+    python bench/estimate.py --rows 20000 200000 --repeats 5 --out BENCH.json
 
 Run it from the root of a checkout: the program is imported from ./src, and
 each CSV (columns C, R, S, V3, W) is drawn from
 models/sprinkler_functional.sem at p = 0.3 by the benchmark's own sampler,
 perfbench/workloads.sample_csv, with seed 14.  Those files hold a handful of
-distinct records.  The `--distinct-rows` file is the same draw with each W
-moved off its value by its own amount below 1e-9 (within the tolerance of
-the declared support), so that every record is distinct and W real-valued;
-its row is keyed "<n> distinct".  For each file it records:
+distinct records.  One more file is the draw at the smallest `--rows`
+with each W moved off its value by its own amount below 1e-9 (within the
+tolerance of the declared support), so that every record is distinct and W
+real-valued; its row is keyed "<n> distinct".  For each file it records:
 
 - `commands_s`: the median wall time of `vce.cli.main` on
   `estimate --cause R --outcome W` with
@@ -24,7 +24,10 @@ its row is keyed "<n> distinct".  For each file it records:
   the bound model, parsed untimed), `estimate_conditionals` (the stratum
   table over S, V3) and `aggregate` (PACE at d = 1);
 - `layers`: the per-layer metrics of one traced `model` command, from the
-  span recorder in perfbench/tracer.py.
+  span recorder in perfbench/tracer.py;
+- `read_peak_alloc_mb`: the peak of the memory that `from_csv` and `table`
+  allocate (Python and numpy blocks, as tracemalloc counts them), in one
+  untimed call.
 
 `host_factor` is the median slowdown of a fixed pure-Python chunk run
 between commands (perfbench/host.py), against that chunk's reference time;
@@ -40,6 +43,7 @@ import csv
 import os
 import statistics
 import tempfile
+import tracemalloc
 from time import perf_counter
 
 import numpy as np
@@ -75,6 +79,15 @@ def _distinct_csv(path: str, rows: int) -> None:
                           for row in data.tolist()])
 
 
+def _read_peak(path: str) -> float:
+    tracemalloc.start()
+    try:
+        est.Dataset.from_csv(path).table
+        return tracemalloc.get_traced_memory()[1] / 2**20
+    finally:
+        tracemalloc.stop()
+
+
 def _stages(path: str, model) -> dict[str, float]:
     times = [perf_counter()]
     dataset = est.Dataset.from_csv(path)
@@ -94,13 +107,11 @@ def _stages(path: str, model) -> dict[str, float]:
 def main(argv=None) -> dict:
     parser = argparse.ArgumentParser(description=__doc__.split("\n\n")[0])
     parser.add_argument("--rows", type=int, nargs="+", default=[20_000, 200_000])
-    parser.add_argument("--distinct-rows", type=int, default=20_000,
-                        help="records of the file whose records are all distinct")
     parser.add_argument("--repeats", type=int, default=5)
     parser.add_argument("--out", required=True, help="where to write the JSON results")
     args = parser.parse_args(argv)
-    if args.repeats < 1 or min(args.rows) < 1 or args.distinct_rows < 1:
-        parser.error("--repeats, every --rows and --distinct-rows must be at least 1")
+    if args.repeats < 1 or min(args.rows) < 1:
+        parser.error("--repeats and every --rows must be at least 1")
     with open(MODEL, encoding="utf-8") as fh:
         model = bind(parse_model(fh.read()), {"p": 0.3})
     with tempfile.TemporaryDirectory() as scratch:
@@ -108,9 +119,9 @@ def main(argv=None) -> dict:
         for n in args.rows:
             paths[str(n)] = os.path.join(scratch, f"sample{n}.csv")
             sample_csv(paths[str(n)], SEED, n)
-        key = f"{args.distinct_rows} distinct"
+        key = f"{min(args.rows)} distinct"
         paths[key] = os.path.join(scratch, "distinct.csv")
-        _distinct_csv(paths[key], args.distinct_rows)
+        _distinct_csv(paths[key], min(args.rows))
         runs = {n: {shape: [] for shape in SHAPES} for n in paths}
         stages = {n: [] for n in paths}
         chunks = []
@@ -128,12 +139,14 @@ def main(argv=None) -> dict:
                 "stages_s": {name: statistics.median(s[name] for s in stages[n])
                              for name in stages[n][0]},
                 "layers": layers(lambda: _command(paths[n], "model")),
+                "read_peak_alloc_mb": _read_peak(paths[n]),
             }
     result = write(args.out, "bench/estimate.py", argv, args.repeats, chunks, rows=sizes)
     for n, row in sizes.items():
         commands = "  ".join(f"{s} {v:.4f}" for s, v in row["commands_s"].items())
         parts = "  ".join(f"{s} {v:.4f}" for s, v in row["stages_s"].items())
-        print(f"{n} rows: commands {commands} s  (model stages: {parts})")
+        print(f"{n} rows: commands {commands} s  (model stages: {parts}; "
+              f"read allocates {row['read_peak_alloc_mb']:.1f} MB at peak)")
     return result
 
 

@@ -44,12 +44,12 @@ class Dataset:
         _check_shape(columns, len(rows))
         for i, row in enumerate(rows):
             _check_row(i, row, len(columns))
-        cells = np.array(rows, dtype=float).reshape(len(rows), len(columns))
-        self._hold(columns, cells, np.arange(len(rows)))
+        self._hold(columns, np.array(rows, dtype=float).reshape(len(rows), len(columns)))
 
-    def _hold(self, columns: tuple[str, ...], distinct: np.ndarray, codes: np.ndarray) -> None:
+    def _hold(self, columns: tuple[str, ...], distinct: np.ndarray, codes=slice(None)) -> None:
         """Hold record i as row codes[i] of `distinct`, whose rows are in order of first appearance."""
-        self.columns, self.cells, self._distinct, self._codes = columns, distinct[codes], distinct, codes
+        self.columns, self._distinct, self._codes = columns, distinct, codes
+        self.cells = distinct[codes]  # a view, not a copy, when each record is its own row
         self.cells.flags.writeable = False
 
     def __len__(self) -> int:
@@ -101,7 +101,8 @@ class Dataset:
             k = codes[i]
             _check_row(i, flat[ends[k] - widths[k]:ends[k]].tolist(), len(columns))
         dataset = cls.__new__(cls)
-        dataset._hold(columns, flat.reshape(-1, len(columns)), codes - 1)
+        distinct = flat.reshape(-1, len(columns))  # all records distinct: each is its own row
+        dataset._hold(columns, distinct, codes - 1 if len(codes) > len(distinct) else slice(None))
         return dataset
 
     def validate_against(self, model: Model) -> None:
@@ -141,11 +142,7 @@ def _lines(data: bytes):
 def _csv_records(data: bytes):
     """`_lines` by `csv.reader`, which reads undecodable text as a stream
     and so raises the decode error at the position it meets the bad byte."""
-    try:
-        fh = io.StringIO(data.decode("utf-8-sig"), newline="")
-    except UnicodeDecodeError:
-        fh = io.TextIOWrapper(io.BytesIO(data), encoding="utf-8-sig", newline="")
-    reader = csv.reader(fh)
+    reader = csv.reader(io.TextIOWrapper(io.BytesIO(data), encoding="utf-8-sig", newline=""))
     try:
         header = next(reader, None)
         records = list(map(tuple, reader))  # tuples of strings drop out of gc tracking
