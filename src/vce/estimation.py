@@ -107,11 +107,11 @@ class Dataset:
 
     def validate_against(self, model: Model) -> None:
         """Check every value lies in the named variable's declared support."""
-        supports = [model.support(name) for name in self.columns]
-        off = np.transpose([_snap_grid(support, np.asarray(vs))[1][c]
-                            for support, vs, c in zip(supports, self.table.values, self.table.codes)])
-        if off.any():  # the first failure in row order, as a scan row by row meets it
-            i, c = divmod(int(np.argmax(off)), len(self.columns))
+        off = [_snap_grid(model.support(name), np.asarray(vs))[1]  # per value-table entry
+               for name, vs in zip(self.columns, self.table.values)]
+        if any(map(np.any, off)):  # the first failure in row order, as a scan row by row meets it
+            first = np.argmax(np.transpose([o[c] for o, c in zip(off, self.table.codes)]))
+            i, c = divmod(int(first), len(self.columns))
             raise DatasetError(f"row {i}: value {self.cells[i, c].item()!r} outside the declared "
                                f"support of '{self.columns[c]}'")
 

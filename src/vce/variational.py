@@ -366,14 +366,6 @@ def g_in(model: Model, outcome: str, assignment: Mapping[str, float]) -> float:
     return deterministic_value(model, outcome, assignment)
 
 
-@dataclass(frozen=True)
-class _ZRow:
-    key: tuple[float, ...]
-    probability: float
-    ps: tuple[float, ...]
-    gs: tuple[float, ...]
-
-
 @dataclass(frozen=True, eq=False)
 class StratumTable:
     """The z strata of one bound model (or dataset), enumerated once and read
@@ -400,21 +392,6 @@ class StratumTable:
     def probability(self) -> np.ndarray:
         return self.z.masses
 
-    @property
-    def rows(self) -> tuple[_ZRow, ...]:
-        """One _ZRow per stratum, built on each read; the effect path reads the columns."""
-        return tuple(map(_ZRow, self.z.keys(), self.probability.tolist(),
-                         map(tuple, self.ps.tolist()), map(tuple, self.gs.tolist())))
-
-    def row(self, z: Mapping[str, float]) -> _ZRow:
-        """The stratum whose key matches `z` within 1e-9, as supports match."""
-        if set(z) != set(self.z_variables):
-            raise QueryError(f"z must assign exactly {self.z_variables}")
-        for row in self.rows:
-            if all(abs(a - z[v]) <= VALUE_TOL for a, v in zip(row.key, self.z_variables)):
-                return row
-        raise ZeroProbabilityError(f"z assignment {dict(z)} has zero probability")
-
     def partition(self, chain: Chain | None) -> Partition | None:
         """A witness chain over positions of `indices` as a support partition."""
         return None if chain is None else Partition(tuple(self.indices[i] for i in chain))
@@ -434,10 +411,17 @@ class StratumTable:
             if not math.isfinite(total):  # P(z) > 0, so a row that is not finite makes it so
                 partial = accumulate(p * value for p, (value, _) in zip(probability, per_row))
                 r = next(r for r, t in enumerate(partial) if not math.isfinite(t))
-                raise QueryError(f"the {variant} variation of '{self.outcome}' is not finite "
-                                 f"at d = {d!r}, z = {self.z.keys(np.array([r]))[0]}")
+                self.finite(total, variant, d, r)
             out.append((total, per_row))
         return out
+
+    def finite(self, value: float, variant: str, d: float, r: int) -> float:
+        """`value`, the variant's variation at d of row r (or an effect whose
+        sum first stops being finite at row r), if it is finite."""
+        if math.isfinite(value):
+            return value
+        raise QueryError(f"the {variant} variation of '{self.outcome}' is not finite "
+                         f"at d = {d!r}, z = {self.z.keys(np.array([r]))[0]}")
 
 
 class _Breakdown(MappingABC):
@@ -557,8 +541,8 @@ def pace_vector(
 
 def degree_grid(max_degree: float = 1.0, steps: int = 10) -> list[float]:
     """Evenly spaced degrees i * M / N for i = 0..N."""
-    if max_degree <= 0 or steps < 1:
-        raise QueryError("need max_degree > 0 and steps >= 1")
+    if not 0 < max_degree < math.inf or steps < 1:  # NaN fails too
+        raise QueryError("need a finite max_degree > 0 and steps >= 1")
     return [i * max_degree / steps for i in range(steps + 1)]
 
 
@@ -584,50 +568,64 @@ def natural_availability(
 # --- per-z operations (the oracle-facing surface) ---------------------------
 
 
-def _z_row(model: Model, query: EffectQuery, z: Mapping[str, float]) -> tuple[_ZRow, StratumTable]:
+def _stratum(model: Model, query: EffectQuery, z: Mapping[str, float], partition: Partition | None = None
+             ) -> tuple[StratumTable, int, list[float], list[float]]:
+    """The query's stratum table, the row whose key matches `z` within 1e-9
+    (as supports match; the first in ascending key order) and its gs and ps."""
     table = strata(model, query.cause, query.outcome)
-    return table.row(z), table
+    if set(z) != set(table.z_variables):
+        raise QueryError(f"z must assign exactly {table.z_variables}")
+    hit = np.ones(len(table.z), dtype=bool)
+    for name, values, codes in zip(table.z_variables, table.z.values, table.z.codes):
+        hit &= np.array([abs(a - z[name]) <= VALUE_TOL for a in values], dtype=bool)[codes]
+    if not hit.any():
+        raise ZeroProbabilityError(f"z assignment {dict(z)} has zero probability")
+    if partition is not None and partition.indices[-1] >= len(table.indices):
+        raise QueryError(f"partition {partition.indices} exceeds the cause's support")
+    r = int(hit.argmax())
+    return table, r, table.gs[r].tolist(), table.ps[r].tolist()
 
 
 def piev(
     model: Model, query: EffectQuery, z: Mapping[str, float], partition: Partition
 ) -> float:
     """Normalized easy variation along an explicit partition, at one z."""
-    row, _ = _z_row(model, query, z)
-    if partition.indices[-1] >= len(row.gs):
-        raise QueryError(f"partition {partition.indices} exceeds the cause's support")
-    return chain_value(row.gs, row.ps, partition.indices, query.degree, query.sign)
+    table, r, gs, ps = _stratum(model, query, z, partition)
+    return table.finite(chain_value(gs, ps, partition.indices, query.degree, query.sign),
+                        "peace", query.degree, r)
 
 
 def piv(model: Model, query: EffectQuery, z: Mapping[str, float]) -> tuple[float, Partition | None]:
     """Normalized total variation at one z (DP), with a witnessing partition."""
-    row, table = _z_row(model, query, z)
-    [[(value, chain)]] = variations([row.gs], [row.ps], [query.degree], "pace", query.sign)
-    return value, table.partition(chain)
+    table, r, gs, ps = _stratum(model, query, z)
+    [[(value, chain)]] = variations([gs], [ps], [query.degree], "pace", query.sign)
+    return table.finite(value, "pace", query.degree, r), table.partition(chain)
 
 
 def brute_force_piv(
     model: Model, query: EffectQuery, z: Mapping[str, float]
 ) -> tuple[float, Partition | None]:
     """Exhaustive-enumeration twin of piv; the DP's correctness oracle."""
-    row, table = _z_row(model, query, z)
-    value, chain = brute_force_total_variation(row.gs, row.ps, query.degree, query.sign)
-    return value, table.partition(chain)
+    table, r, gs, ps = _stratum(model, query, z)
+    value, chain = brute_force_total_variation(gs, ps, query.degree, query.sign)
+    return table.finite(value, "pace", query.degree, r), table.partition(chain)
 
 
 def spiv(model: Model, query: EffectQuery, z: Mapping[str, float]) -> tuple[float, Partition | None]:
     """Normalized supremum (single-pair) variation at one z."""
-    row, table = _z_row(model, query, z)
-    [[(value, chain)]] = variations([row.gs], [row.ps], [query.degree], "space", query.sign)
-    return value, table.partition(chain)
+    table, r, gs, ps = _stratum(model, query, z)
+    [[(value, chain)]] = variations([gs], [ps], [query.degree], "space", query.sign)
+    return table.finite(value, "space", query.degree, r), table.partition(chain)
 
 
 def apiv(model: Model, query: EffectQuery, z: Mapping[str, float]) -> float:
     """Normalized aggregated (all-pairs) variation at one z."""
-    row, _ = _z_row(model, query, z)
-    return variations([row.gs], [row.ps], [query.degree], "apace", query.sign)[0][0][0]
+    table, r, gs, ps = _stratum(model, query, z)
+    [[(value, _)]] = variations([gs], [ps], [query.degree], "apace", query.sign)
+    return table.finite(value, "apace", query.degree, r)
 
 
+@np.errstate(all="ignore")  # a Python float overflows to inf without a warning
 def matrix_form_chain_value(gs, ps, chain: Sequence[int], degree: float, sign: str) -> float:
     """chain_value computed independently as (v^d)^T A^(P) v^d with numpy.
 
@@ -648,10 +646,9 @@ def matrix_form_piev(
     model: Model, query: EffectQuery, z: Mapping[str, float], partition: Partition
 ) -> float:
     """piev by the matrix form, at one z."""
-    row, _ = _z_row(model, query, z)
-    if partition.indices[-1] >= len(row.gs):
-        raise QueryError(f"partition {partition.indices} exceeds the cause's support")
-    return matrix_form_chain_value(row.gs, row.ps, partition.indices, query.degree, query.sign)
+    table, r, gs, ps = _stratum(model, query, z, partition)
+    return table.finite(matrix_form_chain_value(gs, ps, partition.indices, query.degree, query.sign),
+                        "peace", query.degree, r)
 
 
 def ace_flavored_effect(

@@ -53,7 +53,17 @@ from vce.model import (
     snap_to_support,
 )
 from vce.rewrites import _functionalize
-from vce.variational import EffectQuery, StratumTable, ZSlice, _better, _ZRow, chain_value
+from vce.variational import (
+    EffectQuery,
+    StratumTable,
+    ZSlice,
+    _better,
+    brute_force_total_variation,
+    chain_value,
+    matrix_form_chain_value,
+    strata,
+    variations,
+)
 
 MODELS_DIR = Path(__file__).resolve().parent.parent / "models"
 
@@ -801,6 +811,53 @@ class ReferenceDataset:
         return cls(tuple(h.strip() for h in header), tuple(rows))
 
 
+# --- the stratum rows as tuples and the per-z functions' scan over them ------
+
+
+@dataclass(frozen=True)
+class ZRow:
+    key: tuple[float, ...]
+    probability: float
+    ps: tuple[float, ...]
+    gs: tuple[float, ...]
+
+
+def table_rows(table: StratumTable) -> tuple[ZRow, ...]:
+    """One ZRow per stratum of `table`, in its (ascending key) row order."""
+    return tuple(map(ZRow, table.z.keys(), table.probability.tolist(),
+                     map(tuple, table.ps.tolist()), map(tuple, table.gs.tolist())))
+
+
+def reference_row(table: StratumTable, z) -> ZRow:
+    """The first stratum whose key matches `z` within 1e-9, as supports match,
+    found by a scan over every row's key."""
+    if set(z) != set(table.z_variables):
+        raise QueryError(f"z must assign exactly {table.z_variables}")
+    for row in table_rows(table):
+        if all(abs(a - z[v]) <= VALUE_TOL for a, v in zip(row.key, table.z_variables)):
+            return row
+    raise ZeroProbabilityError(f"z assignment {dict(z)} has zero probability")
+
+
+def reference_per_z(name: str, model: Model, query: EffectQuery, z, partition=None):
+    """variational.<name> (piv, spiv, apiv, piev, brute_force_piv or
+    matrix_form_piev) as it read its stratum through `reference_row`, with no
+    check that the value is finite."""
+    table = strata(model, query.cause, query.outcome)
+    row = reference_row(table, z)
+    if partition is not None and partition.indices[-1] >= len(row.gs):
+        raise QueryError(f"partition {partition.indices} exceeds the cause's support")
+    if name in ("piev", "matrix_form_piev"):
+        form = chain_value if name == "piev" else matrix_form_chain_value
+        return form(row.gs, row.ps, partition.indices, query.degree, query.sign)
+    if name == "brute_force_piv":
+        value, chain = brute_force_total_variation(row.gs, row.ps, query.degree, query.sign)
+    else:
+        variant = {"piv": "pace", "spiv": "space", "apiv": "apace"}[name]
+        [[(value, chain)]] = variations([row.gs], [row.ps], [query.degree], variant, query.sign)
+    return value if name == "apiv" else (value, table.partition(chain))
+
+
 # --- the row-at-a-time dataset readers (oracle of the stratification kernel) -
 
 
@@ -814,7 +871,7 @@ def reference_validate_against(dataset, model: Model) -> None:
 
 
 def table_of_rows(z_vars, rows, indices, outcome: str) -> StratumTable:
-    """A StratumTable of `outcome` from one _ZRow per stratum, in ascending key
+    """A StratumTable of `outcome` from one ZRow per stratum, in ascending key
     order; each z value keeps its key's spelling (-0.0 or 0.0)."""
     spelt = [tuple(row.key[i] for row in rows) for i in range(len(z_vars))]
     z = Distribution(tuple(z_vars), columns=(spelt, [np.arange(len(rows))] * len(z_vars),
@@ -851,7 +908,7 @@ def reference_estimate_conditionals(dataset, cause: str, outcome: str, z_vars):
         counts = [xz_count.get((z, x), 0) for x in xs]
         ps = tuple(c / z_count[z] for c in counts)
         gs = tuple(y_sum[(z, x)] / c if c else 0.0 for x, c in zip(xs, counts))
-        rows.append(_ZRow(z, z_count[z] / n, ps, gs))
+        rows.append(ZRow(z, z_count[z] / n, ps, gs))
     return table_of_rows(z_vars, rows, range(len(xs)), outcome)
 
 
@@ -875,7 +932,7 @@ def reference_covariate_weighted_effect(dataset, cause, outcome, z_vars, covaria
     zc = reference_estimate_conditionals(dataset, cause, outcome, list(z_vars) + [covariate])
     z_table = reference_estimate_conditionals(dataset, cause, outcome, z_vars)
     rows = []
-    for z_row, (_, group) in zip(z_table.rows, groupby(zc.rows, key=lambda r: r.key[:-1])):
+    for z_row, (_, group) in zip(table_rows(z_table), groupby(table_rows(zc), key=lambda r: r.key[:-1])):
         cells = [(r, r.probability / z_row.probability) for r in group]
         ws = tuple(reduce(add, (r.ps[i] * pc for r, pc in cells), 0.0) for i in z_table.indices)
         at_c0 = next((r for r, _ in cells if r.key[-1] == c0), None)
@@ -885,7 +942,7 @@ def reference_covariate_weighted_effect(dataset, cause, outcome, z_vars, covaria
                 raise UnavailableStratumError(
                     f"no records for cause value {x!r} in stratum {z_row.key}"
                 )
-        rows.append(_ZRow(z_row.key, z_row.probability, ws, at_c0.gs))
+        rows.append(ZRow(z_row.key, z_row.probability, ws, at_c0.gs))
     table = table_of_rows(z_table.z_variables, rows, z_table.indices, outcome)
     return table.aggregate([query.degree], query.variant, query.sign)[0][0]
 
@@ -938,7 +995,7 @@ def reference_brute_force_total_variation(gs, ps, degree: float, sign: str):
 
 
 def reference_tabulate(model: Model, cause: str, outcome: str | None, z_vars, support_subset=None):
-    """_tabulate's rows as it built them one stratum at a time: a _ZRow per
+    """_tabulate's rows as it built them one stratum at a time: a ZRow per
     stratum, each g by plain evaluation; returns (rows, indices)."""
     joint = build_joint(model)
     support = model.support(cause)
@@ -970,7 +1027,7 @@ def reference_tabulate(model: Model, cause: str, outcome: str | None, z_vars, su
         if g and not math.isfinite(max(g) - min(g)):
             raise QueryError(f"'{outcome or cause}' values {min(g)!r} and {max(g)!r} differ "
                              f"by more than the largest float at z = {z_key}")
-    rows = [_ZRow(z_key, p, tuple(z_ps), g)
+    rows = [ZRow(z_key, p, tuple(z_ps), g)
             for z_key, p, z_ps, g in zip(z_keys, pz.tolist(), ps, gs)]
     return tuple(rows), indices
 

@@ -10,7 +10,7 @@ import math
 import numpy as np
 import pytest
 
-from helpers import load_model_text, random_dsl_model, random_effect_model, table_of_rows
+from helpers import ZRow, load_model_text, random_dsl_model, random_effect_model, table_of_rows
 from vce.baselines import ace, acde, cmi_strength, ipwe, janzing_strength, mi_strength
 from vce.counterfactual import Evidence, counterfactual_query
 from vce.dsl import parse_model, serialize_model
@@ -22,7 +22,6 @@ from vce.model import Partition, bind
 from vce.rewrites import cpt_to_noise
 from vce.variational import (
     EffectQuery,
-    _ZRow,
     brute_force_piv,
     effect,
     matrix_form_piev,
@@ -319,7 +318,7 @@ def test_c12_estimation_consistency(ramp_reset, sprinkler, sprinkler_functional)
                     means.append(sum(y * p for (y,), p in ydist.items()))
                 else:
                     means.append(0.0)  # weight 0 makes the value irrelevant
-            rows.append(_ZRow(z_key, pz, tuple(ws), tuple(means)))
+            rows.append(ZRow(z_key, pz, tuple(ws), tuple(means)))
         table = table_of_rows(z_vars, rows, range(len(xs)), outcome)
         d = float(rng.choice((0.0, 0.3, 1.0, 2.0)))
         for variant in VARIANTS:

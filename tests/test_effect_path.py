@@ -1,7 +1,8 @@
-"""The columnar effect path: stratum table columns, the lazy breakdown view
-and the report emitters agree byte for byte and bit for bit with the
-per-stratum path they replaced (tests/helpers.py): _tabulate's row builder,
-effect's dict breakdown and the dict-walking printers.
+"""The columnar effect path: stratum table columns, the lazy breakdown view,
+the report emitters and the per-z functions' stratum lookup agree byte for
+byte and bit for bit with the per-stratum path they replaced
+(tests/helpers.py): _tabulate's row builder, effect's dict breakdown, the
+dict-walking printers and the scan over every stratum's key.
 """
 
 import contextlib
@@ -19,14 +20,17 @@ from helpers import (
     random_effect_model,
     random_probs,
     reference_breakdown,
+    reference_per_z,
     reference_print_report,
     reference_tabulate,
+    table_rows,
 )
 from vce import cli
 from vce import variational as vr
 from vce.dsl import parse_model
 from vce.engine import Distribution
-from vce.model import Deterministic, bind
+from vce.errors import ZeroProbabilityError
+from vce.model import CPT, Deterministic, FiniteSupport, Model, Partition, Root, Variable, bind
 from vce.variational import (
     KERNEL_MIN_TERMS,
     EffectQuery,
@@ -110,7 +114,7 @@ def test_strata_columns_match_the_row_builder():
         table = strata(model, cause, outcome)
         rows, indices = reference_tabulate(model, cause, outcome, z_vars)
         assert (table.z_variables, table.indices) == (z_vars, indices)
-        assert _table_bits(table) == _rows_bits(rows) == _rows_bits(table.rows)
+        assert _table_bits(table) == _rows_bits(rows) == _rows_bits(table_rows(table))
         support = model.support(cause).values
         if len(support) > 2:
             subset = sorted(rng.choice(support, size=int(rng.integers(1, len(support))), replace=False))
@@ -189,7 +193,7 @@ def test_emitters_match_the_dict_printers_on_random_reports():
                             str(rng.choice(SIGNS)))
         value = float(rng.choice(F_POOL))
         report = EffectReport(query, value, table.z_variables, _Breakdown(table, per_row))
-        rows = table.rows
+        rows = table_rows(table)
         ref = EffectReport(query, value, table.z_variables,
                            reference_breakdown(rows, table.indices, per_row))
         for fmt in ("table", "json"):
@@ -241,3 +245,105 @@ def test_breakdown_is_a_read_only_mapping():
     with pytest.raises(TypeError):
         report.breakdown[(0.0, 0.0)] = None
     assert dict(report.breakdown) == {k: report.breakdown[k] for k in report.breakdown}
+
+
+# --- the per-z functions' stratum lookup ----------------------------------------
+
+PER_Z = ("piv", "spiv", "apiv", "piev", "brute_force_piv", "matrix_form_piev")
+
+
+def _per_z_outcome(fn, *args):
+    try:
+        result = fn(*args)
+    except Exception as err:  # noqa: BLE001 - the error itself is compared
+        return "error", type(err), str(err)
+    value, partition = result if isinstance(result, tuple) else (result, None)
+    return "value", value.hex(), partition
+
+
+def _assert_per_z_match(model, query, z, partition) -> list:
+    """Every per-z function against `reference_per_z`; returns the outcomes."""
+    outcomes = []
+    for name in PER_Z:
+        extra = (partition,) if name.endswith("piev") else ()
+        got = _per_z_outcome(getattr(vr, name), model, query, z, *extra)
+        assert got == _per_z_outcome(reference_per_z, name, model, query, z, *extra), (name, z)
+        outcomes.append(got)
+    return outcomes
+
+
+def _z_inputs(rng, model, table):
+    """A stratum's key as it is, 5e-10 and 1e-6 off, NaN or infinite in one
+    place; keys of the Z supports with no stratum (zero probability); and
+    assignments that miss or add a name."""
+    names, keys = table.z_variables, table.z.keys()
+    key = keys[int(rng.integers(len(keys)))]
+    out = [dict(zip(names, key)), {**dict(zip(names, key)), "extra": 0.0}]
+    if names:
+        i = int(rng.integers(len(names)))
+        for off in (5e-10, -5e-10, 1e-6, -1e-6, math.nan, math.inf, -math.inf):
+            out.append(dict(zip(names, key[:i] + (key[i] + off,) + key[i + 1:])))
+        absent = sorted(set(product(*(model.support(name).values for name in names))) - set(keys))
+        out += [dict(zip(names, absent[a])) for a in rng.permutation(len(absent))[:3]]
+        out.append(dict(zip(names[1:], key[1:])))
+    return out
+
+
+def _partition(rng, l):
+    if l < 2 or rng.random() < 0.2:
+        return Partition((0, l))  # past the cause's support
+    size = int(rng.integers(2, l + 1))
+    return Partition(tuple(sorted(rng.choice(l, size=size, replace=False).tolist())))
+
+
+def test_per_z_functions_match_the_row_scan_on_random_models():
+    rng = np.random.default_rng(2201)
+    seen = {"value": 0, "zero probability": 0, "z names": 0, "partition": 0, "zero-mass key": 0,
+            "no z": 0}
+    for model, cause, outcome in _models(rng, 160):
+        if "Z0" in model.mechanisms and rng.random() < 0.5:  # Z0's first value of mass 0
+            values = model.support("Z0").values
+            dead = Root(dict(zip(values, [0.0] + random_probs(rng, len(values) - 1))))
+            model = Model(model.variables, {**model.mechanisms, "Z0": dead})
+        table = strata(model, cause, outcome)
+        seen["no z"] += not table.z_variables
+        query = EffectQuery(cause, outcome, float(rng.choice((0.0, 0.3, 1.0, 2.0))),
+                            sign=str(rng.choice(SIGNS)))
+        for z in _z_inputs(rng, model, table):
+            key = tuple(z.get(name) for name in table.z_variables)
+            seen["zero-mass key"] += (len(z) == len(key) and key not in table.z.keys()
+                                      and all(v in model.support(n).values for n, v in z.items()))
+            for kind, *rest in _assert_per_z_match(model, query, z, _partition(rng, len(table.indices))):
+                text = rest[1] if kind == "error" else ""
+                seen["value" if kind == "value" else "zero probability" if "zero probability" in text
+                     else "z names" if text.startswith("z must") else "partition"] += 1
+    assert min(seen.values()) >= 50, seen
+
+
+def test_per_z_functions_take_the_first_stratum_within_tolerance():
+    # Z's values 0 and 1e-10 both lie within 1e-9 of either.  Where P(Z = 0) is
+    # 0, z = 0 reads the stratum Z = 1e-10, which snapping z to Z's first
+    # support value would miss; where both strata are there, it reads Z = 0.
+    x = Variable("X", FiniteSupport((0.0, 1.0, 2.0)))
+    y = Variable("Y", FiniteSupport((0.0, 1.0, 2.0)))
+    for masses in ({0.0: 0.0, 1e-10: 0.5, 1.0: 0.5}, {0.0: 0.25, 1e-10: 0.25, 1.0: 0.5}):
+        z = Variable("Z", FiniteSupport(tuple(masses)))
+        model = Model((z, x, y), {
+            "Z": Root(masses),
+            "X": CPT(("Z",), {(0.0,): {0.0: 0.2, 1.0: 0.3, 2.0: 0.5},
+                              (1e-10,): {0.0: 0.6, 1.0: 0.1, 2.0: 0.3},
+                              (1.0,): {0.0: 0.1, 1.0: 0.8, 2.0: 0.1}}),
+            "Y": Deterministic(("X", "Z"), table={
+                (a, b): {0.0: a, 1e-10: 2.0 - a, 1.0: min(a, 1.0)}[b]
+                for a in x.support.values for b in z.support.values}),
+        })
+        query = EffectQuery("X", "Y", 0.5)
+        got = {value: _assert_per_z_match(model, query, {"Z": value}, Partition((0, 2)))
+               for value in (0.0, 5e-11, 1e-10, -5e-10, 6e-10, -1e-9, 1.05e-9, 1e-6, 1.0, 1.0 + 5e-10)}
+        near = [got[value] for value in (0.0, 5e-11, 1e-10, -5e-10, 6e-10)]  # near both
+        assert near == [near[0]] * 5 != [got[1.0]] * 5
+        if masses[0.0]:  # those read Z = 0's stratum; 1e-9 off 0 still does, 1.05e-9 does not
+            assert got[-1e-9] == near[0] != got[1.05e-9]
+        else:  # those read Z = 1e-10's stratum; 1e-9 below 0 reads none
+            assert got[1.05e-9] == near[0] and got[-1e-9][0][:2] == ("error", ZeroProbabilityError)
+        assert got[1e-6][0][0] == "error" and got[1.0 + 5e-10] == got[1.0]

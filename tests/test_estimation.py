@@ -1,7 +1,7 @@
 import numpy as np
 import pytest
 
-from helpers import random_effect_model, table_of_rows
+from helpers import ZRow, random_effect_model, reference_row, table_of_rows
 from vce.dsl import parse_model
 from vce.engine import build_joint, conditional, marginal, sample
 from vce.errors import DatasetError, UnavailableStratumError
@@ -11,7 +11,7 @@ from vce.estimation import (
     estimate_conditionals,
     identifiable_effect,
 )
-from vce.variational import EffectQuery, _ZRow, effect, g_in
+from vce.variational import EffectQuery, effect, g_in
 
 
 # --- Dataset ------------------------------------------------------------------
@@ -64,7 +64,7 @@ def test_estimate_conditionals_deterministic_outcome_exact():
     data = Dataset(("X", "Z", "Y"), tuple(rows))
     table = estimate_conditionals(data, "X", "Y", ["Z"])
     for z in (0.0, 1.0):
-        row = table.row({"Z": z})
+        row = reference_row(table, {"Z": z})
         for i, x in enumerate((0.0, 1.0)):
             assert row.gs[i] == x * z
             assert row.ps[i] == pytest.approx(0.5, abs=0)
@@ -73,7 +73,7 @@ def test_estimate_conditionals_deterministic_outcome_exact():
 
 def test_estimate_conditionals_single_row():
     data = Dataset(("X", "Y"), ((1.0, 2.0),))
-    row = estimate_conditionals(data, "X", "Y", []).row({})
+    row = reference_row(estimate_conditionals(data, "X", "Y", []), {})
     assert row.probability == 1.0
     assert row.ps == (1.0,)
     assert row.gs == (2.0,)
@@ -83,7 +83,7 @@ def test_estimate_conditionals_sprinkler_sampling(sprinkler):
     cols, rows = sample(sprinkler, 100_000, seed=21)
     data = Dataset(cols, rows)
     table = estimate_conditionals(data, "S", "W", ["R"])
-    assert table.row({"R": 1.0}).ps[1] == pytest.approx(0.18, abs=0.01)
+    assert reference_row(table, {"R": 1.0}).ps[1] == pytest.approx(0.18, abs=0.01)
 
 
 def test_estimates_invariant_to_row_order(sprinkler):
@@ -125,7 +125,7 @@ def _exact_strata(model, cause, outcome, z_vars):
                 )
             else:
                 means.append(0.0)  # weight 0 makes the value irrelevant
-        rows.append(_ZRow(z_key, pz, tuple(ws), tuple(means)))
+        rows.append(ZRow(z_key, pz, tuple(ws), tuple(means)))
     return table_of_rows(z_vars, rows, range(len(xs)), outcome)
 
 

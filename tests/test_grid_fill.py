@@ -11,7 +11,7 @@ from itertools import product
 import numpy as np
 import pytest
 
-from helpers import evaluate_slot, random_dsl_model, random_probs, reference_joint
+from helpers import evaluate_slot, random_dsl_model, random_probs, reference_joint, table_rows
 from vce import expr as ex
 from vce import variational
 from vce.dsl import parse_model
@@ -255,11 +255,11 @@ def test_strata_gathers_filled_slots_without_g_in(monkeypatch):
                         "def Y = X + Z\n")
     table = variational.strata(model, "X", "Y")
     assert calls == []
-    assert [row.gs for row in table.rows] == [(0.0, 1.0, 2.0), (1.0, 2.0, 3.0)]
+    assert [row.gs for row in table_rows(table)] == [(0.0, 1.0, 2.0), (1.0, 2.0, 3.0)]
     # An unvalidated model's table is filled whole too, the X = 2 slots that
     # the joint never reaches included.
     fresh = Model(model.variables, {**model.mechanisms,
                                     "Y": Deterministic(("Z", "X"), body=model.mechanisms["Y"].body)})
-    assert variational.strata(fresh, "X", "Y").rows == table.rows
+    assert table_rows(variational.strata(fresh, "X", "Y")) == table_rows(table)
     assert fresh.outcome_table("Y").array.tolist() == _scalar_fill(fresh, "Y")[0] == [0, 1, 2, 1, 2, 3]
     assert calls == []

@@ -10,7 +10,7 @@ import pytest
 import vce
 
 SRC = Path(vce.__file__).parent
-TABLE_AND_QUERY = {"StratumTable", "_ZRow", "EffectQuery", "VARIANTS", "SIGNS"}
+TABLE_AND_QUERY = {"StratumTable", "EffectQuery", "VARIANTS", "SIGNS"}
 
 
 def _names_from_variational(module: str) -> set[str]:

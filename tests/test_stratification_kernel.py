@@ -14,6 +14,7 @@ from helpers import (
     reference_estimate_conditionals,
     reference_ipwe,
     reference_validate_against,
+    table_rows,
 )
 from vce.baselines import ipwe
 from vce.engine import stratify
@@ -37,7 +38,7 @@ def _outcome(fn, *args, **kwargs):
         return "error", type(err), str(err)
     if isinstance(result, StratumTable):
         rows = [(repr(r.key), r.probability.hex(), [p.hex() for p in r.ps], [g.hex() for g in r.gs])
-                for r in result.rows]
+                for r in table_rows(result)]
         return "table", result.z_variables, result.indices, rows
     return "value", type(result), None if result is None else float(result).hex()
 
@@ -142,8 +143,8 @@ def test_a_stratum_key_keeps_its_first_record_spelling():
     data = Dataset(("S", "T", "X", "Y"),
                    ((-0.0, 1.0, 0.0, 1.0), (0.0, 0.0, 1.0, 2.0), (0.0, 0.0, 0.0, 3.0)))
     table = estimate_conditionals(data, "X", "Y", ["S", "T"])
-    assert [repr(r.key) for r in table.rows] == ["(0.0, 0.0)", "(-0.0, 1.0)"]
-    assert repr(estimate_conditionals(data, "X", "Y", ["S"]).rows[0].key) == "(-0.0,)"
+    assert [repr(r.key) for r in table_rows(table)] == ["(0.0, 0.0)", "(-0.0, 1.0)"]
+    assert repr(table_rows(estimate_conditionals(data, "X", "Y", ["S"]))[0].key) == "(-0.0,)"
     assert data.table.values[0] == (-0.0,) and repr(data.table.values[0][0]) == "-0.0"
 
 

@@ -1,7 +1,9 @@
+import math
+
 import numpy as np
 import pytest
 
-from helpers import random_effect_model, table_of_rows
+from helpers import ZRow, random_effect_model, table_of_rows
 from vce import expr as ex
 from vce.dsl import parse_model
 from vce.engine import build_joint, marginal, expectation_under
@@ -253,8 +255,9 @@ def test_pace_vector_rejects_unknown_variant_or_sign(kwargs, message):
 def test_degree_grid_helper():
     assert degree_grid(1.0, 4) == [0.0, 0.25, 0.5, 0.75, 1.0]
     assert degree_grid(2.0, 4)[-1] == 2.0
-    with pytest.raises(QueryError):
-        degree_grid(0.0, 4)
+    for max_degree in (0.0, math.inf, math.nan):
+        with pytest.raises(QueryError):
+            degree_grid(max_degree, 2)
 
 
 # --- DP vs brute force (fast local version; the 500-model run is acceptance) --
@@ -565,15 +568,44 @@ def test_ace_flavored_binary_formula(sprinkler):
         )
 
 
+# Each difference is 1.5e308, but at d = 0 every weight is 1 and their sum is inf.
+OVERFLOW = ("var X in {0, 1, 2}\nvar Y in {0, 1.5e308}\nroot X {0: 0.25, 1: 0.5, 2: 0.25}\n"
+            "fun Y | X {(0): 0, (1): 1.5e308, (2): 0}\n")
+
+
 @pytest.mark.parametrize("variant", ["pace", "peace", "apace"])
 def test_ace_flavored_effect_that_overflows_raises(variant):
-    # Each difference is 1.5e308, but at d = 0 every weight is 1 and their sum is inf.
-    m = parse_model("var X in {0, 1, 2}\nvar Y in {0, 1.5e308}\nroot X {0: 0.25, 1: 0.5, 2: 0.25}\n"
-                    "fun Y | X {(0): 0, (1): 1.5e308, (2): 0}\n")
+    m = parse_model(OVERFLOW)
     with pytest.raises(QueryError, match=rf"^the {variant} variation of 'Y' is not finite "
                                          r"at d = 0\.0, z = \(\)$"):
         ace_flavored_effect(m, "X", "Y", 0.0, variant)
     assert ace_flavored_effect(m, "X", "Y", 0.0, "space") == 1.5e308
+
+
+_OVERFLOW_CALLS = {
+    "piv": lambda m, q: piv(m, q, {}),
+    "brute_force_piv": lambda m, q: brute_force_piv(m, q, {}),
+    "apiv": lambda m, q: apiv(m, q, {}),
+    "piev": lambda m, q: piev(m, q, {}, Partition((0, 1, 2))),
+    "matrix_form_piev": lambda m, q: matrix_form_piev(m, q, {}, Partition((0, 1, 2))),
+    "effect": effect,
+    "pace_vector": lambda m, q: pace_vector(m, "X", "Y", [q.degree], q.variant),
+}
+
+
+@pytest.mark.parametrize("variant, name", [
+    ("pace", "piv"), ("pace", "brute_force_piv"), ("apace", "apiv"), ("peace", "piev"),
+    ("peace", "matrix_form_piev"),
+    *((v, f) for v in ("pace", "apace", "peace") for f in ("effect", "pace_vector")),
+])
+def test_per_z_and_effect_values_that_overflow_raise(variant, name):
+    with pytest.raises(QueryError, match=rf"^the {variant} variation of 'Y' is not finite "
+                                         r"at d = 0\.0, z = \(\)$"):
+        _OVERFLOW_CALLS[name](parse_model(OVERFLOW), EffectQuery("X", "Y", 0.0, variant))
+
+
+def test_supremum_per_z_value_of_the_overflow_model_is_its_largest_pair():
+    assert spiv(parse_model(OVERFLOW), EffectQuery("X", "Y", 0.0), {}) == (1.5e308, Partition((0, 1)))
 
 
 def test_ace_flavored_signed_parts(sprinkler):
@@ -842,10 +874,8 @@ def test_eliminate_mediator_stays_within_the_depth_bound(mediator_terms, child_t
 
 
 def test_aggregate_names_the_first_stratum_whose_variation_is_not_finite():
-    from vce.variational import _ZRow
-
     ps = (0.25, 0.5, 0.25)
-    rows = [_ZRow((z,), 1 / 3, ps, (0.0, peak, 0.0))
+    rows = [ZRow((z,), 1 / 3, ps, (0.0, peak, 0.0))
             for z, peak in ((-1.0, 1.0), (0.0, 1.5e308), (2.0, 1.5e308))]
     table = table_of_rows(("Z",), rows, range(3), "Y")
     for variant in ("pace", "peace", "apace"):
