@@ -69,8 +69,10 @@ BAD_CSVS = {
 }
 # Models that parse but fail validation: a `def` on line 6 whose condition is
 # not 0 or 1, failures in two mechanisms (the first an indented `cpt` on line
-# 4), a variable without a mechanism, and a cycle; and a valid model whose
-# variation overflows at d = 0 (Y = 0, 1.5e308, 0 along X).
+# 4), a variable without a mechanism, and a cycle; a valid model whose
+# variation overflows at d = 0 (Y = 0, 1.5e308, 0 along X); parameter bounds
+# that are not finite (an overflowing literal and inf/inf); and a row key
+# given twice in a `fun` and in a `cpt`.
 BAD_MODELS = {
     "bad_if": "# a def whose 'if' condition is not 0 or 1\nvar X in {0, 1}\nvar Y in {0, 1}\n\n"
               "root X {0: 0.5, 1: 0.5}\ndef Y = if X * 0.75 then 1 else 0\n",
@@ -81,6 +83,14 @@ BAD_MODELS = {
     "bad_cycle": "var X in {0, 1}\nvar Y in {0, 1}\ndef X = Y\ndef Y = X\n",
     "big": "var X in {0, 1, 2}\nvar Y in {0, 1.5e308}\nroot X {0: 0.25, 1: 0.5, 2: 0.25}\n"
            "fun Y | X {(0): 0, (1): 1.5e308, (2): 0}\n",
+    "param_inf": "param p in [0, 1e400]\nvar X in {0, 1}\nvar Y in {0, 1}\n"
+                 "root X {0: p, 1: 1 - p}\ndef Y = X\n",
+    "param_nan": "param p in [1e400/1e400, 1]\nvar X in {0, 1}\nvar Y in {0, 1}\n"
+                 "root X {0: p, 1: 1 - p}\ndef Y = X\n",
+    "dup_fun": "var X in {0, 1}\nvar Y in {0, 1}\nroot X {0: 0.5, 1: 0.5}\n"
+               "fun Y | X { (0): 0, (0): 1, (1): 1 }\n",
+    "dup_cpt": "var X in {0, 1}\nvar Y in {0, 1}\nroot X {0: 0.5, 1: 0.5}\n"
+               "cpt Y | X {\n  (0): {0: 1, 1: 0},\n  (0): {0: 0, 1: 1},\n  (1): {0: 0, 1: 1},\n}\n",
 }
 _TOKEN = re.compile(r"#[^\n]*|[\d.]+(?:[eE][+-]?\d+)?|\w+|[=!<>]=|\S")
 
