@@ -25,6 +25,13 @@ perfbench/workloads.chain_model, with seed k.  For each k it records:
 - `layers`: the per-layer metrics of one traced `eval` command, from the
   span recorder in perfbench/tracer.py.
 
+`parse` times `parse_model` alone (`parse_model_s`, the median over --repeats
+rounds of the mean of 20 calls) on two texts built here with seed 23 in the
+shape of the benchmark's wide_variation models: `wide`, Z (4 strata) -> X
+(l = 128 values, about one probability in ten 0) with Y a zig-zag `def` of X
+and Z, and `fun`, Z (6 strata) -> X (l = 12) with Y a `fun` table over (X, Z).
+Their tables are thousands of plain decimal entries.
+
 `small` times the same steps on one small model, models/sprinkler_functional.sem
 bound at p = 0.3 with cause R and outcome W, as a parameter sweep pays them
 at every grid point: `bind_s`, of a fresh `bind` (which validates the bound
@@ -60,6 +67,61 @@ from vce.variational import EffectQuery, effect, strata
 
 SMALL_MODEL = os.path.join(ROOT, "models", "sprinkler_functional.sem")
 SMALL_CALLS = 200
+PARSE_SEED = 23
+PARSE_CALLS = 20
+PARSE_SHAPES = {"wide": (128, 4), "fun": (12, 6)}  # (cause support l, strata)
+
+
+def _probs(rng: random.Random, n: int) -> list[str]:
+    """n decimal probabilities (millionths) summing to 1, about one in ten 0."""
+    w = [0 if rng.random() < 0.1 else rng.randint(1, 1000) for _ in range(n)]
+    w[0] += 1
+    micro = [v * 10**6 // sum(w) for v in w]
+    micro[w.index(max(w))] += 10**6 - sum(micro)
+    return ["1" if m == 10**6 else f"0.{m:06d}" for m in micro]
+
+
+def _cause_text(rng: random.Random, l: int, s: int) -> list[str]:
+    lines = [f"var Z in {{{', '.join(map(str, range(s)))}}}",
+             f"var X in {{{', '.join(map(str, range(l)))}}}",
+             "root Z {" + ", ".join(f"{z}: {p}" for z, p in enumerate(_probs(rng, s))) + "}",
+             "cpt X | Z {"]
+    for z in range(s):
+        lines.append(f"  ({z}): {{" + ", ".join(f"{x}: {p}" for x, p in enumerate(_probs(rng, l)))
+                     + "},")
+    return lines + ["}"]
+
+
+def _wide_text(rng: random.Random, l: int, s: int) -> str:
+    """Z (s strata) -> X (l values); Y = X up to t1 + c Z, falling to t2 + c Z, then rising."""
+    t1, t2, c = l // 4, 5 * l // 8, 2
+
+    def zigzag(x, z):
+        if x < t1 + c * z:
+            return x
+        return 2 * (t1 + c * z) - x if x < t2 + c * z else x - 2 * (t2 - t1)
+
+    ys = sorted({zigzag(x, z) for x in range(l) for z in range(s)})
+    return "\n".join(_cause_text(rng, l, s) + [
+        f"var Y in {{{', '.join(map(str, ys))}}}",
+        f"def Y = if X < {t1} + {c} * Z then X else if X < {t2} + {c} * Z "
+        f"then 2 * ({t1} + {c} * Z) - X else X - {2 * (t2 - t1)}"]) + "\n"
+
+
+def _fun_text(rng: random.Random, l: int, s: int) -> str:
+    """Z (s strata) -> X (l values); Y | X, Z a `fun` table of values 0-9."""
+    rows = ["  " + " ".join(f"({x}, {z}): {rng.randint(0, 9)}," for z in range(s))
+            for x in range(l)]
+    return "\n".join(_cause_text(rng, l, s) + ["var Y in {0, 1, 2, 3, 4, 5, 6, 7, 8, 9}",
+                                                "fun Y | X, Z {", *rows, "}"]) + "\n"
+
+
+def _parse_s(text: str) -> float:
+    """Mean seconds of one parse_model of `text`."""
+    start = perf_counter()
+    for _ in range(PARSE_CALLS):
+        parse_model(text)
+    return (perf_counter() - start) / PARSE_CALLS
 
 
 def _command(path: str, fmt: str = "json") -> float:
@@ -142,6 +204,9 @@ def main(argv=None) -> dict:
         with open(SMALL_MODEL, encoding="utf-8") as fh:
             small_base = parse_model(fh.read())
         small = []
+        parse_texts = {name: build(random.Random(PARSE_SEED), *PARSE_SHAPES[name])
+                       for name, build in (("wide", _wide_text), ("fun", _fun_text))}
+        parse_runs = {name: [] for name in parse_texts}
         chunks = []
         for _ in range(args.repeats):
             for k in args.k:
@@ -151,6 +216,8 @@ def main(argv=None) -> dict:
                 cf_runs[k].append(_counterfactual(paths[k], xs[k]))
                 measures[k].append(_measures(texts[k], k))
             small.append(_small(small_base))
+            for name, text in parse_texts.items():
+                parse_runs[name].append(_parse_s(text))
         chains = {}
         for k in args.k:
             chains[str(k)] = {
@@ -165,16 +232,22 @@ def main(argv=None) -> dict:
                                for name in measures[k][0]},
                 "layers": layers(lambda: _command(paths[k])),
             }
+    parse = {name: {"l": l, "strata": s, "parse_model_s": statistics.median(parse_runs[name]),
+                    "parse_model_runs_s": parse_runs[name]}
+             for name, (l, s) in PARSE_SHAPES.items()}
     result = write(args.out, "bench/eval.py", argv, args.repeats, chunks, chains=chains, small={
         "model": "models/sprinkler_functional.sem", "bind": {"p": 0.3},
         "cause": "R", "outcome": "W", "calls": SMALL_CALLS,
         "measures_s": {name: statistics.median(m[name] for m in small) for name in small[0]},
-    })
+    }, parse=parse)
     for k, row in chains.items():
         parts = "  ".join(f"{n} {v:.4f}" for n, v in row["measures_s"].items())
         print(f"chain-{k}: command {row['command_s']:.4f} s  table {row['table_command_s']:.4f} s  "
               f"({parts})  "
               f"counterfactual {row['counterfactual_s']:.4f} s")
+    for name, row in parse.items():
+        print(f"{name} l = {row['l']}, {row['strata']} strata: "
+              f"parse_model {row['parse_model_s'] * 1e3:.3f} ms")
     parts = "  ".join(f"{n} {v * 1e3:.4f} ms" for n, v in result["small"]["measures_s"].items())
     print(f"sprinkler_functional p=0.3, per bind: {parts}")
     return result

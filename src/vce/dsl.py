@@ -16,8 +16,11 @@ parameters; `def` bodies may reference parent variables and parameters.
 
 from __future__ import annotations
 
+import math
+import re
 from contextlib import contextmanager
-from dataclasses import dataclass
+from functools import partial
+from typing import NamedTuple
 
 from . import expr as ex
 from . import model as md
@@ -40,75 +43,80 @@ MAX_NESTING = 64
 # and evaluating, substituting and printing recurse once or twice per level.
 MAX_DEPTH = 256
 
-_SYMBOLS = ("==", "!=", "<=", ">=", "{", "}", "[", "]", "(", ")",
-            ":", ",", "|", "=", "+", "-", "*", "/", "<", ">")
+# One match per token, after any spaces, tabs and carriage returns; a comment
+# matches no group.  A `number` is decimal digits with at most one point, so
+# `float` reads each one.  The language's rules are `str.isdigit` and
+# `str.isalpha`, wider than `\d` and narrower than `[^\W\d]`, so `_scalar`
+# decides where they may differ: a number that a point or a non-ASCII letter
+# or digit follows, maybe after an exponent mark (`odd`), and a word that
+# starts with a non-ASCII character (`wide`).
+_TOKEN = re.compile(r"""[ \t\r]*(?:
+    (?P<nl>\n)
+  | \#[^\n]*
+  | (?P<number>(?:\d+\.?\d*|\.\d+)(?:[eE][+-]?\d+)?)
+    (?=(?P<odd>\.|(?:[eE][+-]?)?[^\W\d_a-zA-Z])|)
+  | (?P<ident>[a-zA-Z_]\w*)
+  | (?P<wide>[^\W\d]\w*)
+  | (?P<symbol>[=!<>]=|[{}\[\]():,|=+\-*/<>])
+  | (?P<other>[^ \t\r])
+)""", re.VERBOSE)
 
 
-@dataclass(frozen=True)
-class Token:
+class Token(NamedTuple):
     kind: str  # "number", "ident", keyword or symbol text, or "eof"
     text: str
     line: int
     column: int
 
 
+def _scalar(text: str, i: int, line: int, column: int) -> str:
+    """The number literal at `i` by the character rules (`str.isdigit` digits
+    and points, then an exponent if a digit follows its mark; `_TOKEN` matched
+    it if valid), or the ParseError for a bad literal or a stray character."""
+    c, n, j = text[i], len(text), i + 1
+    if not (c.isdigit() or (c == "." and text[j:j + 1].isdigit())):
+        raise ParseError(f"unexpected character {c!r}", line, column)
+    while j < n and (text[j].isdigit() or text[j] == "."):
+        j += 1
+    if j < n and text[j] in "eE":
+        k = j + 2 if j + 1 < n and text[j + 1] in "+-" else j + 1
+        if k < n and text[k].isdigit():
+            j = k
+            while j < n and text[j].isdigit():
+                j += 1
+    try:
+        float(text[i:j])
+    except ValueError:
+        raise ParseError(f"bad number literal '{text[i:j]}'", line, column) from None
+    return text[i:j]
+
+
 def _tokenize(text: str) -> list[Token]:
     tokens: list[Token] = []
-    line, col, i = 1, 1, 0
-    n = len(text)
-    while i < n:
-        c = text[i]
-        if c == "\n":
+    line, base = 1, -1  # base: the offset of the line's newline; column = offset - base
+    for m in _TOKEN.finditer(text):
+        kind = m.lastgroup
+        if kind is None:  # a comment
+            continue
+        if kind == "nl":
             line += 1
-            col = 1
-            i += 1
+            base = m.end() - 1
             continue
-        if c in " \t\r":
-            i += 1
-            col += 1
-            continue
-        if c == "#":
-            while i < n and text[i] != "\n":
-                i += 1
-            continue
-        if c.isdigit() or (c == "." and i + 1 < n and text[i + 1].isdigit()):
-            start = i
-            while i < n and (text[i].isdigit() or text[i] == "."):
-                i += 1
-            if i < n and text[i] in "eE":
-                j = i + 1
-                if j < n and text[j] in "+-":
-                    j += 1
-                if j < n and text[j].isdigit():
-                    i = j
-                    while i < n and text[i].isdigit():
-                        i += 1
-            lit = text[start:i]
-            try:
-                float(lit)
-            except ValueError:
-                raise ParseError(f"bad number literal '{lit}'", line, col)
-            tokens.append(Token("number", lit, line, col))
-            col += i - start
-            continue
-        if c.isalpha() or c == "_":
-            start = i
-            while i < n and (text[i].isalnum() or text[i] == "_"):
-                i += 1
-            word = text[start:i]
-            kind = word if word in KEYWORDS else "ident"
-            tokens.append(Token(kind, word, line, col))
-            col += i - start
-            continue
-        for sym in _SYMBOLS:
-            if text.startswith(sym, i):
-                tokens.append(Token(sym, sym, line, col))
-                i += len(sym)
-                col += len(sym)
-                break
-        else:
-            raise ParseError(f"unexpected character {c!r}", line, col)
-    tokens.append(Token("eof", "", line, col))
+        if kind == "odd":
+            kind = "number"
+            _scalar(text, m.start(kind), line, m.start(kind) - base)
+        word = m[kind]
+        column = m.end() - len(word) - base
+        if kind == "symbol" or (kind == "ident" and word in KEYWORDS):
+            kind = word
+        elif kind == "wide" and word[0].isalpha():
+            kind = "ident"
+        elif kind in ("wide", "other"):  # no letter or decimal digit starts it: `_scalar` raises
+            _scalar(text, m.start(kind), line, column)
+        tokens.append(Token(kind, word, line, column))
+    # A comment on the last line runs to the end of the text, and the end is at its `#`.
+    end = text.find("#", base + 1)
+    tokens.append(Token("eof", "", line, (len(text) if end < 0 else end) - base))
     return tokens
 
 
@@ -199,10 +207,14 @@ class _Parser:
         self.declare(name)
         self.expect("in")
         self.expect("[")
-        lower = self.parse_number()
-        self.expect(",")
-        upper = self.parse_number()
-        self.expect("]")
+        bounds = []
+        for end in (",", "]"):
+            tok = self.peek()
+            bounds.append(self.parse_number())
+            if not math.isfinite(bounds[-1]):
+                self.fail(f"parameter '{name.text}' bound {bounds[-1]!r} is not finite", tok)
+            self.expect(end)
+        lower, upper = bounds
         if lower > upper:
             self.fail(f"parameter '{name.text}' has empty range", name)
         self.parameters.append(md.Parameter(name.text, lower, upper))
@@ -244,23 +256,27 @@ class _Parser:
 
     def parse_root(self):
         name = self.mechanism_target()
-        table = self.parse_prob_row()
-        self.mechanisms[name.text] = md.Root(table)
+        self.mechanisms[name.text] = md.Root(self.parse_prob_row())
 
-    def parse_prob_row(self) -> dict[float, md.Entry]:
+    def parse_table(self, parse_key, parse_value, what: str) -> dict:
+        """`{key: value, ...}`, a trailing comma allowed; a key given twice is
+        reported at its first token."""
         self.expect("{")
-        table: dict[float, md.Entry] = {}
+        table = {}
         while True:
             tok = self.peek()
-            value = self.parse_number()
-            if value in table:
-                self.fail(f"duplicate entry for {value!r}", tok)
+            key = parse_key()
+            if key in table:
+                self.fail(f"duplicate {what} {key!r}", tok)
             self.expect(":")
-            table[value] = self.parse_prob_entry()
+            table[key] = parse_value()
             if not self.accept(",") or self.peek().kind == "}":
                 break
         self.expect("}")
         return table
+
+    def parse_prob_row(self) -> dict[float, md.Entry]:
+        return self.parse_table(self.parse_number, self.parse_prob_entry, "entry for")
 
     def parse_body(self) -> ex.Expr:
         start = self.peek()
@@ -271,6 +287,9 @@ class _Parser:
 
     def parse_prob_entry(self) -> md.Entry:
         start = self.peek()
+        if start.kind == "number" and self.tokens[self.pos + 1].kind in (",", "}"):
+            self.pos += 1  # a plain literal, the common entry: no descent
+            return float(start.text)
         entry = self.parse_body()
         if isinstance(entry, ex.Num):
             return entry.value
@@ -281,17 +300,7 @@ class _Parser:
     def parse_cpt(self):
         name = self.mechanism_target()
         parents = self.parse_parent_list()
-        self.expect("{")
-        rows: dict[tuple[float, ...], dict[float, md.Entry]] = {}
-        while True:
-            key = self.parse_key(len(parents))
-            if key in rows:
-                self.fail(f"duplicate row {key}")
-            self.expect(":")
-            rows[key] = self.parse_prob_row()
-            if not self.accept(",") or self.peek().kind == "}":
-                break
-        self.expect("}")
+        rows = self.parse_table(partial(self.parse_key, len(parents)), self.parse_prob_row, "row")
         self.mechanisms[name.text] = md.CPT(parents, rows)
 
     def parse_key(self, arity: int) -> tuple[float, ...]:
@@ -316,17 +325,7 @@ class _Parser:
     def parse_fun(self):
         name = self.mechanism_target()
         parents = self.parse_parent_list()
-        self.expect("{")
-        table: dict[tuple[float, ...], float] = {}
-        while True:
-            key = self.parse_key(len(parents))
-            if key in table:
-                self.fail(f"duplicate row {key}")
-            self.expect(":")
-            table[key] = self.parse_number()
-            if not self.accept(",") or self.peek().kind == "}":
-                break
-        self.expect("}")
+        table = self.parse_table(partial(self.parse_key, len(parents)), self.parse_number, "row")
         self.mechanisms[name.text] = md.Deterministic(parents, table=table)
 
     def resolve_references(self):

@@ -84,6 +84,9 @@ class Parameter:
     upper: float
 
     def __post_init__(self):
+        for bound in (self.lower, self.upper):
+            if not math.isfinite(bound):
+                raise ModelError(f"parameter {self.name}: bound {bound!r} is not finite")
         if not self.lower <= self.upper:
             raise ModelError(f"parameter {self.name}: lower bound exceeds upper bound")
 

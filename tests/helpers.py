@@ -19,6 +19,7 @@ from pathlib import Path
 import numpy as np
 
 from vce import expr as ex
+from vce.dsl import KEYWORDS
 from vce.engine import (
     Distribution,
     build_joint,
@@ -33,6 +34,7 @@ from vce.errors import (
     AbsoluteContinuityError,
     DatasetError,
     EngineError,
+    ParseError,
     PositivityError,
     QueryError,
     UnavailableStratumError,
@@ -1165,3 +1167,72 @@ def random_paired_expr(rng: np.random.Generator, names: list[str], depth: int = 
         )
 
     return numeric(depth)
+
+
+# --- the character-at-a-time `.sem` scanner (oracle for dsl._tokenize) ----------
+
+REFERENCE_SYMBOLS = ("==", "!=", "<=", ">=", "{", "}", "[", "]", "(", ")",
+                     ":", ",", "|", "=", "+", "-", "*", "/", "<", ">")
+
+
+def reference_tokenize(text: str) -> list[tuple[str, str, int, int]]:
+    """(kind, text, line, column) of each token, read one character at a
+    time with `str.isdigit`, `isalpha` and `isalnum`: the scanner the
+    compiled pattern replaced."""
+    tokens: list[tuple[str, str, int, int]] = []
+    line, col, i = 1, 1, 0
+    n = len(text)
+    while i < n:
+        c = text[i]
+        if c == "\n":
+            line += 1
+            col = 1
+            i += 1
+            continue
+        if c in " \t\r":
+            i += 1
+            col += 1
+            continue
+        if c == "#":
+            while i < n and text[i] != "\n":
+                i += 1
+            continue
+        if c.isdigit() or (c == "." and i + 1 < n and text[i + 1].isdigit()):
+            start = i
+            while i < n and (text[i].isdigit() or text[i] == "."):
+                i += 1
+            if i < n and text[i] in "eE":
+                j = i + 1
+                if j < n and text[j] in "+-":
+                    j += 1
+                if j < n and text[j].isdigit():
+                    i = j
+                    while i < n and text[i].isdigit():
+                        i += 1
+            lit = text[start:i]
+            try:
+                float(lit)
+            except ValueError:
+                raise ParseError(f"bad number literal '{lit}'", line, col)
+            tokens.append(("number", lit, line, col))
+            col += i - start
+            continue
+        if c.isalpha() or c == "_":
+            start = i
+            while i < n and (text[i].isalnum() or text[i] == "_"):
+                i += 1
+            word = text[start:i]
+            kind = word if word in KEYWORDS else "ident"
+            tokens.append((kind, word, line, col))
+            col += i - start
+            continue
+        for sym in REFERENCE_SYMBOLS:
+            if text.startswith(sym, i):
+                tokens.append((sym, sym, line, col))
+                i += len(sym)
+                col += len(sym)
+                break
+        else:
+            raise ParseError(f"unexpected character {c!r}", line, col)
+    tokens.append(("eof", "", line, col))
+    return tokens

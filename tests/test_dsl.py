@@ -91,6 +91,27 @@ def test_parse_error_malformed_table():
         )
 
 
+_XY = "var X in {0, 1}\nvar Y in {0, 1}\nroot X {0: 0.5, 1: 0.5}\n"
+
+
+@pytest.mark.parametrize("text, message", [
+    # A row key given twice is reported at its `(`, an entry at its value.
+    (_XY + "fun Y | X { (0): 0, (0): 1, (1): 1 }\n", "4:21: duplicate row (0.0,)"),
+    (_XY + "cpt Y | X {\n  (0): {0: 1, 1: 0},\n  (0): {0: 0, 1: 1},\n}\n",
+     "6:3: duplicate row (0.0,)"),
+    ("var X in {0, 1}\nroot X {0: 0.5, -0: 0.5}\n", "2:17: duplicate entry for -0.0"),
+    # A parameter bound that is not finite is reported at its first token.
+    ("param p in [0, 1e400]\n" + _XY, "1:16: parameter 'p' bound inf is not finite"),
+    ("param p in [-1e400, 0]\n" + _XY, "1:13: parameter 'p' bound -inf is not finite"),
+    ("param p in [1e400/1e400, 1]\n" + _XY, "1:13: parameter 'p' bound nan is not finite"),
+    ("param p in [1, 0]\n" + _XY, "1:7: parameter 'p' has empty range"),
+])
+def test_table_and_bound_errors_carry_their_token_location(text, message):
+    with pytest.raises(ParseError) as err:
+        parse_model(text)
+    assert str(err.value) == message
+
+
 def test_forward_references_allowed():
     text = "def Y = X\nvar Y in {0, 1}\nvar X in {0, 1}\nroot X {0: 0.5, 1: 0.5}\n"
     m = parse_model(text)

@@ -37,6 +37,19 @@ def test_support_invariants():
     assert 0.7 not in s
 
 
+@pytest.mark.parametrize("lower, upper, message", [
+    (0.0, math.inf, "parameter p: bound inf is not finite"),
+    (-math.inf, 1.0, "parameter p: bound -inf is not finite"),
+    (math.nan, 1.0, "parameter p: bound nan is not finite"),
+    (0.0, math.nan, "parameter p: bound nan is not finite"),
+    (1.0, 0.0, "parameter p: lower bound exceeds upper bound"),
+])
+def test_parameter_bounds_are_finite_and_ordered(lower, upper, message):
+    with pytest.raises(ModelError) as err:
+        Parameter("p", lower, upper)
+    assert str(err.value) == message
+
+
 def test_partition_invariants():
     Partition((0, 2, 3))
     with pytest.raises(ModelError):
