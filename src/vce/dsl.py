@@ -44,12 +44,12 @@ MAX_NESTING = 64
 MAX_DEPTH = 256
 
 # One match per token, after any spaces, tabs and carriage returns; a comment
-# matches no group.  A `number` is decimal digits with at most one point, so
-# `float` reads each one.  The language's rules are `str.isdigit` and
-# `str.isalpha`, wider than `\d` and narrower than `[^\W\d]`, so `_scalar`
-# decides where they may differ: a number that a point or a non-ASCII letter
-# or digit follows, maybe after an exponent mark (`odd`), and a word that
-# starts with a non-ASCII character (`wide`).
+# matches no group, and `other` any character no group takes (`finditer` would
+# skip it silently).  A `number` has decimal digits and at most one point, so
+# `float` reads it.  The language's rules are `str.isdigit` and `isalpha`,
+# wider than `\d` and narrower than `[^\W\d]`; `_scalar` decides where they
+# may differ: a number followed by a point or a non-ASCII letter or digit,
+# maybe after an exponent mark (`odd`), or a word starting non-ASCII (`wide`).
 _TOKEN = re.compile(r"""[ \t\r]*(?:
     (?P<nl>\n)
   | \#[^\n]*
@@ -104,7 +104,7 @@ def _tokenize(text: str) -> list[Token]:
             continue
         if kind == "odd":
             kind = "number"
-            _scalar(text, m.start(kind), line, m.start(kind) - base)
+            _scalar(text, m.start(kind), line, m.start(kind) - base)  # same literal, or raises
         word = m[kind]
         column = m.end() - len(word) - base
         if kind == "symbol" or (kind == "ident" and word in KEYWORDS):

@@ -67,7 +67,7 @@ BAD_CSVS = {
     # Y's means 0, 1.5e308, 0 are finite, but at d = 0 their variation is not.
     "peak": "X,Y\n0,0\n1,1.5e308\n2,0\n",
 }
-# Models that parse but fail validation: a `def` on line 6 whose condition is
+# Models that fail to parse or validate: a `def` on line 6 whose condition is
 # not 0 or 1, failures in two mechanisms (the first an indented `cpt` on line
 # 4), a variable without a mechanism, and a cycle; a valid model whose
 # variation overflows at d = 0 (Y = 0, 1.5e308, 0 along X); parameter bounds

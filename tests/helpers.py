@@ -19,7 +19,6 @@ from pathlib import Path
 import numpy as np
 
 from vce import expr as ex
-from vce.dsl import KEYWORDS
 from vce.engine import (
     Distribution,
     build_joint,
@@ -1171,6 +1170,10 @@ def random_paired_expr(rng: np.random.Generator, names: list[str], depth: int = 
 
 # --- the character-at-a-time `.sem` scanner (oracle for dsl._tokenize) ----------
 
+REFERENCE_KEYWORDS = {
+    "param", "var", "root", "cpt", "def", "fun", "in",
+    "if", "then", "else", "and", "or", "not", "xor",
+}
 REFERENCE_SYMBOLS = ("==", "!=", "<=", ">=", "{", "}", "[", "]", "(", ")",
                      ":", ",", "|", "=", "+", "-", "*", "/", "<", ">")
 
@@ -1222,7 +1225,7 @@ def reference_tokenize(text: str) -> list[tuple[str, str, int, int]]:
             while i < n and (text[i].isalnum() or text[i] == "_"):
                 i += 1
             word = text[start:i]
-            kind = word if word in KEYWORDS else "ident"
+            kind = word if word in REFERENCE_KEYWORDS else "ident"
             tokens.append((kind, word, line, col))
             col += i - start
             continue
