@@ -23,7 +23,7 @@ import math
 from collections.abc import Mapping as MappingABC
 from dataclasses import dataclass, field
 from functools import cached_property, partial
-from itertools import accumulate, combinations, repeat
+from itertools import accumulate, combinations
 from typing import Mapping, Sequence
 
 import numpy as np
@@ -193,10 +193,10 @@ def variation(gs, ps, degree: float, variant: str, sign: str) -> tuple[float, Ch
     raise QueryError(f"unknown variant '{variant}'")
 
 
-# Below this many pair terms (rows x degrees x pairs) the loops above serve
-# a call.  On x86-64 (Python 3.11, numpy 2.4) the kernel breaks even with them
-# at about 150 terms for space, apace and peace, and for pace, whose DP pays
-# per column, at about 250 for l = 4, 2,000 for l = 16 and 5,000 for l = 48.
+# Below this many pair terms (rows x degrees x pairs) the loops above serve a
+# call.  On x86-64 (Python 3.11, numpy 2.4), at one degree, the kernel breaks even
+# with them at about 100-250 terms for space and apace, and for peace and pace
+# (whose DP pays per column) at 150-300 for l = 4, 700-1,000 for l = 16 and 2,300-3,400 for l = 48.
 KERNEL_MIN_TERMS = 2048
 
 
@@ -205,8 +205,8 @@ def variations(gs, ps, degrees: Sequence[float], variant: str, sign: str) -> lis
     every degree, bit for bit: out[k][r] is its (value, witness) at
     degrees[k].  Past KERNEL_MIN_TERMS one numpy kernel serves all rows and
     degrees: the signed differences and bases 4 p_j p_i are built once, and
-    only the weights (Python `**`; np.power differs in the last bit) depend
-    on d.  Smaller calls run the loops on the rows as Python floats."""
+    only the weights (np.float_power: libm `pow`, as Python `**`; np.power
+    differs in the last bit) depend on d.  Smaller calls run the loops."""
     gs, ps = np.asarray(gs, dtype=float), np.asarray(ps, dtype=float)
     if gs.size * (gs.shape[-1] - 1) // 2 * len(degrees) >= KERNEL_MIN_TERMS:
         with np.errstate(all="ignore"):  # Python floats overflow without a warning
@@ -217,24 +217,24 @@ def variations(gs, ps, degrees: Sequence[float], variant: str, sign: str) -> lis
 
 
 def _kernel(gs, ps, degrees, variant, sign):
-    for d in degrees:  # raise what the loops raise, at their first term
-        variation(gs[0, :2].tolist(), ps[0, :2].tolist(), d, variant, sign)
     l = gs.shape[1]
     if variant == "pace":  # column by column: (0, 1), (0, 2), (1, 2), (0, 3), ...
         j, i = np.tril_indices(l, -1)
     else:  # as the loops take them: the chain's steps, or every pair row by row
         i, j = (np.arange(l - 1), np.arange(1, l)) if variant == "peace" else np.triu_indices(l, 1)
-    diff = gs[:, j] - gs[:, i] if sign != "negative" else gs[:, i] - gs[:, j]
-    diff = np.abs(diff) if sign == "abs" else np.where(diff > 0.0, diff, 0.0)  # 0.0, not -0.0
     base = 4.0 * ps[:, j] * ps[:, i]
     live = (ps > 0.0)[:, j] & (ps > 0.0)[:, i]  # weight() is 0 for the others, at every d
+    big = base[live & (base > 1.0)].tolist()  # the only weights that can overflow
+    for d in degrees:  # raise what the loops raise, in their order
+        variation(gs[0, :2].tolist(), ps[0, :2].tolist(), d, variant, sign)
+        [b ** d for b in big]  # OverflowError, where float_power would give inf
+    diff = gs[:, j] - gs[:, i] if sign != "negative" else gs[:, i] - gs[:, j]
+    diff = np.abs(diff) if sign == "abs" else np.where(diff > 0.0, diff, 0.0)  # 0.0, not -0.0
     if variant == "pace":
-        return _total_variations(diff, base, live, degrees, l)
-    out = []
+        return _total_variations(diff, base, live, np.array(degrees)[:, None, None], l)
+    out, terms = [], np.zeros(base.shape)
     for d in degrees:
-        terms = np.zeros(base.shape)
-        for r, on in enumerate(live):  # a row at a time holds few Python floats
-            terms[r, on] = np.fromiter(map(pow, base[r, on].tolist(), repeat(d)), float)
+        np.float_power(base, d, out=terms, where=live)
         terms *= diff
         if variant == "space":  # the first largest term, as `_better` keeps it
             at = terms.argmax(axis=1)
@@ -279,10 +279,7 @@ def _total_variations(diff, base, live, degrees, l):
     for j in range(1, l):
         a, b = j * (j - 1) // 2, j * (j + 1) // 2
         on = live[:, a:b]
-        weights = np.zeros(shape[:2] + (j,))
-        bases = base[:, a:b][on].tolist()  # pow(x, d) is x ** d
-        weights[:, on] = [np.fromiter(map(pow, bases, repeat(d)), float, len(bases))
-                          for d in degrees]
+        weights = np.float_power(base[:, a:b], degrees, out=np.zeros(shape[:2] + (j,)), where=on)
         best, won, fewest, at = _winner(value[..., :j] + diff[:, a:b] * weights,
                                         points[..., :j] + 1, pred)
         value[..., j] = best  # where not won, the single point (0.0, 1, (j,)) stands

@@ -11,7 +11,9 @@ import pytest
 from vce import variational as vr
 
 STACKS = 520
-DEGREES = (0.0, 1 / 3, 1.0, 2.0, 40.0)
+# 0.5 and 2.0 are where np.power takes sqrt and square shortcuts; 0.6000000000000001
+# and 1.4000000000000001 are points of the `d=0:2:0.2` sweep grid.
+DEGREES = (0.0, 1 / 3, 0.5, 0.6000000000000001, 1.0, 1.4000000000000001, 2.0, 40.0)
 
 
 def _stack(rng):
@@ -48,6 +50,50 @@ def _stack(rng):
 
 def _bits(out):
     return [[(float(v).hex(), chain) for v, chain in per_row] for per_row in out]
+
+
+def _pow(base: float, degree: float) -> float:
+    try:
+        return base ** degree
+    except OverflowError:
+        return math.inf
+
+
+def test_float_power_is_python_pow_bit_for_bit():
+    # The kernel's weights are np.float_power, the loops' Python `**`: both
+    # must be libm `pow` on (4pq, d) with 4pq >= 0 and d >= 0 finite, and
+    # float_power must give inf exactly where `**` raises OverflowError.
+    rng = np.random.default_rng(2424)
+    ps = rng.random((2, 200_000)) ** rng.integers(1, 40, (2, 200_000))
+    bases = 4.0 * ps[0] * ps[1]
+    degrees = np.where(rng.random(200_000) < 0.5, rng.choice(DEGREES, 200_000),
+                       rng.random(200_000) * 10.0 ** rng.integers(-3, 4, 200_000))
+    edge_bases = np.array([0.0, 5e-324, 2.2250738585072014e-308, 1e-170, 0.25,
+                           np.nextafter(1.0, 0.0), 1.0])
+    edge_degrees = np.array(DEGREES + (-0.0, 1e-300, 5e-324, 1e300, 1.9999999999999998))
+    bases = np.concatenate([bases, np.repeat(edge_bases, len(edge_degrees))])
+    degrees = np.concatenate([degrees, np.tile(edge_degrees, len(edge_bases))])
+    with np.errstate(over="ignore"):
+        got = np.float_power(bases, degrees).tolist()
+    want = [_pow(b, d) for b, d in zip(bases.tolist(), degrees.tolist())]
+    bad = [(b, d) for b, d, g, w in zip(bases.tolist(), degrees.tolist(), got, want)
+           if g.hex() != w.hex()]
+    assert not bad, (len(bad), bad[:5])
+
+
+@pytest.mark.parametrize("variant", vr.VARIANTS)
+def test_an_overflowing_weight_raises_what_the_loops_raise(variant):
+    # Rows that are not distributions: 4pq = 2.25 > 1, and 2.25 ** 2000 is
+    # past the largest float.  Row 0 is a distribution, so its first pair
+    # is finite; only row 1 overflows, at the second degree.
+    gs = [tuple(range(64))] * 2
+    ps = [(1 / 64,) * 64, (0.75,) * 64]
+    for call in (lambda: vr.variations(gs, ps, [1.0, 2000.0], variant, "abs"),
+                 lambda: [vr.variation(g, p, d, variant, "abs") for d in (1.0, 2000.0)
+                          for g, p in zip(gs, ps)]):
+        with pytest.raises(OverflowError) as raised:
+            call()
+        assert raised.value.args == (34, "Numerical result out of range")
 
 
 def test_kernel_matches_the_loops_bit_for_bit(monkeypatch):
