@@ -40,6 +40,7 @@ CSV_ROWS = 400
 
 DEGREES = ("0", "1/3", "1", "2")
 VARIANTS = ("pace", "peace", "space", "apace")
+SIGNS = ("abs", "positive", "negative")
 FORMATS = ("table", "json")
 BASES = ("2", repr(math.e))
 BOUND = {"rare_disease.sem": "p=0.3", "sprinkler_functional.sem": "p=0.3"}
@@ -214,6 +215,11 @@ def commands() -> list[list[str]]:
         out.append(["sweep", *query, "--axis", "d=0:2:0.25"])
         if bind:
             out.append(["sweep", *query, "--axis", "p=0:1:0.25", "--axis", "d=0:2:1"])
+            out.append(["sweep", *query, "--axis", "d=0:2:1", "--axis", "p=0:1:0.25"])
+            for variant in VARIANTS:
+                for sign in SIGNS:
+                    out.append(["sweep", *query, "--axis", "p=0:1:0.05", "--variant", variant,
+                                "--sign", sign])
         for y in (f"{v:g}" for v in model.support(outcome).values):
             for x in support:
                 cf = ["counterfactual", path, *bind, "--evidence", f"{outcome}={y}",
