@@ -37,7 +37,9 @@ bound at p = 0.3 with cause R and outcome W, as a parameter sweep pays them
 at every grid point: `bind_s`, of a fresh `bind` (which validates the bound
 model), and per bind, `joint_s` (which fills the bound `cpt` and `root`
 outcome tables) and `strata_s`; each the median over --repeats rounds of the
-mean of 200 calls.
+mean of 200 calls.  `sweep_s` is the median over the rounds of the mean wall
+time of 5 in-process `vce sweep` commands on that model and query, over
+`p=0:1:0.01` x `d=0:1:0.25` (101 bindings, 505 grid points).
 
 `host_factor` is the median slowdown of a fixed pure-Python chunk run
 between commands (perfbench/host.py), against that chunk's reference time;
@@ -67,6 +69,9 @@ from vce.variational import EffectQuery, effect, strata
 
 SMALL_MODEL = os.path.join(ROOT, "models", "sprinkler_functional.sem")
 SMALL_CALLS = 200
+SWEEP_CALLS = 5
+SWEEP_ARGV = ["sweep", SMALL_MODEL, "--cause", "R", "--outcome", "W",
+              "--axis", "p=0:1:0.01", "--axis", "d=0:1:0.25"]
 PARSE_SEED = 23
 PARSE_CALLS = 20
 PARSE_SHAPES = {"wide": (128, 4), "fun": (12, 6)}  # (cause support l, strata)
@@ -166,7 +171,8 @@ def _measures(text: str, k: int) -> dict[str, float]:
 
 
 def _small(base) -> dict[str, float]:
-    """Mean seconds of a bind of the small model, and per fresh bind of its joint and strata."""
+    """Mean seconds of a bind of the small model, per fresh bind of its joint
+    and strata, and of a sweep over its parameter and the degree."""
     bind_s = joint_s = strata_s = 0.0
     for _ in range(SMALL_CALLS):
         start = perf_counter()
@@ -177,8 +183,9 @@ def _small(base) -> dict[str, float]:
         start = perf_counter()
         strata(model, "R", "W")
         strata_s += perf_counter() - start
+    sweep_s = sum(timed(SWEEP_ARGV) for _ in range(SWEEP_CALLS)) / SWEEP_CALLS
     return {"bind_s": bind_s / SMALL_CALLS, "joint_s": joint_s / SMALL_CALLS,
-            "strata_s": strata_s / SMALL_CALLS}
+            "strata_s": strata_s / SMALL_CALLS, "sweep_s": sweep_s}
 
 
 def main(argv=None) -> dict:

@@ -22,7 +22,7 @@ import math
 import sys
 from contextlib import contextmanager
 from functools import cache
-from itertools import groupby, product
+from itertools import product
 from typing import Sequence
 
 import numpy as np
@@ -206,35 +206,42 @@ def cmd_sweep(args) -> int:
         if name != "d" and name not in param_names:
             raise VceError(f"axis '{name}' is neither a parameter nor the degree 'd'")
 
-    def point(combo) -> tuple[dict, float]:  # the bindings and the degree
-        named = dict(zip([name for name, _ in axes], combo))
-        degree = named.pop("d", args.degree)
-        return {**fixed, **named}, degree
+    names = [name for name, _ in axes]
+    params = [i for i, name in enumerate(names) if name != "d"]
 
-    # Consecutive grid points with equal bindings share one bound model and
-    # one stratum table, aggregated once over all their degrees.  Each point
-    # binds before it validates its query, and aggregating raises nothing, so
-    # the first error a grid raises is the one a per-point evaluation raises.
-    rows, variant = [], (args.variant, args.sign)
-    grid = product(*(values for _, values in axes))
-    for bindings, combos in groupby(grid, key=lambda combo: point(combo)[0]):
-        model = bind(base, bindings) if (base.parameters or bindings) else base
-        combos, table, degrees = list(combos), None, []
-        for combo in combos:
-            query = vr.EffectQuery(args.cause, args.outcome, point(combo)[1], *variant)
-            if table is None:
-                table = vr.strata(model, query.cause, query.outcome)
-            degrees.append(query.degree)
-        values = table.aggregate(degrees, *variant)
-        rows += [combo + (value,) for combo, (value, _) in zip(combos, values)]
+    def grid():
+        return product(*(points for _, points in axes))
 
-    header = [name for name, _ in axes] + ["value"]
+    def points():  # each grid point's parameter axes' values and degree
+        d = names.index("d") if "d" in names else None
+        for combo in grid():
+            yield tuple([combo[i] for i in params]), args.degree if d is None else combo[d]
+
+    def bound(key: tuple) -> Model:  # the model bound at the parameter axes' values `key`
+        bindings = {**fixed, **{names[i]: v for i, v in zip(params, key)}}
+        return bind(base, bindings) if (base.parameters or bindings) else base
+
+    # Each distinct binding is bound once, and the bound models are evaluated
+    # in stacks at every degree of the grid (see vr.effects).  If that fails,
+    # the grid is evaluated point by point as `eval` evaluates one query (the
+    # binding, the query and its degree, the strata, the aggregate), so the
+    # error raised is the one its first failing point raises.
+    keys = {key: i for i, key in enumerate(dict.fromkeys(product(*(axes[i][1] for i in params))))}
+    degrees = {d: k for k, d in enumerate(dict.fromkeys(dict(axes).get("d", [args.degree])))}
+    try:
+        table = vr.effects(map(bound, keys), args.cause, args.outcome, list(degrees),
+                           args.variant, args.sign)
+        values = [table[keys[key]][degrees[d]] for key, d in points()]
+    except (VceError, OverflowError):
+        values = [vr.effect(bound(key), vr.EffectQuery(args.cause, args.outcome, d, args.variant,
+                                                       args.sign)).value for key, d in points()]
+
     out = open(args.out, "w", newline="", encoding="utf-8") if args.out else sys.stdout
     try:
         writer = csv.writer(out)
-        writer.writerow(header)
-        for row in rows:
-            writer.writerow([_fmt(v) for v in row])
+        writer.writerow(names + ["value"])
+        for combo, value in zip(grid(), values):
+            writer.writerow([_fmt(v) for v in (*combo, value)])
     finally:
         if args.out:
             out.close()

@@ -191,7 +191,7 @@ class _Parser:
             raise ParseError("no variables declared", 1, 1)
         self.resolve_references()
         model = md.Model(tuple(self.variables), self.mechanisms, tuple(self.parameters))
-        diags = md.diagnostics(model)
+        diags = model.diagnosed
         if diags:  # at the statement the first diagnostic is about
             tok = self.statements.get(diags[0][0], Token("", "", 1, 1))
             raise ParseError("; ".join(diag for _, diag in diags), tok.line, tok.column)

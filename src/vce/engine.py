@@ -35,6 +35,7 @@ from .model import (
 )
 
 MASS_TOL = 1e-9
+POINT = "(point)"  # the model column of a stacked joint (see _enumerate), not a .sem name
 
 # numpy warns where Python floats give inf or NaN quietly (0 * inf, an
 # unvalidated model's probabilities): the columnar paths stay as quiet.
@@ -176,7 +177,10 @@ def _number(key: np.ndarray, span: int, n: int) -> tuple[np.ndarray, np.ndarray]
         key, span = np.unique(key, return_inverse=True)[1].reshape(-1), n
     first_of = np.full(span, n)
     np.minimum.at(first_of, key, np.arange(n))
-    first = np.sort(first_of[first_of < n])
+    # Each key's first row in row order, marked: a sort is no faster and pages in 0.3 MB of code.
+    mark = np.zeros(n + 1, dtype=bool)  # mark[n]: the keys no row has
+    mark[first_of] = True
+    first = np.flatnonzero(mark[:n])
     number = np.empty(span, dtype=np.intp)
     number[key[first]] = np.arange(len(first))
     return number[key], first
@@ -206,29 +210,40 @@ def _check_size(model: Model) -> None:
 
 
 @_quiet
-def _enumerate(model: Model) -> Distribution:
+def _enumerate(*models: Model) -> Distribution:
     """Every positive-mass assignment (mass unchecked), in the depth-first
     order of the nodes in topological order, each node's outcomes in support
     order: built node by node, each row so far expanded into the outcomes
-    of its slot, with mass (its mass) * (the outcome's probability)."""
+    of its slot, with mass (its mass) * (the outcome's probability).
+
+    Several models of one structure (bindings of one model) are enumerated
+    at once, as a stack: each starts as one row, and a row reads the outcome
+    table of its model, so the stacked joint is each model's joint in turn,
+    with the same bits, the model's index in a last column POINT."""
+    model = models[0]
     _check_size(model)
-    codes: dict[str, np.ndarray] = {}
-    mass = np.array([1.0])
+    codes: dict[str, np.ndarray] = {POINT: np.arange(len(models))} if len(models) > 1 else {}
+    mass = np.array([1.0] * len(models))
     for name in model.topological_order():
         mech, table = model.mechanisms[name], model.outcome_table(name)
         pos = _positions(table, [codes[p] for p in mech.parents], len(mass))
-        outcomes = table.array
+        if len(models) > 1 and any(m.mechanisms[name] is not mech for m in models[1:]):
+            outcomes = np.stack([m.outcome_table(name).array for m in models])[codes[POINT], pos]
+        else:
+            outcomes = table.array[pos]
         if outcomes.ndim == 1:  # deterministic: each row's one outcome, probability 1.0
-            codes[name] = outcomes[pos]
+            codes[name] = outcomes
             continue
-        probs = outcomes[pos]
-        rows, index = np.nonzero(probs)  # each row's outcomes: positive or NaN
-        mass = mass[rows] * probs[rows, index]
+        rows, index = np.nonzero(outcomes)  # each row's outcomes: positive or NaN
+        mass = mass[rows] * outcomes[rows, index]
         codes = {n: c[rows] for n, c in codes.items()}
         codes[name] = index.astype(np.min_scalar_type(len(table.supports[0]) - 1))
     names = [v.name for v in model.variables]
-    return Distribution(names, columns=(
-        [model.support(n).values for n in names], map(codes.get, names), mass))
+    values = [model.support(n).values for n in names]
+    if len(models) > 1:
+        names.append(POINT)
+        values.append(tuple(range(len(models))))
+    return Distribution(names, columns=(values, map(codes.get, names), mass))
 
 
 def _check_mass(mass: float) -> None:
@@ -236,10 +251,17 @@ def _check_mass(mass: float) -> None:
         raise EngineError(f"joint mass {mass} deviates from 1")
 
 
-def build_joint(model: Model) -> Distribution:
+def build_joint(model: Model, *others: Model) -> Distribution:
     """Enumerate P(assignment) = prod over nodes of the node conditional.
-    The joint is kept on the model, built once and shared: never mutate it."""
+    The joint is kept on the model, built once and shared: never mutate it.
+    With `others`, the stacked joint of all (see _enumerate), each model's
+    mass checked in turn, is built and not kept."""
     _check_size(model)  # before the lookup: VCE_STATE_LIMIT may have been lowered
+    if others:
+        joint = _enumerate(model, *others)
+        for mass in np.bincount(joint.codes[-1], joint.masses, 1 + len(others)).tolist():
+            _check_mass(mass)  # each model's rows added in order, as total_mass adds them
+        return joint
     joint = model.__dict__.get("_joint")
     if joint is None:
         joint = _enumerate(model)

@@ -361,6 +361,11 @@ class Model:
         return tuple(order)
 
     @cached_property
+    def diagnosed(self) -> list[tuple[str | None, str]]:
+        """diagnostics(self), found once: a model is not changed once built."""
+        return diagnostics(self)
+
+    @cached_property
     def is_bound(self) -> bool:
         if self.parameters:
             return False
@@ -446,9 +451,10 @@ def validate(model: Model) -> list[str]:
     return [diag for _, diag in diagnostics(model)]
 
 
-def diagnostics(model: Model) -> list[tuple[str | None, str]]:
+def diagnostics(model: Model, base: Model | None = None) -> list[tuple[str | None, str]]:
     """validate's diagnostics in order, each with the variable whose
-    declaration or mechanism it is about (None: the model as a whole)."""
+    declaration or mechanism it is about (None: the model as a whole).  A
+    mechanism kept from `base`, the model that `model` binds, has base's."""
     owned: list[tuple[str | None, str]] = []
     diags: list[str] = []
     names = [v.name for v in model.variables]
@@ -471,6 +477,9 @@ def diagnostics(model: Model) -> list[tuple[str | None, str]]:
 
     for n, mech in model.mechanisms.items():
         if n not in model.variable_map:
+            continue
+        if base is not None and base.mechanisms.get(n) is mech:  # as in every binding
+            owned += [(owner, d) for owner, d in base.diagnosed if owner == n]
             continue
         diags = []
         support = model.variable_map[n].support
@@ -616,7 +625,8 @@ def bind(model: Model, bindings: Mapping[str, float] | None = None) -> Model:
             raise BindingError(str(err)) from None
 
     # Mechanisms without parameters are kept, and with them their outcome
-    # tables, so a sweep reads those once rather than once per grid point.
+    # tables and their diagnostics, so a sweep reads those once rather than
+    # once per grid point.
     mechanisms: dict[str, Mechanism] = {}
     for name, mech in model.mechanisms.items():
         if isinstance(mech, Root) and not all(map(_is_number, mech.table.values())):
@@ -639,7 +649,7 @@ def bind(model: Model, bindings: Mapping[str, float] | None = None) -> Model:
             mechanisms[name] = mech
 
     bound = Model(model.variables, mechanisms, ())
-    diags = validate(bound)
+    diags = [diag for _, diag in diagnostics(bound, model)]
     if diags:
         raise BindingError("; ".join(diags))
     return bound

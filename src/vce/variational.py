@@ -23,12 +23,13 @@ import math
 from collections.abc import Mapping as MappingABC
 from dataclasses import dataclass, field
 from functools import cached_property, partial
-from itertools import accumulate, combinations
-from typing import Mapping, Sequence
+from itertools import accumulate, combinations, islice
+from typing import Iterable, Mapping, Sequence
 
 import numpy as np
 
 from .engine import (
+    POINT,
     Distribution,
     build_joint,
     deterministic_value,
@@ -210,7 +211,8 @@ def variations(gs, ps, degrees: Sequence[float], variant: str, sign: str) -> lis
     gs, ps = np.asarray(gs, dtype=float), np.asarray(ps, dtype=float)
     if gs.size * (gs.shape[-1] - 1) // 2 * len(degrees) >= KERNEL_MIN_TERMS:
         with np.errstate(all="ignore"):  # Python floats overflow without a warning
-            if np.isfinite(np.ptp(gs, axis=1)).all():  # else the loops compare NaN their way
+            # Else the loops compare NaN their way, and weigh a NaN p as NaN ** d.
+            if np.isfinite(np.ptp(gs, axis=1)).all() and not np.isnan(ps).any():
                 return _kernel(gs, ps, list(degrees), variant, sign)
     rows = list(zip(gs.tolist(), ps.tolist()))
     return [[variation(g, p, d, variant, sign) for g, p in rows] for d in degrees]
@@ -373,6 +375,8 @@ class StratumTable:
     first record spells them) and P(z) as its mass.  Row s of the (strata x l)
     arrays `ps` and `gs` holds P(x|z) and g(x, z) at the cause's support
     positions `indices`, which the chains run over; g is `outcome`'s value.
+    A table of stacked models (see engine._enumerate) holds each model's
+    strata in turn, and each row's model in `stack`.
     """
 
     z: Distribution
@@ -380,6 +384,7 @@ class StratumTable:
     gs: np.ndarray
     indices: tuple[int, ...]
     outcome: str
+    stack: np.ndarray | None = None
 
     @property
     def z_variables(self) -> tuple[str, ...]:
@@ -399,17 +404,30 @@ class StratumTable:
         """At each degree, the expectation over z of the per-z variation, with
         each row's (value, witness chain over positions of `indices`).  An
         effect that is not finite (the terms' sum overflows) is rejected."""
-        out = []
+        per_degree = variations(self.gs, self.ps, degrees, variant, sign)
+        return [(total, per_row) for [total], per_row
+                in zip(self.totals(degrees, variant, per_degree), per_degree)]
+
+    def totals(self, degrees: Sequence[float], variant: str, per_degree: list[list]) -> list[list[float]]:
+        """At each degree, each model's effect from its rows' `per_degree` values:
+        P(z) * value added in row order from 0.0, rejected if not finite."""
         probability = self.probability.tolist()
-        for d, per_row in zip(degrees, variations(self.gs, self.ps, degrees, variant, sign)):
-            total = 0.0
-            for p, (value, _) in zip(probability, per_row):
-                total += p * value
-            if not math.isfinite(total):  # P(z) > 0, so a row that is not finite makes it so
-                partial = accumulate(p * value for p, (value, _) in zip(probability, per_row))
-                r = next(r for r, t in enumerate(partial) if not math.isfinite(t))
-                self.finite(total, variant, d, r)
-            out.append((total, per_row))
+        cuts = [0, len(probability)] if self.stack is None else [
+            0, *(np.flatnonzero(np.diff(self.stack)) + 1).tolist(), len(probability)]
+        models = [(a, b, probability[a:b]) for a, b in zip(cuts, cuts[1:])]  # each model's rows
+        out = []
+        for d, per_row in zip(degrees, per_degree):
+            totals = []
+            for a, b, pz in models:
+                total = 0.0
+                for p, (value, _) in zip(pz, per_row[a:b]):
+                    total += p * value
+                if not math.isfinite(total):  # P(z) > 0, so a row that is not finite makes it so
+                    partial = accumulate(p * value for p, (value, _) in zip(pz, per_row[a:b]))
+                    r = next(r for r, t in enumerate(partial, a) if not math.isfinite(t))
+                    self.finite(total, variant, d, r)
+                totals.append(total)
+            out.append(totals)
         return out
 
     def finite(self, value: float, variant: str, d: float, r: int) -> float:
@@ -452,14 +470,17 @@ def _tabulate(
     outcome: str | None,
     z_vars: tuple[str, ...],
     support_subset: Sequence[float] | None = None,
+    others: Sequence[Model] = (),
 ) -> StratumTable:
     """Per-z conditional cause probabilities and outcome values.
 
     When outcome is None the cause's own values stand in for g (natural
     availability).  `support_subset` restricts the chain to the given cause
     values, keeping the original (unrenormalized) conditional probabilities.
+    With `others` (of `model`'s structure), the stacked table of `model`
+    and them (see StratumTable), from their stacked joint.
     """
-    joint = build_joint(model)
+    joint = build_joint(model, *others)
     support = model.support(cause)
     if support_subset is None:
         indices = tuple(range(len(support)))
@@ -467,11 +488,13 @@ def _tabulate(
         indices = tuple(sorted(support.index_of(v) for v in support_subset))
         if len(set(indices)) != len(indices):
             raise QueryError("support subset contains duplicate values")
+    names = (POINT, *z_vars) if others else z_vars
     # P(z) and P(z, x) sum their rows' masses in row order, as marginal sums them.
-    first, pz, (pxz,) = stratify(joint, joint.codes[joint.column(cause)], len(support), z_vars)
+    first, pz, (pxz,) = stratify(joint, joint.codes[joint.column(cause)], len(support), names)
     cols = [joint.column(v) for v in z_vars]
     z = Distribution(z_vars, columns=([joint.values[c] for c in cols],
                                       [joint.codes[c][first] for c in cols], pz))
+    stack = joint.codes[-1][first] if others else None
     ps = pxz[:, list(indices)] / pz[:, None]
     if outcome is not None:
         # g(x, z) is the outcome table's slot at z's parent codes and x's.
@@ -479,8 +502,11 @@ def _tabulate(
         codes = [np.asarray(indices, dtype=np.intp)[None, :] if p == cause
                  else z.codes[z_vars.index(p)][:, None] for p in mech.parents]
         at = np.broadcast_to(np.ravel_multi_index(codes, [len(vs) for vs in table.parents]), ps.shape)
-        values = table.supports[0].values
-        gs = np.asarray(values)[table.array[at]]
+        values, array = table.supports[0].values, table.array
+        if others:  # each stratum reads its model's table
+            array = np.stack([m.outcome_table(outcome).array for m in (model, *others)])
+            at = (stack[:, None], at)
+        gs = np.asarray(values)[array[at]]
     else:
         values = support.values
         gs = np.broadcast_to(np.asarray(values)[list(indices)], ps.shape)
@@ -488,7 +514,7 @@ def _tabulate(
         if g and not math.isfinite(max(g) - min(g)):  # inf times a zero weight is NaN
             raise QueryError(f"'{outcome or cause}' values {min(g)!r} and {max(g)!r} differ "
                              f"by more than the largest float at z = {z_key}")
-    return StratumTable(z, ps, gs, indices, outcome or cause)
+    return StratumTable(z, ps, gs, indices, outcome or cause, stack)
 
 
 def strata(
@@ -534,6 +560,32 @@ def pace_vector(
     EffectQuery(cause, outcome, variant=variant, sign=sign)  # checks the variant and the sign
     table = strata(model, cause, outcome)
     return [value for value, _ in table.aggregate(degrees, variant, sign)]
+
+
+STACK_BLOCK = 65_536  # most (models x joint states x cause values) `effects` stacks at once
+
+
+def effects(models: Iterable[Model], cause: str, outcome: str, degrees: Sequence[float],
+            variant: str = "pace", sign: str = "abs") -> list[list[float]]:
+    """effect(model, EffectQuery(cause, outcome, degrees[k], variant, sign)).value
+    as out[i][k] for the i-th of `models`, bit for bit: bindings (at least one) of
+    one model, read a stack at a time and stacked (see engine._enumerate), at most
+    STACK_BLOCK joint states times cause values at once, so that a stack's arrays
+    stay within a multiple of one model's; each stack is stratified once and
+    aggregated by one `variations` call over every degree.  An error raised is
+    that of some model and degree."""
+    models = iter(models)
+    stack = [next(models)]
+    z_vars = _query_context(stack[0], cause, outcome)
+    size = max(1, STACK_BLOCK // (stack[0].state_space_size * len(stack[0].support(cause))))
+    out = []
+    while stack:
+        stack += islice(models, size - len(stack))
+        table = _tabulate(stack[0], cause, outcome, z_vars, others=stack[1:])
+        per_degree = variations(table.gs, table.ps, degrees, variant, sign)
+        out += map(list, zip(*table.totals(degrees, variant, per_degree)))
+        stack = list(islice(models, size))
+    return out
 
 
 def degree_grid(max_degree: float = 1.0, steps: int = 10) -> list[float]:

@@ -10,6 +10,7 @@ from __future__ import annotations
 import csv
 import json
 import math
+import sys
 from dataclasses import dataclass
 from functools import cached_property, reduce
 from itertools import chain, combinations, groupby, product
@@ -31,8 +32,10 @@ from vce.engine import (
 )
 from vce.errors import (
     AbsoluteContinuityError,
+    BindingError,
     DatasetError,
     EngineError,
+    EvalError,
     ParseError,
     PositivityError,
     QueryError,
@@ -52,6 +55,7 @@ from vce.model import (
     Variable,
     bind,
     snap_to_support,
+    validate,
 )
 from vce.rewrites import _functionalize
 from vce.variational import (
@@ -1239,3 +1243,104 @@ def reference_tokenize(text: str) -> list[tuple[str, str, int, int]]:
             raise ParseError(f"unexpected character {c!r}", line, col)
     tokens.append(("eof", "", line, col))
     return tokens
+
+
+# --- sweeps and bindings as evaluated one binding at a time -----------------------
+
+
+def reference_sweep(args) -> int:
+    """`vce sweep` as it evaluated each run of grid points with equal
+    bindings in turn: one bind, one stratum table and one aggregate over
+    the run's degrees (the oracle for cli.cmd_sweep's stacked evaluation)."""
+    from vce import cli
+
+    specs = []
+    for raw in args.axis:
+        name, sep, rng = raw.partition("=")
+        if not sep:
+            raise cli.VceError(f"expected AXIS=START:STOP:STEP, got '{raw}'")
+        parts = rng.split(":")
+        if len(parts) != 3:
+            raise cli.VceError(f"expected START:STOP:STEP in '{raw}'")
+        start, stop, step = (cli._fraction(p) for p in parts)
+        name = name.strip()
+        if any(name == spec[0] for spec in specs):
+            raise cli.VceError(f"duplicate axis '{name}'")
+        specs.append((name, start, stop, step, cli._axis_size(start, stop, step)))
+    if math.prod(spec[-1] for spec in specs) > cli.MAX_GRID_POINTS:
+        raise cli.VceError(f"sweep grid exceeds {cli.MAX_GRID_POINTS} points")
+    axes = [(name, cli._axis_values(*bounds)) for name, *bounds in specs]
+    if not axes:
+        raise cli.VceError("sweep needs at least one --axis")
+    base = cli._read_model(args.model)
+    fixed = cli._parse_assignments(",".join(args.bind))
+    param_names = {p.name for p in base.parameters}
+    for name, _ in axes:
+        if name != "d" and name not in param_names:
+            raise cli.VceError(f"axis '{name}' is neither a parameter nor the degree 'd'")
+
+    def point(combo):
+        named = dict(zip([name for name, _ in axes], combo))
+        degree = named.pop("d", args.degree)
+        return {**fixed, **named}, degree
+
+    rows, variant = [], (args.variant, args.sign)
+    grid = product(*(values for _, values in axes))
+    for bindings, combos in groupby(grid, key=lambda combo: point(combo)[0]):
+        model = bind(base, bindings) if (base.parameters or bindings) else base
+        combos, table, degrees = list(combos), None, []
+        for combo in combos:
+            query = EffectQuery(args.cause, args.outcome, point(combo)[1], *variant)
+            if table is None:
+                table = strata(model, query.cause, query.outcome)
+            degrees.append(query.degree)
+        values = table.aggregate(degrees, *variant)
+        rows += [combo + (value,) for combo, (value, _) in zip(combos, values)]
+    writer = csv.writer(sys.stdout)
+    writer.writerow([name for name, _ in axes] + ["value"])
+    for row in rows:
+        writer.writerow([cli._fmt(v) for v in row])
+    return cli.EXIT_OK
+
+
+def reference_bind(model: Model, bindings) -> Model:
+    """bind as it validated the whole bound model, every mechanism afresh."""
+    bindings = dict(bindings or {})
+    declared = model.parameter_map
+    unknown = set(bindings) - set(declared)
+    if unknown:
+        raise BindingError(f"bindings for undeclared parameter(s) {sorted(unknown)}")
+    missing = set(declared) - set(bindings)
+    if missing:
+        raise BindingError(f"unbound parameter(s) {sorted(missing)}")
+    for pname, value in bindings.items():
+        p = declared[pname]
+        if not (p.lower - 1e-12 <= value <= p.upper + 1e-12):
+            raise BindingError(f"parameter {pname}={value} outside [{p.lower}, {p.upper}]")
+
+    def entry_value(entry) -> float:
+        if isinstance(entry, (int, float)):
+            return float(entry)
+        try:
+            return ex.evaluate(entry, bindings)
+        except EvalError as err:
+            raise BindingError(str(err)) from None
+
+    mechanisms = {}
+    for name, mech in model.mechanisms.items():
+        if isinstance(mech, Root) and not all(isinstance(e, (int, float)) for e in mech.table.values()):
+            mechanisms[name] = Root({v: entry_value(e) for v, e in mech.table.items()})
+        elif isinstance(mech, CPT) and not all(
+                isinstance(e, (int, float)) for row in mech.rows.values() for e in row.values()):
+            mechanisms[name] = CPT(mech.parents, {key: {v: entry_value(e) for v, e in row.items()}
+                                                  for key, row in mech.rows.items()})
+        elif (isinstance(mech, Deterministic) and mech.body is not None
+              and mech.names & set(declared)):
+            mechanisms[name] = Deterministic(mech.parents, body=ex.substitute(mech.body, bindings))
+        else:
+            mechanisms[name] = mech
+    bound = Model(model.variables, mechanisms, ())
+    diags = validate(bound)
+    if diags:
+        raise BindingError("; ".join(diags))
+    return bound

@@ -154,6 +154,14 @@ def test_an_infinite_difference_takes_the_loops():
         assert [chain for [(_, chain)] in got] == [want[1]] * 11
 
 
+def test_a_nan_probability_takes_the_loops():
+    # The loops weigh a pair with a NaN p as NaN ** d, where the kernel would weigh it 0.
+    gs, ps = [tuple(range(64))] * 2, [(1 / 64,) * 63 + (math.nan,)] * 2
+    for variant in vr.VARIANTS:
+        want = [vr.variation(g, p, 1.0, variant, "abs") for g, p in zip(gs, ps)]
+        assert _bits(vr.variations(gs, ps, [1.0], variant, "abs")) == _bits([want]), variant
+
+
 @pytest.mark.parametrize("variant, sign, degree, message", [
     ("pace", "abs", -1.0, "degree must be >= 0, got -1.0"),
     ("space", "abs", math.inf, "degree must be finite, got inf"),
