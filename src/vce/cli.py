@@ -206,41 +206,37 @@ def cmd_sweep(args) -> int:
         if name != "d" and name not in param_names:
             raise VceError(f"axis '{name}' is neither a parameter nor the degree 'd'")
 
-    names = [name for name, _ in axes]
-    params = [i for i, name in enumerate(names) if name != "d"]
+    names, grid = [name for name, _ in axes], [points for _, points in axes]
+    params = {name: points for name, points in axes if name != "d"}
+    degrees = dict(axes).get("d", [args.degree])
 
-    def grid():
-        return product(*(points for _, points in axes))
-
-    def points():  # each grid point's parameter axes' values and degree
-        d = names.index("d") if "d" in names else None
-        for combo in grid():
-            yield tuple([combo[i] for i in params]), args.degree if d is None else combo[d]
-
-    def bound(key: tuple) -> Model:  # the model bound at the parameter axes' values `key`
-        bindings = {**fixed, **{names[i]: v for i, v in zip(params, key)}}
+    def bound(bindings: dict) -> Model:
+        bindings = {**fixed, **bindings}
         return bind(base, bindings) if (base.parameters or bindings) else base
 
-    # Each distinct binding is bound once, and the bound models are evaluated
-    # in stacks at every degree of the grid (see vr.effects).  If that fails,
-    # the grid is evaluated point by point as `eval` evaluates one query (the
-    # binding, the query and its degree, the strata, the aggregate), so the
-    # error raised is the one its first failing point raises.
-    keys = {key: i for i, key in enumerate(dict.fromkeys(product(*(axes[i][1] for i in params))))}
-    degrees = {d: k for k, d in enumerate(dict.fromkeys(dict(axes).get("d", [args.degree])))}
+    def point(combo) -> tuple[dict, float]:  # a grid point's bindings and degree
+        named = dict(zip(names, combo))
+        return named, named.pop("d", args.degree)
+
+    # Each binding is bound once and evaluated at every degree, in stacks
+    # (vr.effects); the values are then put back in the order of the axes.  If
+    # that fails, the grid is evaluated point by point as `eval` evaluates one
+    # query, so the error raised is the one its first failing point raises.
     try:
-        table = vr.effects(map(bound, keys), args.cause, args.outcome, list(degrees),
-                           args.variant, args.sign)
-        values = [table[keys[key]][degrees[d]] for key, d in points()]
+        models = (bound(dict(zip(params, key))) for key in product(*params.values()))
+        table = vr.effects(models, args.cause, args.outcome, degrees, args.variant, args.sign)
+        table = np.reshape(table, [*map(len, params.values()), len(degrees)])
+        values = np.moveaxis(table, -1, names.index("d") if "d" in names else -1).ravel().tolist()
     except (VceError, OverflowError):
-        values = [vr.effect(bound(key), vr.EffectQuery(args.cause, args.outcome, d, args.variant,
-                                                       args.sign)).value for key, d in points()]
+        values = [vr.effect(bound(named), vr.EffectQuery(args.cause, args.outcome, d, args.variant,
+                                                         args.sign)).value
+                  for named, d in map(point, product(*grid))]
 
     out = open(args.out, "w", newline="", encoding="utf-8") if args.out else sys.stdout
     try:
         writer = csv.writer(out)
         writer.writerow(names + ["value"])
-        for combo, value in zip(grid(), values):
+        for combo, value in zip(product(*grid), values):
             writer.writerow([_fmt(v) for v in (*combo, value)])
     finally:
         if args.out:

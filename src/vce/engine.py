@@ -216,18 +216,19 @@ def _enumerate(*models: Model) -> Distribution:
     order: built node by node, each row so far expanded into the outcomes
     of its slot, with mass (its mass) * (the outcome's probability).
 
-    Several models of one structure (bindings of one model) are enumerated
-    at once, as a stack: each starts as one row, and a row reads the outcome
-    table of its model, so the stacked joint is each model's joint in turn,
-    with the same bits, the model's index in a last column POINT."""
+    Bindings of one model are enumerated at once, as a stack: each model
+    starts as one row and each row reads its own model's outcome tables, so
+    the joint is each model's joint in turn, with the same bits.  A stack of
+    several has each row's model in a last column, POINT (one model's joint
+    has none: gathering it costs a plain enumeration several percent)."""
     model = models[0]
     _check_size(model)
-    codes: dict[str, np.ndarray] = {POINT: np.arange(len(models))} if len(models) > 1 else {}
+    codes = {POINT: np.arange(len(models))} if len(models) > 1 else {}
     mass = np.array([1.0] * len(models))
     for name in model.topological_order():
         mech, table = model.mechanisms[name], model.outcome_table(name)
         pos = _positions(table, [codes[p] for p in mech.parents], len(mass))
-        if len(models) > 1 and any(m.mechanisms[name] is not mech for m in models[1:]):
+        if POINT in codes and any(m.mechanisms[name] is not mech for m in models):
             outcomes = np.stack([m.outcome_table(name).array for m in models])[codes[POINT], pos]
         else:
             outcomes = table.array[pos]
@@ -240,7 +241,7 @@ def _enumerate(*models: Model) -> Distribution:
         codes[name] = index.astype(np.min_scalar_type(len(table.supports[0]) - 1))
     names = [v.name for v in model.variables]
     values = [model.support(n).values for n in names]
-    if len(models) > 1:
+    if POINT in codes:
         names.append(POINT)
         values.append(tuple(range(len(models))))
     return Distribution(names, columns=(values, map(codes.get, names), mass))
@@ -251,22 +252,21 @@ def _check_mass(mass: float) -> None:
         raise EngineError(f"joint mass {mass} deviates from 1")
 
 
-def build_joint(model: Model, *others: Model) -> Distribution:
-    """Enumerate P(assignment) = prod over nodes of the node conditional.
-    The joint is kept on the model, built once and shared: never mutate it.
-    With `others`, the stacked joint of all (see _enumerate), each model's
-    mass checked in turn, is built and not kept."""
-    _check_size(model)  # before the lookup: VCE_STATE_LIMIT may have been lowered
-    if others:
-        joint = _enumerate(model, *others)
-        for mass in np.bincount(joint.codes[-1], joint.masses, 1 + len(others)).tolist():
-            _check_mass(mass)  # each model's rows added in order, as total_mass adds them
-        return joint
-    joint = model.__dict__.get("_joint")
-    if joint is None:
-        joint = _enumerate(model)
+def build_joint(*models: Model) -> Distribution:
+    """Enumerate P(assignment) = prod over nodes of the node conditional, and
+    check its mass.  One model's joint is kept on the model, built once and
+    shared: never mutate it.  The stacked joint of several (see _enumerate)
+    is built anew, each model's mass checked in turn."""
+    _check_size(models[0])  # before the lookup: VCE_STATE_LIMIT may have been lowered
+    if len(models) == 1 and "_joint" in models[0].__dict__:
+        return models[0].__dict__["_joint"]
+    joint = _enumerate(*models)
+    if len(models) == 1:
         _check_mass(joint.total_mass())
-        object.__setattr__(model, "_joint", joint)
+        object.__setattr__(models[0], "_joint", joint)
+    else:  # each model's rows added in order, as total_mass adds them
+        for mass in np.bincount(joint.codes[-1], joint.masses, len(models)).tolist():
+            _check_mass(mass)
     return joint
 
 

@@ -625,8 +625,7 @@ def bind(model: Model, bindings: Mapping[str, float] | None = None) -> Model:
             raise BindingError(str(err)) from None
 
     # Mechanisms without parameters are kept, and with them their outcome
-    # tables and their diagnostics, so a sweep reads those once rather than
-    # once per grid point.
+    # tables and diagnostics, so a sweep finds those once, not per grid point.
     mechanisms: dict[str, Mechanism] = {}
     for name, mech in model.mechanisms.items():
         if isinstance(mech, Root) and not all(map(_is_number, mech.table.values())):

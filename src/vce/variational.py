@@ -376,7 +376,7 @@ class StratumTable:
     arrays `ps` and `gs` holds P(x|z) and g(x, z) at the cause's support
     positions `indices`, which the chains run over; g is `outcome`'s value.
     A table of stacked models (see engine._enumerate) holds each model's
-    strata in turn, and each row's model in `stack`.
+    strata in turn, model i's ending before row `ends[i]`; one model's has ().
     """
 
     z: Distribution
@@ -384,7 +384,7 @@ class StratumTable:
     gs: np.ndarray
     indices: tuple[int, ...]
     outcome: str
-    stack: np.ndarray | None = None
+    ends: tuple[int, ...] = ()
 
     @property
     def z_variables(self) -> tuple[str, ...]:
@@ -405,20 +405,16 @@ class StratumTable:
         each row's (value, witness chain over positions of `indices`).  An
         effect that is not finite (the terms' sum overflows) is rejected."""
         per_degree = variations(self.gs, self.ps, degrees, variant, sign)
-        return [(total, per_row) for [total], per_row
-                in zip(self.totals(degrees, variant, per_degree), per_degree)]
+        [totals] = self.totals(degrees, variant, per_degree)
+        return list(zip(totals, per_degree))
 
     def totals(self, degrees: Sequence[float], variant: str, per_degree: list[list]) -> list[list[float]]:
-        """At each degree, each model's effect from its rows' `per_degree` values:
+        """Each model's effect at each degree from its rows' `per_degree` values:
         P(z) * value added in row order from 0.0, rejected if not finite."""
-        probability = self.probability.tolist()
-        cuts = [0, len(probability)] if self.stack is None else [
-            0, *(np.flatnonzero(np.diff(self.stack)) + 1).tolist(), len(probability)]
-        models = [(a, b, probability[a:b]) for a, b in zip(cuts, cuts[1:])]  # each model's rows
-        out = []
-        for d, per_row in zip(degrees, per_degree):
-            totals = []
-            for a, b, pz in models:
+        probability, out = self.probability.tolist(), []
+        for a, b in zip((0, *self.ends), self.ends or [len(probability)]):
+            pz, totals = probability[a:b], []
+            for d, per_row in zip(degrees, per_degree):
                 total = 0.0
                 for p, (value, _) in zip(pz, per_row[a:b]):
                     total += p * value
@@ -465,22 +461,20 @@ class _Breakdown(MappingABC):
 
 
 def _tabulate(
-    model: Model,
+    models: Sequence[Model],
     cause: str,
     outcome: str | None,
     z_vars: tuple[str, ...],
     support_subset: Sequence[float] | None = None,
-    others: Sequence[Model] = (),
 ) -> StratumTable:
     """Per-z conditional cause probabilities and outcome values.
 
     When outcome is None the cause's own values stand in for g (natural
     availability).  `support_subset` restricts the chain to the given cause
     values, keeping the original (unrenormalized) conditional probabilities.
-    With `others` (of `model`'s structure), the stacked table of `model`
-    and them (see StratumTable), from their stacked joint.
+    Several models (bindings of one model) give their stacked table.
     """
-    joint = build_joint(model, *others)
+    model, joint = models[0], build_joint(*models)
     support = model.support(cause)
     if support_subset is None:
         indices = tuple(range(len(support)))
@@ -488,13 +482,15 @@ def _tabulate(
         indices = tuple(sorted(support.index_of(v) for v in support_subset))
         if len(set(indices)) != len(indices):
             raise QueryError("support subset contains duplicate values")
-    names = (POINT, *z_vars) if others else z_vars
-    # P(z) and P(z, x) sum their rows' masses in row order, as marginal sums them.
-    first, pz, (pxz,) = stratify(joint, joint.codes[joint.column(cause)], len(support), names)
+    # P(z) and P(z, x) sum their rows' masses in row order, as marginal sums them;
+    # a stack's strata are grouped by model first (POINT, the joint's last column).
+    stacked = joint.variables[len(model.variables):]  # (POINT,) or ()
+    first, pz, (pxz,) = stratify(joint, joint.codes[joint.column(cause)], len(support),
+                                 (*stacked, *z_vars))
     cols = [joint.column(v) for v in z_vars]
     z = Distribution(z_vars, columns=([joint.values[c] for c in cols],
                                       [joint.codes[c][first] for c in cols], pz))
-    stack = joint.codes[-1][first] if others else None
+    point = joint.codes[-1][first] if stacked else None  # each stratum's model
     ps = pxz[:, list(indices)] / pz[:, None]
     if outcome is not None:
         # g(x, z) is the outcome table's slot at z's parent codes and x's.
@@ -503,9 +499,8 @@ def _tabulate(
                  else z.codes[z_vars.index(p)][:, None] for p in mech.parents]
         at = np.broadcast_to(np.ravel_multi_index(codes, [len(vs) for vs in table.parents]), ps.shape)
         values, array = table.supports[0].values, table.array
-        if others:  # each stratum reads its model's table
-            array = np.stack([m.outcome_table(outcome).array for m in (model, *others)])
-            at = (stack[:, None], at)
+        if stacked and any(m.mechanisms[outcome] is not mech for m in models):  # its model's table
+            array, at = np.stack([m.outcome_table(outcome).array for m in models]), (point[:, None], at)
         gs = np.asarray(values)[array[at]]
     else:
         values = support.values
@@ -514,7 +509,8 @@ def _tabulate(
         if g and not math.isfinite(max(g) - min(g)):  # inf times a zero weight is NaN
             raise QueryError(f"'{outcome or cause}' values {min(g)!r} and {max(g)!r} differ "
                              f"by more than the largest float at z = {z_key}")
-    return StratumTable(z, ps, gs, indices, outcome or cause, stack)
+    ends = np.bincount(point, minlength=len(models)).cumsum().tolist() if stacked else ()
+    return StratumTable(z, ps, gs, indices, outcome or cause, tuple(ends))
 
 
 def strata(
@@ -522,7 +518,7 @@ def strata(
 ) -> StratumTable:
     """Stratum table of an effect query; Z is the outcome's other parents."""
     z_vars = _query_context(model, cause, outcome)
-    return _tabulate(model, cause, outcome, z_vars, support_subset)
+    return _tabulate([model], cause, outcome, z_vars, support_subset)
 
 
 def effect(
@@ -568,23 +564,21 @@ STACK_BLOCK = 65_536  # most (models x joint states x cause values) `effects` st
 def effects(models: Iterable[Model], cause: str, outcome: str, degrees: Sequence[float],
             variant: str = "pace", sign: str = "abs") -> list[list[float]]:
     """effect(model, EffectQuery(cause, outcome, degrees[k], variant, sign)).value
-    as out[i][k] for the i-th of `models`, bit for bit: bindings (at least one) of
-    one model, read a stack at a time and stacked (see engine._enumerate), at most
-    STACK_BLOCK joint states times cause values at once, so that a stack's arrays
-    stay within a multiple of one model's; each stack is stratified once and
-    aggregated by one `variations` call over every degree.  An error raised is
-    that of some model and degree."""
+    as out[i][k] for the i-th of `models` (bindings of one model), bit for bit,
+    or an error one of them raises.  The models are read and stacked (see
+    engine._enumerate) STACK_BLOCK joint states times cause values at a time;
+    each stack is stratified once and aggregated by one `variations` call."""
+    for d in degrees:
+        EffectQuery(cause, outcome, d, variant, sign)  # checks each degree, the variant and the sign
     models = iter(models)
-    stack = [next(models)]
+    stack, out = [next(models)], []
     z_vars = _query_context(stack[0], cause, outcome)
     size = max(1, STACK_BLOCK // (stack[0].state_space_size * len(stack[0].support(cause))))
-    out = []
     while stack:
-        stack += islice(models, size - len(stack))
-        table = _tabulate(stack[0], cause, outcome, z_vars, others=stack[1:])
+        table = _tabulate(stack + list(islice(models, size - 1)), cause, outcome, z_vars)
         per_degree = variations(table.gs, table.ps, degrees, variant, sign)
-        out += map(list, zip(*table.totals(degrees, variant, per_degree)))
-        stack = list(islice(models, size))
+        out += table.totals(degrees, variant, per_degree)
+        stack = list(islice(models, 1))
     return out
 
 
@@ -611,7 +605,7 @@ def natural_availability(
         raise QueryError("conditioning set must not contain the cause")
     for z in z_vars:
         model.variable(z)
-    return _tabulate(model, cause, None, tuple(z_vars)).aggregate([degree], variant, "abs")[0][0]
+    return _tabulate([model], cause, None, tuple(z_vars)).aggregate([degree], variant, "abs")[0][0]
 
 
 # --- per-z operations (the oracle-facing surface) ---------------------------

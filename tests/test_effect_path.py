@@ -124,7 +124,7 @@ def test_strata_columns_match_the_row_builder():
             seen["subset"] += 1
         seen["several z"] += len(z_vars) > 1
         if z_vars and rng.random() < 0.3:  # natural availability: g is the cause itself
-            table = vr._tabulate(model, cause, None, z_vars[:1])
+            table = vr._tabulate([model], cause, None, z_vars[:1])
             assert _table_bits(table) == _rows_bits(reference_tabulate(model, cause, None, z_vars[:1])[0])
             seen["natural"] += 1
     assert min(seen.values()) >= 30, seen

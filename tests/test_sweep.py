@@ -4,8 +4,9 @@ evaluation one run of equal bindings at a time it replaced
 (`helpers.reference_sweep`): CSV bytes, error text and exit code on random
 models with two parameters, in root and cpt entries and in `def` bodies,
 whose strata vanish at p = 0 or 1, over both axis orders, the degree first
-and last, `--bind`, stacks of one to three bound models or of all, and
-grids that fail part-way.  Also `bind`, which reuses
+and last, `--bind`, stacks of one to three bound models or of all, causes
+with one value, and grids that fail part-way (a negative d included where
+no weight is computed to reject it).  Also `bind`, which reuses
 the diagnostics of the mechanisms it keeps, against `helpers.reference_bind`,
 which validated the whole bound model."""
 
@@ -15,13 +16,14 @@ import io
 from contextlib import redirect_stderr, redirect_stdout
 
 import numpy as np
+import pytest
 
 from helpers import random_dsl_model, reference_bind, reference_sweep
 from vce import cli
 from vce import variational as vr
 from vce import expr as ex
 from vce.dsl import parse_model
-from vce.errors import BindingError
+from vce.errors import BindingError, QueryError
 from vce.model import CPT, Deterministic, Model, Parameter, Root, bind
 from vce.variational import EffectQuery, effect, effects
 
@@ -58,7 +60,9 @@ def _model(rng, failures) -> str:
     """A model over Z -> X -> Y (Y also reads Z, and W when there is one) with
     parameters p and q, failing as `failures` name."""
     zs = list(range(int(rng.integers(2, 4))))
-    xs = sorted(int(v) for v in rng.choice(np.arange(-2, 9), int(rng.integers(2, 5)), replace=False))
+    # Now and then a cause with one value: its variations are 0 without a weight computed.
+    l = 1 if rng.random() < 0.1 else int(rng.integers(2, 5))
+    xs = sorted(int(v) for v in rng.choice(np.arange(-2, 9), l, replace=False))
     if "overflow" in failures:
         xs = [0, 1, 2]
     lines = ["param p in [0, 1]", "param q in [0, 1]",
@@ -67,7 +71,7 @@ def _model(rng, failures) -> str:
     mechs = ["root Z " + _row(rng, zs, z_head)]
     mechs.append("cpt X | Z {")
     for z in zs:
-        head = _head(rng) if rng.random() < 0.5 else None
+        head = _head(rng) if rng.random() < 0.5 and len(xs) > 1 else None
         mechs.append(f"  ({z}): {_row(rng, xs, head)},")
     mechs.append("}")
     parents = "X, Z"
@@ -139,7 +143,7 @@ def _reference_run(argv: list[str], monkeypatch) -> tuple[int, str, str]:
 def test_sweeps_match_the_one_binding_at_a_time_evaluation(tmp_path, monkeypatch):
     rng = np.random.default_rng(2501)
     seen = dict.fromkeys(("ok", "vanish", "def_p", "two_axes", "d_first", "d_last", "bind",
-                          "two_failures", *FAILURES), 0)
+                          "two_failures", "one_value", *FAILURES), 0)
     for i in range(CASES):
         # None, one or two ways to fail: the stacked evaluation meets them in
         # another order than a walk through the grid does.
@@ -165,12 +169,33 @@ def test_sweeps_match_the_one_binding_at_a_time_evaluation(tmp_path, monkeypatch
         seen["d_first"] += axes[0] == "d" and len(axes) > 1
         seen["d_last"] += axes[-1] == "d" and len(axes) > 1
         seen["bind"] += "--bind" in argv
+        seen["one_value"] += "var X in {" in text and "," not in text.split("var X in {")[1].split("}")[0]
     assert seen["ok"] >= 100 and seen["vanish"] >= 40 and seen["def_p"] >= 60, seen
     assert min(seen["two_axes"], seen["d_first"], seen["d_last"], seen["bind"]) >= 30, seen
     assert min(seen[f] for f in FAILURES) >= 10 and seen["two_failures"] >= 20, seen
+    assert seen["one_value"] >= 15, seen
+
+
+def test_a_negative_degree_fails_where_no_weight_is_computed(tmp_path, monkeypatch):
+    # With one cause value every variation is 0 without a weight computed,
+    # so only the degree's own check rejects a negative d.
+    path = tmp_path / "one.sem"
+    path.write_text("param p in [0, 1]\nvar Z in {0, 1}\nvar X in {0}\nvar Y in {0, 1}\n"
+                    "root Z {0: p, 1: 1 - p}\nroot X {0: 1.0}\n"
+                    "def Y = if Z == 1 and X == 0 then 1 else 0\n", encoding="utf-8")
+    head = ["sweep", str(path), "--cause", "X", "--outcome", "Y"]
+    for axes in (["--axis", "p=0:1:0.5", "--degree", "-1"], ["--axis", "p=0:1:0.5", "--axis", "d=-1:0:1"],
+                 ["--axis", "d=-1:0:1", "--axis", "p=0:1:0.5"], ["--axis", "d=0:1:1", "--degree", "-1", "--bind", "p=0.5"]):
+        got, want = _run(head + axes), _reference_run(head + axes, monkeypatch)
+        assert got == want, axes
+    assert got[0] == 0 and _run(head + ["--axis", "p=0:1:0.5", "--degree", "-1"])[2] == \
+        "error: degree must be >= 0, got -1.0\n"
 
 
 def test_effects_is_effect_at_every_binding_and_degree():
+    model = parse_model("var X in {0}\nvar Y in {0, 1}\nroot X {0: 1.0}\ndef Y = if X == 0 then 1 else 0\n")
+    with pytest.raises(QueryError, match="degree must be >= 0"):
+        effects([model], "X", "Y", [1.0, -1.0])
     text = ("param p in [0, 1]\nvar Z in {0, 1}\nvar X in {0, 1, 2}\nvar Y in {0, 1, 2}\n"
             "root Z {0: p, 1: 1 - p}\ncpt X | Z {(0): {0: 0.2, 1: 0.3, 2: 0.5}, "
             "(1): {0: p, 1: 0, 2: 1 - p}}\ndef Y = if X + Z > 3 * p then 2 else 0\n")
