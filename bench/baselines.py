@@ -45,15 +45,15 @@ from vce.dsl import parse_model
 MEASURES = ("ace", "acde", "janzing", "mi", "cmi")
 
 
-def _command(path: str) -> float:
-    return timed(["baselines", path, "--cause", "X", "--outcome", "Y", "--format", "json"])
+def _argv(path: str) -> list[str]:
+    return ["baselines", path, "--cause", "X", "--outcome", "Y", "--format", "json"]
 
 
 def _enumerations(path: str) -> int:
     real, calls = engine._enumerate, []
     engine._enumerate = lambda model: calls.append(model) or real(model)
     try:
-        _command(path)
+        timed(_argv(path))
     finally:
         engine._enumerate = real
     return len(calls)
@@ -100,7 +100,7 @@ def main(argv=None) -> dict:
         for _ in range(args.repeats):
             for k in args.k:
                 chunks.append(host.timed_chunk())
-                runs[k].append(_command(paths[k]))
+                runs[k].append(timed(_argv(paths[k])))
                 measures[k].append(_measures(texts[k], k))
         chains = {}
         for k in args.k:
@@ -111,7 +111,7 @@ def main(argv=None) -> dict:
                 "measures_s": {name: statistics.median(m[name] for m in measures[k])
                                for name in measures[k][0]},
                 "enumerations": _enumerations(paths[k]),
-                "layers": layers(lambda: _command(paths[k])),
+                "layers": layers(_argv(paths[k])),
             }
     result = write(args.out, "bench/baselines.py", argv, args.repeats, chunks, chains=chains)
     for k, row in chains.items():

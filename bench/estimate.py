@@ -63,8 +63,8 @@ SHAPES = {
 }
 
 
-def _command(path: str, shape: str) -> float:
-    return timed(["estimate", path, "--cause", "R", "--outcome", "W", *SHAPES[shape]])
+def _argv(path: str, shape: str) -> list[str]:
+    return ["estimate", path, "--cause", "R", "--outcome", "W", *SHAPES[shape]]
 
 
 def _distinct_csv(path: str, rows: int) -> None:
@@ -129,7 +129,7 @@ def main(argv=None) -> dict:
             for n in paths:
                 for shape in SHAPES:
                     chunks.append(host.timed_chunk())
-                    runs[n][shape].append(_command(paths[n], shape))
+                    runs[n][shape].append(timed(_argv(paths[n], shape)))
                 stages[n].append(_stages(paths[n], model))
         sizes = {}
         for n in paths:
@@ -138,7 +138,7 @@ def main(argv=None) -> dict:
                 "command_runs_s": runs[n],
                 "stages_s": {name: statistics.median(s[name] for s in stages[n])
                              for name in stages[n][0]},
-                "layers": layers(lambda: _command(paths[n], "model")),
+                "layers": layers(_argv(paths[n], "model")),
                 "read_peak_alloc_mb": _read_peak(paths[n]),
             }
     result = write(args.out, "bench/estimate.py", argv, args.repeats, chunks, rows=sizes)

@@ -26,11 +26,13 @@ perfbench/workloads.chain_model, with seed k.  For each k it records:
   span recorder in perfbench/tracer.py.
 
 `parse` times `parse_model` alone (`parse_model_s`, the median over --repeats
-rounds of the mean of 20 calls) on two texts built here with seed 23 in the
-shape of the benchmark's wide_variation models: `wide`, Z (4 strata) -> X
+rounds of the mean of 20 calls) and its tokenizer, `dsl._tokenize`
+(`tokenize_s`, likewise), on three texts.  Two are built here with seed 23 in
+the shape of the benchmark's wide_variation models: `wide`, Z (4 strata) -> X
 (l = 128 values, about one probability in ten 0) with Y a zig-zag `def` of X
 and Z, and `fun`, Z (6 strata) -> X (l = 12) with Y a `fun` table over (X, Z).
-Their tables are thousands of plain decimal entries.
+Their tables are thousands of plain decimal entries.  `chain` is chain-9 with
+seed 9, the shape of the deep_enum models: many small `cpt` tables.
 
 `small` times the same steps on one small model, models/sprinkler_functional.sem
 bound at p = 0.3 with cause R and outcome W, as a parameter sweep pays them
@@ -62,7 +64,7 @@ from time import perf_counter
 from harness import ROOT, cli, host, layers, timed, write
 from workloads import chain_model
 
-from vce.dsl import parse_model
+from vce.dsl import _tokenize, parse_model
 from vce.engine import build_joint, marginal
 from vce.model import bind
 from vce.variational import EffectQuery, effect, strata
@@ -74,7 +76,7 @@ SWEEP_ARGV = ["sweep", SMALL_MODEL, "--cause", "R", "--outcome", "W",
               "--axis", "p=0:1:0.01", "--axis", "d=0:1:0.25"]
 PARSE_SEED = 23
 PARSE_CALLS = 20
-PARSE_SHAPES = {"wide": (128, 4), "fun": (12, 6)}  # (cause support l, strata)
+PARSE_SHAPES = {"wide": {"l": 128, "strata": 4}, "fun": {"l": 12, "strata": 6}, "chain": {"k": 9}}
 
 
 def _probs(rng: random.Random, n: int) -> list[str]:
@@ -121,16 +123,16 @@ def _fun_text(rng: random.Random, l: int, s: int) -> str:
                                                 "fun Y | X, Z {", *rows, "}"]) + "\n"
 
 
-def _parse_s(text: str) -> float:
-    """Mean seconds of one parse_model of `text`."""
+def _mean_s(read, text: str) -> float:
+    """Mean seconds of one `read(text)`."""
     start = perf_counter()
     for _ in range(PARSE_CALLS):
-        parse_model(text)
+        read(text)
     return (perf_counter() - start) / PARSE_CALLS
 
 
-def _command(path: str, fmt: str = "json") -> float:
-    return timed(["eval", path, "--cause", "X", "--outcome", "Y", "--format", fmt])
+def _argv(path: str, fmt: str = "json") -> list[str]:
+    return ["eval", path, "--cause", "X", "--outcome", "Y", "--format", fmt]
 
 
 def _printing(report, fmt: str) -> float:
@@ -211,20 +213,24 @@ def main(argv=None) -> dict:
         with open(SMALL_MODEL, encoding="utf-8") as fh:
             small_base = parse_model(fh.read())
         small = []
-        parse_texts = {name: build(random.Random(PARSE_SEED), *PARSE_SHAPES[name])
+        parse_texts = {name: build(random.Random(PARSE_SEED), *PARSE_SHAPES[name].values())
                        for name, build in (("wide", _wide_text), ("fun", _fun_text))}
+        chain_k = PARSE_SHAPES["chain"]["k"]
+        parse_texts["chain"] = chain_model(random.Random(chain_k), chain_k)[0]
         parse_runs = {name: [] for name in parse_texts}
+        tokenize_runs = {name: [] for name in parse_texts}
         chunks = []
         for _ in range(args.repeats):
             for k in args.k:
                 chunks.append(host.timed_chunk())
-                runs[k].append(_command(paths[k]))
-                table_runs[k].append(_command(paths[k], "table"))
+                runs[k].append(timed(_argv(paths[k])))
+                table_runs[k].append(timed(_argv(paths[k], "table")))
                 cf_runs[k].append(_counterfactual(paths[k], xs[k]))
                 measures[k].append(_measures(texts[k], k))
             small.append(_small(small_base))
             for name, text in parse_texts.items():
-                parse_runs[name].append(_parse_s(text))
+                parse_runs[name].append(_mean_s(parse_model, text))
+                tokenize_runs[name].append(_mean_s(_tokenize, text))
         chains = {}
         for k in args.k:
             chains[str(k)] = {
@@ -237,11 +243,13 @@ def main(argv=None) -> dict:
                 "counterfactual_runs_s": cf_runs[k],
                 "measures_s": {name: statistics.median(m[name] for m in measures[k])
                                for name in measures[k][0]},
-                "layers": layers(lambda: _command(paths[k])),
+                "layers": layers(_argv(paths[k])),
             }
-    parse = {name: {"l": l, "strata": s, "parse_model_s": statistics.median(parse_runs[name]),
-                    "parse_model_runs_s": parse_runs[name]}
-             for name, (l, s) in PARSE_SHAPES.items()}
+    parse = {name: {**shape, "parse_model_s": statistics.median(parse_runs[name]),
+                    "parse_model_runs_s": parse_runs[name],
+                    "tokenize_s": statistics.median(tokenize_runs[name]),
+                    "tokenize_runs_s": tokenize_runs[name]}
+             for name, shape in PARSE_SHAPES.items()}
     result = write(args.out, "bench/eval.py", argv, args.repeats, chunks, chains=chains, small={
         "model": "models/sprinkler_functional.sem", "bind": {"p": 0.3},
         "cause": "R", "outcome": "W", "calls": SMALL_CALLS,
@@ -252,9 +260,11 @@ def main(argv=None) -> dict:
         print(f"chain-{k}: command {row['command_s']:.4f} s  table {row['table_command_s']:.4f} s  "
               f"({parts})  "
               f"counterfactual {row['counterfactual_s']:.4f} s")
-    for name, row in parse.items():
-        print(f"{name} l = {row['l']}, {row['strata']} strata: "
-              f"parse_model {row['parse_model_s'] * 1e3:.3f} ms")
+    for name, shape in PARSE_SHAPES.items():
+        row = parse[name]
+        print(f"{name} {', '.join(f'{n} = {v}' for n, v in shape.items())}: "
+              f"parse_model {row['parse_model_s'] * 1e3:.3f} ms  "
+              f"tokenize {row['tokenize_s'] * 1e3:.3f} ms")
     parts = "  ".join(f"{n} {v * 1e3:.4f} ms" for n, v in result["small"]["measures_s"].items())
     print(f"sprinkler_functional p=0.3, per bind: {parts}")
     return result

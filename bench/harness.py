@@ -1,5 +1,7 @@
 """What the bench scripts share: the import path, a timed in-process CLI
-command, the per-layer metrics of one traced call, and the result file.
+command, the per-layer metrics of one traced command, and the result file.
+Both run a full garbage collection first, so that none left over from
+earlier work falls inside the command.
 
 Importing this module puts ./src (the program) and ./perfbench (the
 benchmark's generators, host calibration and span recorder) on the import
@@ -9,6 +11,7 @@ path, so the scripts run from the root of a checkout.
 from __future__ import annotations
 
 import contextlib
+import gc
 import io
 import json
 import os
@@ -26,24 +29,31 @@ from tracer import Tracer  # noqa: E402
 from vce import cli  # noqa: E402  (called as cli.main, which the span recorder wraps)
 
 
-def timed(argv: list[str]) -> float:
-    """Wall seconds of `vce.cli.main(argv)`, its output discarded; a
-    non-zero exit stops the run."""
-    start = perf_counter()
+def _run(argv: list[str]) -> None:
+    """`vce.cli.main(argv)`, its output discarded; a non-zero exit stops the run."""
     with contextlib.redirect_stdout(io.StringIO()):
         code = cli.main(argv)
     if code != 0:
         raise SystemExit(f"{' '.join(argv)} exited {code}")
+
+
+def timed(argv: list[str]) -> float:
+    """Wall seconds of `vce.cli.main(argv)`, after a full garbage collection."""
+    gc.collect()
+    start = perf_counter()
+    _run(argv)
     return perf_counter() - start
 
 
-def layers(call) -> dict[str, float]:
-    """The per-layer metrics of one traced `call()`."""
+def layers(argv: list[str]) -> dict[str, float]:
+    """The per-layer metrics of one traced `vce.cli.main(argv)`, after a full
+    garbage collection."""
+    gc.collect()
     tracer = Tracer()
     tracer.enable()
     try:
         tracer.begin_op(0)
-        call()
+        _run(argv)
         tracer.end_op()
     finally:
         tracer.disable()

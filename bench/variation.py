@@ -176,7 +176,7 @@ def main(argv=None) -> dict:
             "runs_s": {f"{kind}_{v}": r for (kind, v), r in runs.items()} | chain_runs
             | {f"check_{name}": r for name, r in check_runs.items()}
             | {f"brute_force_{l}": r for l, r in brute_runs.items()},
-            "layers": layers(lambda: timed(sweep("pace"))),
+            "layers": layers(sweep("pace")),
         }
     result = write(args.out, "bench/variation.py", argv, args.repeats, chunks, **results)
     for kind in ("sweep_s", "aggregate_s"):

@@ -20,7 +20,6 @@ import math
 import re
 from contextlib import contextmanager
 from functools import partial
-from typing import NamedTuple
 
 from . import expr as ex
 from . import model as md
@@ -50,6 +49,13 @@ MAX_DEPTH = 256
 # wider than `\d` and narrower than `[^\W\d]`; `_scalar` decides where they
 # may differ: a number followed by a point or a non-ASCII letter or digit,
 # maybe after an exponent mark (`odd`), or a word starting non-ASCII (`wide`).
+# A `block` is a whole `{ ... }` of plain ASCII numbers, each with at most one
+# `-` before it: bare values (`{0, 1}`) or `key: value` pairs (`{0: 0.25}`), a
+# trailing comma allowed.  Only these shapes match, so a block holds no bad
+# literal (those are reported before any parse error, wherever they are) and
+# reads as ordinary tokens: the parser takes it in one split (`_Parser.block`)
+# or re-reads it token by token (`_unblock`), with the same result either way.
+_CELL = r"[ \t\r\n]*-?(?:[0-9]+(?:\.[0-9]*)?|\.[0-9]+)(?:[eE][+-]?[0-9]+)?[ \t\r\n]*"
 _TOKEN = re.compile(r"""[ \t\r]*(?:
     (?P<nl>\n)
   | \#[^\n]*
@@ -57,16 +63,14 @@ _TOKEN = re.compile(r"""[ \t\r]*(?:
     (?=(?P<odd>\.|(?:[eE][+-]?)?[^\W\d_a-zA-Z])|)
   | (?P<ident>[a-zA-Z_]\w*)
   | (?P<wide>[^\W\d]\w*)
+  | (?P<block>\{(?:CELL(?:,CELL)*|CELL:CELL(?:,CELL:CELL)*),?[ \t\r\n]*\})
   | (?P<symbol>[=!<>]=|[{}\[\]():,|=+\-*/<>])
   | (?P<other>[^ \t\r])
-)""", re.VERBOSE)
+)""".replace("CELL", _CELL), re.VERBOSE)
 
-
-class Token(NamedTuple):
-    kind: str  # "number", "ident", keyword or symbol text, or "eof"
-    text: str
-    line: int
-    column: int
+# (kind, text, line, column); kind is "number", "ident", "block", keyword or
+# symbol text, or "eof".
+Token = tuple[str, str, int, int]
 
 
 def _scalar(text: str, i: int, line: int, column: int) -> str:
@@ -91,9 +95,10 @@ def _scalar(text: str, i: int, line: int, column: int) -> str:
     return text[i:j]
 
 
-def _tokenize(text: str) -> list[Token]:
+def _tokenize(text: str, line: int = 1, base: int = -1) -> list[Token]:
+    """The tokens of `text`, which starts on `line` at column `-base`."""
     tokens: list[Token] = []
-    line, base = 1, -1  # base: the offset of the line's newline; column = offset - base
+    # base: the offset of the line's newline; column = offset - base
     for m in _TOKEN.finditer(text):
         kind = m.lastgroup
         if kind is None:  # a comment
@@ -113,11 +118,20 @@ def _tokenize(text: str) -> list[Token]:
             kind = "ident"
         elif kind in ("wide", "other"):  # no letter or decimal digit starts it: `_scalar` raises
             _scalar(text, m.start(kind), line, column)
-        tokens.append(Token(kind, word, line, column))
+        tokens.append((kind, word, line, column))
+        if kind == "block" and "\n" in word:  # its line ends
+            line += word.count("\n")
+            base = m.end() - len(word) + word.rindex("\n")
     # A comment on the last line runs to the end of the text, and the end is at its `#`.
     end = text.find("#", base + 1)
-    tokens.append(Token("eof", "", line, (len(text) if end < 0 else end) - base))
+    tokens.append(("eof", "", line, (len(text) if end < 0 else end) - base))
     return tokens
+
+
+def _unblock(token: Token) -> list[Token]:
+    """A block token as the ordinary tokens of its text, at its place."""
+    _, text, line, column = token
+    return [("{", "{", line, column), *_tokenize(text[1:], line, -column - 1)[:-1]]
 
 
 class _Parser:
@@ -140,31 +154,56 @@ class _Parser:
     # --- token plumbing -------------------------------------------------
 
     def peek(self) -> Token:
-        return self.tokens[self.pos]
+        tok = self.tokens[self.pos]
+        if tok[0] == "block":  # not read in one split: the descent reads its tokens
+            self.tokens[self.pos:self.pos + 1] = _unblock(tok)
+            tok = self.tokens[self.pos]
+        return tok
 
     def next(self) -> Token:
-        tok = self.tokens[self.pos]
+        tok = self.peek()
         self.pos += 1
         return tok
 
+    def block(self, pairs: bool) -> list[float] | dict[float, float] | None:
+        """The numbers of a block token at the cursor, read in one split: its
+        values, or its `key: value` pairs as a dict when `pairs`.  None if the
+        next token is no block of that shape, or a key repeats: the descent
+        then reads the same text, and reports any error at its place."""
+        kind, text = self.tokens[self.pos][:2]
+        if kind != "block" or (":" in text) != pairs:
+            return None
+        cells = text[1:-1].replace(":", ",").split(",")
+        if not cells[-1].strip():  # a trailing comma
+            cells.pop()
+        numbers = list(map(float, cells))
+        if not pairs:
+            self.pos += 1
+            return numbers
+        table = dict(zip(numbers[::2], numbers[1::2]))
+        if 2 * len(table) < len(numbers):  # a key repeats
+            return None
+        self.pos += 1
+        return table
+
     def accept(self, kind: str) -> Token | None:
-        if self.peek().kind == kind:
+        if self.peek()[0] == kind:
             return self.next()
         return None
 
     def expect(self, kind: str, what: str | None = None) -> Token:
         tok = self.peek()
-        if tok.kind != kind:
+        if tok[0] != kind:
             what = what or (f"'{kind}'" if kind in KEYWORDS else kind)
             raise ParseError(
-                f"expected {what}, got '{tok.text or 'end of input'}'",
-                tok.line, tok.column,
+                f"expected {what}, got '{tok[1] or 'end of input'}'",
+                tok[2], tok[3],
             )
         return self.next()
 
     def fail(self, message: str, tok: Token | None = None):
         tok = tok or self.peek()
-        raise ParseError(message, tok.line, tok.column)
+        raise ParseError(message, tok[2], tok[3])
 
     @contextmanager
     def nested(self):
@@ -179,28 +218,28 @@ class _Parser:
     # --- statements -----------------------------------------------------
 
     def parse(self) -> md.Model:
-        while (tok := self.next()).kind != "eof":
-            if tok.kind in STATEMENTS:
+        while (tok := self.next())[0] != "eof":
+            if tok[0] in STATEMENTS:
                 self.statement = tok
-                getattr(self, f"parse_{tok.kind}")()
-            elif tok.kind in KEYWORDS:
-                self.fail(f"unexpected keyword '{tok.text}' at statement level", tok)
+                getattr(self, f"parse_{tok[0]}")()
+            elif tok[0] in KEYWORDS:
+                self.fail(f"unexpected keyword '{tok[1]}' at statement level", tok)
             else:
-                self.fail(f"expected a statement keyword, got '{tok.text}'", tok)
+                self.fail(f"expected a statement keyword, got '{tok[1]}'", tok)
         if not self.variables:
             raise ParseError("no variables declared", 1, 1)
         self.resolve_references()
         model = md.Model(tuple(self.variables), self.mechanisms, tuple(self.parameters))
         diags = model.diagnosed
         if diags:  # at the statement the first diagnostic is about
-            tok = self.statements.get(diags[0][0], Token("", "", 1, 1))
-            raise ParseError("; ".join(diag for _, diag in diags), tok.line, tok.column)
+            tok = self.statements.get(diags[0][0], ("", "", 1, 1))
+            raise ParseError("; ".join(diag for _, diag in diags), tok[2], tok[3])
         return model
 
     def declare(self, tok: Token):
-        if tok.text in self.declared:
-            self.fail(f"duplicate declaration of '{tok.text}'", tok)
-        self.declared[tok.text] = tok
+        if tok[1] in self.declared:
+            self.fail(f"duplicate declaration of '{tok[1]}'", tok)
+        self.declared[tok[1]] = tok
 
     def parse_param(self):
         name = self.expect("ident", "parameter name")
@@ -212,37 +251,39 @@ class _Parser:
             tok = self.peek()
             bounds.append(self.parse_number())
             if not math.isfinite(bounds[-1]):
-                self.fail(f"parameter '{name.text}' bound {bounds[-1]!r} is not finite", tok)
+                self.fail(f"parameter '{name[1]}' bound {bounds[-1]!r} is not finite", tok)
             self.expect(end)
         lower, upper = bounds
         if lower > upper:
-            self.fail(f"parameter '{name.text}' has empty range", name)
-        self.parameters.append(md.Parameter(name.text, lower, upper))
+            self.fail(f"parameter '{name[1]}' has empty range", name)
+        self.parameters.append(md.Parameter(name[1], lower, upper))
 
     def parse_var(self):
         name = self.expect("ident", "variable name")
         self.declare(name)
         self.expect("in")
-        self.expect("{")
-        values = [self.parse_number()]
-        while self.accept(","):
-            if self.peek().kind == "}":
-                break
-            values.append(self.parse_number())
-        self.expect("}")
+        values = self.block(pairs=False)
+        if values is None:
+            self.expect("{")
+            values = [self.parse_number()]
+            while self.accept(","):
+                if self.peek()[0] == "}":
+                    break
+                values.append(self.parse_number())
+            self.expect("}")
         try:
             support = md.FiniteSupport(tuple(values))
         except md.ModelError as err:
             self.fail(str(err), name)
-        self.variables.append(md.Variable(name.text, support))
-        self.statements.setdefault(name.text, self.statement)
+        self.variables.append(md.Variable(name[1], support))
+        self.statements.setdefault(name[1], self.statement)
 
     def mechanism_target(self) -> Token:
         name = self.expect("ident", "variable name")
-        if name.text in self.mechanisms:
-            self.fail(f"variable '{name.text}' already has a mechanism", name)
-        self.pending_refs.append((name.text, name, "variable"))
-        self.statements[name.text] = self.statement
+        if name[1] in self.mechanisms:
+            self.fail(f"variable '{name[1]}' already has a mechanism", name)
+        self.pending_refs.append((name[1], name, "variable"))
+        self.statements[name[1]] = self.statement
         return name
 
     def parse_parent_list(self) -> tuple[str, ...]:
@@ -251,12 +292,12 @@ class _Parser:
         while self.accept(","):
             parents.append(self.expect("ident", "parent name"))
         for p in parents:
-            self.pending_refs.append((p.text, p, "variable"))
-        return tuple(p.text for p in parents)
+            self.pending_refs.append((p[1], p, "variable"))
+        return tuple(p[1] for p in parents)
 
     def parse_root(self):
         name = self.mechanism_target()
-        self.mechanisms[name.text] = md.Root(self.parse_prob_row())
+        self.mechanisms[name[1]] = md.Root(self.parse_prob_row())
 
     def parse_table(self, parse_key, parse_value, what: str) -> dict:
         """`{key: value, ...}`, a trailing comma allowed; a key given twice is
@@ -270,13 +311,16 @@ class _Parser:
                 self.fail(f"duplicate {what} {key!r}", tok)
             self.expect(":")
             table[key] = parse_value()
-            if not self.accept(",") or self.peek().kind == "}":
+            if not self.accept(",") or self.peek()[0] == "}":
                 break
         self.expect("}")
         return table
 
     def parse_prob_row(self) -> dict[float, md.Entry]:
-        return self.parse_table(self.parse_number, self.parse_prob_entry, "entry for")
+        row = self.block(pairs=True)
+        if row is None:
+            row = self.parse_table(self.parse_number, self.parse_prob_entry, "entry for")
+        return row
 
     def parse_body(self) -> ex.Expr:
         start = self.peek()
@@ -287,9 +331,9 @@ class _Parser:
 
     def parse_prob_entry(self) -> md.Entry:
         start = self.peek()
-        if start.kind == "number" and self.tokens[self.pos + 1].kind in (",", "}"):
+        if start[0] == "number" and self.tokens[self.pos + 1][0] in (",", "}"):
             self.pos += 1  # a plain literal, the common entry: no descent
-            return float(start.text)
+            return float(start[1])
         entry = self.parse_body()
         if isinstance(entry, ex.Num):
             return entry.value
@@ -301,7 +345,7 @@ class _Parser:
         name = self.mechanism_target()
         parents = self.parse_parent_list()
         rows = self.parse_table(partial(self.parse_key, len(parents)), self.parse_prob_row, "row")
-        self.mechanisms[name.text] = md.CPT(parents, rows)
+        self.mechanisms[name[1]] = md.CPT(parents, rows)
 
     def parse_key(self, arity: int) -> tuple[float, ...]:
         tok = self.expect("(")
@@ -320,13 +364,13 @@ class _Parser:
         for ident in sorted(ex.free_names(body)):
             self.pending_refs.append((ident, name, "variable or parameter"))
         # Parents are resolved after all declarations are known.
-        self.mechanisms[name.text] = ("def", body)  # type: ignore[assignment]
+        self.mechanisms[name[1]] = ("def", body)  # type: ignore[assignment]
 
     def parse_fun(self):
         name = self.mechanism_target()
         parents = self.parse_parent_list()
         table = self.parse_table(partial(self.parse_key, len(parents)), self.parse_number, "row")
-        self.mechanisms[name.text] = md.Deterministic(parents, table=table)
+        self.mechanisms[name[1]] = md.Deterministic(parents, table=table)
 
     def resolve_references(self):
         names = {v.name for v in self.variables}
@@ -353,11 +397,11 @@ class _Parser:
         while self.accept("-"):
             negative = not negative
         tok = self.expect("number")
-        value = float(tok.text)
-        if self.peek().kind == "/":
+        value = float(tok[1])
+        if self.peek()[0] == "/":
             self.next()
             denom_tok = self.expect("number", "denominator")
-            denom = float(denom_tok.text)
+            denom = float(denom_tok[1])
             if denom == 0:
                 self.fail("zero denominator", denom_tok)
             value /= denom
@@ -386,8 +430,8 @@ class _Parser:
             below = ex.PREC_ATOM
         # Left-associative: after an operator only a looser or equal one may
         # follow here, as the right operand took every tighter one.
-        while level <= (prec := ex.BINARY_PREC.get(self.peek().kind, -1)) < below:
-            op = self.next().kind
+        while level <= (prec := ex.BINARY_PREC.get(self.peek()[0], -1)) < below:
+            op = self.next()[0]
             node = ex.Binary(op, node, self.parse_binary(prec + 1))
             below = prec if prec == ex.PREC_CMP else prec + 1
         return node
@@ -403,9 +447,9 @@ class _Parser:
 
     def parse_atom(self) -> ex.Expr:
         tok = self.peek()
-        if tok.kind == "number":
+        if tok[0] == "number":
             return ex.Num(self.parse_number())
-        if tok.kind == "xor":
+        if tok[0] == "xor":
             self.next()
             self.expect("(")
             a = self.parse_expr()
@@ -413,17 +457,17 @@ class _Parser:
             b = self.parse_expr()
             self.expect(")")
             return ex.Call("xor", (a, b))
-        if tok.kind == "if":
+        if tok[0] == "if":
             return self.parse_expr()
-        if tok.kind == "ident":
+        if tok[0] == "ident":
             self.next()
-            return ex.Name(tok.text)
-        if tok.kind == "(":
+            return ex.Name(tok[1])
+        if tok[0] == "(":
             self.next()
             node = self.parse_expr()
             self.expect(")")
             return node
-        self.fail(f"expected an expression, got '{tok.text or 'end of input'}'")
+        self.fail(f"expected an expression, got '{tok[1] or 'end of input'}'")
 
 
 def parse_model(text: str) -> md.Model:

@@ -201,7 +201,7 @@ def _parse_expr_text(text: str) -> ex.Expr:
 
     parser = _Parser(text)
     tree = parser.parse_expr()
-    assert parser.peek().kind == "eof"
+    assert parser.peek()[0] == "eof"
     return tree
 
 
