@@ -41,7 +41,9 @@ model), and per bind, `joint_s` (which fills the bound `cpt` and `root`
 outcome tables) and `strata_s`; each the median over --repeats rounds of the
 mean of 200 calls.  `sweep_s` is the median over the rounds of the mean wall
 time of 5 in-process `vce sweep` commands on that model and query, over
-`p=0:1:0.01` x `d=0:1:0.25` (101 bindings, 505 grid points).
+`p=0:1:0.01` x `d=0:1:0.25` (101 bindings, 505 grid points), and
+`rare_sweep_s` the same for models/rare_disease.sem, cause X, outcome Y, over
+`p=0:1:0.02` x `d=0:1:0.25` (51 bindings, 255 grid points).
 
 `host_factor` is the median slowdown of a fixed pure-Python chunk run
 between commands (perfbench/host.py), against that chunk's reference time;
@@ -74,6 +76,8 @@ SMALL_CALLS = 200
 SWEEP_CALLS = 5
 SWEEP_ARGV = ["sweep", SMALL_MODEL, "--cause", "R", "--outcome", "W",
               "--axis", "p=0:1:0.01", "--axis", "d=0:1:0.25"]
+RARE_SWEEP_ARGV = ["sweep", os.path.join(ROOT, "models", "rare_disease.sem"), "--cause", "X",
+                   "--outcome", "Y", "--axis", "p=0:1:0.02", "--axis", "d=0:1:0.25"]
 PARSE_SEED = 23
 PARSE_CALLS = 20
 PARSE_SHAPES = {"wide": {"l": 128, "strata": 4}, "fun": {"l": 12, "strata": 6}, "chain": {"k": 9}}
@@ -186,8 +190,9 @@ def _small(base) -> dict[str, float]:
         strata(model, "R", "W")
         strata_s += perf_counter() - start
     sweep_s = sum(timed(SWEEP_ARGV) for _ in range(SWEEP_CALLS)) / SWEEP_CALLS
+    rare_sweep_s = sum(timed(RARE_SWEEP_ARGV) for _ in range(SWEEP_CALLS)) / SWEEP_CALLS
     return {"bind_s": bind_s / SMALL_CALLS, "joint_s": joint_s / SMALL_CALLS,
-            "strata_s": strata_s / SMALL_CALLS, "sweep_s": sweep_s}
+            "strata_s": strata_s / SMALL_CALLS, "sweep_s": sweep_s, "rare_sweep_s": rare_sweep_s}
 
 
 def main(argv=None) -> dict:

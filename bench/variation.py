@@ -20,10 +20,13 @@ perfbench/workloads.fun_model, all with seed 15.  It records:
 - `chain_eval_s` and `chain_aggregate_s`: the median wall time of
   `eval --cause X --outcome Y` on chain-11 (2,048 strata of l = 4), and of
   its table's PACE aggregation at d = 1;
-- `switch_s`: for each variant, the median time of one `variations` call
-  just past the kernel's switch point: 2 random rows of l = 48 at d = 1
-  (2,256 pair terms), on the kernel (`kernel`) and on the loops (`loops`,
-  one `variation` call per row, as smaller calls run);
+- `switch_s`: for each call shape and variant, the median time of one call
+  on the kernel (`kernel`, `_kernel` called directly) and on the loops
+  (`loops`, one `variation` call per row and degree): `l48`, 2 random rows
+  of l = 48 at d = 1 (2,256 pair terms), and `l2`, 404 random rows of l = 2
+  at d = 0, 0.25, ..., 1 (the stacked table of a `p=0:1:0.01` x
+  `d=0:1:0.25` sweep of sprinkler_functional); `variations` takes the
+  kernel where `on_kernel` has it cheaper;
 - `check_s`: for (l, strata) = (10, 9) and (12, 6), the median wall time of
   `check --cause X --outcome Y` on a fun-table model (Z -> X, Y | X, Z), as
   the benchmark's wide_variation workload checks them;
@@ -52,16 +55,17 @@ import sys
 import tempfile
 from time import perf_counter
 
+import numpy as np
 from harness import host, layers, timed, write
 from workloads import chain_model, fun_model, grid_points, wide_model
 
 from vce.dsl import parse_model
-from vce.variational import VARIANTS, brute_force_total_variation, strata, variation, variations
+from vce.variational import VARIANTS, _kernel, brute_force_total_variation, strata, variation
 
 SEED = 15
 WIDE = (128, 4)  # (cause support l, strata)
 CHAIN_K = 11
-SWITCH = (48, 2)  # (cause support l, rows): 2,256 pair terms at one degree
+SWITCHES = {"l48": (48, 2, [1.0]), "l2": (2, 404, [0.0, 0.25, 0.5, 0.75, 1.0])}  # l, rows, degrees
 AXIS = "d=0:2:0.2"
 CHECKS = ((10, 9), (12, 6))  # (cause support l, strata) of wide_variation's slowest checks
 BRUTE_LS = (12, 14, 16)
@@ -116,8 +120,8 @@ def main(argv=None) -> dict:
     checks = {f"l{l}_s{n}": fun_model(random.Random(SEED), l, n) for l, n in CHECKS}
     brute_rows = {l: _row(random.Random(SEED), l) for l in BRUTE_LS}
     switch_rng = random.Random(SEED)
-    switch_rows = [_row(switch_rng, SWITCH[0]) for _ in range(SWITCH[1])]
-    switch_gs, switch_ps = zip(*switch_rows)
+    switch_rows = {name: [_row(switch_rng, l) for _ in range(rows)]
+                   for name, (l, rows, _) in SWITCHES.items()}
     with tempfile.TemporaryDirectory() as scratch:
         paths = {}
         for name, text in (("wide", wide_text), ("chain", chain_text), *checks.items()):
@@ -131,8 +135,9 @@ def main(argv=None) -> dict:
             return ["sweep", paths["wide"], "--cause", "X", "--outcome", "Y", "--axis", AXIS,
                     "--variant", variant]
 
-        runs = {(kind, v): [] for kind in ("sweep", "aggregate", "kernel", "loops")
-                for v in VARIANTS}
+        runs = {(kind, v): [] for kind in ("sweep", "aggregate") for v in VARIANTS}
+        runs |= {(f"{name}_{side}", v): [] for name in SWITCHES for side in ("kernel", "loops")
+                 for v in VARIANTS}
         chain_runs = {"chain_eval_s": [], "chain_aggregate_s": []}
         check_runs = {name: [] for name in checks}
         brute_runs = {l: [] for l in BRUTE_LS}
@@ -143,10 +148,12 @@ def main(argv=None) -> dict:
                 runs["sweep", variant].append(timed(sweep(variant)))
                 runs["aggregate", variant].append(
                     _timed_call(lambda: _aggregate(wide_table, degrees, variant)))
-                runs["kernel", variant].append(_timed_call(
-                    lambda: variations(switch_gs, switch_ps, [1.0], variant, "abs")))
-                runs["loops", variant].append(_timed_call(
-                    lambda: [variation(g, p, 1.0, variant, "abs") for g, p in switch_rows]))
+                for name, rows in switch_rows.items():
+                    ds, gs, ps = SWITCHES[name][2], *map(np.array, zip(*rows))
+                    runs[f"{name}_kernel", variant].append(_timed_call(
+                        lambda: _kernel(gs, ps, ds, variant, "abs")))
+                    runs[f"{name}_loops", variant].append(_timed_call(
+                        lambda: [[variation(g, p, d, variant, "abs") for g, p in rows] for d in ds]))
             chunks.append(host.timed_chunk())
             chain_runs["chain_eval_s"].append(
                 timed(["eval", paths["chain"], "--cause", "X", "--outcome", "Y"]))
@@ -167,9 +174,11 @@ def main(argv=None) -> dict:
             "sweep_s": {v: statistics.median(runs["sweep", v]) for v in VARIANTS},
             "aggregate_s": {v: statistics.median(runs["aggregate", v]) for v in VARIANTS},
             **{name: statistics.median(r) for name, r in chain_runs.items()},
-            "switch": {"l": SWITCH[0], "rows": SWITCH[1], "degree": 1.0},
-            "switch_s": {v: {side: statistics.median(runs[side, v]) for side in ("kernel", "loops")}
-                         for v in VARIANTS},
+            "switch": {name: {"l": l, "rows": rows, "degrees": ds}
+                       for name, (l, rows, ds) in SWITCHES.items()},
+            "switch_s": {name: {v: {side: statistics.median(runs[f"{name}_{side}", v])
+                                    for side in ("kernel", "loops")} for v in VARIANTS}
+                         for name in SWITCHES},
             "check_s": {name: statistics.median(r) for name, r in check_runs.items()},
             "brute_force_s": {str(l): statistics.median(r) for l, r in brute_runs.items()},
             "brute_force_l20": json.loads(l20),
@@ -183,8 +192,10 @@ def main(argv=None) -> dict:
         print(f"l = 128 {kind}: " + "  ".join(f"{v} {t:.4f}" for v, t in result[kind].items()))
     print(f"chain-{CHAIN_K}: eval {result['chain_eval_s']:.4f} s  "
           f"aggregate {result['chain_aggregate_s']:.4f} s")
-    print(f"l = {SWITCH[0]} switch_s (kernel / loops): " + "  ".join(
-        f"{v} {t['kernel']:.4f} / {t['loops']:.4f}" for v, t in result["switch_s"].items()))
+    for name, shape in result["switch"].items():
+        print(f"l = {shape['l']}, {shape['rows']} rows x {len(shape['degrees'])} degrees "
+              "switch_s (kernel / loops): " + "  ".join(
+                  f"{v} {t['kernel']:.4f} / {t['loops']:.4f}" for v, t in result["switch_s"][name].items()))
     print("check_s: " + "  ".join(f"{n} {t:.4f}" for n, t in result["check_s"].items()))
     print("brute_force_s: " + "  ".join(f"l = {l} {t:.4f}"
                                         for l, t in result["brute_force_s"].items())

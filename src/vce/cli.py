@@ -218,13 +218,15 @@ def cmd_sweep(args) -> int:
         named = dict(zip(names, combo))
         return named, named.pop("d", args.degree)
 
-    # Each binding is bound once and evaluated at every degree, in stacks
+    # The bindings are bound as one grid, each point evaluated at every degree
     # (vr.effects); the values are then put back in the order of the axes.  If
     # that fails, the grid is evaluated point by point as `eval` evaluates one
     # query, so the error raised is the one its first failing point raises.
     try:
-        models = (bound(dict(zip(params, key))) for key in product(*params.values()))
-        table = vr.effects(models, args.cause, args.outcome, degrees, args.variant, args.sign)
+        size = math.prod(map(len, params.values()))
+        swept = {name: c.ravel() for name, c in zip(params, np.meshgrid(*params.values(), indexing="ij"))}
+        bindings = {**{name: np.full(size, value) for name, value in fixed.items()}, **swept}
+        table = vr.effects(base, bindings, args.cause, args.outcome, degrees, args.variant, args.sign)
         table = np.reshape(table, [*map(len, params.values()), len(degrees)])
         values = np.moveaxis(table, -1, names.index("d") if "d" in names else -1).ravel().tolist()
     except (VceError, OverflowError):

@@ -29,7 +29,6 @@ KEYWORDS = {
     "param", "var", "root", "cpt", "def", "fun", "in",
     "if", "then", "else", "and", "or", "not", "xor",
 }
-STATEMENTS = ("param", "var", "root", "cpt", "def", "fun")
 
 # Expression levels the parser descends into before it gives up with a
 # ParseError; each level is an expression, a bracketed or `xor(...)`
@@ -222,9 +221,10 @@ class _Parser:
 
     def parse(self) -> md.Model:
         while (tok := self.next())[0] != "eof":
-            if tok[0] in STATEMENTS:
+            statement = self.STATEMENTS.get(tok[0])
+            if statement is not None:
                 self.statement = tok
-                getattr(self, f"parse_{tok[0]}")()
+                statement(self)
             elif tok[0] in KEYWORDS:
                 self.fail(f"unexpected keyword '{tok[1]}' at statement level", tok)
             else:
@@ -233,7 +233,7 @@ class _Parser:
             raise ParseError("no variables declared", 1, 1)
         self.resolve_references()
         model = md.Model(tuple(self.variables), self.mechanisms, tuple(self.parameters))
-        diags = model.diagnosed
+        diags = md.diagnostics(model)
         if diags:  # at the statement the first diagnostic is about
             tok = self.statements.get(diags[0][0], ["", "", 1, 1])
             raise ParseError("; ".join(diag for _, diag in diags), tok[2], tok[3])
@@ -374,6 +374,10 @@ class _Parser:
         parents = self.parse_parent_list()
         table = self.parse_table(partial(self.parse_key, len(parents)), self.parse_number, "row")
         self.mechanisms[name[1]] = md.Deterministic(parents, table=table)
+
+    # Each statement keyword's parser: looked up, not spelled as a method name.
+    STATEMENTS = {"param": parse_param, "var": parse_var, "root": parse_root,
+                  "cpt": parse_cpt, "def": parse_def, "fun": parse_fun}
 
     def resolve_references(self):
         names = {v.name for v in self.variables}

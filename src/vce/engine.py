@@ -26,6 +26,7 @@ from .errors import (
 )
 from .model import (
     Deterministic,
+    Grid,
     Model,
     OutcomeTable,
     Root,
@@ -201,8 +202,8 @@ def deterministic_value(model: Model, name: str, assignment: Mapping[str, float]
     return table.supports[0].values[table.read(mech, tuple([assignment[p] for p in mech.parents]))]
 
 
-def _check_size(model: Model) -> None:
-    if not model.is_bound:
+def _check_size(model: Model, grid: Grid | None = None) -> None:
+    if grid is None and not model.is_bound:
         raise UnboundModelError("model has unbound parameters; call bind() first")
     limit = state_space_limit()
     if model.state_space_size > limit:
@@ -210,28 +211,26 @@ def _check_size(model: Model) -> None:
 
 
 @_quiet
-def _enumerate(*models: Model) -> Distribution:
+def _enumerate(model: Model, grid: Grid | None = None) -> Distribution:
     """Every positive-mass assignment (mass unchecked), in the depth-first
     order of the nodes in topological order, each node's outcomes in support
     order: built node by node, each row so far expanded into the outcomes
     of its slot, with mass (its mass) * (the outcome's probability).
 
-    Bindings of one model are enumerated at once, as a stack: each model
-    starts as one row and each row reads its own model's outcome tables, so
-    the joint is each model's joint in turn, with the same bits.  A stack of
-    several has each row's model in a last column, POINT (one model's joint
-    has none: gathering it costs a plain enumeration several percent)."""
-    model = models[0]
-    _check_size(model)
-    codes = {POINT: np.arange(len(models))} if len(models) > 1 else {}
-    mass = np.array([1.0] * len(models))
+    The points of a `grid` (see model.bind_grid) are enumerated at once, as
+    a stack: each point starts as one row, and each row reads a table of the
+    grid at (its point, its slot) and the model's other tables at its slot,
+    so the joint is each point's joint in turn, with the same bits.  Each
+    row's point is in a last column, POINT; a model alone has none
+    (gathering it costs a plain enumeration several percent)."""
+    _check_size(model, grid)
+    stacked = grid.tables if grid else {}
+    codes = {POINT: np.arange(grid.points)} if grid else {}
+    mass = np.ones(grid.points if grid else 1)
     for name in model.topological_order():
-        mech, table = model.mechanisms[name], model.outcome_table(name)
+        mech, table = model.mechanisms[name], stacked.get(name) or model.outcome_table(name)
         pos = _positions(table, [codes[p] for p in mech.parents], len(mass))
-        if POINT in codes and any(m.mechanisms[name] is not mech for m in models):
-            outcomes = np.stack([m.outcome_table(name).array for m in models])[codes[POINT], pos]
-        else:
-            outcomes = table.array[pos]
+        outcomes = table.array[codes[POINT], pos] if name in stacked else table.array[pos]
         if outcomes.ndim == 1:  # deterministic: each row's one outcome, probability 1.0
             codes[name] = outcomes
             continue
@@ -241,9 +240,9 @@ def _enumerate(*models: Model) -> Distribution:
         codes[name] = index.astype(np.min_scalar_type(len(table.supports[0]) - 1))
     names = [v.name for v in model.variables]
     values = [model.support(n).values for n in names]
-    if POINT in codes:
+    if grid:
         names.append(POINT)
-        values.append(tuple(range(len(models))))
+        values.append(tuple(range(grid.points)))
     return Distribution(names, columns=(values, map(codes.get, names), mass))
 
 
@@ -252,22 +251,22 @@ def _check_mass(mass: float) -> None:
         raise EngineError(f"joint mass {mass} deviates from 1")
 
 
-def build_joint(*models: Model) -> Distribution:
+def build_joint(model: Model, grid: Grid | None = None) -> Distribution:
     """Enumerate P(assignment) = prod over nodes of the node conditional, and
-    check its mass.  One model's joint is kept on the model, built once and
-    shared: never mutate it.  The stacked joint of several (see _enumerate)
-    is built anew, each model's mass checked in turn."""
-    _check_size(models[0])  # before the lookup: VCE_STATE_LIMIT may have been lowered
-    if len(models) == 1 and "_joint" in models[0].__dict__:
-        return models[0].__dict__["_joint"]
-    joint = _enumerate(*models)
-    if len(models) == 1:
+    check its mass.  A model's joint is kept on the model, built once and
+    shared: never mutate it.  The stacked joint of a grid (see _enumerate)
+    is built anew, each point's mass checked in turn."""
+    _check_size(model, grid)  # before the lookup: VCE_STATE_LIMIT may have been lowered
+    if grid is not None:
+        joint = _enumerate(model, grid)
+        for mass in np.bincount(joint.codes[-1], joint.masses, grid.points).tolist():
+            _check_mass(mass)  # each point's rows added in order, as total_mass adds them
+        return joint
+    if "_joint" not in model.__dict__:
+        joint = _enumerate(model)
         _check_mass(joint.total_mass())
-        object.__setattr__(models[0], "_joint", joint)
-    else:  # each model's rows added in order, as total_mass adds them
-        for mass in np.bincount(joint.codes[-1], joint.masses, len(models)).tolist():
-            _check_mass(mass)
-    return joint
+        object.__setattr__(model, "_joint", joint)
+    return model.__dict__["_joint"]
 
 
 def marginal(joint: Distribution, variables: Sequence[str]) -> Distribution:

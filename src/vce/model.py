@@ -15,7 +15,7 @@ from collections.abc import Mapping as MappingABC
 from dataclasses import dataclass
 from functools import cached_property
 from itertools import product
-from typing import Iterable, Iterator, Mapping, Union
+from typing import Iterable, Iterator, Mapping, NamedTuple, Union
 
 import numpy as np
 
@@ -189,35 +189,80 @@ def _entry(support: FiniteSupport, mech: Mechanism, parent_values: tuple[float, 
     return [0.0 if p <= 0.0 else p for p in [float(row.get(v, 0.0)) for v in support.values]]
 
 
-def _fill(mech: Mechanism, supports: tuple[FiniteSupport, ...]) -> tuple[np.ndarray, list]:
-    """The array of `mech`'s outcome table over `supports`, and the (parent
-    values, error) of each slot a `def` body fails at, in slot order.  Other
-    mechanisms take one pass in slot order and raise at their first failing slot."""
+def _fill(mech: Mechanism, supports: tuple[FiniteSupport, ...],
+          params: Mapping[str, np.ndarray] | None = None) -> tuple[np.ndarray, list]:
+    """The array of `mech`'s outcome table over `supports`, and the (point,
+    parent values, error) of each slot a `def` body fails at, in slot order.
+    Other mechanisms take one pass in slot order and raise at their first
+    failing slot.  A body that reads parameters is given their values at the
+    points of a grid (`params`, see bind_grid): its array has a leading point axis."""
     support, parents = supports[0], [s.values for s in supports[1:]]
     dtype = np.min_scalar_type(len(support) - 1)
     if not isinstance(mech, Deterministic) or mech.body is None:
         entries = [_entry(support, mech, key) for key in product(*parents)]
         return np.array(entries, dtype=dtype if isinstance(mech, Deterministic) else float), []
-    size = math.prod(map(len, parents))
-    index, failures = np.empty(size, dtype=dtype), []
-    for start in range(0, size, GRID_BLOCK):
-        stop = min(start + GRID_BLOCK, size)
-        # The parents' support indices at each position, last parent fastest.
-        digits, rest = [], np.arange(start, stop)
+    size, points = math.prod(map(len, parents)), _points(params or {})
+    index, failures = np.empty(points * size, dtype=dtype), []
+    for start in range(0, points * size, GRID_BLOCK):
+        stop = min(start + GRID_BLOCK, points * size)
+        # Each position's point and the parents' support indices, last parent fastest.
+        point, rest = np.divmod(np.arange(start, stop), size) if params else (0, np.arange(start, stop))
+        digits = []
         for vs in reversed(parents):
             rest, digit = np.divmod(rest, len(vs))
             digits.insert(0, digit)
         columns = {p: np.asarray(vs)[d] for p, vs, d in zip(mech.parents, parents, digits)}
+        columns.update({name: values[point] for name, values in (params or {}).items()})
         values, failed = ex.evaluate_grid(mech.body, columns)
         index[start:stop], off = _snap_grid(support, np.broadcast_to(values, (stop - start,)))
-        # The scalar evaluator gives each failing position its entry or its error.
+        # The scalar evaluator gives each failing position its entry or its error
+        # (at a grid's point k, of the body bound there, as bind binds it).
         for j in np.flatnonzero(failed | off).tolist():
-            assignment = tuple([vs[d[j]] for vs, d in zip(parents, digits)])
+            assignment, k = tuple([vs[d[j]] for vs, d in zip(parents, digits)]), int(point[j]) if params else 0
+            body = Deterministic(mech.parents, body=ex.substitute(mech.body, _at(params, k))) if params else mech
             try:
-                index[start + j] = _entry(support, mech, assignment)
+                index[start + j] = _entry(support, body, assignment)
             except (EvalError, ModelError) as err:
-                failures.append((assignment, err))
-    return index, failures
+                failures.append((k, assignment, err))
+    return index.reshape(points, size) if params else index, failures
+
+
+def _points(grid: Mapping[str, np.ndarray]) -> int:
+    """The number of points of a grid (see bind_grid); one if it binds nothing."""
+    return len(next(iter(grid.values()))) if grid else 1
+
+
+def _at(grid: Mapping[str, np.ndarray], k: int) -> dict[str, float]:
+    """The bindings at point k of a grid."""
+    return {name: values[k].item() for name, values in grid.items()}
+
+
+def _fill_rows(mech: Root | CPT, supports: tuple[FiniteSupport, ...], grid) -> tuple[np.ndarray, np.ndarray]:
+    """The (points x slots x support) array of a `root` or `cpt` table at each
+    point of a grid, its entries evaluated as bind evaluates them (evaluate_grid,
+    and `evaluate` at each position it leaves), and the points where a row
+    fails validate's checks of a bound row: its range, and its sum (added in
+    entry order), or where an entry fails."""
+    support, points = supports[0], _points(grid)
+    keys = product(*[s.values for s in supports[1:]])
+    rows = [mech.table] if isinstance(mech, Root) else [mech.rows[key] for key in keys]
+    at = {v: i for i, v in enumerate(support.values)}
+    array, ok = np.zeros((points, len(rows), len(support))), np.ones(points, dtype=bool)
+    for s, row in enumerate(rows):
+        total = 0.0
+        for value, entry in row.items():
+            p, left = (float(entry), False) if _is_number(entry) else ex.evaluate_grid(entry, grid)
+            p = np.array(np.broadcast_to(p, (points,)))
+            for k in np.flatnonzero(np.broadcast_to(left, (points,))).tolist():
+                try:
+                    p[k] = float(ex.evaluate(entry, _at(grid, k)))
+                except EvalError:
+                    p[k] = math.nan
+            ok &= (-ROW_SUM_TOL <= p) & (p <= 1 + ROW_SUM_TOL)  # NaN fails
+            total = total + p
+            array[:, s, at[value]] = np.where(p <= 0.0, 0.0, p)
+        ok &= np.abs(total - 1.0) <= ROW_SUM_TOL
+    return array, ~ok
 
 
 class TableRows(MappingABC):
@@ -327,7 +372,7 @@ class Model:
         if table is None:
             table, failures = _table(self, name)
             if failures:
-                raise failures[0][1]
+                raise failures[0][2]
             self._outcome_tables[name] = table
         return table
 
@@ -359,11 +404,6 @@ class Model:
             order.extend(ready)
             placed.update(ready)
         return tuple(order)
-
-    @cached_property
-    def diagnosed(self) -> list[tuple[str | None, str]]:
-        """diagnostics(self), found once: a model is not changed once built."""
-        return diagnostics(self)
 
     @cached_property
     def is_bound(self) -> bool:
@@ -451,10 +491,9 @@ def validate(model: Model) -> list[str]:
     return [diag for _, diag in diagnostics(model)]
 
 
-def diagnostics(model: Model, base: Model | None = None) -> list[tuple[str | None, str]]:
+def diagnostics(model: Model) -> list[tuple[str | None, str]]:
     """validate's diagnostics in order, each with the variable whose
-    declaration or mechanism it is about (None: the model as a whole).  A
-    mechanism kept from `base`, the model that `model` binds, has base's."""
+    declaration or mechanism it is about (None: the model as a whole)."""
     owned: list[tuple[str | None, str]] = []
     diags: list[str] = []
     names = [v.name for v in model.variables]
@@ -477,9 +516,6 @@ def diagnostics(model: Model, base: Model | None = None) -> list[tuple[str | Non
 
     for n, mech in model.mechanisms.items():
         if n not in model.variable_map:
-            continue
-        if base is not None and base.mechanisms.get(n) is mech:  # as in every binding
-            owned += [(owner, d) for owner, d in base.diagnosed if owner == n]
             continue
         diags = []
         support = model.variable_map[n].support
@@ -545,7 +581,7 @@ def _check_deterministic(
         return
     if mech.names & set(model.parameter_map):
         return  # totality checked after binding
-    for assignment, err in _table(model, name)[1]:  # a clean table is kept for every later reader
+    for _, assignment, err in _table(model, name)[1]:  # a clean table is kept for every later reader
         if isinstance(err, EvalError):
             diags.append(f"{name}: body fails at {assignment}: {err}")
         else:
@@ -624,31 +660,70 @@ def bind(model: Model, bindings: Mapping[str, float] | None = None) -> Model:
         except EvalError as err:
             raise BindingError(str(err)) from None
 
-    # Mechanisms without parameters are kept, and with them their outcome
-    # tables and diagnostics, so a sweep finds those once, not per grid point.
+    # Mechanisms without parameters are kept, and with them their outcome tables.
     mechanisms: dict[str, Mechanism] = {}
     for name, mech in model.mechanisms.items():
-        if isinstance(mech, Root) and not all(map(_is_number, mech.table.values())):
-            mechanisms[name] = Root({v: entry_value(e) for v, e in mech.table.items()})
-        elif isinstance(mech, CPT) and not all(
-                _is_number(e) for row in mech.rows.values() for e in row.values()):
-            mechanisms[name] = CPT(
-                mech.parents,
-                {
-                    key: {v: entry_value(e) for v, e in row.items()}
-                    for key, row in mech.rows.items()
-                },
-            )
-        elif (isinstance(mech, Deterministic) and mech.body is not None
-              and mech.names & set(declared)):
-            mechanisms[name] = Deterministic(
-                mech.parents, body=ex.substitute(mech.body, bindings)
-            )
-        else:
+        if not _rebuilt(mech, declared):
             mechanisms[name] = mech
+        elif isinstance(mech, Root):
+            mechanisms[name] = Root({v: entry_value(e) for v, e in mech.table.items()})
+        elif isinstance(mech, CPT):
+            mechanisms[name] = CPT(mech.parents, {key: {v: entry_value(e) for v, e in row.items()}
+                                                  for key, row in mech.rows.items()})
+        else:
+            mechanisms[name] = Deterministic(mech.parents, body=ex.substitute(mech.body, bindings))
 
     bound = Model(model.variables, mechanisms, ())
-    diags = [diag for _, diag in diagnostics(bound, model)]
+    diags = validate(bound)
     if diags:
         raise BindingError("; ".join(diags))
     return bound
+
+
+def _rebuilt(mech: Mechanism, declared: Mapping[str, Parameter]) -> bool:
+    """Whether bind rebuilds `mech`: a table with an expression entry, or a
+    body that reads a parameter."""
+    if isinstance(mech, Root):
+        return not all(map(_is_number, mech.table.values()))
+    if isinstance(mech, CPT):
+        return not all(_is_number(e) for row in mech.rows.values() for e in row.values())
+    return mech.body is not None and bool(mech.names & set(declared))
+
+
+class Grid(NamedTuple):
+    """A model bound at `points` bindings at once (see bind_grid): `tables`
+    holds the outcome table of each mechanism that bind rebuilds, its array
+    with a leading point axis; the model's other mechanisms are shared."""
+
+    points: int
+    tables: dict[str, OutcomeTable]
+
+
+def bind_grid(model: Model, grid: Mapping[str, np.ndarray]) -> Grid:
+    """bind(model, {name: values[k] for name, values in grid.items()}) at each
+    point k of `grid` (one float64 array per parameter, all of one length) at
+    once, for a model that validates: the tables of the mechanisms bind
+    rebuilds, the same bits at each point as the bound model's, with no
+    model built.  A point that fails a bound, an entry, a row check or a
+    `def` body is bound alone, so the error raised is bind's at the first
+    failing point."""
+    declared, points, tables = model.parameter_map, _points(grid), {}
+    failed = np.full(points, set(grid) != set(declared))  # bind names the unknown or missing ones
+    for name, values in grid.items() if not failed.any() else ():
+        p = declared[name]
+        failed |= ~((p.lower - 1e-12 <= values) & (values <= p.upper + 1e-12))
+    for name, mech in model.mechanisms.items() if not failed.all() else ():
+        if _rebuilt(mech, declared):
+            supports = tuple([model.variable_map[n].support for n in (name, *mech.parents)])
+            if isinstance(mech, Deterministic):
+                array, failures = _fill(mech, supports, grid)
+                failed[[k for k, *_ in failures]] = True
+            else:
+                array, bad = _fill_rows(mech, supports, grid)
+                failed |= bad
+            tables[name] = OutcomeTable(supports, array)
+    if failed.any():
+        k = int(failed.argmax())
+        bind(model, _at(grid, k))
+        raise BindingError(f"binding fails at grid point {k}")  # not reached while bind agrees
+    return Grid(points, tables)

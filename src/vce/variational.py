@@ -23,8 +23,8 @@ import math
 from collections.abc import Mapping as MappingABC
 from dataclasses import dataclass, field
 from functools import cached_property, partial
-from itertools import accumulate, combinations, islice
-from typing import Iterable, Mapping, Sequence
+from itertools import accumulate, combinations
+from typing import Mapping, Sequence
 
 import numpy as np
 
@@ -38,7 +38,7 @@ from .engine import (
     stratify,
 )
 from .errors import QueryError, UnboundModelError, ZeroProbabilityError
-from .model import VALUE_TOL, Deterministic, Model, Partition
+from .model import VALUE_TOL, Deterministic, Grid, Model, Partition, _points, bind_grid
 
 VARIANTS = ("pace", "peace", "space", "apace")
 SIGNS = ("abs", "positive", "negative")
@@ -194,22 +194,42 @@ def variation(gs, ps, degree: float, variant: str, sign: str) -> tuple[float, Ch
     raise QueryError(f"unknown variant '{variant}'")
 
 
-# Below this many pair terms (rows x degrees x pairs) the loops above serve a
-# call.  On x86-64 (Python 3.11, numpy 2.4), at one degree, the kernel breaks even
-# with them at about 100-250 terms for space and apace, and for peace and pace
-# (whose DP pays per column) at 150-300 for l = 4, 700-1,000 for l = 16 and 2,300-3,400 for l = 48.
-KERNEL_MIN_TERMS = 2048
+# What a `variations` call costs on each path, in µs: the kernel's fixed cost and
+# its cost per step, per row step and per pair term, then the loops' cost per row
+# and per pair term.  A row is a (row, degree) pair.  PACE's kernel steps through
+# the l - 1 columns of its DP with every row at once; the others step through the
+# degrees.  PEACE has l - 1 pair terms per row, the others l (l - 1) / 2.  Fitted
+# to timeit runs on x86-64 (Python 3.11, numpy 2.4) of 1 to 2,048 rows, l = 2 to
+# 128 and 1 to 11 degrees.
+KERNEL_COSTS = {
+    "pace": (43.7, 28.5, 0.52, 0.0216, 0.887, 0.584),
+    "peace": (14.6, 11.3, 0.0509, 0.0273, 0.78, 0.349),
+    "space": (29.4, 7.54, 0.103, 0.0172, 0.575, 0.454),
+    "apace": (30.2, 6.9, 0.0547, 0.0209, 0.687, 0.291),
+}
+
+
+def on_kernel(rows: int, l: int, degrees: int, variant: str) -> bool:
+    """Whether `variations` serves `rows` rows of l values at `degrees`
+    degrees on the kernel: where KERNEL_COSTS has it cheaper than the loops."""
+    if l < 2 or variant not in KERNEL_COSTS:
+        return False
+    fixed, step, row_step, term, loop_row, loop_term = KERNEL_COSTS[variant]
+    rows, steps = rows * degrees, l - 1 if variant == "pace" else degrees
+    terms = rows * (l - 1 if variant == "peace" else l * (l - 1) // 2)
+    kernel = fixed + step * steps + row_step * rows * (steps if variant == "pace" else 1) + term * terms
+    return kernel < loop_row * rows + loop_term * terms
 
 
 def variations(gs, ps, degrees: Sequence[float], variant: str, sign: str) -> list[list]:
     """`variation` of every row (gs[r], ps[r]) of two (rows x l) arrays at
     every degree, bit for bit: out[k][r] is its (value, witness) at
-    degrees[k].  Past KERNEL_MIN_TERMS one numpy kernel serves all rows and
-    degrees: the signed differences and bases 4 p_j p_i are built once, and
+    degrees[k].  Where it pays (on_kernel), one numpy kernel serves all rows
+    and degrees: the signed differences and bases 4 p_j p_i are built once, and
     only the weights (np.float_power: libm `pow`, as Python `**`; np.power
-    differs in the last bit) depend on d.  Smaller calls run the loops."""
+    differs in the last bit) depend on d.  Other calls run the loops."""
     gs, ps = np.asarray(gs, dtype=float), np.asarray(ps, dtype=float)
-    if gs.size * (gs.shape[-1] - 1) // 2 * len(degrees) >= KERNEL_MIN_TERMS:
+    if on_kernel(len(gs), gs.shape[-1], len(degrees), variant):
         with np.errstate(all="ignore"):  # Python floats overflow without a warning
             # Else the loops compare NaN their way, and weigh a NaN p as NaN ** d.
             if np.isfinite(np.ptp(gs, axis=1)).all() and not np.isnan(ps).any():
@@ -339,8 +359,8 @@ class EffectReport:
     breakdown: Mapping[tuple[float, ...], ZSlice] = field(repr=False)
 
 
-def _query_context(model: Model, cause: str, outcome: str) -> tuple[str, ...]:
-    if not model.is_bound:
+def _query_context(model: Model, cause: str, outcome: str, bound: bool = False) -> tuple[str, ...]:
+    if not (bound or model.is_bound):
         raise UnboundModelError("effect queries need a fully bound model")
     if cause not in model.variable_map:
         raise QueryError(f"unknown variable '{cause}'")
@@ -411,20 +431,21 @@ class StratumTable:
     def totals(self, degrees: Sequence[float], variant: str, per_degree: list[list]) -> list[list[float]]:
         """Each model's effect at each degree from its rows' `per_degree` values:
         P(z) * value added in row order from 0.0, rejected if not finite."""
-        probability, out = self.probability.tolist(), []
-        for a, b in zip((0, *self.ends), self.ends or [len(probability)]):
-            pz, totals = probability[a:b], []
-            for d, per_row in zip(degrees, per_degree):
-                total = 0.0
-                for p, (value, _) in zip(pz, per_row[a:b]):
-                    total += p * value
-                if not math.isfinite(total):  # P(z) > 0, so a row that is not finite makes it so
-                    partial = accumulate(p * value for p, (value, _) in zip(pz, per_row[a:b]))
-                    r = next(r for r, t in enumerate(partial, a) if not math.isfinite(t))
-                    self.finite(total, variant, d, r)
-                totals.append(total)
-            out.append(totals)
-        return out
+        probability = self.probability.tolist()
+        if not self.ends:  # one model: its rows as they are
+            return [[self._total(probability, per_row, 0, variant, d) for d, per_row in zip(degrees, per_degree)]]
+        return [[self._total(probability[a:b], per_row[a:b], a, variant, d) for d, per_row in zip(degrees, per_degree)]
+                for a, b in zip((0, *self.ends), self.ends)]
+
+    def _total(self, pz: list[float], per_row: list, a: int, variant: str, d: float) -> float:
+        """One model's effect at d from its rows, the first being row a."""
+        total = 0.0
+        for p, (value, _) in zip(pz, per_row):
+            total += p * value
+        if not math.isfinite(total):  # P(z) > 0, so a row that is not finite makes it so
+            partial = accumulate(p * value for p, (value, _) in zip(pz, per_row))
+            self.finite(total, variant, d, next(r for r, t in enumerate(partial, a) if not math.isfinite(t)))
+        return total
 
     def finite(self, value: float, variant: str, d: float, r: int) -> float:
         """`value`, the variant's variation at d of row r (or an effect whose
@@ -461,20 +482,21 @@ class _Breakdown(MappingABC):
 
 
 def _tabulate(
-    models: Sequence[Model],
+    model: Model,
     cause: str,
     outcome: str | None,
     z_vars: tuple[str, ...],
     support_subset: Sequence[float] | None = None,
+    grid: Grid | None = None,
 ) -> StratumTable:
     """Per-z conditional cause probabilities and outcome values.
 
     When outcome is None the cause's own values stand in for g (natural
     availability).  `support_subset` restricts the chain to the given cause
     values, keeping the original (unrenormalized) conditional probabilities.
-    Several models (bindings of one model) give their stacked table.
+    A grid of bindings of the model (see model.bind_grid) gives its stacked table.
     """
-    model, joint = models[0], build_joint(*models)
+    joint = build_joint(model, grid) if grid else build_joint(model)
     support = model.support(cause)
     if support_subset is None:
         indices = tuple(range(len(support)))
@@ -483,25 +505,23 @@ def _tabulate(
         if len(set(indices)) != len(indices):
             raise QueryError("support subset contains duplicate values")
     # P(z) and P(z, x) sum their rows' masses in row order, as marginal sums them;
-    # a stack's strata are grouped by model first (POINT, the joint's last column).
-    stacked = joint.variables[len(model.variables):]  # (POINT,) or ()
+    # a stack's strata are grouped by point first (POINT, the joint's last column).
     first, pz, (pxz,) = stratify(joint, joint.codes[joint.column(cause)], len(support),
-                                 (*stacked, *z_vars))
+                                 (POINT, *z_vars) if grid else z_vars)
     cols = [joint.column(v) for v in z_vars]
     z = Distribution(z_vars, columns=([joint.values[c] for c in cols],
                                       [joint.codes[c][first] for c in cols], pz))
-    point = joint.codes[-1][first] if stacked else None  # each stratum's model
+    point = joint.codes[-1][first] if grid else None  # each stratum's point
     ps = pxz[:, list(indices)] / pz[:, None]
     if outcome is not None:
-        # g(x, z) is the outcome table's slot at z's parent codes and x's.
-        mech, table = model.mechanisms[outcome], model.outcome_table(outcome)
+        # g(x, z) is the outcome table's slot at z's parent codes and x's (and its point's).
+        mech = model.mechanisms[outcome]
+        table = grid and grid.tables.get(outcome) or model.outcome_table(outcome)
         codes = [np.asarray(indices, dtype=np.intp)[None, :] if p == cause
                  else z.codes[z_vars.index(p)][:, None] for p in mech.parents]
         at = np.broadcast_to(np.ravel_multi_index(codes, [len(vs) for vs in table.parents]), ps.shape)
-        values, array = table.supports[0].values, table.array
-        if stacked and any(m.mechanisms[outcome] is not mech for m in models):  # its model's table
-            array, at = np.stack([m.outcome_table(outcome).array for m in models]), (point[:, None], at)
-        gs = np.asarray(values)[array[at]]
+        values = table.supports[0].values
+        gs = np.asarray(values)[table.array[(point[:, None], at) if grid and outcome in grid.tables else at]]
     else:
         values = support.values
         gs = np.broadcast_to(np.asarray(values)[list(indices)], ps.shape)
@@ -509,7 +529,7 @@ def _tabulate(
         if g and not math.isfinite(max(g) - min(g)):  # inf times a zero weight is NaN
             raise QueryError(f"'{outcome or cause}' values {min(g)!r} and {max(g)!r} differ "
                              f"by more than the largest float at z = {z_key}")
-    ends = np.bincount(point, minlength=len(models)).cumsum().tolist() if stacked else ()
+    ends = np.bincount(point, minlength=grid.points).cumsum().tolist() if grid else ()
     return StratumTable(z, ps, gs, indices, outcome or cause, tuple(ends))
 
 
@@ -518,7 +538,7 @@ def strata(
 ) -> StratumTable:
     """Stratum table of an effect query; Z is the outcome's other parents."""
     z_vars = _query_context(model, cause, outcome)
-    return _tabulate([model], cause, outcome, z_vars, support_subset)
+    return _tabulate(model, cause, outcome, z_vars, support_subset)
 
 
 def effect(
@@ -558,27 +578,29 @@ def pace_vector(
     return [value for value, _ in table.aggregate(degrees, variant, sign)]
 
 
-STACK_BLOCK = 65_536  # most (models x joint states x cause values) `effects` stacks at once
+STACK_BLOCK = 65_536  # most (points x joint states x cause values) `effects` stacks at once
 
 
-def effects(models: Iterable[Model], cause: str, outcome: str, degrees: Sequence[float],
-            variant: str = "pace", sign: str = "abs") -> list[list[float]]:
-    """effect(model, EffectQuery(cause, outcome, degrees[k], variant, sign)).value
-    as out[i][k] for the i-th of `models` (bindings of one model), bit for bit,
-    or an error one of them raises.  The models are read and stacked (see
-    engine._enumerate) STACK_BLOCK joint states times cause values at a time;
-    each stack is stratified once and aggregated by one `variations` call."""
+def effects(model: Model, grid: Mapping[str, np.ndarray], cause: str, outcome: str,
+            degrees: Sequence[float], variant: str = "pace", sign: str = "abs") -> list[list[float]]:
+    """effect(bind(model, bindings), EffectQuery(cause, outcome, degrees[k],
+    variant, sign)).value as out[i][k] for the bindings at the i-th point of
+    `grid` (one array of values per parameter, see model.bind_grid), bit for
+    bit, or an error; a model without parameters and an empty grid is one
+    point, the model itself.  The points are bound and stacked (see
+    engine._enumerate) STACK_BLOCK joint states times cause values at a
+    time; each stack is stratified once and aggregated by one `variations` call."""
     for d in degrees:
         EffectQuery(cause, outcome, d, variant, sign)  # checks each degree, the variant and the sign
-    models = iter(models)
-    stack, out = [next(models)], []
-    z_vars = _query_context(stack[0], cause, outcome)
-    size = max(1, STACK_BLOCK // (stack[0].state_space_size * len(stack[0].support(cause))))
-    while stack:
-        table = _tabulate(stack + list(islice(models, size - 1)), cause, outcome, z_vars)
-        per_degree = variations(table.gs, table.ps, degrees, variant, sign)
-        out += table.totals(degrees, variant, per_degree)
-        stack = list(islice(models, 1))
+    bound = bool(model.parameters or grid)
+    z_vars = _query_context(model, cause, outcome, bound)
+    points = _points(grid)
+    size = max(1, STACK_BLOCK // (model.state_space_size * len(model.support(cause))))
+    out = []
+    for start in range(0, points, size):
+        stack = bind_grid(model, {n: v[start:start + size] for n, v in grid.items()}) if bound else None
+        table = _tabulate(model, cause, outcome, z_vars, grid=stack)
+        out += table.totals(degrees, variant, variations(table.gs, table.ps, degrees, variant, sign))
     return out
 
 
@@ -605,7 +627,7 @@ def natural_availability(
         raise QueryError("conditioning set must not contain the cause")
     for z in z_vars:
         model.variable(z)
-    return _tabulate([model], cause, None, tuple(z_vars)).aggregate([degree], variant, "abs")[0][0]
+    return _tabulate(model, cause, None, tuple(z_vars)).aggregate([degree], variant, "abs")[0][0]
 
 
 # --- per-z operations (the oracle-facing surface) ---------------------------

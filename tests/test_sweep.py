@@ -1,14 +1,17 @@
-"""`vce sweep`'s stacked evaluation (every distinct binding bound once, the
-bound models enumerated, stratified and aggregated together) against the
+"""`vce sweep`'s grid evaluation (the bindings bound as one array axis by
+`model.bind_grid`, enumerated, stratified and aggregated together) against the
 evaluation one run of equal bindings at a time it replaced
 (`helpers.reference_sweep`): CSV bytes, error text and exit code on random
 models with two parameters, in root and cpt entries and in `def` bodies,
 whose strata vanish at p = 0 or 1, over both axis orders, the degree first
-and last, `--bind`, stacks of one to three bound models or of all, causes
-with one value, and grids that fail part-way (a negative d included where
-no weight is computed to reject it).  Also `bind`, which reuses
-the diagnostics of the mechanisms it keeps, against `helpers.reference_bind`,
-which validated the whole bound model."""
+and last, `--bind`, stacks of one to three points or of all, causes with one
+value, and grids that fail part-way (a negative d included where no weight
+is computed to reject it); a grid that binds is never walked point by point.
+Also grids of int-literal entries, of a parameter only in a `def` body, of
+`--bind` plus an axis, of end points at a bound +- 1e-12 and past it, and
+grids failing at point k in a root row, a cpt row and a def body; and
+`bind_grid` against `helpers.reference_bind` at every point of random grids,
+and `bind` against `reference_bind`, which validated the whole bound model."""
 
 from __future__ import annotations
 
@@ -24,7 +27,7 @@ from vce import variational as vr
 from vce import expr as ex
 from vce.dsl import parse_model
 from vce.errors import BindingError, QueryError
-from vce.model import CPT, Deterministic, Model, Parameter, Root, bind
+from vce.model import CPT, Deterministic, Model, Parameter, Root, bind, bind_grid
 from vce.variational import EffectQuery, effect, effects
 
 CASES = 300
@@ -130,6 +133,14 @@ def _run(argv: list[str]) -> tuple[int, str, str]:
     return code, out.getvalue(), err.getvalue()
 
 
+def _walked(monkeypatch) -> list:
+    """Count the grid points `vce sweep` evaluates one at a time (its fallback)."""
+    calls = []
+    real = vr.effect
+    monkeypatch.setattr(vr, "effect", lambda *args: calls.append(1) or real(*args))
+    return calls
+
+
 def _reference_run(argv: list[str], monkeypatch) -> tuple[int, str, str]:
     with monkeypatch.context() as patch:
         patch.setattr(cli, "cmd_sweep", reference_sweep)
@@ -156,8 +167,11 @@ def test_sweeps_match_the_one_binding_at_a_time_evaluation(tmp_path, monkeypatch
         model = parse_model(text)
         per_model = model.state_space_size * len(model.support("X"))
         monkeypatch.setattr(vr, "STACK_BLOCK", per_model * int(rng.choice([1, 2, 3, 10**6])))
-        got, want = _run(argv), _reference_run(argv, monkeypatch)
-        assert got == want, (text, argv)
+        with monkeypatch.context() as patch:
+            walked = _walked(patch)
+            got = _run(argv)
+        assert got == _reference_run(argv, monkeypatch), (text, argv)
+        assert not (got[0] == 0 and walked), (text, argv)  # a grid that binds is never walked
         axes = [a.split("=")[0] for a in argv[argv.index("--axis") + 1::2]]
         seen["ok"] += got[0] == 0
         for failure in failures:
@@ -195,7 +209,7 @@ def test_a_negative_degree_fails_where_no_weight_is_computed(tmp_path, monkeypat
 def test_effects_is_effect_at_every_binding_and_degree():
     model = parse_model("var X in {0}\nvar Y in {0, 1}\nroot X {0: 1.0}\ndef Y = if X == 0 then 1 else 0\n")
     with pytest.raises(QueryError, match="degree must be >= 0"):
-        effects([model], "X", "Y", [1.0, -1.0])
+        effects(model, {}, "X", "Y", [1.0, -1.0])
     text = ("param p in [0, 1]\nvar Z in {0, 1}\nvar X in {0, 1, 2}\nvar Y in {0, 1, 2}\n"
             "root Z {0: p, 1: 1 - p}\ncpt X | Z {(0): {0: 0.2, 1: 0.3, 2: 0.5}, "
             "(1): {0: p, 1: 0, 2: 1 - p}}\ndef Y = if X + Z > 3 * p then 2 else 0\n")
@@ -203,7 +217,7 @@ def test_effects_is_effect_at_every_binding_and_degree():
     bindings = [{"p": v} for v in (0.0, 0.25, 0.5, 1.0, 0.5)]
     degrees = [0.0, 1 / 3, 2.0]
     for variant in ("pace", "peace", "space", "apace"):
-        got = effects([bind(model, b) for b in bindings], "X", "Y", degrees, variant, "abs")
+        got = effects(model, {"p": np.array([b["p"] for b in bindings])}, "X", "Y", degrees, variant, "abs")
         want = [[effect(bind(model, b), EffectQuery("X", "Y", d, variant)).value.hex()
                  for d in degrees] for b in bindings]
         assert [[v.hex() for v in row] for row in got] == want, variant
@@ -262,3 +276,199 @@ def test_bind_gives_the_diagnostics_a_whole_validation_gives():
             assert got == _outcome(lambda: reference_bind(model, {"p": value})), (i, value)
             seen[got[0]] += 1
     assert seen["ok"] >= 200 and seen["error"] >= 200, seen
+
+
+# --- the grid bound as one array axis ------------------------------------------------
+
+# Each model swept over p (and the degree), the grids of the parameters bind rebuilds
+# in one place each: `1 - p` entries (the .sem reader makes every literal a float; the
+# int literals evaluate_grid leaves to `evaluate` come from models built in Python, see
+# `_int_literals`), a parameter only in a `def` body, and grids that fail at point k in
+# a root row (its range; an entry past 1 + 1e-9 in a row whose sum is within 1e-9 of
+# 1; a sum 1.5e-9 past 1), a cpt row (its sum, then a range) and a def body (off the
+# support, and an `if` condition that is not 0 or 1).
+GRID_MODELS = {
+    "one_minus_p": "param p in [0, 1]\nvar Z in {0, 1}\nvar X in {0, 1}\nvar Y in {0, 1, 2}\n"
+                   "root Z {0: 1 - p, 1: p}\ncpt X | Z {(0): {0: 0.5, 1: 0.5}, (1): {0: 1 - p, 1: p}}\n"
+                   "def Y = X + Z\n",
+    "def_only": "param p in [0, 1]\nvar Z in {0, 1}\nvar X in {0, 1, 2}\nvar Y in {0, 1}\n"
+                "root Z {0: 0.25, 1: 0.75}\ncpt X | Z {(0): {0: 0.2, 1: 0.3, 2: 0.5}, (1): {0: 0.6, 1: 0.3, 2: 0.1}}\n"
+                "def Y = if X + Z > 3 * p then 1 else 0\n",
+    "root_fails": "param p in [0, 1]\nvar Z in {0, 1}\nvar X in {0, 1}\nvar Y in {0, 1}\n"
+                  "root Z {0: 2 * p, 1: 1 - 2 * p}\ncpt X | Z {(0): {0: 0.5, 1: 0.5}, (1): {0: 0.1, 1: 0.9}}\n"
+                  "def Y = if X == Z then 1 else 0\n",
+    "cpt_fails": "param p in [0, 1]\nvar Z in {0, 1}\nvar X in {0, 1}\nvar Y in {0, 1}\n"
+                 "root Z {0: 0.5, 1: 0.5}\ncpt X | Z {(0): {0: 0.5, 1: 0.5 * (1 + (p > 0.6))}, "
+                 "(1): {0: 1.25 * p, 1: 1 - 1.25 * p}}\n"
+                 "def Y = if X == Z then 1 else 0\n",
+    "def_off_support": "param p in [0, 1]\nvar Z in {0, 1}\nvar X in {0, 1}\nvar Y in {0, 0.5, 1.5}\n"
+                       "root Z {0: 0.5, 1: 0.5}\ncpt X | Z {(0): {0: 0.5, 1: 0.5}, (1): {0: p, 1: 1 - p}}\n"
+                       "def Y = if X == 1 then 3 * p else 0\n",
+    "def_eval_error": "param p in [0, 1]\nvar Z in {0, 1}\nvar X in {0, 1}\nvar Y in {0, 1}\n"
+                      "root Z {0: 0.5, 1: 0.5}\ncpt X | Z {(0): {0: 0.5, 1: 0.5}, (1): {0: p, 1: 1 - p}}\n"
+                      "def Y = if (p > 0.3) + X then 1 else 0\n",
+    "range_fails": "param p in [0, 1]\nvar Z in {0, 1}\nvar X in {0, 1}\nvar Y in {0, 1}\n"
+                   "root Z {0: 1 + 0.0000000015 * p, 1: -0.000000001 * p}\n"
+                   "cpt X | Z {(0): {0: 0.5, 1: 0.5}, (1): {0: 0.1, 1: 0.9}}\ndef Y = if X == Z then 1 else 0\n",
+    "sum_fails": "param p in [0, 1]\nvar Z in {0, 1}\nvar X in {0, 1}\nvar Y in {0, 1}\n"
+                 "root Z {0: p, 1: 1 - p + 0.0000000015 * p}\n"
+                 "cpt X | Z {(0): {0: 0.5, 1: 0.5}, (1): {0: 0.1, 1: 0.9}}\ndef Y = if X == Z then 1 else 0\n",
+    "bounds": "param p in [0.2, 0.8]\nparam q in [0, 1]\nvar Z in {0, 1}\nvar X in {0, 1}\nvar Y in {0, 1}\n"
+              "root Z {0: p, 1: 1 - p}\ncpt X | Z {(0): {0: q, 1: 1 - q}, (1): {0: 1 - p, 1: p}}\n"
+              "def Y = if X == Z then 1 else 0\n",
+}
+GRID_AXES = {
+    "one_minus_p": [["--axis", "p=0:1:0.1"], ["--axis", "d=0:1:0.5", "--axis", "p=0:1:0.05"]],
+    "range_fails": [["--axis", "p=0:1:0.25"], ["--axis", "p=0:0.5:0.25"]],
+    "sum_fails": [["--axis", "p=0:1:0.25", "--axis", "d=0:1:1"], ["--axis", "p=0:0.5:0.25"]],
+    "def_only": [["--axis", "p=0:1:0.05", "--axis", "d=0:2:0.5"], ["--axis", "p=0:1:1/3"]],
+    "root_fails": [["--axis", "p=0:1:0.1"], ["--axis", "d=0:1:0.5", "--axis", "p=0:1:0.25"],
+                   ["--axis", "p=0:0.5:0.125"]],
+    "cpt_fails": [["--axis", "p=0:1:0.1"], ["--axis", "p=0:0.5:0.25"]],
+    "def_off_support": [["--axis", "p=0.5:1:0.5"], ["--axis", "p=0:1:0.25", "--axis", "d=0:1:1"],
+                        ["--axis", "d=0:1:0.5", "--axis", "p=0:0.5:0.5"]],
+    "def_eval_error": [["--axis", "p=0:1:0.5"], ["--axis", "p=0:1:1", "--axis", "d=0:1:0.5"],
+                       ["--axis", "p=0:0.3:0.1"]],
+    # --bind plus an axis (an axis overrides a --bind of its parameter), and end points
+    # at a bound +- 1e-12 and just past it.
+    "bounds": [["--bind", "q=0.3", "--axis", "p=0.2:0.8:0.3"],
+               ["--bind", "p=0.5", "--axis", "q=0:1:0.5", "--axis", "p=0.2:0.8:0.2"],
+               ["--bind", "q=1", "--axis", "p=0.199999999999:0.800000000001:0.200000000001"],
+               ["--bind", "q=1", "--axis", "p=0.199999999998:0.8:0.3"],
+               ["--bind", "q=0", "--axis", "p=0.2:0.800000000002:0.300000000001"],
+               ["--bind", "p=0.800000000001", "--axis", "q=0:1:0.5"],
+               ["--bind", "p=0.799999999999", "--axis", "d=0:1:1"]],
+}
+
+
+@pytest.mark.parametrize("name", sorted(GRID_MODELS))
+def test_grids_match_the_one_binding_at_a_time_evaluation(name, tmp_path, monkeypatch):
+    path = tmp_path / f"{name}.sem"
+    path.write_text(GRID_MODELS[name], encoding="utf-8")
+    model = parse_model(GRID_MODELS[name])
+    per_model = model.state_space_size * len(model.support("X"))
+    codes = []
+    for axes in GRID_AXES[name]:
+        for variant in ("pace", "peace", "space", "apace"):
+            argv = ["sweep", str(path), "--cause", "X", "--outcome", "Y", "--variant", variant, *axes]
+            for points in (1, 2, 10**6):  # stacks of one point, two, or all
+                with monkeypatch.context() as patch:
+                    patch.setattr(vr, "STACK_BLOCK", per_model * points)
+                    walked = _walked(patch)
+                    got = _run(argv)
+                    assert got == _reference_run(argv, patch), (argv, points)
+                assert not (got[0] == 0 and walked), argv  # a grid that binds is never walked
+                codes.append(got[0])
+    fails = name.endswith("fails") or name.startswith("def_") and name != "def_only"
+    assert (2 in codes) == (fails or name == "bounds") and 0 in codes, codes
+
+
+def _grid_outcome(model, grid):
+    try:
+        stack = bind_grid(model, grid)
+    except BindingError as err:
+        return "error", str(err)
+    return "ok", {name: [a.hex() for a in table.array.ravel().tolist()] if table.array.dtype.kind == "f"
+                  else table.array.tolist() for name, table in stack.tables.items()}
+
+
+def _reference_grid_outcome(model, grid):
+    """bind at each point in turn: the first failing point's error, or each
+    rebuilt mechanism's outcome table at every point, stacked."""
+    points = len(next(iter(grid.values()))) if grid else 1
+    bound = []
+    for k in range(points):
+        try:
+            bound.append(reference_bind(model, {n: v[k].item() for n, v in grid.items()}))
+        except BindingError as err:
+            return "error", str(err)
+    rebuilt = [n for n, mech in model.mechanisms.items() if bound[0].mechanisms[n] is not mech]
+    tables = {}
+    for n in rebuilt:
+        arrays = np.stack([b.outcome_table(n).array for b in bound])
+        tables[n] = [a.hex() for a in arrays.ravel().tolist()] if arrays.dtype.kind == "f" else arrays.tolist()
+    return "ok", tables
+
+
+def _int_literals(expr):
+    """`expr` with each integral float literal an int, as a model built in Python may hold."""
+    if isinstance(expr, ex.Num):
+        return ex.Num(int(expr.value)) if expr.value == int(expr.value) else expr
+    if isinstance(expr, ex.Binary):
+        return ex.Binary(expr.op, _int_literals(expr.left), _int_literals(expr.right))
+    if isinstance(expr, ex.IfElse):
+        return ex.IfElse(*map(_int_literals, (expr.cond, expr.then, expr.orelse)))
+    return expr
+
+
+def _with_int_literals(model: Model) -> Model:
+    def entries(row):
+        return {v: e if isinstance(e, (int, float)) else _int_literals(e) for v, e in row.items()}
+
+    mechanisms = {}
+    for name, mech in model.mechanisms.items():
+        if isinstance(mech, Root):
+            mech = Root(entries(mech.table))
+        elif isinstance(mech, CPT):
+            mech = CPT(mech.parents, {key: entries(row) for key, row in mech.rows.items()})
+        elif mech.body is not None:
+            mech = Deterministic(mech.parents, body=_int_literals(mech.body))
+        mechanisms[name] = mech
+    return Model(model.variables, mechanisms, model.parameters)
+
+
+def test_bind_grid_is_bind_at_every_point():
+    # Random models of the sweep test (parameters in root and cpt entries and def
+    # bodies; rows that leave [0, 1] or sum past 1) and the models above, half of
+    # them with int literals (`1 - p`, `2 * p`, `X > 4 * q`), on grids of random
+    # values, values at the bounds and 1e-12 past them, values just past that, and
+    # names bind rejects.
+    rng = np.random.default_rng(2701)
+    texts = [_model(rng, set(rng.choice(FAILURES[:2], int(rng.integers(0, 3)), replace=False).tolist()))
+             for _ in range(200)] + list(GRID_MODELS.values()) * 2
+    seen = {"ok": 0, "error": 0, "edge ok": 0, "past": 0, "names": 0, "int ok": 0, "int error": 0}
+    for i, text in enumerate(texts):
+        model = _with_int_literals(parse_model(text)) if i % 2 else parse_model(text)
+        for _ in range(4):
+            points = int(rng.integers(1, 5))
+            grid = {}
+            for p in model.parameters:
+                pool = [p.lower, p.upper, p.lower - 1e-12, p.upper + 1e-12, p.lower - 2e-12, p.upper + 2e-12,
+                        float(np.nextafter(p.lower - 1e-12, -1)), float(np.nextafter(p.upper + 1e-12, 2))]
+                values = rng.uniform(p.lower, p.upper, points)
+                edge = rng.random(points) < 0.15
+                values[edge] = rng.choice(pool, int(edge.sum()))
+                grid[p.name] = values
+            roll = rng.random()
+            if roll < 0.05:
+                grid.pop(model.parameters[0].name)
+            elif roll < 0.1:
+                grid["r"] = np.zeros(points)
+            got = _grid_outcome(model, grid)
+            assert got == _reference_grid_outcome(model, grid), (text, grid)
+            seen[got[0]] += 1
+            values = np.concatenate(list(grid.values()) or [np.zeros(0)])
+            seen["edge ok"] += got[0] == "ok" and bool(np.isin(values, [0.2 - 1e-12, 1 + 1e-12, -1e-12]).any())
+            seen["past"] += got[0] == "error" and "outside" in got[1]
+            seen["names"] += roll < 0.1
+            seen[f"int {got[0]}"] += i % 2
+    assert seen["ok"] >= 250 and seen["error"] >= 250 and min(seen.values()) >= 20, seen
+    for text in GRID_MODELS.values():  # each model's first failing point on a fixed grid
+        for model in (parse_model(text), _with_int_literals(parse_model(text))):
+            for points in (1, 2, 9):
+                grid = {p.name: np.linspace(p.lower, p.upper, points) for p in model.parameters}
+                assert _grid_outcome(model, grid) == _reference_grid_outcome(model, grid), (text, points)
+
+
+def test_effects_raises_bind_error_of_the_first_failing_point():
+    model = parse_model(GRID_MODELS["root_fails"])
+    grid = {"p": np.array([0.1, 0.5, 0.75, 0.9])}
+    with pytest.raises(BindingError) as err:
+        effects(model, grid, "X", "Y", [1.0])
+    with pytest.raises(BindingError) as want:
+        bind(model, {"p": 0.75})
+    assert str(err.value) == str(want.value)
+    got = effects(model, {"p": grid["p"][:2]}, "X", "Y", [0.0, 1.0], "space", "positive")
+    assert [[v.hex() for v in row] for row in got] == [
+        [effect(bind(model, {"p": p}), EffectQuery("X", "Y", d, "space", "positive")).value.hex()
+         for d in (0.0, 1.0)] for p in (0.1, 0.5)]

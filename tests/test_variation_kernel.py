@@ -189,3 +189,20 @@ def test_a_tie_between_chains_of_one_length_deep_in_the_dp():
     want = vr.variation(gs[0], ps[0], 40.0, "pace", "negative")
     assert want[1] == (1, 5, 6, 11, 13, 15, 16)
     assert vr._kernel(np.array(gs), np.array(ps), [40.0], "pace", "negative") == [[want]]
+
+
+def test_the_switch_takes_the_faster_side_of_the_timed_calls():
+    # As timed on x86-64 (bench/variation.py `switch_s`, and the runs KERNEL_COSTS
+    # is fitted to): chain-8 and chain-9 `eval` tables (256 and 512 rows of l = 4 at
+    # one degree) and a 404-row l = 2 sweep over 5 degrees run faster on the kernel;
+    # one-row per-z calls, `check`'s tables of 4 to 9 rows of l = 10 to 12, and the
+    # few l = 2 rows of an `estimate` on the loops.  The loops serve every l < 2.
+    for variant in vr.VARIANTS:
+        assert vr.on_kernel(256, 4, 1, variant) and vr.on_kernel(512, 4, 1, variant), variant
+        assert vr.on_kernel(404, 2, 5, variant), variant
+        assert not any(vr.on_kernel(1, l, 1, variant) for l in range(1, 13)), variant
+        assert not any(vr.on_kernel(rows, 2, 1, variant) for rows in range(1, 5)), variant
+        assert not any(vr.on_kernel(rows, 1, 11, variant) for rows in (1, 100, 10**6)), variant
+    assert not any(vr.on_kernel(1, l, 1, v) for l in range(13, 49) for v in ("pace", "peace"))
+    assert not any(vr.on_kernel(rows, l, 1, "pace") for rows, l in ((9, 10), (5, 10), (4, 12), (6, 12)))
+    assert not vr.on_kernel(10, 4, 1, "nope")  # the loops name an unknown variant
