@@ -8,7 +8,7 @@ from typing import Iterable, Mapping, Sequence
 
 import numpy as np
 
-from .counterfactual import _latent_joint, recompute
+from .counterfactual import recompute
 from .engine import (
     Distribution,
     _kl_at,
@@ -103,7 +103,7 @@ def ande(
             raise QueryError(f"mediator '{m}' is stochastic and not convertible")
     i0, i1 = (model.support(cause).index_of(x) for x in (x0, x1))
     # Y(x0, M(x0)) is Y(x0): the x0 world's own outcome.
-    x0_world = recompute(model, _latent_joint(model), {cause: i0})
+    x0_world = recompute(model, build_joint(model), {cause: i0})
     held = {m: x0_world.codes[x0_world.column(m)] for m in mediators}
     x1_world = recompute(model, x0_world, {cause: i1, **held})
     return _sum(x0_world.masses * (x1_world.values_of(outcome) - x0_world.values_of(outcome)))

@@ -87,12 +87,13 @@ def _read_model(path: str) -> Model:
     return parse_model(text)
 
 
+def _bound(model: Model, bindings: dict[str, float]) -> Model:
+    """`model` bound to `bindings`, or as it is if it has nothing to bind."""
+    return bind(model, bindings) if bindings or not model.is_bound else model
+
+
 def _load_model(path: str, bindings: Sequence[str]) -> Model:
-    model = _read_model(path)
-    merged = _parse_assignments(",".join(bindings))
-    if model.parameters or merged:
-        model = bind(model, merged)
-    return model
+    return _bound(_read_model(path), _parse_assignments(",".join(bindings)))
 
 
 def _fmt(value: float) -> str:
@@ -180,6 +181,8 @@ def _axis_values(start: float, stop: float, step: float, size: int) -> list[floa
 
 
 def cmd_sweep(args) -> int:
+    if args.format != "table":
+        raise VceError(f"sweep writes CSV only; --format {args.format} is not supported")
     specs: list[tuple[str, float, float, float, int]] = []
     for raw in args.axis:
         name, sep, rng = raw.partition("=")
@@ -210,10 +213,6 @@ def cmd_sweep(args) -> int:
     params = {name: points for name, points in axes if name != "d"}
     degrees = dict(axes).get("d", [args.degree])
 
-    def bound(bindings: dict) -> Model:
-        bindings = {**fixed, **bindings}
-        return bind(base, bindings) if (base.parameters or bindings) else base
-
     def point(combo) -> tuple[dict, float]:  # a grid point's bindings and degree
         named = dict(zip(names, combo))
         return named, named.pop("d", args.degree)
@@ -229,9 +228,9 @@ def cmd_sweep(args) -> int:
         table = vr.effects(base, bindings, args.cause, args.outcome, degrees, args.variant, args.sign)
         table = np.reshape(table, [*map(len, params.values()), len(degrees)])
         values = np.moveaxis(table, -1, names.index("d") if "d" in names else -1).ravel().tolist()
-    except (VceError, OverflowError):
-        values = [vr.effect(bound(named), vr.EffectQuery(args.cause, args.outcome, d, args.variant,
-                                                         args.sign)).value
+    except VceError:
+        values = [vr.effect(_bound(base, {**fixed, **named}),
+                            vr.EffectQuery(args.cause, args.outcome, d, args.variant, args.sign)).value
                   for named, d in map(point, product(*grid))]
 
     out = open(args.out, "w", newline="", encoding="utf-8") if args.out else sys.stdout
@@ -304,6 +303,8 @@ def cmd_baselines(args) -> int:
 
 
 def cmd_estimate(args) -> int:
+    if args.bind and not args.model:
+        raise VceError("--bind needs --model: there is no model to bind")
     with _reading(args.data):
         dataset = est.Dataset.from_csv(args.data)
     if args.model:
@@ -335,6 +336,10 @@ def cmd_estimate(args) -> int:
 
 
 def cmd_check(args) -> int:
+    if args.variant != "pace":
+        raise VceError(f"check runs the pace DP only; --variant {args.variant} is not supported")
+    if args.format != "table":
+        raise VceError(f"check prints text only; --format {args.format} is not supported")
     model = _load_model(args.model, args.bind)
     query = vr.EffectQuery(args.cause, args.outcome, args.degree, "pace", args.sign)
     table = vr.strata(model, query.cause, query.outcome)

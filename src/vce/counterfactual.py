@@ -17,7 +17,7 @@ from typing import Mapping
 import numpy as np
 
 from .engine import Distribution, _positions, _quiet, _sum, build_joint, marginal
-from .errors import QueryError, UnboundModelError, ZeroProbabilityError
+from .errors import QueryError, ZeroProbabilityError
 from .model import CPT, Deterministic, Model, Root
 
 
@@ -58,19 +58,13 @@ def _indices(model: Model, assignment: Mapping[str, float]) -> dict[str, int]:
     return {name: model.support(name).index_of(value) for name, value in assignment.items()}
 
 
-def _latent_joint(model: Model) -> Distribution:
-    if not model.is_bound:
-        raise UnboundModelError("counterfactuals need a fully bound model")
-    return build_joint(model)
-
-
 @_quiet
 def abduct(model: Model, evidence: Evidence) -> Distribution:
     """Posterior over latent configurations given the evidence: the joint's
     rows whose values under the context match it, renormalised."""
     observed = _indices(model, evidence.observed)
     context = _indices(model, evidence.context)
-    joint = _latent_joint(model)
+    joint = build_joint(model)
     world = recompute(model, joint, context)
     keep = np.ones(len(joint), dtype=bool)
     for name, index in observed.items():

@@ -334,9 +334,6 @@ class _Parser:
 
     def parse_prob_entry(self) -> md.Entry:
         start = self.peek()
-        if start[0] == "number" and self.tokens[self.pos + 1][0] in (",", "}"):
-            self.pos += 1  # a plain literal, the common entry: no descent
-            return float(start[1])
         entry = self.parse_body()
         if isinstance(entry, ex.Num):
             return entry.value

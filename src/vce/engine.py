@@ -161,19 +161,8 @@ def _group(codes: Sequence[np.ndarray], sizes: Sequence[int], n: int) -> tuple[n
     return _number(key, math.prod(dims), n)
 
 
-SMALL = 64  # rows up to which one Python pass beats numpy's per-call cost
-
-
 def _number(key: np.ndarray, span: int, n: int) -> tuple[np.ndarray, np.ndarray]:
     """Number the n keys (each below `span`) in order of first appearance."""
-    if n <= SMALL:
-        ids: dict[int, int] = {}
-        number = [ids.setdefault(k, len(ids)) for k in key.tolist()]
-        first = []
-        for row, i in enumerate(number):
-            if i == len(first):
-                first.append(row)
-        return np.array(number, dtype=np.intp), np.array(first, dtype=np.intp)
     if span > 4 * n + 1024:  # rank sparse keys first, so the tables take O(n)
         key, span = np.unique(key, return_inverse=True)[1].reshape(-1), n
     first_of = np.full(span, n)
@@ -181,7 +170,7 @@ def _number(key: np.ndarray, span: int, n: int) -> tuple[np.ndarray, np.ndarray]
     # Each key's first row in row order, marked: a sort is no faster and pages in 0.3 MB of code.
     mark = np.zeros(n + 1, dtype=bool)  # mark[n]: the keys no row has
     mark[first_of] = True
-    first = np.flatnonzero(mark[:n])
+    first = mark[:n].nonzero()[0]
     number = np.empty(span, dtype=np.intp)
     number[key[first]] = np.arange(len(first))
     return number[key], first

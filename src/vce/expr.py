@@ -21,6 +21,9 @@ Expr = Union["Num", "Name", "Unary", "Binary", "Call", "IfElse"]
 class Num:
     value: float
 
+    def __post_init__(self):
+        object.__setattr__(self, "value", float(self.value))  # `Num(1)` is 1.0, as the reader makes it
+
 
 @dataclass(frozen=True)
 class Name:
@@ -135,9 +138,8 @@ def evaluate_grid(expr: Expr, columns: Mapping[str, np.ndarray]) -> tuple[np.nda
 
     Returns (values, failed): `failed` marks each position where `evaluate`
     on that position's identifiers would raise EvalError, following its
-    short-circuits (and any position under an int literal, whose arithmetic
-    is left to `evaluate`); `values` holds `evaluate`'s exact float
-    elsewhere.  A body without identifiers gives 0-d arrays.
+    short-circuits; `values` holds `evaluate`'s exact float elsewhere.  A
+    body without identifiers gives 0-d arrays.
     """
     with np.errstate(all="ignore"):
         return _grid(expr, columns)
@@ -149,8 +151,7 @@ def _not_bool(v: np.ndarray) -> np.ndarray:
 
 def _grid(expr: Expr, columns: Mapping[str, np.ndarray]) -> tuple[np.ndarray, np.ndarray]:
     if isinstance(expr, Num):
-        if isinstance(expr.value, float):  # an int literal is left to `evaluate`'s int arithmetic
-            return np.asarray(expr.value, dtype=np.float64), np.asarray(False)
+        return np.asarray(expr.value, dtype=np.float64), np.asarray(False)
     elif isinstance(expr, Name):
         if expr.ident in columns:
             return np.asarray(columns[expr.ident], dtype=np.float64), np.asarray(False)
@@ -229,7 +230,7 @@ def substitute(expr: Expr, env: Mapping[str, Union[float, Expr]]) -> Expr:
     if isinstance(expr, Name):
         if expr.ident in env:
             repl = env[expr.ident]
-            return Num(float(repl)) if isinstance(repl, (int, float)) else repl
+            return Num(repl) if isinstance(repl, (int, float)) else repl
         return expr
     if isinstance(expr, Unary):
         return Unary(expr.op, substitute(expr.operand, env))

@@ -155,28 +155,28 @@ class OutcomeTable:
     Model.outcome_table and kept on the mechanism for models giving the node
     and its parents these `supports`."""
 
-    __slots__ = ("supports", "parents", "offsets", "array")
+    __slots__ = ("supports", "parents", "array")
 
     def __init__(self, supports: tuple[FiniteSupport, ...], array: np.ndarray):
         self.supports = supports
         self.parents = [s.values for s in supports[1:]]
-        # Per parent, each support value's share of the slot position.
-        self.offsets: list[dict[float, int]] = []
-        stride = 1
-        for values in reversed(self.parents):
-            self.offsets.insert(0, {v: i * stride for i, v in enumerate(values)})
-            stride *= len(values)
         self.array = array
+
+    def slot(self, parent_values: tuple[float, ...]) -> int:
+        """The slot of `parent_values`, each `==` a support value (so -0.0
+        finds 0.0); ValueError for a value that is none."""
+        pos = 0
+        for values, v in zip(self.parents, parent_values):
+            pos = pos * len(values) + values.index(v)
+        return pos
 
     def read(self, mech: Mechanism, parent_values: tuple[float, ...]):
         """The array's entry at `parent_values`; a caller's value that is not
         exactly a support value is evaluated and not stored."""
-        pos = 0
-        for offsets, v in zip(self.offsets, parent_values):
-            offset = offsets.get(v)
-            if offset is None:
-                return _entry(self.supports[0], mech, parent_values)
-            pos += offset
+        try:
+            pos = self.slot(parent_values)
+        except ValueError:
+            return _entry(self.supports[0], mech, parent_values)
         return self.array[pos]
 
 
@@ -239,10 +239,10 @@ def _at(grid: Mapping[str, np.ndarray], k: int) -> dict[str, float]:
 
 def _fill_rows(mech: Root | CPT, supports: tuple[FiniteSupport, ...], grid) -> tuple[np.ndarray, np.ndarray]:
     """The (points x slots x support) array of a `root` or `cpt` table at each
-    point of a grid, its entries evaluated as bind evaluates them (evaluate_grid,
-    and `evaluate` at each position it leaves), and the points where a row
-    fails validate's checks of a bound row: its range, and its sum (added in
-    entry order), or where an entry fails."""
+    point of a grid, its entries evaluated as bind evaluates them (evaluate_grid;
+    NaN where `evaluate` raises), and the points where a row fails validate's
+    checks of a bound row: its range, and its sum (added in entry order), or
+    where an entry fails."""
     support, points = supports[0], _points(grid)
     keys = product(*[s.values for s in supports[1:]])
     rows = [mech.table] if isinstance(mech, Root) else [mech.rows[key] for key in keys]
@@ -251,13 +251,8 @@ def _fill_rows(mech: Root | CPT, supports: tuple[FiniteSupport, ...], grid) -> t
     for s, row in enumerate(rows):
         total = 0.0
         for value, entry in row.items():
-            p, left = (float(entry), False) if _is_number(entry) else ex.evaluate_grid(entry, grid)
-            p = np.array(np.broadcast_to(p, (points,)))
-            for k in np.flatnonzero(np.broadcast_to(left, (points,))).tolist():
-                try:
-                    p[k] = float(ex.evaluate(entry, _at(grid, k)))
-                except EvalError:
-                    p[k] = math.nan
+            p, failed = (float(entry), False) if _is_number(entry) else ex.evaluate_grid(entry, grid)
+            p = np.where(failed, math.nan, np.broadcast_to(p, (points,)))
             ok &= (-ROW_SUM_TOL <= p) & (p <= 1 + ROW_SUM_TOL)  # NaN fails
             total = total + p
             array[:, s, at[value]] = np.where(p <= 0.0, 0.0, p)
@@ -279,10 +274,12 @@ class TableRows(MappingABC):
         return product(*self._table.parents)
 
     def __getitem__(self, key):
-        offsets = self._table.offsets
-        if len(key) != len(offsets):
+        if len(key) != len(self._table.parents):
             raise KeyError(key)
-        probs = self._table.array[sum(o[v] for o, v in zip(offsets, key))].tolist()
+        try:
+            probs = self._table.array[self._table.slot(key)].tolist()
+        except ValueError:
+            raise KeyError(key) from None
         return {v: q for v, q in zip(self._table.supports[0].values, probs) if q != 0.0}
 
 
@@ -366,19 +363,12 @@ class Model:
         return size
 
     def outcome_table(self, name: str) -> OutcomeTable:
-        """`name`'s outcome table (see OutcomeTable), looked up once per model.
-        Filling it raises the error of its first failing slot."""
-        table = self._outcome_tables.get(name)
-        if table is None:
-            table, failures = _table(self, name)
-            if failures:
-                raise failures[0][2]
-            self._outcome_tables[name] = table
+        """`name`'s outcome table (see OutcomeTable).  Filling it raises the
+        error of its first failing slot."""
+        table, failures = _table(self, name)
+        if failures:
+            raise failures[0][2]
         return table
-
-    @cached_property
-    def _outcome_tables(self) -> dict[str, OutcomeTable]:
-        return {}
 
     def topological_order(self) -> tuple[str, ...]:
         """Kahn's algorithm; ties broken by declaration order (deterministic)."""

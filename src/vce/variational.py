@@ -37,7 +37,7 @@ from .engine import (
     marginal,
     stratify,
 )
-from .errors import QueryError, UnboundModelError, ZeroProbabilityError
+from .errors import QueryError, ZeroProbabilityError
 from .model import VALUE_TOL, Deterministic, Grid, Model, Partition, _points, bind_grid
 
 VARIANTS = ("pace", "peace", "space", "apace")
@@ -58,7 +58,15 @@ def weight(p: float, q: float, degree: float) -> float:
         raise _degree_error(degree)
     if p <= 0.0 or q <= 0.0:
         return 0.0
-    return (4.0 * p * q) ** degree
+    return _power(4.0 * p * q, degree)
+
+
+def _power(base: float, degree: float) -> float:
+    """base ** degree; a QueryError past the largest float (4pq > 1 by rounding)."""
+    try:
+        return base ** degree
+    except OverflowError:
+        raise QueryError(f"the availability weight (4pq)^d overflows at d = {degree!r}") from None
 
 
 def signed_difference(later: float, earlier: float, sign: str) -> float:
@@ -249,7 +257,7 @@ def _kernel(gs, ps, degrees, variant, sign):
     big = base[live & (base > 1.0)].tolist()  # the only weights that can overflow
     for d in degrees:  # raise what the loops raise, in their order
         variation(gs[0, :2].tolist(), ps[0, :2].tolist(), d, variant, sign)
-        [b ** d for b in big]  # OverflowError, where float_power would give inf
+        [_power(b, d) for b in big]  # where float_power would give inf
     diff = gs[:, j] - gs[:, i] if sign != "negative" else gs[:, i] - gs[:, j]
     diff = np.abs(diff) if sign == "abs" else np.where(diff > 0.0, diff, 0.0)  # 0.0, not -0.0
     if variant == "pace":
@@ -359,9 +367,7 @@ class EffectReport:
     breakdown: Mapping[tuple[float, ...], ZSlice] = field(repr=False)
 
 
-def _query_context(model: Model, cause: str, outcome: str, bound: bool = False) -> tuple[str, ...]:
-    if not (bound or model.is_bound):
-        raise UnboundModelError("effect queries need a fully bound model")
+def _query_context(model: Model, cause: str, outcome: str) -> tuple[str, ...]:
     if cause not in model.variable_map:
         raise QueryError(f"unknown variable '{cause}'")
     mech = model.mechanisms.get(outcome)
@@ -431,11 +437,9 @@ class StratumTable:
     def totals(self, degrees: Sequence[float], variant: str, per_degree: list[list]) -> list[list[float]]:
         """Each model's effect at each degree from its rows' `per_degree` values:
         P(z) * value added in row order from 0.0, rejected if not finite."""
-        probability = self.probability.tolist()
-        if not self.ends:  # one model: its rows as they are
-            return [[self._total(probability, per_row, 0, variant, d) for d, per_row in zip(degrees, per_degree)]]
+        probability, ends = self.probability.tolist(), self.ends or (len(self.z),)  # one model: one slice
         return [[self._total(probability[a:b], per_row[a:b], a, variant, d) for d, per_row in zip(degrees, per_degree)]
-                for a, b in zip((0, *self.ends), self.ends)]
+                for a, b in zip((0, *ends), ends)]
 
     def _total(self, pz: list[float], per_row: list, a: int, variant: str, d: float) -> float:
         """One model's effect at d from its rows, the first being row a."""
@@ -592,8 +596,8 @@ def effects(model: Model, grid: Mapping[str, np.ndarray], cause: str, outcome: s
     time; each stack is stratified once and aggregated by one `variations` call."""
     for d in degrees:
         EffectQuery(cause, outcome, d, variant, sign)  # checks each degree, the variant and the sign
-    bound = bool(model.parameters or grid)
-    z_vars = _query_context(model, cause, outcome, bound)
+    bound = bool(grid) or not model.is_bound
+    z_vars = _query_context(model, cause, outcome)
     points = _points(grid)
     size = max(1, STACK_BLOCK // (model.state_space_size * len(model.support(cause))))
     out = []
@@ -620,8 +624,6 @@ def natural_availability(
 ) -> float:
     """Variation of the cause with respect to itself: how feasible changing
     the cause is, given the conditioning variables."""
-    if not model.is_bound:
-        raise UnboundModelError("natural availability needs a fully bound model")
     EffectQuery(cause, cause, degree, variant)  # checks the degree and the variant
     if cause in z_vars:
         raise QueryError("conditioning set must not contain the cause")

@@ -676,3 +676,80 @@ def test_validating_a_model_with_far_apart_support_values_warns_nothing():
     # Snapping a def table onto {-1e308, 1e308} measures a distance past the
     # largest float; the suite turns any RuntimeWarning into an error.
     parse_model(OVERFLOW)
+
+
+ROUNDED = """var W in {0, 1}
+var X in {0, 1}
+var Y in {0, 1}
+root W {0: 0.3, 1: 0.7}
+root X {0: 0.5, 1: 0.5}
+def Y = X
+"""
+
+
+@pytest.mark.parametrize("command", [
+    ["eval", "--variant", "pace"], ["eval", "--variant", "peace"], ["eval", "--variant", "space"],
+    ["eval", "--variant", "apace"], ["eval", "--format", "json"], ["check"],
+    ["sweep", "--axis", "d=1e300:2e300:1e300"], ["sweep", "--variant", "apace", "--axis", "d=1e300:1e300:1"],
+])
+def test_a_weight_past_the_largest_float_exits_2(capsys, tmp_path, command):
+    # P(x) adds up to 0.5000000000000001, so 4pq is 1.0000000000000004 and its 1e300th power overflows.
+    (tmp_path / "ovf.sem").write_text(ROUNDED)
+    degree = [] if command[0] == "sweep" else ["--degree", "1e300"]
+    code, out, err = run(capsys, command[0], str(tmp_path / "ovf.sem"), *command[1:], *degree,
+                         "--cause", "X", "--outcome", "Y")
+    assert (code, out, err) == (2, "", "error: the availability weight (4pq)^d overflows at d = 1e+300\n")
+
+
+@pytest.mark.parametrize("argv", [
+    ["check", SPRINKLER_F, "--bind", "p=0.42", "--cause", "R", "--outcome", "W", "--variant", "space"],
+    ["check", SPRINKLER_F, "--bind", "p=0.42", "--cause", "R", "--outcome", "W", "--format", "json"],
+    ["sweep", SPRINKLER_F, "--cause", "R", "--outcome", "W", "--axis", "p=0:1:0.5", "--format", "json"],
+    ["estimate", "{csv}", "--cause", "S", "--outcome", "W", "--given", "R", "--bind", "p=0.3"],
+])
+def test_an_option_the_command_would_ignore_exits_2(capsys, tmp_path, argv):
+    path = tmp_path / "data.csv"
+    path.write_text("R,S,W\n0,0,0\n0,1,1\n1,0,1\n1,1,1\n", encoding="utf-8")
+    code, out, err = run(capsys, *[a.format(csv=path) for a in argv])
+    assert (code, out) == (2, "")
+    assert err.startswith("error: ") and err.count("\n") == 1
+
+
+@pytest.mark.parametrize("command", [
+    ["check", SPRINKLER_F, "--bind", "p=0.42", "--cause", "R", "--outcome", "W"],
+    ["sweep", SPRINKLER_F, "--cause", "R", "--outcome", "W", "--axis", "p=0:1:0.5"],
+])
+def test_the_options_a_command_follows_keep_its_output(capsys, command):
+    plain = run(capsys, *command)
+    assert plain[0] == 0
+    extra = ["--format", "table"] + (["--variant", "pace"] if command[0] == "check" else [])
+    assert run(capsys, *command, *extra) == plain
+
+
+CONSTANT = """var Z in {0, 1}
+var X in {0, 1}
+var Y in {0, 1, 2}
+root Z {0: 1 - 0.75, 1: 0.75}
+cpt X | Z {(0): {0: 0.5 * 0.5, 1: 0.75}, (1): {0: 0.5, 1: 0.5}}
+def Y = X + Z
+"""
+
+
+@pytest.mark.parametrize("command", [
+    ["eval", "{sem}", "--cause", "X", "--outcome", "Y"],
+    ["eval", "{sem}", "--cause", "X", "--outcome", "Y", "--format", "json", "--variant", "space"],
+    ["sweep", "{sem}", "--cause", "X", "--outcome", "Y", "--axis", "d=0:1:0.5"],
+    ["check", "{sem}", "--cause", "X", "--outcome", "Y"],
+    ["baselines", "{sem}", "--cause", "X", "--outcome", "Y"],
+    ["counterfactual", "{sem}", "--evidence", "Y=1", "--do", "X=1", "--target", "Y"],
+    ["estimate", "{csv}", "--model", "{sem}", "--cause", "X", "--outcome", "Y", "--given", "Z"],
+])
+def test_constant_expressions_need_no_param(capsys, tmp_path, command):
+    # `1 - 0.75` and `0.5 * 0.5` are 0.25 exactly: the model answers as the one written with 0.25.
+    (tmp_path / "data.csv").write_text("Z,X,Y\n0,0,0\n0,1,1\n1,0,1\n1,1,2\n1,1,2\n", encoding="utf-8")
+    outputs = []
+    for text in (CONSTANT, CONSTANT.replace("1 - 0.75", "0.25").replace("0.5 * 0.5", "0.25")):
+        (tmp_path / "m.sem").write_text(text, encoding="utf-8")
+        outputs.append(run(capsys, *[a.format(sem=tmp_path / "m.sem", csv=tmp_path / "data.csv")
+                                     for a in command]))
+    assert outputs[0] == outputs[1] and outputs[0][0] == 0, outputs

@@ -205,10 +205,10 @@ def test_len_of_the_entries_builds_no_dict(monkeypatch):
 
 
 def test_grouping_numbers_groups_by_first_appearance():
-    # Both ways of numbering (a Python pass on a few rows, numpy on more)
-    # and the renumbering of wide keys give a dict's first-appearance order.
+    # Numbering, at every size, and the renumbering of wide keys give a
+    # dict's first-appearance order.
     rng = np.random.default_rng(96)
-    for n in (0, 1, 5, engine.SMALL, engine.SMALL + 1, 700):
+    for n in (0, 1, 5, 64, 65, 700):
         for sizes in ([], [3], [2, 5], [40] * 6):
             codes = [rng.integers(0, s, n) for s in sizes]
             group, first = engine._group(codes, sizes, n)

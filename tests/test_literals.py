@@ -9,6 +9,7 @@ import re
 
 import pytest
 
+from vce import expr as ex
 from vce.cli import main
 from vce.dsl import parse_model
 from vce.engine import build_joint, expectation, intervene
@@ -96,3 +97,9 @@ def test_diagnostics_keep_text_and_order():
         f"Y: missing table row for ({1 / 3!r},)",
         "Y: missing table row for (1.0,)",
     ]
+
+
+def test_a_python_int_literal_is_a_float():
+    # The .sem reader makes every number a float; a model built in Python gets the same.
+    assert type(ex.Num(1).value) is float and ex.Num(1).value == 1.0
+    assert ex.Num(1) == ex.Num(1.0)

@@ -30,6 +30,7 @@ from vce.model import (
     FiniteSupport,
     Model,
     Root,
+    TableRows,
     Variable,
     bind,
     snap_to_support,
@@ -206,6 +207,31 @@ def test_caller_values_off_the_supports_are_evaluated_not_stored(value_calls):
     assert deterministic_value(m, "Y", {"X": 1.0 + 1e-12}) == 2.0
     assert len(value_calls) == before + 2
     assert m.outcome_table("Y").array.tolist() == [0, 2]
+
+
+def test_lookups_find_the_slot_of_each_support_value(value_calls):
+    # Two parents, so a slot is a mixed-radix position; -0.0 == 0.0 finds 0.0's slot.
+    m = parse_model("var A in {0, 1}\nvar B in {0, 1, 2}\nvar Y in {0, 1, 2, 3}\n"
+                    "root A {0: 0.5, 1: 0.5}\nroot B {0: 0.25, 1: 0.25, 2: 0.5}\ndef Y = A + B\n"
+                    "cpt W | A, B {(0, 0): {0: 1}, (0, 1): {0: 0.5, 1: 0.5}, (0, 2): {1: 1},\n"
+                    "(1, 0): {0: 0.25, 1: 0.75}, (1, 1): {0: 0, 1: 1}, (1, 2): {0: 0.5, 1: 0.5}}\nvar W in {0, 1}\n")
+    mech, table = m.mechanisms["Y"], m.outcome_table("Y")
+    before = len(value_calls)
+    for a, b in product((0.0, 1.0), (0.0, 1.0, 2.0)):
+        assert table.read(mech, (a, b)) == a + b
+    assert table.read(mech, (-0.0, 2.0)) == 2
+    assert len(value_calls) == before
+    assert table.read(mech, (1.0, 2.0 + 1e-12)) == 3  # off the support: evaluated, not stored
+    assert len(value_calls) == before + 1
+    assert table.array.tolist() == [0, 1, 2, 1, 2, 3]
+    rows = TableRows(m.outcome_table("W"))
+    assert len(rows) == 6 and list(rows) == list(product((0.0, 1.0), (0.0, 1.0, 2.0)))
+    assert rows[(1.0, 0.0)] == {0.0: 0.25, 1.0: 0.75}
+    assert rows[(-0.0, 1.0)] == rows[(0.0, 1.0)] == {0.0: 0.5, 1.0: 0.5}
+    assert rows[(1.0, 1.0)] == {1.0: 1.0}  # its nonzero entries
+    for key in [(0.0,), (0.0, 1.0, 2.0), (0.0, 3.0), (0.5, 1.0), (0.0, 1.0 + 1e-12)]:
+        with pytest.raises(KeyError):
+            rows[key]
 
 
 def test_eval_chain10_evaluates_each_outcome_once(tmp_path, capsys, value_calls, grid_fills):

@@ -281,9 +281,9 @@ def test_bind_gives_the_diagnostics_a_whole_validation_gives():
 # --- the grid bound as one array axis ------------------------------------------------
 
 # Each model swept over p (and the degree), the grids of the parameters bind rebuilds
-# in one place each: `1 - p` entries (the .sem reader makes every literal a float; the
-# int literals evaluate_grid leaves to `evaluate` come from models built in Python, see
-# `_int_literals`), a parameter only in a `def` body, and grids that fail at point k in
+# in one place each: `1 - p` entries (the .sem reader makes every literal a float, and
+# `Num` makes the int literals of models built in Python floats too, see `_int_literals`),
+# a parameter only in a `def` body, and grids that fail at point k in
 # a root row (its range; an entry past 1 + 1e-9 in a row whose sum is within 1e-9 of
 # 1; a sum 1.5e-9 past 1), a cpt row (its sum, then a range) and a def body (off the
 # support, and an `if` condition that is not 0 or 1).

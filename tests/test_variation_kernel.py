@@ -9,6 +9,7 @@ import numpy as np
 import pytest
 
 from vce import variational as vr
+from vce.errors import QueryError
 
 STACKS = 520
 # 0.5 and 2.0 are where np.power takes sqrt and square shortcuts; 0.6000000000000001
@@ -91,9 +92,9 @@ def test_an_overflowing_weight_raises_what_the_loops_raise(variant):
     for call in (lambda: vr.variations(gs, ps, [1.0, 2000.0], variant, "abs"),
                  lambda: [vr.variation(g, p, d, variant, "abs") for d in (1.0, 2000.0)
                           for g, p in zip(gs, ps)]):
-        with pytest.raises(OverflowError) as raised:
+        with pytest.raises(QueryError) as raised:
             call()
-        assert raised.value.args == (34, "Numerical result out of range")
+        assert raised.value.args == ("the availability weight (4pq)^d overflows at d = 2000.0",)
 
 
 def test_kernel_matches_the_loops_bit_for_bit(monkeypatch):
