@@ -72,8 +72,12 @@ BAD_CSVS = {
 # not 0 or 1, failures in two mechanisms (the first an indented `cpt` on line
 # 4), a variable without a mechanism, and a cycle; a valid model whose
 # variation overflows at d = 0 (Y = 0, 1.5e308, 0 along X); parameter bounds
-# that are not finite (an overflowing literal and inf/inf); and a row key
-# given twice in a `fun` and in a `cpt`.
+# that are not finite (an overflowing literal and inf/inf); a row key
+# given twice in a `fun` and in a `cpt`; and a second mechanism for X.
+# BOUND_MODELS are valid models whose binding fails for some p: a `root` entry
+# that fails to evaluate for 0.5 <= p < 1, a `def` that leaves Y's support for
+# p > 0.5, a `def` whose body fails for 0.5 < p < 1, and a `def` of `not`,
+# `xor` and unary `-` that bind rebuilds.
 BAD_MODELS = {
     "bad_if": "# a def whose 'if' condition is not 0 or 1\nvar X in {0, 1}\nvar Y in {0, 1}\n\n"
               "root X {0: 0.5, 1: 0.5}\ndef Y = if X * 0.75 then 1 else 0\n",
@@ -92,6 +96,18 @@ BAD_MODELS = {
                "fun Y | X { (0): 0, (0): 1, (1): 1 }\n",
     "dup_cpt": "var X in {0, 1}\nvar Y in {0, 1}\nroot X {0: 0.5, 1: 0.5}\n"
                "cpt Y | X {\n  (0): {0: 1, 1: 0},\n  (0): {0: 0, 1: 1},\n  (1): {0: 0, 1: 1},\n}\n",
+    "dup_mech": "var X in {0, 1}\nvar Y in {0, 1}\nroot X {0: 0.5, 1: 0.5}\nroot X {0: 1, 1: 0}\n"
+                "def Y = X\n",
+}
+BOUND_MODELS = {
+    "bind_entry": "param p in [0, 1]\nvar X in {0, 1}\nvar Y in {0, 1}\n"
+                  "root X {0: if p < 0.5 or p then p else 0, 1: 1 - p}\ndef Y = X\n",
+    "bind_def": "param p in [0, 1]\nvar X in {0, 1}\nvar Y in {0, 1}\nroot X {0: 0.5, 1: 0.5}\n"
+                "def Y = if p > 0.5 then 2 * X else X\n",
+    "bind_body": "param p in [0, 1]\nvar X in {0, 1}\nvar Y in {0, 1}\nroot X {0: 0.5, 1: 0.5}\n"
+                 "def Y = if p <= 0.5 or p then X else 0\n",
+    "bind_unary": "param p in [0, 1]\nvar X in {0, 1}\nvar Y in {-1, 0, 1}\nroot X {0: p, 1: 1 - p}\n"
+                  "def Y = xor(not X, p > 0.5) + -X\n",
 }
 _TOKEN = re.compile(r"#[^\n]*|[\d.]+(?:[eE][+-]?\d+)?|\w+|[=!<>]=|\S")
 
@@ -146,7 +162,7 @@ def write_inputs(tmp: Path) -> dict[str, str]:
     mutant_dir.mkdir()
     for name, _, text in mutants():
         (mutant_dir / name).write_text(text, encoding="utf-8")
-    for name, text in BAD_MODELS.items():
+    for name, text in {**BAD_MODELS, **BOUND_MODELS}.items():
         (mutant_dir / f"{name}.sem").write_text(text, encoding="utf-8")
     return {"{models}": str(MODELS_DIR), "{csv}": str(csv_path), "{csvs}": str(csv_dir),
             "{mutants}": str(mutant_dir)}
@@ -181,7 +197,9 @@ def commands() -> list[list[str]]:
     a deterministic node, baselines (and ANDE with the outcome's other parents
     as mediators) on every arrow, one zero-probability counterfactual per
     model, estimates on one CSV and on the small datasets (their errors), an
-    effect query on each malformed model, and effects that overflow."""
+    effect query on each malformed model, effects that overflow, bindings and
+    sweeps of BOUND_MODELS, unknown names, a CMI of a non-parent and malformed
+    --bind and --axis options."""
     out: list[list[str]] = []
     queries: dict[str, list[str]] = {}
     for name, model, bind, cause, outcome in _arrows():
@@ -264,6 +282,22 @@ def commands() -> list[list[str]]:
             ["check", *big, *d0]]
     for name, source, _ in mutants():
         out.append(["eval", f"{{mutants}}/{name}", *queries[source]])
+    for name in BOUND_MODELS:
+        model = ["{mutants}/" + name + ".sem", *xy]
+        for p in ("0.3", "0.9"):
+            out.append(["eval", *model, "--bind", f"p={p}"])
+        out.append(["sweep", *model, "--axis", "p=0:1:0.25"])
+        out.append(["sweep", *model, "--axis", "d=0:2:1", "--axis", "p=0:1:0.25"])
+    sprinkler = "{models}/sprinkler.sem"
+    out += [["eval", "{models}/sprinkler_functional.sem", "--bind", "p=0.3", "--cause", "R",
+             "--outcome", "Q"],
+            ["baselines", sprinkler, "--cause", "C", "--outcome", "W", "--select", "cmi"],
+            ["baselines", sprinkler, "--cause", "R", "--outcome", "W", "--select", "ande",
+             "--mediators", "Q"]]
+    rare = ["{models}/rare_disease.sem", *xy]
+    out.append(["eval", *rare, "--bind", "p"])
+    for axis in ("d=0:1:0", "d", "d=0:1"):
+        out.append(["sweep", *rare, "--bind", "p=0.3", "--axis", axis])
     return out
 
 
