@@ -24,7 +24,7 @@ from .engine import (
 )
 from .errors import PositivityError, QueryError
 from .estimation import Dataset
-from .model import CPT, Deterministic, Model
+from .model import Deterministic, Model
 from .rewrites import _cut, _functionalize
 
 
@@ -98,9 +98,6 @@ def ande(
     model = _functionalize(model, [outcome, *mediators])
     if not isinstance(model.mechanisms[outcome], Deterministic):
         raise QueryError(f"outcome '{outcome}' is stochastic and not convertible")
-    for m in mediators:
-        if isinstance(model.mechanisms[m], CPT):
-            raise QueryError(f"mediator '{m}' is stochastic and not convertible")
     i0, i1 = (model.support(cause).index_of(x) for x in (x0, x1))
     # Y(x0, M(x0)) is Y(x0): the x0 world's own outcome.
     x0_world = recompute(model, build_joint(model), {cause: i0})

@@ -287,11 +287,11 @@ def stratify(dist: Distribution, x: np.ndarray, width: int, z_names: Sequence[st
 
 
 def _given(joint: Distribution, given: Mapping[str, float]) -> Distribution:
-    """The rows whose every `given` value is within VALUE_TOL of the given one."""
+    """The rows whose every `given` value is within VALUE_TOL of the given one (a NaN is near none)."""
     keep = np.ones(len(joint), dtype=bool)
     for name, v in given.items():
         c = joint.column(name)
-        near = np.array([not abs(x - v) > VALUE_TOL for x in joint.values[c]], dtype=bool)
+        near = np.array([abs(x - v) <= VALUE_TOL for x in joint.values[c]], dtype=bool)
         keep &= near[joint.codes[c]]
     return Distribution(joint.variables, columns=(
         joint.values, [c[keep] for c in joint.codes], joint.masses[keep]))

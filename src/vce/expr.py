@@ -7,12 +7,13 @@ exactly 0 or 1 so silent coercions cannot hide a modelling mistake.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from typing import Mapping, Union
 
 import numpy as np
 
-from .errors import EvalError
+from .errors import EvalError, ModelError
 
 Expr = Union["Num", "Name", "Unary", "Binary", "Call", "IfElse"]
 
@@ -313,7 +314,10 @@ def _render(expr: Expr) -> tuple[str, int]:
 
 
 def format_number(value: float) -> str:
-    """Shortest decimal text that round-trips through float()."""
-    if value == int(value) and abs(value) < 1e15:
-        return str(int(value))
-    return repr(float(value))
+    """Shortest text the model reader reads back to the same float: -0.0 is
+    `-0` and an infinity `1e999` or `-1e999`.  A NaN has none (ModelError)."""
+    if value != value:
+        raise ModelError("NaN cannot be written as a number literal")
+    if abs(value) == math.inf:
+        return "-1e999" if value < 0 else "1e999"
+    return f"{value:.0f}" if value.is_integer() and abs(value) < 1e15 else repr(value)

@@ -192,10 +192,11 @@ def _entry(support: FiniteSupport, mech: Mechanism, parent_values: tuple[float, 
 def _fill(mech: Mechanism, supports: tuple[FiniteSupport, ...],
           params: Mapping[str, np.ndarray] | None = None) -> tuple[np.ndarray, list]:
     """The array of `mech`'s outcome table over `supports`, and the (point,
-    parent values, error) of each slot a `def` body fails at, in slot order.
-    Other mechanisms take one pass in slot order and raise at their first
-    failing slot.  A body that reads parameters is given their values at the
-    points of a grid (`params`, see bind_grid): its array has a leading point axis."""
+    parent values) of each slot a `def` body fails at or leaves the support
+    at, in slot order; the array holds no entry there.  Other mechanisms take
+    one pass in slot order and raise at their first failing slot.  A body that
+    reads parameters is given their values at the points of a grid (`params`,
+    see bind_grid): its array has a leading point axis."""
     support, parents = supports[0], [s.values for s in supports[1:]]
     dtype = np.min_scalar_type(len(support) - 1)
     if not isinstance(mech, Deterministic) or mech.body is None:
@@ -215,15 +216,8 @@ def _fill(mech: Mechanism, supports: tuple[FiniteSupport, ...],
         columns.update({name: values[point] for name, values in (params or {}).items()})
         values, failed = ex.evaluate_grid(mech.body, columns)
         index[start:stop], off = _snap_grid(support, np.broadcast_to(values, (stop - start,)))
-        # The scalar evaluator gives each failing position its entry or its error
-        # (at a grid's point k, of the body bound there, as bind binds it).
-        for j in np.flatnonzero(failed | off).tolist():
-            assignment, k = tuple([vs[d[j]] for vs, d in zip(parents, digits)]), int(point[j]) if params else 0
-            body = Deterministic(mech.parents, body=ex.substitute(mech.body, _at(params, k))) if params else mech
-            try:
-                index[start + j] = _entry(support, body, assignment)
-            except (EvalError, ModelError) as err:
-                failures.append((k, assignment, err))
+        failures += [(int(point[j]) if params else 0, tuple([vs[d[j]] for vs, d in zip(parents, digits)]))
+                     for j in np.flatnonzero(failed | off).tolist()]
     return index.reshape(points, size) if params else index, failures
 
 
@@ -316,14 +310,9 @@ class Model:
         object.__setattr__(self, "variables", tuple(self.variables))
         object.__setattr__(self, "parameters", tuple(self.parameters))
         limit = state_space_limit()
-        size = 1
-        for v in self.variables:
-            size *= len(v.support)
-            if size > limit:
-                raise StateSpaceError(
-                    f"joint state space exceeds limit {limit} "
-                    f"({len(self.variables)} variables)"
-                )
+        if self.state_space_size > limit:
+            raise StateSpaceError(
+                f"joint state space exceeds limit {limit} ({len(self.variables)} variables)")
 
     @cached_property
     def variable_map(self) -> dict[str, Variable]:
@@ -357,17 +346,16 @@ class Model:
 
     @cached_property
     def state_space_size(self) -> int:
-        size = 1
-        for v in self.variables:
-            size *= len(v.support)
-        return size
+        return math.prod(len(v.support) for v in self.variables)
 
     def outcome_table(self, name: str) -> OutcomeTable:
         """`name`'s outcome table (see OutcomeTable).  Filling it raises the
-        error of its first failing slot."""
+        scalar evaluator's error at its first failing slot."""
         table, failures = _table(self, name)
         if failures:
-            raise failures[0][2]
+            slot = failures[0][1]
+            _entry(self.support(name), self.mechanisms[name], slot)
+            raise ModelError(f"{name}: the array pass fails at {slot}, the scalar evaluator does not")
         return table
 
     def topological_order(self) -> tuple[str, ...]:
@@ -397,21 +385,7 @@ class Model:
 
     @cached_property
     def is_bound(self) -> bool:
-        if self.parameters:
-            return False
-        return not any(True for _ in self._expression_entries())
-
-    def _expression_entries(self) -> Iterator[ex.Expr]:
-        for mech in self.mechanisms.values():
-            if isinstance(mech, Root):
-                for entry in mech.table.values():
-                    if not _is_number(entry):
-                        yield entry
-            elif isinstance(mech, CPT):
-                for row in mech.rows.values():
-                    for entry in row.values():
-                        if not _is_number(entry):
-                            yield entry
+        return not self.parameters and not any(_rebuilt(m, {}) for m in self.mechanisms.values())
 
 
 def state_space_limit() -> int:
@@ -433,12 +407,7 @@ def state_space_limit() -> int:
 
 
 def _parent_space(model: Model, parents: tuple[str, ...]) -> Iterator[tuple[float, ...]]:
-    supports = []
-    for p in parents:
-        if p not in model.variable_map:
-            return
-        supports.append(model.variable_map[p].support.values)
-    yield from product(*supports)
+    return product(*[model.support(p).values for p in parents])
 
 
 def _check_distribution_rows(
@@ -510,15 +479,16 @@ def diagnostics(model: Model) -> list[tuple[str | None, str]]:
         diags = []
         support = model.variable_map[n].support
         parents = mech.parents
-        for p in parents:
-            if p not in seen:
-                diags.append(f"{n}: parent '{p}' is not a declared variable")
+        undeclared = [p for p in parents if p not in seen]
+        diags += [f"{n}: parent '{p}' is not a declared variable" for p in undeclared]
         if len(set(parents)) != len(parents):
             diags.append(f"{n}: duplicate parent")
         if n in parents:
             diags.append(f"{n}: node lists itself as a parent")
 
-        if isinstance(mech, Root):
+        if undeclared:
+            pass  # there is no parent space to check its rows, table or body over
+        elif isinstance(mech, Root):
             _check_distribution_rows(model, n, support, [("root table", mech.table)], diags)
         elif isinstance(mech, CPT):
             _check_cpt(model, n, support, mech, diags)
@@ -534,8 +504,6 @@ def diagnostics(model: Model) -> list[tuple[str | None, str]]:
 
 
 def _check_cpt(model: Model, name: str, support: FiniteSupport, mech: CPT, diags: list[str]):
-    if any(p not in model.variable_map for p in mech.parents):
-        return
     expected = dict.fromkeys(_parent_space(model, mech.parents))
     for key in mech.rows:
         if key not in expected:
@@ -551,8 +519,6 @@ def _check_cpt(model: Model, name: str, support: FiniteSupport, mech: CPT, diags
 def _check_deterministic(
     model: Model, name: str, support: FiniteSupport, mech: Deterministic, diags: list[str]
 ):
-    if any(p not in model.variable_map for p in mech.parents):
-        return
     if mech.table is not None:
         expected = dict.fromkeys(_parent_space(model, mech.parents))
         for key, value in mech.table.items():
@@ -571,17 +537,20 @@ def _check_deterministic(
         return
     if mech.names & set(model.parameter_map):
         return  # totality checked after binding
-    for _, assignment, err in _table(model, name)[1]:  # a clean table is kept for every later reader
-        if isinstance(err, EvalError):
-            diags.append(f"{name}: body fails at {assignment}: {err}")
-        else:
+    for _, assignment in _table(model, name)[1]:  # a clean table is kept for every later reader
+        try:
             value = mech.value(assignment)
-            diags.append(f"{name}: body yields {value!r} at {assignment}, outside support")
+        except EvalError as err:
+            diags.append(f"{name}: body fails at {assignment}: {err}")
+            continue
+        if value in support:
+            raise ModelError(f"{name}: the array pass fails at {assignment}, the scalar evaluator does not")
+        diags.append(f"{name}: body yields {value!r} at {assignment}, outside support")
 
 
 def _table(model: Model, name: str) -> tuple[OutcomeTable | None, list]:
     """`name`'s outcome table as kept on its mechanism, filled if it is not kept
-    there for these supports, and the failures of that fill (see _fill); a
+    there for these supports, and the failing slots of that fill (see _fill); a
     table with a failing slot is not kept."""
     mech = model.mechanisms[name]
     supports = tuple([model.variable_map[n].support for n in (name, *mech.parents)])
@@ -677,7 +646,7 @@ def _rebuilt(mech: Mechanism, declared: Mapping[str, Parameter]) -> bool:
         return not all(map(_is_number, mech.table.values()))
     if isinstance(mech, CPT):
         return not all(_is_number(e) for row in mech.rows.values() for e in row.values())
-    return mech.body is not None and bool(mech.names & set(declared))
+    return bool(declared) and mech.body is not None and not mech.names.isdisjoint(declared)
 
 
 class Grid(NamedTuple):
@@ -707,7 +676,7 @@ def bind_grid(model: Model, grid: Mapping[str, np.ndarray]) -> Grid:
             supports = tuple([model.variable_map[n].support for n in (name, *mech.parents)])
             if isinstance(mech, Deterministic):
                 array, failures = _fill(mech, supports, grid)
-                failed[[k for k, *_ in failures]] = True
+                failed[[k for k, _ in failures]] = True
             else:
                 array, bad = _fill_rows(mech, supports, grid)
                 failed |= bad

@@ -26,6 +26,7 @@ from .model import (
     TableRows,
     Variable,
     _parent_space,
+    _rebuilt,
 )
 
 ArrowSet = frozenset[tuple[str, str]]
@@ -106,9 +107,8 @@ def cpt_to_noise(model: Model, node: str, free_parameter: str | None = None) -> 
     if len(support) != 2:
         raise NoiseConversionError(f"'{node}' has {len(support)} outcomes; only binary supported")
     lo, hi = support.values
-    for key, row in mech.rows.items():
-        if any(not isinstance(e, (int, float)) for e in row.values()):
-            raise UnboundModelError(f"'{node}' has parameterized rows; bind the model first")
+    if _rebuilt(mech, {}):
+        raise UnboundModelError(f"'{node}' has parameterized rows; bind the model first")
 
     noise = f"U_{node}"
     taken = {v.name for v in model.variables} | {p.name for p in model.parameters}

@@ -362,7 +362,7 @@ def reference_conditional(joint: Distribution, variables, given) -> Distribution
     table: dict[tuple[float, ...], float] = {}
     mass = 0.0
     for key, p in joint.entries.items():
-        if any(abs(key[c] - v) > VALUE_TOL for c, v in gcols):
+        if not all(abs(key[c] - v) <= VALUE_TOL for c, v in gcols):  # a NaN matches no value
             continue
         mass += p
         sub = tuple(key[c] for c in cols)

@@ -6,7 +6,7 @@ import sys
 import pytest
 
 from helpers import MODELS_DIR, load_model_text
-from vce import engine
+from vce import engine, variational
 from vce.cli import MAX_GRID_POINTS, main
 from vce.engine import sample
 from vce.dsl import parse_model
@@ -288,6 +288,32 @@ def test_check_reports_ok(capsys):
     )
     assert code == 0
     assert out.startswith("OK, max deviation")
+
+
+@pytest.mark.parametrize("offset, code, line", [
+    (1e-11, 0, "OK, max deviation 1.000e-11 (2 z-strata)"),
+    (1e-3, 3, "MISMATCH: max deviation 1.000e-03 over 2 z-strata"),
+])
+def test_check_reports_the_brute_force_deviation(capsys, monkeypatch, offset, code, line):
+    # The brute force is shifted by `offset`: within the tolerance it is reported, past it a mismatch.
+    real = variational.brute_force_total_variation
+    monkeypatch.setattr(variational, "brute_force_total_variation",
+                        lambda *args: (real(*args)[0] + offset, real(*args)[1]))
+    assert run(capsys, "check", BSC, "--cause", "X", "--outcome", "Y") == (code, line + "\n", "")
+
+
+@pytest.mark.parametrize("argv, message", [
+    (["eval", RARE, "--cause", "X", "--outcome", "Y", "--bind", "p"], "expected NAME=VALUE, got 'p'"),
+    (["sweep", RARE, "--cause", "X", "--outcome", "Y", "--axis", "d=0:1:0"], "axis step must be positive"),
+    (["sweep", RARE, "--cause", "X", "--outcome", "Y", "--axis", "d"], "expected AXIS=START:STOP:STEP, got 'd'"),
+    (["sweep", RARE, "--cause", "X", "--outcome", "Y", "--axis", "d=0:1"], "expected START:STOP:STEP in 'd=0:1'"),
+    (["eval", BSC, "--cause", "X", "--outcome", "Q"], "unknown variable 'Q'"),
+    (["baselines", SPRINKLER, "--cause", "C", "--outcome", "W", "--select", "cmi"], "'C' is not a parent of 'W'"),
+    (["baselines", SPRINKLER, "--cause", "R", "--outcome", "W", "--select", "ande", "--mediators", "Q"],
+     "unknown variable 'Q'"),
+])
+def test_malformed_options_and_unknown_names_exit_2(capsys, argv, message):
+    assert run(capsys, *argv) == (2, "", f"error: {message}\n")
 
 
 def test_check_ramp(capsys):

@@ -1,3 +1,6 @@
+import dataclasses
+import math
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -7,8 +10,8 @@ from helpers import load_model_text, random_dsl_model, random_paired_expr
 from vce import expr as ex
 from vce.dsl import MAX_NESTING, parse_model, serialize_model
 from vce.engine import build_joint, conditional, expectation
-from vce.errors import ParseError
-from vce.model import Deterministic, Root, bind
+from vce.errors import ModelError, ParseError
+from vce.model import Deterministic, FiniteSupport, Model, Root, Variable, bind
 
 
 def test_parse_bsc_structure(bsc):
@@ -105,6 +108,8 @@ _XY = "var X in {0, 1}\nvar Y in {0, 1}\nroot X {0: 0.5, 1: 0.5}\n"
     ("param p in [-1e400, 0]\n" + _XY, "1:13: parameter 'p' bound -inf is not finite"),
     ("param p in [1e400/1e400, 1]\n" + _XY, "1:13: parameter 'p' bound nan is not finite"),
     ("param p in [1, 0]\n" + _XY, "1:7: parameter 'p' has empty range"),
+    # A second mechanism for a variable is reported at its name.
+    (_XY + "root X {0: 1, 1: 0}\n", "4:6: variable 'X' already has a mechanism"),
 ])
 def test_table_and_bound_errors_carry_their_token_location(text, message):
     with pytest.raises(ParseError) as err:
@@ -118,6 +123,23 @@ def test_forward_references_allowed():
     assert m.mechanisms["Y"].parents == ("X",)
 
 
+def _bits(model):
+    """float.hex of every number a model holds, in declaration order: parameter
+    bounds, supports, table keys and entries, and `def` literals."""
+    def walk(x):
+        if isinstance(x, (int, float)) and not isinstance(x, bool):
+            return float(x).hex()
+        if isinstance(x, dict):
+            return [(walk(k), walk(v)) for k, v in x.items()]
+        if isinstance(x, (tuple, list)):
+            return [walk(y) for y in x]
+        if dataclasses.is_dataclass(x):
+            return [walk(getattr(x, f.name)) for f in dataclasses.fields(x)]
+        return x
+
+    return walk([model.parameters, model.variables, [model.mechanisms.get(v.name) for v in model.variables]])
+
+
 def test_round_trip_golden_models():
     for name in (
         "bsc.sem",
@@ -128,7 +150,8 @@ def test_round_trip_golden_models():
         "crossover.sem",
     ):
         model = parse_model(load_model_text(name))
-        assert parse_model(serialize_model(model)) == model, name
+        again = parse_model(serialize_model(model))
+        assert again == model and _bits(again) == _bits(model), name
 
 
 def test_round_trip_bound_model(sprinkler_functional_source):
@@ -152,7 +175,33 @@ def test_round_trip_random_models():
     for _ in range(300):
         model = random_dsl_model(rng)
         text = serialize_model(model)
-        assert parse_model(text) == model, text
+        again = parse_model(text)
+        assert again == model and _bits(again) == _bits(model), text
+
+
+@pytest.mark.parametrize("text, spelled", [
+    # An overflowing literal is an infinity, written 1e999 or -1e999.
+    (_XY + "def Y = if X > 1e400 then 1 else X\n", "def Y = if X > 1e999 then 1 else X"),
+    (_XY + "def Y = if X > -1e400 then X else 1\n", "def Y = if X > -1e999 then X else 1"),
+    # -0 keeps its sign, in a support, a table key, an entry and a literal.
+    ("var X in {-0, 1}\nroot X {-0: 0.5, 1: 0.5}\nvar Y in {-0, 1}\n"
+     "cpt Y | X {(-0): {-0: -0, 1: 1}, (1): {-0: 1, 1: 0}}\n", "(-0): {-0: -0, 1: 1}"),
+    (_XY + "def Y = X * -0 + X\n", "def Y = X * -0 + X"),
+])
+def test_round_trip_keeps_infinities_and_negative_zeros(text, spelled):
+    model = parse_model(text)
+    written = serialize_model(model)
+    assert spelled in written
+    again = parse_model(written)
+    assert again == model and _bits(again) == _bits(model)
+
+
+def test_serialize_names_a_nan():
+    x = Variable("X", FiniteSupport((0.0, 1.0)))
+    for model in (Model((x,), {"X": Root({0.0: math.nan, 1.0: 0.5})}),
+                  parse_model(_XY + "def Y = if X > 1e400/1e400 then 1 else X\n")):
+        with pytest.raises(ModelError, match="^NaN cannot be written as a number literal$"):
+            serialize_model(model)
 
 
 def test_expression_round_trip_random():

@@ -6,12 +6,14 @@ import numpy as np
 import pytest
 
 from helpers import local_distribution, random_dsl_model, random_effect_model, reference_conditional
+from vce.baselines import cace
 from vce.engine import (
     Distribution,
     build_joint,
     cond_entropy,
     conditional,
     conditional_mutual_information,
+    deterministic_value,
     entropy,
     expectation,
     expectation_under,
@@ -137,7 +139,7 @@ def _conditional_outcome(fn, joint, variables, given):
 
 def test_conditional_matches_the_single_pass_loop_on_random_models():
     # Given values are support values, values within 1e-9 of one, values off
-    # the support (a zero-probability event) or NaN; names may be unknown.
+    # the support or NaN (both a zero-probability event); names may be unknown.
     rng = np.random.default_rng(81)
     seen = Counter()
     for _ in range(240):
@@ -161,6 +163,16 @@ def test_conditional_matches_the_single_pass_loop_on_random_models():
     assert seen["EngineError"] > 20
 
 
+def test_a_nan_condition_has_zero_probability(sprinkler):
+    # A NaN is within 1e-9 of no value, so no row is kept (as for inf).
+    joint = build_joint(sprinkler)
+    for call in (lambda: conditional(joint, ["W"], {"R": math.nan}),
+                 lambda: expectation(joint, "W", {"R": math.nan}),
+                 lambda: cace(sprinkler, "R", 0.0, 1.0, "W", {"C": math.nan})):
+        with pytest.raises(ZeroProbabilityError, match=r"^conditioning event \{'[RC]': nan\} has zero probability$"):
+            call()
+
+
 def test_conditional_reports_an_unknown_variable_before_an_unknown_given(bsc):
     joint = build_joint(bsc)
     with pytest.raises(EngineError, match="unknown variable 'A'"):
@@ -169,6 +181,11 @@ def test_conditional_reports_an_unknown_variable_before_an_unknown_given(bsc):
         conditional(joint, ["X"], {"B": 0.0, "Y": 7.0})
     with pytest.raises(ZeroProbabilityError):
         conditional(joint, ["X"], {"Y": 7.0})
+
+
+def test_deterministic_value_requires_a_deterministic_node(sprinkler):
+    with pytest.raises(EngineError, match="^'W' is not a deterministic node$"):
+        deterministic_value(sprinkler, "W", {"R": 1.0, "S": 1.0})
 
 
 def test_intervene_sprinkler_means(sprinkler):

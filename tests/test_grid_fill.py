@@ -16,7 +16,7 @@ from vce import expr as ex
 from vce import variational
 from vce.dsl import parse_model
 from vce.engine import build_joint, deterministic_value
-from vce.errors import EvalError, ModelError, ParseError
+from vce.errors import BindingError, EvalError, ModelError, ParseError
 from vce.model import (
     Deterministic,
     FiniteSupport,
@@ -168,6 +168,44 @@ def test_validate_evaluates_only_failing_slots(monkeypatch):
     assert sorted(set(calls)) == [(2.0,), (3.0,)]  # the two failing tuples only
     assert str(err.value).endswith("Y: body fails at (2.0,): xor expects 0 or 1, got 2.0; "
                                    "Y: body fails at (3.0,): xor expects 0 or 1, got 3.0")
+
+
+@pytest.mark.parametrize("body, message", [
+    ("if p <= 0.5 or p then X else 0", r"Y: body fails at \(0.0,\): 'or' expects 0 or 1, got 0.6"),
+    ("if p > 0.5 then X + 3 else X", r"Y: body yields 3.0 at \(0.0,\), outside support"),
+])
+def test_a_failing_grid_runs_the_scalar_evaluator_on_its_first_failing_point_only(monkeypatch, body, message):
+    # The body fails at every slot for 0.5 < p < 1: the array pass marks the
+    # slots of every failing point, and one `value` call explains each slot of
+    # the first (p = 0.6), where bind binds it alone.
+    model = parse_model("param p in [0, 1]\nvar X in {0, 1, 2}\nvar Y in {0, 1, 2}\n"
+                        f"root X {{0: 0.25, 1: 0.25, 2: 0.5}}\ndef Y = {body}\n")
+    calls = []
+    real = Deterministic.value
+    monkeypatch.setattr(Deterministic, "value", lambda m, pv: calls.append(pv) or real(m, pv))
+    with pytest.raises(BindingError, match=f"^{message}"):
+        variational.effects(model, {"p": np.linspace(0.0, 1.0, 11)}, "X", "Y", [1.0])
+    assert calls == [(0.0,), (1.0,), (2.0,)]
+
+
+def test_a_slot_the_array_pass_fails_and_the_scalar_evaluator_accepts_is_an_error(monkeypatch):
+    real = ex.evaluate_grid
+
+    def flag_slot_one(body, columns):
+        values, failed = real(body, columns)
+        failed = np.broadcast_to(failed, np.shape(values)).copy()
+        failed[1] = True
+        return values, failed
+
+    monkeypatch.setattr(ex, "evaluate_grid", flag_slot_one)
+    x = Variable("X", FiniteSupport((0.0, 1.0, 2.0)))
+    model = Model((x, Variable("Y", x.support)), {"X": Root({0.0: 0.5, 1.0: 0.25, 2.0: 0.25}),
+                                                   "Y": Deterministic(("X",), body=ex.Name("X"))})
+    message = r"^Y: the array pass fails at \(1.0,\), the scalar evaluator does not$"
+    for check in (lambda: model.outcome_table("Y"), lambda: validate(model)):
+        with pytest.raises(ModelError, match=message):
+            check()
+    assert "_outcome_table" not in model.mechanisms["Y"].__dict__
 
 
 def test_overflow_and_off_support_values_fail_as_scalar():

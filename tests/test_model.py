@@ -16,6 +16,7 @@ from vce.model import (
     validate,
 )
 from vce import expr as ex
+from vce.dsl import parse_model
 
 
 def binary(name):
@@ -114,6 +115,29 @@ def test_validate_missing_pieces():
     assert any("not a declared variable" in d for d in validate(m))
 
 
+@pytest.mark.parametrize("mechanism, parameters, diag", [
+    # A mechanism over an undeclared parent: its rows, table or body are not checked.
+    (CPT(("Q",), {(5.0,): {0.0: 2.0}}), (), "B: parent 'Q' is not a declared variable"),
+    (Deterministic(("Q",), body=ex.Name("Q")), (), "B: parent 'Q' is not a declared variable"),
+    (Deterministic(("Q",), table={(0.0,): 7.0}), (), "B: parent 'Q' is not a declared variable"),
+    (Deterministic(("A", "A"), body=ex.Name("A")), (), "B: duplicate parent"),
+    (Deterministic(("A",), body=ex.Name("q")), (), "B: body references unknown identifier(s) ['q']"),
+    (Root({0.0: ex.Name("q"), 1.0: 0.5}), (), "B: root table references undeclared parameter(s) ['q']"),
+    (Root({0.0: 1.0}), (Parameter("p", 0.0, 1.0),) * 2, "duplicate parameter 'p'"),
+    (Root({0.0: 1.0}), (Parameter("A", 0.0, 1.0),), "parameter 'A' collides with a variable name"),
+])
+def test_validate_reports_each_fault_once(mechanism, parameters, diag):
+    m = Model((binary("A"), binary("B")), {"A": Root({0.0: 0.5, 1.0: 0.5}), "B": mechanism}, parameters)
+    assert validate(m) == [diag]
+
+
+def test_model_questions_name_what_is_missing():
+    with pytest.raises(ModelError, match="^deterministic mechanism needs exactly one of body or table$"):
+        Deterministic(("A",))
+    with pytest.raises(ModelError, match="^variable 'A' has no mechanism$"):
+        Model((binary("A"),), {}).parents("A")
+
+
 def test_validate_deterministic_totality():
     m = Model(
         (binary("A"), binary("B")),
@@ -165,8 +189,6 @@ def test_state_limit_env_override(monkeypatch):
 
 
 def test_bind_sprinkler_parameter(sprinkler_functional_source):
-    from vce.dsl import parse_model
-
     m = parse_model(sprinkler_functional_source)
     bound = bind(m, {"p": 0.5})
     row = bound.mechanisms["V3"].rows[(1.0, 1.0)]
@@ -176,8 +198,6 @@ def test_bind_sprinkler_parameter(sprinkler_functional_source):
 
 
 def test_bind_errors(sprinkler_functional_source):
-    from vce.dsl import parse_model
-
     m = parse_model(sprinkler_functional_source)
     with pytest.raises(BindingError):
         bind(m, {"p": 1.2})  # out of range
@@ -185,6 +205,15 @@ def test_bind_errors(sprinkler_functional_source):
         bind(m, {})  # unbound
     with pytest.raises(BindingError):
         bind(m, {"p": 0.5, "q": 0.1})  # undeclared
+    failing = parse_model("param p in [0, 1]\nvar X in {0, 1}\nroot X {0: if p then 1 else 0, 1: 1 - p}\n")
+    with pytest.raises(BindingError, match=r"^'if' condition expects 0 or 1, got 0.3$"):
+        bind(failing, {"p": 0.3})  # an entry that fails to evaluate
+
+
+def test_bind_substitutes_through_not_xor_and_negation():
+    m = parse_model("param p in [0, 1]\nvar X in {0, 1}\nvar Y in {-1, 0, 1}\nroot X {0: 0.5, 1: 0.5}\n"
+                    "def Y = xor(not X, p > 0.5) + -X\n")
+    assert ex.to_text(bind(m, {"p": 0.9}).mechanisms["Y"].body) == "xor(not X, 0.9 > 0.5) + -X"
 
 
 def test_bind_rejects_bad_row_after_substitution():
@@ -203,8 +232,6 @@ def test_bind_idempotent_on_parameterless(bsc):
 
 
 def test_bound_rows_sum_to_one(sprinkler_functional_source):
-    from vce.dsl import parse_model
-
     bound = bind(parse_model(sprinkler_functional_source), {"p": 0.3})
     for mech in bound.mechanisms.values():
         if isinstance(mech, Root):

@@ -7,7 +7,7 @@ whose strata vanish at p = 0 or 1, over both axis orders, the degree first
 and last, `--bind`, stacks of one to three points or of all, causes with one
 value, and grids that fail part-way (a negative d included where no weight
 is computed to reject it); a grid that binds is never walked point by point.
-Also grids of int-literal entries, of a parameter only in a `def` body, of
+Also grids of `1 - p` entries, of a parameter only in a `def` body, of
 `--bind` plus an axis, of end points at a bound +- 1e-12 and past it, and
 grids failing at point k in a root row, a cpt row and a def body; and
 `bind_grid` against `helpers.reference_bind` at every point of random grids,
@@ -281,9 +281,8 @@ def test_bind_gives_the_diagnostics_a_whole_validation_gives():
 # --- the grid bound as one array axis ------------------------------------------------
 
 # Each model swept over p (and the degree), the grids of the parameters bind rebuilds
-# in one place each: `1 - p` entries (the .sem reader makes every literal a float, and
-# `Num` makes the int literals of models built in Python floats too, see `_int_literals`),
-# a parameter only in a `def` body, and grids that fail at point k in
+# in one place each: `1 - p` entries, a parameter only in a `def` body, and grids
+# that fail at point k in
 # a root row (its range; an entry past 1 + 1e-9 in a row whose sum is within 1e-9 of
 # 1; a sum 1.5e-9 past 1), a cpt row (its sum, then a range) and a def body (off the
 # support, and an `if` condition that is not 0 or 1).
@@ -390,45 +389,17 @@ def _reference_grid_outcome(model, grid):
     return "ok", tables
 
 
-def _int_literals(expr):
-    """`expr` with each integral float literal an int, as a model built in Python may hold."""
-    if isinstance(expr, ex.Num):
-        return ex.Num(int(expr.value)) if expr.value == int(expr.value) else expr
-    if isinstance(expr, ex.Binary):
-        return ex.Binary(expr.op, _int_literals(expr.left), _int_literals(expr.right))
-    if isinstance(expr, ex.IfElse):
-        return ex.IfElse(*map(_int_literals, (expr.cond, expr.then, expr.orelse)))
-    return expr
-
-
-def _with_int_literals(model: Model) -> Model:
-    def entries(row):
-        return {v: e if isinstance(e, (int, float)) else _int_literals(e) for v, e in row.items()}
-
-    mechanisms = {}
-    for name, mech in model.mechanisms.items():
-        if isinstance(mech, Root):
-            mech = Root(entries(mech.table))
-        elif isinstance(mech, CPT):
-            mech = CPT(mech.parents, {key: entries(row) for key, row in mech.rows.items()})
-        elif mech.body is not None:
-            mech = Deterministic(mech.parents, body=_int_literals(mech.body))
-        mechanisms[name] = mech
-    return Model(model.variables, mechanisms, model.parameters)
-
-
 def test_bind_grid_is_bind_at_every_point():
     # Random models of the sweep test (parameters in root and cpt entries and def
-    # bodies; rows that leave [0, 1] or sum past 1) and the models above, half of
-    # them with int literals (`1 - p`, `2 * p`, `X > 4 * q`), on grids of random
-    # values, values at the bounds and 1e-12 past them, values just past that, and
-    # names bind rejects.
+    # bodies; rows that leave [0, 1] or sum past 1) and the models above, twice, on
+    # grids of random values, values at the bounds and 1e-12 past them, values just
+    # past that, and names bind rejects.
     rng = np.random.default_rng(2701)
     texts = [_model(rng, set(rng.choice(FAILURES[:2], int(rng.integers(0, 3)), replace=False).tolist()))
              for _ in range(200)] + list(GRID_MODELS.values()) * 2
-    seen = {"ok": 0, "error": 0, "edge ok": 0, "past": 0, "names": 0, "int ok": 0, "int error": 0}
-    for i, text in enumerate(texts):
-        model = _with_int_literals(parse_model(text)) if i % 2 else parse_model(text)
+    seen = {"ok": 0, "error": 0, "edge ok": 0, "past": 0, "names": 0}
+    for text in texts:
+        model = parse_model(text)
         for _ in range(4):
             points = int(rng.integers(1, 5))
             grid = {}
@@ -451,13 +422,12 @@ def test_bind_grid_is_bind_at_every_point():
             seen["edge ok"] += got[0] == "ok" and bool(np.isin(values, [0.2 - 1e-12, 1 + 1e-12, -1e-12]).any())
             seen["past"] += got[0] == "error" and "outside" in got[1]
             seen["names"] += roll < 0.1
-            seen[f"int {got[0]}"] += i % 2
     assert seen["ok"] >= 250 and seen["error"] >= 250 and min(seen.values()) >= 20, seen
     for text in GRID_MODELS.values():  # each model's first failing point on a fixed grid
-        for model in (parse_model(text), _with_int_literals(parse_model(text))):
-            for points in (1, 2, 9):
-                grid = {p.name: np.linspace(p.lower, p.upper, points) for p in model.parameters}
-                assert _grid_outcome(model, grid) == _reference_grid_outcome(model, grid), (text, points)
+        model = parse_model(text)
+        for points in (1, 2, 9):
+            grid = {p.name: np.linspace(p.lower, p.upper, points) for p in model.parameters}
+            assert _grid_outcome(model, grid) == _reference_grid_outcome(model, grid), (text, points)
 
 
 def test_effects_raises_bind_error_of_the_first_failing_point():

@@ -8,6 +8,7 @@ from vce import expr as ex
 from vce.dsl import parse_model
 from vce.engine import build_joint, marginal, expectation_under
 from vce.errors import (
+    ModelError,
     NoiseConversionError,
     QueryError,
     UnboundModelError,
@@ -24,7 +25,7 @@ from vce.model import (
     bind,
     validate,
 )
-from vce.rewrites import cpt_to_noise, eliminate_mediator
+from vce.rewrites import _functionalize, cpt_to_noise, eliminate_mediator
 from vce.variational import (
     EffectQuery,
     ace_flavored_effect,
@@ -99,6 +100,11 @@ def test_g_in_ramp_reset(ramp_reset):
 def test_g_in_requires_all_parents(bsc):
     with pytest.raises(QueryError):
         g_in(bsc, "Y", {"X": 1.0})
+
+
+def test_g_in_requires_a_deterministic_outcome(sprinkler):
+    with pytest.raises(QueryError, match="^outcome 'W' must be a deterministic node$"):
+        g_in(sprinkler, "W", {"R": 1.0, "S": 1.0})
 
 
 # --- golden values (four-level ramp/reset model) -----------------------------
@@ -203,6 +209,10 @@ def test_effect_requires_parent(bsc):
         effect(m, EffectQuery("Y", "Y", 1.0))
     with pytest.raises(QueryError, match="unknown variable"):
         effect(m, EffectQuery("Q", "Y", 1.0))
+    with pytest.raises(QueryError, match="^unknown variable 'Q'$"):
+        effect(m, EffectQuery("X", "Q", 1.0))
+    with pytest.raises(QueryError, match="^support subset contains duplicate values$"):
+        effect(m, EffectQuery("X", "Y", 1.0), [0.0, 1.0, 0.0])
 
 
 def test_effect_requires_bound_model(sprinkler_functional_source):
@@ -239,6 +249,8 @@ def test_pace_vector_grids(bsc, rare_disease):
     assert pace_vector(m, "X", "Y", [0.0]) == pytest.approx([1.0])
     with pytest.raises(QueryError):
         pace_vector(m, "X", "Y", [1.0, 0.5])
+    with pytest.raises(QueryError, match="^grid degrees must be >= 0$"):
+        pace_vector(m, "X", "Y", [-1.0, 0.5])
 
 
 @pytest.mark.parametrize("kwargs, message", [
@@ -420,6 +432,36 @@ def test_eliminate_childless_node_is_plain_removal():
 def test_eliminate_mediator_rejects_stochastic(sprinkler):
     with pytest.raises(QueryError, match="stochastic"):
         eliminate_mediator(sprinkler, "R")
+
+
+@pytest.mark.parametrize("rewrite, error, message", [
+    (lambda m: eliminate_mediator(m, "Q"), QueryError, "unknown variable 'Q'"),
+    (lambda m: cpt_to_noise(m, "Q"), QueryError, "unknown variable 'Q'"),
+    (lambda m: _functionalize(m, ["W", "Q"]), QueryError, "unknown variable 'Q'"),
+    (lambda m: cpt_to_noise(m, "R", free_parameter="C"), QueryError, "name 'C' is already declared"),
+    (lambda m: cpt_to_noise(m, "V3"), UnboundModelError, "'V3' has parameterized rows; bind the model first"),
+])
+def test_rewrites_reject_unknown_names_taken_names_and_parameters(sprinkler_functional_source, rewrite, error,
+                                                                  message):
+    with pytest.raises(error, match=f"^{message}$"):
+        rewrite(parse_model(sprinkler_functional_source))
+
+
+def test_cpt_to_noise_picks_a_fresh_noise_name(sprinkler):
+    taken = Model((*sprinkler.variables, Variable("U_W", FiniteSupport((0.0,)))),
+                  {**sprinkler.mechanisms, "U_W": Root({0.0: 1.0})})
+    converted = cpt_to_noise(taken, "W")
+    assert converted.mechanisms["W"].parents == ("R", "S", "U_W_")
+
+
+def test_a_rewrite_over_an_undeclared_parent_raises():
+    # M's parent Q is declared nowhere (validate reports it): no table is built over it.
+    x = Variable("X", FiniteSupport((0.0, 1.0)))
+    model = Model((x, Variable("M", x.support), Variable("Y", x.support)),
+                  {"X": Root({0.0: 0.5, 1.0: 0.5}), "M": Deterministic(("X", "Q"), table={}),
+                   "Y": CPT(("M",), {(0.0,): {0.0: 1.0}, (1.0,): {1.0: 1.0}})})
+    with pytest.raises(ModelError, match="^unknown variable 'Q'$"):
+        eliminate_mediator(model, "M")
 
 
 def test_eliminate_mediator_zero_effect_propagates():
