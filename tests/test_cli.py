@@ -297,8 +297,12 @@ def test_check_reports_ok(capsys):
 def test_check_reports_the_brute_force_deviation(capsys, monkeypatch, offset, code, line):
     # The brute force is shifted by `offset`: within the tolerance it is reported, past it a mismatch.
     real = variational.brute_force_total_variation
-    monkeypatch.setattr(variational, "brute_force_total_variation",
-                        lambda *args: (real(*args)[0] + offset, real(*args)[1]))
+
+    def shifted(*args):
+        value, chain = real(*args)
+        return value + offset, chain
+
+    monkeypatch.setattr(variational, "brute_force_total_variation", shifted)
     assert run(capsys, "check", BSC, "--cause", "X", "--outcome", "Y") == (code, line + "\n", "")
 
 

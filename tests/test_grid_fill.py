@@ -2,6 +2,8 @@
 expr.evaluate_grid; the scalar evaluator stays the oracle.  Every filled slot
 is the one a scalar fill gives, and failing slots give the scalar fill's
 diagnostics, in its order, and the first one's error when the table is read.
+The scalar evaluator runs only at the failing slots, and a slot it accepts
+there is an error.
 """
 
 import math

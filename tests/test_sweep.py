@@ -282,10 +282,9 @@ def test_bind_gives_the_diagnostics_a_whole_validation_gives():
 
 # Each model swept over p (and the degree), the grids of the parameters bind rebuilds
 # in one place each: `1 - p` entries, a parameter only in a `def` body, and grids
-# that fail at point k in
-# a root row (its range; an entry past 1 + 1e-9 in a row whose sum is within 1e-9 of
-# 1; a sum 1.5e-9 past 1), a cpt row (its sum, then a range) and a def body (off the
-# support, and an `if` condition that is not 0 or 1).
+# that fail at point k in a root row (its range; an entry past 1 + 1e-9 in a row
+# whose sum is within 1e-9 of 1; a sum 1.5e-9 past 1), a cpt row (its sum, then a
+# range) and a def body (off the support, and an `if` condition that is not 0 or 1).
 GRID_MODELS = {
     "one_minus_p": "param p in [0, 1]\nvar Z in {0, 1}\nvar X in {0, 1}\nvar Y in {0, 1, 2}\n"
                    "root Z {0: 1 - p, 1: p}\ncpt X | Z {(0): {0: 0.5, 1: 0.5}, (1): {0: 1 - p, 1: p}}\n"
