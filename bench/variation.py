@@ -16,7 +16,10 @@ perfbench/workloads.fun_model, all with seed 15.  It records:
   `sweep --cause X --outcome Y --axis d=0:2:0.2 --variant V` (11 degrees);
 - `aggregate_s`: for each variant, the median time of the sweep table's
   aggregation over those 11 degrees (`StratumTable.aggregate`, the table
-  built untimed);
+  built untimed), for the sign `abs`;
+- `aggregate_sign_s`: the same for each variant and sign (`abs` from the
+  same runs as `aggregate_s`): the kernel takes a weight only for a pair
+  whose signed difference is nonzero, so the signs cost differently;
 - `chain_eval_s` and `chain_aggregate_s`: the median wall time of
   `eval --cause X --outcome Y` on chain-11 (2,048 strata of l = 4), and of
   its table's PACE aggregation at d = 1;
@@ -60,7 +63,7 @@ from harness import host, layers, timed, write
 from workloads import chain_model, fun_model, grid_points, wide_model
 
 from vce.dsl import parse_model
-from vce.variational import VARIANTS, _kernel, brute_force_total_variation, strata, variation
+from vce.variational import SIGNS, VARIANTS, _kernel, brute_force_total_variation, strata, variation
 
 SEED = 15
 WIDE = (128, 4)  # (cause support l, strata)
@@ -91,13 +94,13 @@ def _row(rng: random.Random, l: int) -> tuple[list[float], list[float]]:
     return [rng.uniform(-1, 1) for _ in range(l)], [p / sum(ps) for p in ps]
 
 
-def _aggregate(table, degrees: list[float], variant: str):
+def _aggregate(table, degrees: list[float], variant: str, sign: str = "abs"):
     """`table.aggregate` over `degrees`; a table whose aggregate takes one
     degree (before the batched kernel) is called once per degree."""
     try:
-        return table.aggregate(degrees, variant, "abs")
+        return table.aggregate(degrees, variant, sign)
     except TypeError:
-        return [table.aggregate(d, variant, "abs") for d in degrees]
+        return [table.aggregate(d, variant, sign) for d in degrees]
 
 
 def _timed_call(call) -> float:
@@ -135,7 +138,8 @@ def main(argv=None) -> dict:
             return ["sweep", paths["wide"], "--cause", "X", "--outcome", "Y", "--axis", AXIS,
                     "--variant", variant]
 
-        runs = {(kind, v): [] for kind in ("sweep", "aggregate") for v in VARIANTS}
+        kinds = ("sweep", "aggregate", *(f"aggregate_{sign}" for sign in SIGNS if sign != "abs"))
+        runs = {(kind, v): [] for kind in kinds for v in VARIANTS}
         runs |= {(f"{name}_{side}", v): [] for name in SWITCHES for side in ("kernel", "loops")
                  for v in VARIANTS}
         chain_runs = {"chain_eval_s": [], "chain_aggregate_s": []}
@@ -146,8 +150,9 @@ def main(argv=None) -> dict:
             for variant in VARIANTS:
                 chunks.append(host.timed_chunk())
                 runs["sweep", variant].append(timed(sweep(variant)))
-                runs["aggregate", variant].append(
-                    _timed_call(lambda: _aggregate(wide_table, degrees, variant)))
+                for sign in SIGNS:
+                    runs["aggregate" if sign == "abs" else f"aggregate_{sign}", variant].append(
+                        _timed_call(lambda: _aggregate(wide_table, degrees, variant, sign)))
                 for name, rows in switch_rows.items():
                     ds, gs, ps = SWITCHES[name][2], *map(np.array, zip(*rows))
                     runs[f"{name}_kernel", variant].append(_timed_call(
@@ -173,6 +178,9 @@ def main(argv=None) -> dict:
             "chain_k": CHAIN_K,
             "sweep_s": {v: statistics.median(runs["sweep", v]) for v in VARIANTS},
             "aggregate_s": {v: statistics.median(runs["aggregate", v]) for v in VARIANTS},
+            "aggregate_sign_s": {v: {sign: statistics.median(
+                runs["aggregate" if sign == "abs" else f"aggregate_{sign}", v]) for sign in SIGNS}
+                for v in VARIANTS},
             **{name: statistics.median(r) for name, r in chain_runs.items()},
             "switch": {name: {"l": l, "rows": rows, "degrees": ds}
                        for name, (l, rows, ds) in SWITCHES.items()},
@@ -190,6 +198,9 @@ def main(argv=None) -> dict:
     result = write(args.out, "bench/variation.py", argv, args.repeats, chunks, **results)
     for kind in ("sweep_s", "aggregate_s"):
         print(f"l = 128 {kind}: " + "  ".join(f"{v} {t:.4f}" for v, t in result[kind].items()))
+    for sign in SIGNS:
+        print(f"l = 128 aggregate_sign_s {sign}: " + "  ".join(
+            f"{v} {t[sign]:.4f}" for v, t in result["aggregate_sign_s"].items()))
     print(f"chain-{CHAIN_K}: eval {result['chain_eval_s']:.4f} s  "
           f"aggregate {result['chain_aggregate_s']:.4f} s")
     for name, shape in result["switch"].items():

@@ -233,62 +233,82 @@ def variations(gs, ps, degrees: Sequence[float], variant: str, sign: str) -> lis
     """`variation` of every row (gs[r], ps[r]) of two (rows x l) arrays at
     every degree, bit for bit: out[k][r] is its (value, witness) at
     degrees[k].  Where it pays (on_kernel), one numpy kernel serves all rows
-    and degrees: the signed differences and bases 4 p_j p_i are built once, and
-    only the weights (np.float_power: libm `pow`, as Python `**`; np.power
-    differs in the last bit) depend on d.  Other calls run the loops."""
+    and degrees: the signed differences and bases 4 p_j p_i are built once,
+    and only the weights (np.float_power: libm `pow`, as Python `**`; np.power
+    differs in the last bit), taken where a term can be nonzero, depend on d.
+    Other calls run the loops."""
     gs, ps = np.asarray(gs, dtype=float), np.asarray(ps, dtype=float)
     if on_kernel(len(gs), gs.shape[-1], len(degrees), variant):
         with np.errstate(all="ignore"):  # Python floats overflow without a warning
-            # Else the loops compare NaN their way, and weigh a NaN p as NaN ** d.
-            if np.isfinite(np.ptp(gs, axis=1)).all() and not np.isnan(ps).any():
+            # Else the loops compare NaN their way, and weigh a NaN p as NaN ** d
+            # and a 4pq past the largest float as inf ** d.
+            if np.isfinite(np.ptp(gs, axis=1)).all() and math.isfinite(4.0 * ps.max() * ps.max()):
                 return _kernel(gs, ps, list(degrees), variant, sign)
     rows = list(zip(gs.tolist(), ps.tolist()))
     return [[variation(g, p, d, variant, sign) for g, p in rows] for d in degrees]
 
 
 def _kernel(gs, ps, degrees, variant, sign):
-    l = gs.shape[1]
+    l, n = gs.shape[1], len(gs)
     if variant == "pace":  # column by column: (0, 1), (0, 2), (1, 2), (0, 3), ...
         j, i = np.tril_indices(l, -1)
     else:  # as the loops take them: the chain's steps, or every pair row by row
         i, j = (np.arange(l - 1), np.arange(1, l)) if variant == "peace" else np.triu_indices(l, 1)
-    base = 4.0 * ps[:, j] * ps[:, i]
-    live = (ps > 0.0)[:, j] & (ps > 0.0)[:, i]  # weight() is 0 for the others, at every d
+    # (pairs x rows) arrays: a pair's rows sit together.
+    base = 4.0 * ps.T[j]
+    base *= ps.T[i]
+    live = (ps > 0.0).T[j] & (ps > 0.0).T[i]  # weight() is 0 for the others, at every d
     big = base[live & (base > 1.0)].tolist()  # the only weights that can overflow
     for d in degrees:  # raise what the loops raise, in their order
         variation(gs[0, :2].tolist(), ps[0, :2].tolist(), d, variant, sign)
         [_power(b, d) for b in big]  # where float_power would give inf
-    diff = gs[:, j] - gs[:, i] if sign != "negative" else gs[:, i] - gs[:, j]
-    diff = np.abs(diff) if sign == "abs" else np.where(diff > 0.0, diff, 0.0)  # 0.0, not -0.0
+    later, earlier = (j, i) if sign != "negative" else (i, j)
+    diff = gs.T[later]
+    diff -= gs.T[earlier]
+    if sign == "abs":
+        np.abs(diff, out=diff)
+    # Only these pairs take a weight: any other's term is 0.0 (a zero weight, or a
+    # zero difference times a finite one), which no sum or maximum of terms >= 0 needs.
+    live &= diff > 0.0
     if variant == "pace":
-        return _total_variations(diff, base, live, np.array(degrees)[:, None, None], l)
-    out, terms = [], np.zeros(base.shape)
+        return _total_variations(diff, base, live, np.array(degrees)[:, None], l)
+    at = np.flatnonzero(live)  # pair by pair, so each row's terms in the loops' order
+    base = base.take(at)  # one at a time, each dropping its (pairs x rows) array
+    diff = diff.take(at)
+    if variant == "space":  # the first largest term, as `_better` keeps it
+        np.add(at % n * len(i), at // n, out=at)  # where each term sits in the (rows x pairs) terms
+        terms, rows = np.zeros((n, len(i))), np.arange(n)
+    else:
+        at %= n  # each term's row
+    weights, out = np.empty(len(at)), []
     for d in degrees:
-        np.float_power(base, d, out=terms, where=live)
-        terms *= diff
-        if variant == "space":  # the first largest term, as `_better` keeps it
-            at = terms.argmax(axis=1)
-            out.append(list(zip(terms[np.arange(len(terms)), at].tolist(),
-                                zip(i[at].tolist(), j[at].tolist()))))
-        else:  # added in order, as the loops add them
-            out.append([(v, None) for v in np.cumsum(terms, axis=1)[:, -1].tolist()])
+        np.float_power(base, d, out=weights)
+        weights *= diff
+        if variant == "space":
+            terms.ravel()[at] = weights
+            best = terms.argmax(axis=1)
+            out.append(list(zip(terms[rows, best].tolist(), zip(i[best].tolist(), j[best].tolist()))))
+        else:  # added in order, as the loops add them (bincount counts no terms as int)
+            sums = np.bincount(at, weights, n).astype(float, copy=False)
+            out.append([(v, None) for v in sums.tolist()])
     return out
 
 
 def _winner(value, points, pred):
-    """Over the last axis, the positive candidate `_better` picks: the largest,
-    then fewest points, then the smallest chain (through `pred`, in Python,
-    only where two still tie); meaningless where none is positive (not won)."""
-    best = value.max(axis=-1)
+    """Over each lane (row), the positive candidate `_better` picks: the
+    largest, then fewest points, then the smallest chain (through `pred`, in
+    Python, only where two still tie); meaningless where none is positive
+    (not won)."""
+    lanes, last = np.arange(len(value)), value.shape[1] + 1  # more points than any chain here
+    best = value[lanes, value.argmax(axis=1)]
     won = best > 0.0
-    hit = (value == best[..., None]) & won[..., None]
-    points = np.where(hit, points, value.shape[-1] + 2)  # more than any chain here
-    fewest = points.min(axis=-1)
-    hit &= points == fewest[..., None]
-    at = hit.argmax(axis=-1)
-    if np.count_nonzero(hit) > np.count_nonzero(won):  # some row ties twice
-        for r in zip(*np.nonzero(hit.sum(axis=-1) > 1)):
-            at[r] = min(np.flatnonzero(hit[r]).tolist(), key=partial(_chain, pred[r].tolist()))
+    points = np.where(value == best[:, None], points, last)
+    at = points.argmin(axis=1)
+    fewest = points[lanes, at]
+    points[lanes, at] = last  # a second one with as few points is a tie
+    for r in np.flatnonzero(won & (points[lanes, points.argmin(axis=1)] == fewest)).tolist():
+        hit = [int(at[r]), *np.flatnonzero(points[r] == fewest[r]).tolist()]
+        at[r] = min(hit, key=partial(_chain, pred[r].tolist()))
     return best, won, fewest, at
 
 
@@ -301,31 +321,40 @@ def _chain(pred: list[int], end: int) -> list[int]:
 
 
 def _total_variations(diff, base, live, degrees, l):
-    """total_variation's DP over every (degree, row) at once, column by
-    column; pair (i, j) sits at j (j - 1) / 2 + i."""
-    shape = (len(degrees), len(diff), l)
-    # The best chain ending at each point: its value, points and predecessor.
+    """total_variation's DP over every (degree, row) lane at once, column by
+    column; pair (i, j) is row j (j - 1) / 2 + i of the (pairs x rows) arrays.
+    Only a `live` pair's candidate takes a weight: any other's is value[i] +
+    0.0, that is value[i]."""
+    n = diff.shape[1]
+    # The best chain ending at each point: its value, points and predecessor;
+    # lane k n + r is row r at degrees[k].
+    shape = (len(degrees) * n, l)
     value, points, pred = np.zeros(shape), np.ones(shape, dtype=np.intp), np.full(shape, -1)
+    terms, cand = np.empty(value.size), np.empty(value.size)
     for j in range(1, l):
-        a, b = j * (j - 1) // 2, j * (j + 1) // 2
-        on = live[:, a:b]
-        weights = np.float_power(base[:, a:b], degrees, out=np.zeros(shape[:2] + (j,)), where=on)
-        best, won, fewest, at = _winner(value[..., :j] + diff[:, a:b] * weights,
-                                        points[..., :j] + 1, pred)
-        value[..., j] = best  # where not won, the single point (0.0, 1, (j,)) stands
-        np.copyto(points[..., j], fewest, where=won)
-        np.copyto(pred[..., j], at, where=won)
-    best, won, size, end = (x.ravel() for x in _winner(value, points, pred))
-    # Read every chain back from its end, all rows at once; a row whose every
+        a, b, size = j * (j - 1) // 2, j * (j + 1) // 2, len(value) * j
+        on = live[a:b].T  # (rows x i): row by row, as the lanes hold them
+        weights = np.float_power(base[a:b].T[on], degrees)
+        weights *= diff[a:b].T[on]
+        t = terms[:size].reshape(-1, n, j)
+        t.fill(0.0)
+        t[:, on] = weights
+        c = np.add(value[:, :j], t.reshape(-1, j), out=cand[:size].reshape(-1, j))
+        best, won, fewest, at = _winner(c, points[:, :j], pred)
+        value[:, j] = best  # where not won, the single point (0.0, 1, (j,)) stands
+        np.copyto(points[:, j], fewest + 1, where=won)
+        np.copyto(pred[:, j], at, where=won)
+    best, won, size, end = _winner(value, points, pred)
+    # Read every chain back from its end, all lanes at once; a lane whose every
     # term is 0 takes (0, 1).
-    size, rows, pred = np.where(won, size, 2), np.arange(len(end)), pred.reshape(-1, l)
+    size, lanes = np.where(won, size, 2), np.arange(len(end))
     nodes = [end]
     for _ in range(size.max() - 1):
-        nodes.append(pred[rows, nodes[-1]])
+        nodes.append(pred[lanes, nodes[-1]])
     backward = np.array(nodes[::-1]).T.tolist()
-    pairs = [(v, tuple(c[len(c) - n:]) if w else (0, 1))
-             for v, w, c, n in zip(best.tolist(), won.tolist(), backward, size.tolist())]
-    return [pairs[k:k + len(diff)] for k in range(0, len(pairs), len(diff))]
+    pairs = [(v, tuple(c[len(c) - m:]) if w else (0, 1))
+             for v, w, c, m in zip(best.tolist(), won.tolist(), backward, size.tolist())]
+    return [pairs[k:k + n] for k in range(0, len(pairs), n)]
 
 
 # --- queries over models --------------------------------------------------

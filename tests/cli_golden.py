@@ -169,13 +169,17 @@ def write_inputs(tmp: Path) -> dict[str, str]:
 
 
 def digest(argv: list[str], subs: dict[str, str]) -> str:
-    """sha256 of (exit code, stdout, stderr) for one in-process run."""
+    """sha256 of (exit code, stdout, stderr) for one in-process run; an argv
+    that argparse rejects exits with its SystemExit code."""
     real = list(argv)
     for placeholder, path in subs.items():
         real = [a.replace(placeholder, path) for a in real]
     out, err = io.StringIO(), io.StringIO()
     with redirect_stdout(out), redirect_stderr(err):
-        code = vce_main(real)
+        try:
+            code = vce_main(real)
+        except SystemExit as exc:
+            code = exc.code
     texts = [out.getvalue(), err.getvalue()]
     for placeholder, path in subs.items():
         texts = [t.replace(path, placeholder) for t in texts]

@@ -4,10 +4,12 @@ float bits of every value and every witness chain, on random stacks of
 strata x degrees with ties, zero probabilities and -0.0 outcomes."""
 
 import math
+from itertools import combinations
 
 import numpy as np
 import pytest
 
+from vce import cli
 from vce import variational as vr
 from vce.errors import QueryError
 
@@ -207,3 +209,87 @@ def test_the_switch_takes_the_faster_side_of_the_timed_calls():
     assert not any(vr.on_kernel(1, l, 1, v) for l in range(13, 49) for v in ("pace", "peace"))
     assert not any(vr.on_kernel(rows, l, 1, "pace") for rows, l in ((9, 10), (5, 10), (4, 12), (6, 12)))
     assert not vr.on_kernel(10, 4, 1, "nope")  # the loops name an unknown variant
+
+
+def test_a_weight_is_taken_only_where_a_term_can_be_nonzero(monkeypatch):
+    # Outcomes repeat (zero differences) and a fifth of the probabilities are
+    # 0 (dead pairs): float_power, unmasked, sees one base per degree and live
+    # pair with a nonzero signed difference, and no other.
+    rng = np.random.default_rng(3030)
+    gs = rng.integers(-2, 3, (6, 24)).astype(float)
+    ps = rng.random((6, 24))
+    ps[rng.random((6, 24)) < 0.2] = 0.0
+    ps /= ps.sum(axis=1, keepdims=True)
+    degrees = [0.0, 0.5, 2.0]
+    taken, float_power = [], np.float_power
+
+    def counted(x, d, **kwargs):
+        assert "where" not in kwargs
+        taken.append(np.broadcast(x, d).size)
+        return float_power(x, d, **kwargs)
+
+    monkeypatch.setattr(np, "float_power", counted)
+    rows = list(zip(gs.tolist(), ps.tolist()))
+    for variant in vr.VARIANTS:
+        pairs = list(zip(range(23), range(1, 24))) if variant == "peace" else list(combinations(range(24), 2))
+        live = [(g, i, j) for g, p in rows for i, j in pairs if p[i] > 0.0 and p[j] > 0.0]
+        assert len(live) < len(rows) * len(pairs)
+        for sign in vr.SIGNS:
+            need = sum(vr.signed_difference(g[j], g[i], sign) > 0.0 for g, i, j in live)
+            assert 0 < need < len(live), (variant, sign)
+            taken.clear()
+            got = vr._kernel(gs, ps, degrees, variant, sign)
+            assert sum(taken) == need * len(degrees), (variant, sign)
+            assert _bits(got) == _bits([[vr.variation(g, p, d, variant, sign) for g, p in rows]
+                                        for d in degrees]), (variant, sign)
+
+
+@pytest.mark.parametrize("variant", vr.VARIANTS)
+def test_an_overflowing_weight_on_equal_outcomes_raises_what_the_loops_raise(variant):
+    # Row 1's only base past 1 is 4 * 0.75 * 0.75 = 2.25, on the pair (0, 1),
+    # whose outcomes are equal: its term needs no weight, but the loops take
+    # 2.25 ** 2000 and raise, and so does the kernel.
+    gs = [tuple(range(64)), (5.0, 5.0, *range(62))]
+    ps = [(1 / 64,) * 64, (0.75, 0.75) + (0.01,) * 62]
+    assert vr.on_kernel(2, 64, 2, variant)
+    for call in (lambda: vr.variations(gs, ps, [1.0, 2000.0], variant, "abs"),
+                 lambda: vr._kernel(np.array(gs), np.array(ps), [1.0, 2000.0], variant, "abs"),
+                 lambda: [vr.variation(g, p, d, variant, "abs") for d in (1.0, 2000.0)
+                          for g, p in zip(gs, ps)]):
+        with pytest.raises(QueryError) as raised:
+            call()
+        assert raised.value.args == ("the availability weight (4pq)^d overflows at d = 2000.0",)
+
+
+def test_kernel_matches_the_loops_on_a_wide_sweep():
+    # `vce sweep --axis d=0:2:0.2` on a wide cause: 4 rows of l = 128 with
+    # about 10% zero probabilities and a zig-zag outcome, so PACE's lanes run
+    # over many degrees of a wide table (the random stacks above give such
+    # tables one degree).
+    rng = np.random.default_rng(128)
+    l, t1, t2 = 128, 30, 80
+
+    def zigzag(x, z):
+        low, high = t1 + 2 * z, t2 + 2 * z
+        return float(x if x < low else 2 * low - x if x < high else x - 2 * (t2 - t1))
+
+    gs = [tuple(zigzag(x, z) for x in range(l)) for z in range(4)]
+    ps = rng.integers(1, 1001, (4, l)) * (rng.random((4, l)) >= 0.1)
+    ps = [tuple(row) for row in (ps / ps.sum(axis=1, keepdims=True)).tolist()]
+    assert 0.05 < sum(p == 0.0 for row in ps for p in row) / (4 * l) < 0.15
+    degrees = cli._axis_values(0.0, 2.0, 0.2, cli._axis_size(0.0, 2.0, 0.2))
+    assert len(degrees) == 11
+    for variant in vr.VARIANTS:
+        assert vr.on_kernel(4, l, 11, variant)
+        for sign in vr.SIGNS:
+            want = _bits([[vr.variation(g, p, d, variant, sign) for g, p in zip(gs, ps)] for d in degrees])
+            assert _bits(vr.variations(gs, ps, degrees, variant, sign)) == want, (variant, sign)
+
+
+def test_a_base_past_the_largest_float_takes_the_loops():
+    # 4 * 1e200 * 1e200 is inf: the loops weigh a pair inf ** d, so a pair of
+    # equal outcomes adds 0.0 * inf = NaN, which the kernel would skip.
+    gs, ps = [(1.0, 1.0, 2.0) * 22] * 2, [(1e200,) * 66] * 2
+    for variant in vr.VARIANTS:
+        want = [[vr.variation(g, p, d, variant, "abs") for g, p in zip(gs, ps)] for d in (1.0, 0.0)]
+        assert _bits(vr.variations(gs, ps, [1.0, 0.0], variant, "abs")) == _bits(want), variant
