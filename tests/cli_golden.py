@@ -73,7 +73,9 @@ BAD_CSVS = {
 # 4), a variable without a mechanism, and a cycle; a valid model whose
 # variation overflows at d = 0 (Y = 0, 1.5e308, 0 along X); parameter bounds
 # that are not finite (an overflowing literal and inf/inf); a row key
-# given twice in a `fun` and in a `cpt`; and a second mechanism for X.
+# given twice in a `fun` and in a `cpt`; a second mechanism for X; and number
+# literals that are not finite in a `def` body (1e400, inf/inf) and in a
+# `root` entry (inf/inf).
 # BOUND_MODELS are valid models whose binding fails for some p: a `root` entry
 # that fails to evaluate for 0.5 <= p < 1, a `def` that leaves Y's support for
 # p > 0.5, a `def` whose body fails for 0.5 < p < 1, and a `def` of `not`,
@@ -98,6 +100,12 @@ BAD_MODELS = {
                "cpt Y | X {\n  (0): {0: 1, 1: 0},\n  (0): {0: 0, 1: 1},\n  (1): {0: 0, 1: 1},\n}\n",
     "dup_mech": "var X in {0, 1}\nvar Y in {0, 1}\nroot X {0: 0.5, 1: 0.5}\nroot X {0: 1, 1: 0}\n"
                 "def Y = X\n",
+    "def_inf": "var X in {0, 1}\nvar Y in {0, 1}\nroot X {0: 0.5, 1: 0.5}\n"
+               "def Y = if X > 1e400 then 1 else X\n",
+    "def_nan": "var X in {0, 1}\nvar Y in {0, 1}\nroot X {0: 0.5, 1: 0.5}\n"
+               "def Y = if X > 1e400/1e400 then 1 else X\n",
+    "entry_nan": "param p in [0, 1]\nvar X in {0, 1}\nvar Y in {0, 1}\n"
+                 "root X {0: if p < 1e400/1e400 then 0 else p, 1: 1 - p}\ndef Y = X\n",
 }
 BOUND_MODELS = {
     "bind_entry": "param p in [0, 1]\nvar X in {0, 1}\nvar Y in {0, 1}\n"
