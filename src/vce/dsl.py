@@ -152,6 +152,7 @@ class _Parser:
         self.statements: dict[str, Token] = {}
         self.statement: Token | None = None
         self.depth = 0
+        self.nonfinite: tuple[Token, float] | None = None  # in the body being read
 
     # --- token plumbing -------------------------------------------------
 
@@ -325,16 +326,22 @@ class _Parser:
             row = self.parse_table(self.parse_number, self.parse_prob_entry, "entry for")
         return row
 
-    def parse_body(self) -> ex.Expr:
-        start = self.peek()
+    def parse_body(self, plain: bool = False) -> ex.Expr:
+        """An expression; its first number literal that is not finite is an
+        error at its token, unless `plain` and the body is that one number (a
+        table entry, which the model checks as the number-only blocks do)."""
+        start, self.nonfinite = self.peek(), None
         body = self.parse_expr()
         if ex.depth(body) > MAX_DEPTH:
             self.fail(f"expression tree deeper than {MAX_DEPTH} levels", start)
+        if self.nonfinite and not (plain and isinstance(body, ex.Num)):
+            tok, value = self.nonfinite
+            self.fail(f"number literal {value!r} is not finite", tok)
         return body
 
     def parse_prob_entry(self) -> md.Entry:
         start = self.peek()
-        entry = self.parse_body()
+        entry = self.parse_body(plain=True)
         if isinstance(entry, ex.Num):
             return entry.value
         for ident in sorted(ex.free_names(entry)):
@@ -452,7 +459,10 @@ class _Parser:
     def parse_atom(self) -> ex.Expr:
         tok = self.peek()
         if tok[0] == "number":
-            return ex.Num(self.parse_number())
+            value = self.parse_number()
+            if not math.isfinite(value):  # 1e400, or a quotient like 1e400/1e400
+                self.nonfinite = self.nonfinite or (tok, value)
+            return ex.Num(value)
         if tok[0] == "xor":
             self.next()
             self.expect("(")

@@ -33,6 +33,12 @@ def Y = X
 """
 
 
+# `def` bodies with a number literal that is not finite, alone or as a
+# quotient: the reader rejects each at the literal (exit 1).
+NONFINITE = {f"nonfinite{i}": TINY.replace("def Y = X + Z", f"def Y = if X > {literal} then X else Z")
+             for i, literal in enumerate(("1e400", "-1e400", "1e400/1e400", "1e300/1e-300", "1e999"))}
+
+
 def _chain_model(terms: int) -> str:
     body = " + ".join(["0"] * (terms - 2) + ["X", "Z"])
     return TINY.replace("def Y = X + Z", f"def Y = {body}")
@@ -55,7 +61,7 @@ AXES = [f"{name}={start}:{stop}:{step}"
 def files(tmp_path_factory):
     root = tmp_path_factory.mktemp("fuzz")
     sources = {"tiny": TINY, "near": NEAR_LITERAL, "chain200": _chain_model(200),
-               "chain2000": _chain_model(2000)}
+               "chain2000": _chain_model(2000), **NONFINITE}
     paths = {}
     for name, text in sources.items():
         paths[name] = root / f"{name}.sem"
@@ -73,8 +79,8 @@ def files(tmp_path_factory):
 # Each model with the cause and outcome of its effect query.  The 2,000-term
 # chain takes ~30 ms to reject, so it is drawn less often than the others.
 MODELS = {"tiny": "X Y", "bsc": "X Y", "sprinkler_functional": "R W", "chain200": "X Y",
-          "near": "X Y", "chain2000": "X Y", "missing": "X Y"}
-DRAWN = ["tiny", "bsc", "sprinkler_functional", "chain200", "near", "missing"] * 6 + ["chain2000"]
+          "near": "X Y", "chain2000": "X Y", "missing": "X Y", **dict.fromkeys(NONFINITE, "X Y")}
+DRAWN = ["tiny", "bsc", "sprinkler_functional", "chain200", "near", "missing"] * 6 + ["chain2000", *NONFINITE]
 
 
 @st.composite
