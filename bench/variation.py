@@ -20,6 +20,13 @@ perfbench/workloads.fun_model, all with seed 15.  It records:
 - `aggregate_sign_s`: the same for each variant and sign (`abs` from the
   same runs as `aggregate_s`): the kernel takes a weight only for a pair
   whose signed difference is nonzero, so the signs cost differently;
+- `values_s` and `values_sign_s`: the same two for the values-only mode
+  that `sweep` takes (`StratumTable.effects`: no witness chains); on a tree
+  without that mode, the times of `aggregate`, its only mode;
+- `pace_sweep_5001`: one PACE `sweep` of the wide model over 5,001 degrees
+  (`d=0:1:0.0002`) in a fresh process: its seconds and how far it raises
+  the process's peak RSS (MB) above the peak after import, then, run again
+  under `tracemalloc`, the peak of traced memory (MB);
 - `chain_eval_s` and `chain_aggregate_s`: the median wall time of
   `eval --cause X --outcome Y` on chain-11 (2,048 strata of l = 4), and of
   its table's PACE aggregation at d = 1;
@@ -86,6 +93,25 @@ seconds = time.perf_counter() - start
 added = (resource.getrusage(resource.RUSAGE_SELF).ru_maxrss - before) / 1024
 print(json.dumps({"s": seconds, "added_peak_rss_mb": added}))
 """ % SEED
+# One 5,001-degree PACE sweep of the wide model in a fresh process, timed, then
+# again under tracemalloc for the peak of its traced memory.
+SWEEP_5001 = """
+import contextlib, io, json, resource, sys, time, tracemalloc
+sys.path.insert(0, "src")
+from vce.cli import main
+argv = ["sweep", sys.argv[1], "--cause", "X", "--outcome", "Y", "--axis", "d=0:1:0.0002"]
+before = resource.getrusage(resource.RUSAGE_SELF).ru_maxrss
+with contextlib.redirect_stdout(io.StringIO()):
+    start = time.perf_counter()
+    assert main(argv) == 0
+    seconds = time.perf_counter() - start
+    added = (resource.getrusage(resource.RUSAGE_SELF).ru_maxrss - before) / 1024
+    tracemalloc.start()
+    main(argv)
+    peak = tracemalloc.get_traced_memory()[1] / 2 ** 20
+print(json.dumps({"axis": argv[-1], "degrees": 5001, "s": seconds, "added_peak_rss_mb": added,
+                  "tracemalloc_peak_mb": peak}))
+"""
 
 
 def _row(rng: random.Random, l: int) -> tuple[list[float], list[float]]:
@@ -101,6 +127,14 @@ def _aggregate(table, degrees: list[float], variant: str, sign: str = "abs"):
         return table.aggregate(degrees, variant, sign)
     except TypeError:
         return [table.aggregate(d, variant, sign) for d in degrees]
+
+
+def _values(table, degrees: list[float], variant: str, sign: str = "abs"):
+    """The values-only mode over `degrees`, or `aggregate` where there is none."""
+    try:
+        return table.effects(degrees, variant, sign)
+    except AttributeError:
+        return _aggregate(table, degrees, variant, sign)
 
 
 def _timed_call(call) -> float:
@@ -138,7 +172,8 @@ def main(argv=None) -> dict:
             return ["sweep", paths["wide"], "--cause", "X", "--outcome", "Y", "--axis", AXIS,
                     "--variant", variant]
 
-        kinds = ("sweep", "aggregate", *(f"aggregate_{sign}" for sign in SIGNS if sign != "abs"))
+        kinds = ("sweep", *(f"{mode}{'' if sign == 'abs' else '_' + sign}"
+                            for mode in ("aggregate", "values") for sign in SIGNS))
         runs = {(kind, v): [] for kind in kinds for v in VARIANTS}
         runs |= {(f"{name}_{side}", v): [] for name in SWITCHES for side in ("kernel", "loops")
                  for v in VARIANTS}
@@ -151,8 +186,9 @@ def main(argv=None) -> dict:
                 chunks.append(host.timed_chunk())
                 runs["sweep", variant].append(timed(sweep(variant)))
                 for sign in SIGNS:
-                    runs["aggregate" if sign == "abs" else f"aggregate_{sign}", variant].append(
-                        _timed_call(lambda: _aggregate(wide_table, degrees, variant, sign)))
+                    for mode, call in (("aggregate", _aggregate), ("values", _values)):
+                        runs[mode if sign == "abs" else f"{mode}_{sign}", variant].append(
+                            _timed_call(lambda: call(wide_table, degrees, variant, sign)))
                 for name, rows in switch_rows.items():
                     ds, gs, ps = SWITCHES[name][2], *map(np.array, zip(*rows))
                     runs[f"{name}_kernel", variant].append(_timed_call(
@@ -173,14 +209,18 @@ def main(argv=None) -> dict:
                     _timed_call(lambda: brute_force_total_variation(gs, ps, 1.0, "abs")))
         l20 = subprocess.run([sys.executable, "-c", L20], check=True, capture_output=True,
                              text=True).stdout
+        sweep_5001 = subprocess.run([sys.executable, "-c", SWEEP_5001, paths["wide"]], check=True,
+                                    capture_output=True, text=True).stdout
         results = {
             "wide": {"l": WIDE[0], "strata": WIDE[1], "axis": AXIS},
             "chain_k": CHAIN_K,
             "sweep_s": {v: statistics.median(runs["sweep", v]) for v in VARIANTS},
-            "aggregate_s": {v: statistics.median(runs["aggregate", v]) for v in VARIANTS},
-            "aggregate_sign_s": {v: {sign: statistics.median(
-                runs["aggregate" if sign == "abs" else f"aggregate_{sign}", v]) for sign in SIGNS}
-                for v in VARIANTS},
+            **{f"{mode}_s": {v: statistics.median(runs[mode, v]) for v in VARIANTS}
+               for mode in ("aggregate", "values")},
+            **{f"{mode}_sign_s": {v: {sign: statistics.median(
+                runs[mode if sign == "abs" else f"{mode}_{sign}", v]) for sign in SIGNS} for v in VARIANTS}
+               for mode in ("aggregate", "values")},
+            "pace_sweep_5001": json.loads(sweep_5001),
             **{name: statistics.median(r) for name, r in chain_runs.items()},
             "switch": {name: {"l": l, "rows": rows, "degrees": ds}
                        for name, (l, rows, ds) in SWITCHES.items()},
@@ -196,11 +236,15 @@ def main(argv=None) -> dict:
             "layers": layers(sweep("pace")),
         }
     result = write(args.out, "bench/variation.py", argv, args.repeats, chunks, **results)
-    for kind in ("sweep_s", "aggregate_s"):
+    for kind in ("sweep_s", "aggregate_s", "values_s"):
         print(f"l = 128 {kind}: " + "  ".join(f"{v} {t:.4f}" for v, t in result[kind].items()))
-    for sign in SIGNS:
-        print(f"l = 128 aggregate_sign_s {sign}: " + "  ".join(
-            f"{v} {t[sign]:.4f}" for v, t in result["aggregate_sign_s"].items()))
+    for mode in ("aggregate", "values"):
+        for sign in SIGNS:
+            print(f"l = 128 {mode}_sign_s {sign}: " + "  ".join(
+                f"{v} {t[sign]:.4f}" for v, t in result[f"{mode}_sign_s"].items()))
+    big = result["pace_sweep_5001"]
+    print(f"pace sweep {big['axis']} ({big['degrees']} degrees): {big['s']:.2f} s, "
+          f"+{big['added_peak_rss_mb']:.1f} MB peak RSS, {big['tracemalloc_peak_mb']:.1f} MB tracemalloc peak")
     print(f"chain-{CHAIN_K}: eval {result['chain_eval_s']:.4f} s  "
           f"aggregate {result['chain_aggregate_s']:.4f} s")
     for name, shape in result["switch"].items():

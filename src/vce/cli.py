@@ -217,21 +217,27 @@ def cmd_sweep(args) -> int:
         named = dict(zip(names, combo))
         return named, named.pop("d", args.degree)
 
-    # The bindings are bound as one grid, each point evaluated at every degree
-    # (vr.effects); the values are then put back in the order of the axes.  If
-    # that fails, the grid is evaluated point by point as `eval` evaluates one
-    # query, so the error raised is the one its first failing point raises.
+    # The bindings are bound as one grid, a stack of points at a time, each point
+    # evaluated at every degree (vr.effect_stacks); `order` puts the values back
+    # in the order of the axes.  If that fails, the points of the stacks that
+    # finished passed, and the others are evaluated one by one as `eval` does,
+    # so the error raised is the one the first failing point raises.
+    size = math.prod(map(len, params.values()))
+    order = np.arange(size * len(degrees)).reshape([*map(len, params.values()), len(degrees)])
+    order = np.moveaxis(order, -1, names.index("d") if "d" in names else -1).ravel().tolist()
+    passed: list[list[float]] = []
     try:
-        size = math.prod(map(len, params.values()))
         swept = {name: c.ravel() for name, c in zip(params, np.meshgrid(*params.values(), indexing="ij"))}
         bindings = {**{name: np.full(size, value) for name, value in fixed.items()}, **swept}
-        table = vr.effects(base, bindings, args.cause, args.outcome, degrees, args.variant, args.sign)
-        table = np.reshape(table, [*map(len, params.values()), len(degrees)])
-        values = np.moveaxis(table, -1, names.index("d") if "d" in names else -1).ravel().tolist()
+        for stack in vr.effect_stacks(base, bindings, args.cause, args.outcome, degrees, args.variant, args.sign):
+            passed += stack
+        values = np.ravel(passed)[order].tolist()
     except VceError:
-        values = [vr.effect(_bound(base, {**fixed, **named}),
-                            vr.EffectQuery(args.cause, args.outcome, d, args.variant, args.sign)).value
-                  for named, d in map(point, product(*grid))]
+        done = np.ravel(passed).tolist()
+        values = [done[k] if k < len(done) else vr.effect(
+                      _bound(base, {**fixed, **named}),
+                      vr.EffectQuery(args.cause, args.outcome, d, args.variant, args.sign)).value
+                  for k, (named, d) in zip(order, map(point, product(*grid)))]
 
     out = open(args.out, "w", newline="", encoding="utf-8") if args.out else sys.stdout
     try:

@@ -152,7 +152,6 @@ class _Parser:
         self.statements: dict[str, Token] = {}
         self.statement: Token | None = None
         self.depth = 0
-        self.nonfinite: tuple[Token, float] | None = None  # in the body being read
 
     # --- token plumbing -------------------------------------------------
 
@@ -327,9 +326,8 @@ class _Parser:
         return row
 
     def parse_body(self, plain: bool = False) -> ex.Expr:
-        """An expression; its first number literal that is not finite is an
-        error at its token, unless `plain` and the body is that one number (a
-        table entry, which the model checks as the number-only blocks do)."""
+        """An expression, with no literal that is not finite unless `plain` and it
+        is the whole body (a table entry: the model checks it, as for blocks)."""
         start, self.nonfinite = self.peek(), None
         body = self.parse_expr()
         if ex.depth(body) > MAX_DEPTH:

@@ -229,26 +229,29 @@ def on_kernel(rows: int, l: int, degrees: int, variant: str) -> bool:
     return kernel < loop_row * rows + loop_term * terms
 
 
-def variations(gs, ps, degrees: Sequence[float], variant: str, sign: str) -> list[list]:
+def variations(gs, ps, degrees: Sequence[float], variant: str, sign: str, witnesses: bool = True) -> list[list]:
     """`variation` of every row (gs[r], ps[r]) of two (rows x l) arrays at
     every degree, bit for bit: out[k][r] is its (value, witness) at
-    degrees[k].  Where it pays (on_kernel), one numpy kernel serves all rows
-    and degrees: the signed differences and bases 4 p_j p_i are built once,
-    and only the weights (np.float_power: libm `pow`, as Python `**`; np.power
-    differs in the last bit), taken where a term can be nonzero, depend on d.
-    Other calls run the loops."""
+    degrees[k], or its value alone without `witnesses` (`effects`, so `sweep`,
+    `pace_vector` and `natural_availability` read none; `eval`, `check` and
+    the per-z functions do).  Where it pays (on_kernel), one numpy kernel
+    serves all rows and degrees: the signed differences and bases 4 p_j p_i
+    are built once, and only the weights (np.float_power: libm `pow`, as
+    Python `**`; np.power differs in the last bit), taken where a term can be
+    nonzero, depend on d.  Other calls run the loops."""
     gs, ps = np.asarray(gs, dtype=float), np.asarray(ps, dtype=float)
     if on_kernel(len(gs), gs.shape[-1], len(degrees), variant):
         with np.errstate(all="ignore"):  # Python floats overflow without a warning
             # Else the loops compare NaN their way, and weigh a NaN p as NaN ** d
             # and a 4pq past the largest float as inf ** d.
             if np.isfinite(np.ptp(gs, axis=1)).all() and math.isfinite(4.0 * ps.max() * ps.max()):
-                return _kernel(gs, ps, list(degrees), variant, sign)
+                return _kernel(gs, ps, list(degrees), variant, sign, witnesses)
     rows = list(zip(gs.tolist(), ps.tolist()))
-    return [[variation(g, p, d, variant, sign) for g, p in rows] for d in degrees]
+    out = [[variation(g, p, d, variant, sign) for g, p in rows] for d in degrees]
+    return out if witnesses else [[v for v, _ in per_row] for per_row in out]
 
 
-def _kernel(gs, ps, degrees, variant, sign):
+def _kernel(gs, ps, degrees, variant, sign, witnesses=True):
     l, n = gs.shape[1], len(gs)
     if variant == "pace":  # column by column: (0, 1), (0, 2), (1, 2), (0, 3), ...
         j, i = np.tril_indices(l, -1)
@@ -271,7 +274,7 @@ def _kernel(gs, ps, degrees, variant, sign):
     # zero difference times a finite one), which no sum or maximum of terms >= 0 needs.
     live &= diff > 0.0
     if variant == "pace":
-        return _total_variations(diff, base, live, np.array(degrees)[:, None], l)
+        return _total_variations(diff, base, live, np.array(degrees)[:, None], l, witnesses)
     at = np.flatnonzero(live)  # pair by pair, so each row's terms in the loops' order
     base = base.take(at)  # one at a time, each dropping its (pairs x rows) array
     diff = diff.take(at)
@@ -286,11 +289,14 @@ def _kernel(gs, ps, degrees, variant, sign):
         weights *= diff
         if variant == "space":
             terms.ravel()[at] = weights
+            if not witnesses:  # the largest term, whichever pair ties for it
+                out.append(terms.max(axis=1).tolist())
+                continue
             best = terms.argmax(axis=1)
             out.append(list(zip(terms[rows, best].tolist(), zip(i[best].tolist(), j[best].tolist()))))
         else:  # added in order, as the loops add them (bincount counts no terms as int)
-            sums = np.bincount(at, weights, n).astype(float, copy=False)
-            out.append([(v, None) for v in sums.tolist()])
+            sums = np.bincount(at, weights, n).astype(float, copy=False).tolist()
+            out.append([(v, None) for v in sums] if witnesses else sums)
     return out
 
 
@@ -320,16 +326,20 @@ def _chain(pred: list[int], end: int) -> list[int]:
     return chain[::-1]
 
 
-def _total_variations(diff, base, live, degrees, l):
+def _total_variations(diff, base, live, degrees, l, witnesses=True):
     """total_variation's DP over every (degree, row) lane at once, column by
     column; pair (i, j) is row j (j - 1) / 2 + i of the (pairs x rows) arrays.
     Only a `live` pair's candidate takes a weight: any other's is value[i] +
-    0.0, that is value[i]."""
+    0.0, that is value[i].  Without `witnesses` a column keeps its largest
+    candidate: value[i] + term, both >= +0.0 and not NaN, so the float
+    `_winner` picks, whichever chain wins a tie."""
     n = diff.shape[1]
     # The best chain ending at each point: its value, points and predecessor;
     # lane k n + r is row r at degrees[k].
     shape = (len(degrees) * n, l)
-    value, points, pred = np.zeros(shape), np.ones(shape, dtype=np.intp), np.full(shape, -1)
+    value = np.zeros(shape)
+    if witnesses:
+        points, pred = np.ones(shape, dtype=np.intp), np.full(shape, -1)
     terms, cand = np.empty(value.size), np.empty(value.size)
     for j in range(1, l):
         a, b, size = j * (j - 1) // 2, j * (j + 1) // 2, len(value) * j
@@ -340,10 +350,15 @@ def _total_variations(diff, base, live, degrees, l):
         t.fill(0.0)
         t[:, on] = weights
         c = np.add(value[:, :j], t.reshape(-1, j), out=cand[:size].reshape(-1, j))
+        if not witnesses:
+            c.max(axis=1, out=value[:, j])
+            continue
         best, won, fewest, at = _winner(c, points[:, :j], pred)
         value[:, j] = best  # where not won, the single point (0.0, 1, (j,)) stands
         np.copyto(points[:, j], fewest + 1, where=won)
         np.copyto(pred[:, j], at, where=won)
+    if not witnesses:  # value[i] + a term >= +0.0 is a candidate at the last point
+        return value[:, -1].reshape(len(degrees), n).tolist()
     best, won, size, end = _winner(value, points, pred)
     # Read every chain back from its end, all lanes at once; a lane whose every
     # term is 0 takes (0, 1).
@@ -460,23 +475,28 @@ class StratumTable:
         each row's (value, witness chain over positions of `indices`).  An
         effect that is not finite (the terms' sum overflows) is rejected."""
         per_degree = variations(self.gs, self.ps, degrees, variant, sign)
-        [totals] = self.totals(degrees, variant, per_degree)
+        [totals] = self.totals(degrees, variant, [[v for v, _ in per_row] for per_row in per_degree])
         return list(zip(totals, per_degree))
 
-    def totals(self, degrees: Sequence[float], variant: str, per_degree: list[list]) -> list[list[float]]:
-        """Each model's effect at each degree from its rows' `per_degree` values:
-        P(z) * value added in row order from 0.0, rejected if not finite."""
+    def effects(self, degrees: Sequence[float], variant: str, sign: str) -> list[list[float]]:
+        """Each model's effect at each degree, from values without witnesses."""
+        return self.totals(degrees, variant, variations(self.gs, self.ps, degrees, variant, sign, witnesses=False))
+
+    def totals(self, degrees: Sequence[float], variant: str, values: list[list[float]]) -> list[list[float]]:
+        """Each model's effect at each degree from its rows' variations, values[k][r]
+        at degrees[k] (without witnesses: `aggregate` drops them, `effects` builds
+        none): P(z) * value added in row order from 0.0, rejected if not finite."""
         probability, ends = self.probability.tolist(), self.ends or (len(self.z),)  # one model: one slice
-        return [[self._total(probability[a:b], per_row[a:b], a, variant, d) for d, per_row in zip(degrees, per_degree)]
+        return [[self._total(probability[a:b], per_row[a:b], a, variant, d) for d, per_row in zip(degrees, values)]
                 for a, b in zip((0, *ends), ends)]
 
-    def _total(self, pz: list[float], per_row: list, a: int, variant: str, d: float) -> float:
-        """One model's effect at d from its rows, the first being row a."""
+    def _total(self, pz: list[float], values: list[float], a: int, variant: str, d: float) -> float:
+        """One model's effect at d from its rows' values, the first being row a's."""
         total = 0.0
-        for p, (value, _) in zip(pz, per_row):
+        for p, value in zip(pz, values):
             total += p * value
         if not math.isfinite(total):  # P(z) > 0, so a row that is not finite makes it so
-            partial = accumulate(p * value for p, (value, _) in zip(pz, per_row))
+            partial = accumulate(p * value for p, value in zip(pz, values))
             self.finite(total, variant, d, next(r for r, t in enumerate(partial, a) if not math.isfinite(t)))
         return total
 
@@ -607,8 +627,8 @@ def pace_vector(
     if any(b < a for a, b in zip(degrees, degrees[1:])):
         raise QueryError("grid degrees must be ascending")
     EffectQuery(cause, outcome, variant=variant, sign=sign)  # checks the variant and the sign
-    table = strata(model, cause, outcome)
-    return [value for value, _ in table.aggregate(degrees, variant, sign)]
+    [values] = strata(model, cause, outcome).effects(degrees, variant, sign)
+    return values
 
 
 STACK_BLOCK = 65_536  # most (points x joint states x cause values) `effects` stacks at once
@@ -620,21 +640,26 @@ def effects(model: Model, grid: Mapping[str, np.ndarray], cause: str, outcome: s
     variant, sign)).value as out[i][k] for the bindings at the i-th point of
     `grid` (one array of values per parameter, see model.bind_grid), bit for
     bit, or an error; a model without parameters and an empty grid is one
-    point, the model itself.  The points are bound and stacked (see
-    engine._enumerate) STACK_BLOCK joint states times cause values at a
-    time; each stack is stratified once and aggregated by one `variations` call."""
+    point, the model itself."""
+    return [row for stack in effect_stacks(model, grid, cause, outcome, degrees, variant, sign) for row in stack]
+
+
+def effect_stacks(model: Model, grid: Mapping[str, np.ndarray], cause: str, outcome: str,
+                  degrees: Sequence[float], variant: str = "pace", sign: str = "abs"):
+    """`effects`, yielded one stack of points at a time, so a caller knows
+    which points passed before an error.  The points are bound and stacked
+    (see engine._enumerate) STACK_BLOCK joint states times cause values at a
+    time; each stack is stratified once and aggregated by one `variations`
+    call, without witnesses."""
     for d in degrees:
         EffectQuery(cause, outcome, d, variant, sign)  # checks each degree, the variant and the sign
     bound = bool(grid) or not model.is_bound
     z_vars = _query_context(model, cause, outcome)
     points = _points(grid)
     size = max(1, STACK_BLOCK // (model.state_space_size * len(model.support(cause))))
-    out = []
     for start in range(0, points, size):
         stack = bind_grid(model, {n: v[start:start + size] for n, v in grid.items()}) if bound else None
-        table = _tabulate(model, cause, outcome, z_vars, grid=stack)
-        out += table.totals(degrees, variant, variations(table.gs, table.ps, degrees, variant, sign))
-    return out
+        yield _tabulate(model, cause, outcome, z_vars, grid=stack).effects(degrees, variant, sign)
 
 
 def degree_grid(max_degree: float = 1.0, steps: int = 10) -> list[float]:
@@ -658,7 +683,8 @@ def natural_availability(
         raise QueryError("conditioning set must not contain the cause")
     for z in z_vars:
         model.variable(z)
-    return _tabulate(model, cause, None, tuple(z_vars)).aggregate([degree], variant, "abs")[0][0]
+    [[value]] = _tabulate(model, cause, None, tuple(z_vars)).effects([degree], variant, "abs")
+    return value
 
 
 # --- per-z operations (the oracle-facing surface) ---------------------------

@@ -361,6 +361,33 @@ def test_grids_match_the_one_binding_at_a_time_evaluation(name, tmp_path, monkey
     assert (2 in codes) == (fails or name == "bounds") and 0 in codes, codes
 
 
+def test_a_failing_sweep_walks_only_the_points_after_the_last_finished_stack(tmp_path, monkeypatch):
+    # Y leaves its support for p > 0.5: p=0:1:0.1 first fails at its 7th point
+    # (index 6).  Every point of a stack that finished passed at every degree,
+    # so the walk skips them: in stacks of 4 it starts at point 4, in stacks of
+    # 2 at point 6, and in one stack of every point at point 0.  With the
+    # degree last, each point walked is evaluated at its 3 degrees before the
+    # next; with the degree first, the walk at the first degree meets point 6.
+    # There `bind` raises, before any evaluation.
+    path = tmp_path / "leaves.sem"
+    text = ("param p in [0, 1]\nvar Z in {0, 1}\nvar X in {0, 1}\nvar Y in {0, 1}\nroot Z {0: 0.5, 1: 0.5}\n"
+            "cpt X | Z {(0): {0: 0.5, 1: 0.5}, (1): {0: p, 1: 1 - p}}\ndef Y = if p > 0.5 then 2 * X else X\n")
+    path.write_text(text, encoding="utf-8")
+    model = parse_model(text)
+    per_model = model.state_space_size * len(model.support("X"))
+    head = ["sweep", str(path), "--cause", "X", "--outcome", "Y"]
+    p_first = head + ["--axis", "p=0:1:0.1", "--axis", "d=0:1:0.5"]
+    d_first = head + ["--axis", "d=0:1:0.5", "--axis", "p=0:1:0.1"]
+    for points, (walk_p, walk_d) in {4: (2 * 3, 2), 2: (0, 0), 1: (0, 0), 10**6: (6 * 3, 6)}.items():
+        for argv, want in ((p_first, walk_p), (d_first, walk_d)):
+            with monkeypatch.context() as patch:
+                patch.setattr(vr, "STACK_BLOCK", per_model * points)
+                walked = _walked(patch)
+                got = _run(argv)
+            assert got == _reference_run(argv, monkeypatch) and got[0] == 2, (argv, points)
+            assert len(walked) == want, (argv, points)
+
+
 def _grid_outcome(model, grid):
     try:
         stack = bind_grid(model, grid)

@@ -1,7 +1,8 @@
 """The batched variation kernel (`variational.variations` and the numpy
 `_kernel` behind it) against the row-at-a-time loops (`variation`): the
 float bits of every value and every witness chain, on random stacks of
-strata x degrees with ties, zero probabilities and -0.0 outcomes."""
+strata x degrees with ties, zero probabilities and -0.0 outcomes; and the
+values-only mode (no witnesses) against both, errors and their order too."""
 
 import math
 from itertools import combinations
@@ -293,3 +294,68 @@ def test_a_base_past_the_largest_float_takes_the_loops():
     for variant in vr.VARIANTS:
         want = [[vr.variation(g, p, d, variant, "abs") for g, p in zip(gs, ps)] for d in (1.0, 0.0)]
         assert _bits(vr.variations(gs, ps, [1.0, 0.0], variant, "abs")) == _bits(want), variant
+
+
+def _values_stack(rng):
+    """A `_stack` as lists of rows, now and then with several degrees on a wide
+    table, a row of zero outcomes or of zero probabilities, outcomes whose
+    sums overflow to inf, or a row that is no distribution, whose weight
+    (2.25 ** 2000) overflows at one of the degrees."""
+    gs, ps, degrees = _stack(rng)
+    gs, ps = np.array(gs), np.array(ps)
+    n, l = gs.shape
+    if l >= 48:
+        degrees = [float(d) for d in rng.choice(DEGREES, int(rng.integers(2, 4)))]
+    if rng.random() < 0.2:
+        gs[rng.integers(0, n)] = 0.0
+    if rng.random() < 0.2:
+        ps[rng.integers(0, n)] = 0.0
+    if rng.random() < 0.15 and l > 2:  # at d = 0, two steps of 1.5e308 add up to inf
+        gs[rng.integers(0, n)] = np.arange(l) % 2 * 1.5e308
+        degrees.append(0.0)
+    if rng.random() < 0.15 and l > 1:
+        ps[rng.integers(0, n), :2] = 0.75
+        degrees.insert(int(rng.integers(0, len(degrees) + 1)), 2000.0)
+    return gs.tolist(), ps.tolist(), degrees
+
+
+def _values_or_error(call):
+    """The float.hex of every value of out[k][r], or the QueryError raised."""
+    try:
+        out = call()
+    except QueryError as err:
+        return str(err)
+    assert all(type(v) is float for per_row in out for v in per_row)
+    return [[v.hex() for v in per_row] for per_row in out]
+
+
+def test_values_without_witnesses_match_both_kernels_and_the_loops():
+    rng = np.random.default_rng(3131)
+    seen = dict.fromkeys(("kernel", "wide", "zero_outcomes", "zero_probabilities", "inf", "overflow"), 0)
+    for _ in range(400):
+        gs, ps, degrees = _values_stack(rng)
+        l = len(gs[0])
+        sign = str(rng.choice(vr.SIGNS))
+        a, b = np.array(gs), np.array(ps)
+        # Where the guard in `variations` sends a call to the loops, `_kernel` is not asked.
+        kernel = l > 1 and np.isfinite(np.ptp(a, axis=1)).all() and math.isfinite(4.0 * b.max() ** 2)
+        for variant in vr.VARIANTS:
+            want = _values_or_error(lambda: [[vr.variation(g, p, d, variant, sign)[0] for g, p in zip(gs, ps)]
+                                             for d in degrees])
+            got = _values_or_error(lambda: vr.variations(gs, ps, degrees, variant, sign, witnesses=False))
+            assert got == want, (variant, sign, l, len(gs), degrees)
+            witnessed = _values_or_error(lambda: [[v for v, _ in per_row] for per_row in
+                                                   vr.variations(gs, ps, degrees, variant, sign)])
+            assert witnessed == want, (variant, sign, l, len(gs), degrees)
+            if kernel:
+                with np.errstate(all="ignore"):  # as `variations` calls it: sums may overflow to inf
+                    got = _values_or_error(lambda: vr._kernel(a, b, degrees, variant, sign, witnesses=False))
+                assert got == want, (variant, sign, l, len(gs), degrees)
+            seen["inf"] += isinstance(want, list) and math.inf in (float.fromhex(v) for r in want for v in r)
+            seen["overflow"] += isinstance(want, str) and "overflows" in want
+        seen["kernel"] += kernel
+        seen["wide"] += l >= 48 and len(set(degrees)) > 1
+        seen["zero_outcomes"] += any(not any(g) for g in gs)
+        seen["zero_probabilities"] += any(not any(p) for p in ps)
+    assert seen["kernel"] >= 200 and seen["wide"] >= 20 and seen["overflow"] >= 40, seen
+    assert min(seen["zero_outcomes"], seen["zero_probabilities"], seen["inf"]) >= 30, seen
