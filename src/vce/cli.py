@@ -22,7 +22,7 @@ import math
 import sys
 from contextlib import contextmanager
 from functools import cache
-from itertools import product
+from itertools import chain, product
 from typing import Sequence
 
 import numpy as np
@@ -225,16 +225,15 @@ def cmd_sweep(args) -> int:
     size = math.prod(map(len, params.values()))
     order = np.arange(size * len(degrees)).reshape([*map(len, params.values()), len(degrees)])
     order = np.moveaxis(order, -1, names.index("d") if "d" in names else -1).ravel().tolist()
-    passed: list[list[float]] = []
+    passed: list[float] = []  # the finished points' values, point by point, degree by degree
     try:
         swept = {name: c.ravel() for name, c in zip(params, np.meshgrid(*params.values(), indexing="ij"))}
         bindings = {**{name: np.full(size, value) for name, value in fixed.items()}, **swept}
         for stack in vr.effect_stacks(base, bindings, args.cause, args.outcome, degrees, args.variant, args.sign):
-            passed += stack
-        values = np.ravel(passed)[order].tolist()
+            passed += chain.from_iterable(stack)
+        values = [passed[k] for k in order]
     except VceError:
-        done = np.ravel(passed).tolist()
-        values = [done[k] if k < len(done) else vr.effect(
+        values = [passed[k] if k < len(passed) else vr.effect(
                       _bound(base, {**fixed, **named}),
                       vr.EffectQuery(args.cause, args.outcome, d, args.variant, args.sign)).value
                   for k, (named, d) in zip(order, map(point, product(*grid)))]
