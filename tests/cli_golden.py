@@ -308,7 +308,7 @@ def commands() -> list[list[str]]:
              "--mediators", "Q"]]
     rare = ["{models}/rare_disease.sem", *xy]
     out.append(["eval", *rare, "--bind", "p"])
-    for axis in ("d=0:1:0", "d", "d=0:1"):
+    for axis in ("d=0:1:0", "d", "d=0:1", "p=1:0:0.1"):
         out.append(["sweep", *rare, "--bind", "p=0.3", "--axis", axis])
     return out
 
