@@ -27,11 +27,12 @@ perfbench/workloads.chain_model, with seed k.  For each k it records:
 
 `parse` times `parse_model` alone (`parse_model_s`, the median over --repeats
 rounds of the mean of 20 calls) and its tokenizer, `dsl._tokenize`
-(`tokenize_s`, likewise), on three texts.  Two are built here with seed 23 in
-the shape of the benchmark's wide_variation models: `wide`, Z (4 strata) -> X
-(l = 128 values, about one probability in ten 0) with Y a zig-zag `def` of X
-and Z, and `fun`, Z (6 strata) -> X (l = 12) with Y a `fun` table over (X, Z).
-Their tables are thousands of plain decimal entries.  `chain` is chain-9 with
+(`tokenize_s`, likewise), on three texts.  Two are the benchmark's
+wide_variation models, from perfbench/workloads.wide_model and fun_model with
+seed 23: `wide`, Z (4 strata) -> X (l = 128 values, about one probability in
+ten 0) with Y a zig-zag `def` of X and Z, and `fun`, Z (6 strata) -> X
+(l = 12) with Y a `fun` table over (X, Z).  Their tables are thousands of
+plain decimal entries.  `chain` is chain-9 with
 seed 9, the shape of the deep_enum models: many small `cpt` tables.
 
 `small` times the same steps on one small model, models/sprinkler_functional.sem
@@ -64,7 +65,7 @@ import tempfile
 from time import perf_counter
 
 from harness import ROOT, cli, host, layers, timed, write
-from workloads import chain_model
+from workloads import chain_model, fun_model, wide_model
 
 from vce.dsl import _tokenize, parse_model
 from vce.engine import build_joint, marginal
@@ -81,50 +82,6 @@ RARE_SWEEP_ARGV = ["sweep", os.path.join(ROOT, "models", "rare_disease.sem"), "-
 PARSE_SEED = 23
 PARSE_CALLS = 20
 PARSE_SHAPES = {"wide": {"l": 128, "strata": 4}, "fun": {"l": 12, "strata": 6}, "chain": {"k": 9}}
-
-
-def _probs(rng: random.Random, n: int) -> list[str]:
-    """n decimal probabilities (millionths) summing to 1, about one in ten 0."""
-    w = [0 if rng.random() < 0.1 else rng.randint(1, 1000) for _ in range(n)]
-    w[0] += 1
-    micro = [v * 10**6 // sum(w) for v in w]
-    micro[w.index(max(w))] += 10**6 - sum(micro)
-    return ["1" if m == 10**6 else f"0.{m:06d}" for m in micro]
-
-
-def _cause_text(rng: random.Random, l: int, s: int) -> list[str]:
-    lines = [f"var Z in {{{', '.join(map(str, range(s)))}}}",
-             f"var X in {{{', '.join(map(str, range(l)))}}}",
-             "root Z {" + ", ".join(f"{z}: {p}" for z, p in enumerate(_probs(rng, s))) + "}",
-             "cpt X | Z {"]
-    for z in range(s):
-        lines.append(f"  ({z}): {{" + ", ".join(f"{x}: {p}" for x, p in enumerate(_probs(rng, l)))
-                     + "},")
-    return lines + ["}"]
-
-
-def _wide_text(rng: random.Random, l: int, s: int) -> str:
-    """Z (s strata) -> X (l values); Y = X up to t1 + c Z, falling to t2 + c Z, then rising."""
-    t1, t2, c = l // 4, 5 * l // 8, 2
-
-    def zigzag(x, z):
-        if x < t1 + c * z:
-            return x
-        return 2 * (t1 + c * z) - x if x < t2 + c * z else x - 2 * (t2 - t1)
-
-    ys = sorted({zigzag(x, z) for x in range(l) for z in range(s)})
-    return "\n".join(_cause_text(rng, l, s) + [
-        f"var Y in {{{', '.join(map(str, ys))}}}",
-        f"def Y = if X < {t1} + {c} * Z then X else if X < {t2} + {c} * Z "
-        f"then 2 * ({t1} + {c} * Z) - X else X - {2 * (t2 - t1)}"]) + "\n"
-
-
-def _fun_text(rng: random.Random, l: int, s: int) -> str:
-    """Z (s strata) -> X (l values); Y | X, Z a `fun` table of values 0-9."""
-    rows = ["  " + " ".join(f"({x}, {z}): {rng.randint(0, 9)}," for z in range(s))
-            for x in range(l)]
-    return "\n".join(_cause_text(rng, l, s) + ["var Y in {0, 1, 2, 3, 4, 5, 6, 7, 8, 9}",
-                                                "fun Y | X, Z {", *rows, "}"]) + "\n"
 
 
 def _mean_s(read, text: str) -> float:
@@ -218,8 +175,8 @@ def main(argv=None) -> dict:
         with open(SMALL_MODEL, encoding="utf-8") as fh:
             small_base = parse_model(fh.read())
         small = []
-        parse_texts = {name: build(random.Random(PARSE_SEED), *PARSE_SHAPES[name].values())
-                       for name, build in (("wide", _wide_text), ("fun", _fun_text))}
+        parse_texts = {"wide": wide_model(random.Random(PARSE_SEED), *PARSE_SHAPES["wide"].values())[0],
+                       "fun": fun_model(random.Random(PARSE_SEED), *PARSE_SHAPES["fun"].values())}
         chain_k = PARSE_SHAPES["chain"]["k"]
         parse_texts["chain"] = chain_model(random.Random(chain_k), chain_k)[0]
         parse_runs = {name: [] for name in parse_texts}

@@ -116,7 +116,7 @@ def _report_json(report: vr.EffectReport) -> str:
     """json.dumps(..., indent=2, sort_keys=True) of the report, written from
     the stratum table's columns in its ascending row order."""
     q, table, per_row = report.query, report.breakdown.table, report.breakdown.per_row
-    z, indices, witness = table.z, table.indices, {None: "null"}
+    z, witness = table.z, {None: "null"}
     names = sorted(range(len(z.variables)), key=z.variables.__getitem__)  # as sort_keys orders
     cols = _z_strings(z, lambda c: [f"        {json.dumps(z.variables[c])}: {v}"
                                     for v in _json_floats(list(z.values[c]))], names)
@@ -125,7 +125,8 @@ def _report_json(report: vr.EffectReport) -> str:
     for p, v, (_, chain), zz in zip(_json_floats(table.probability.tolist()),
                                    _json_floats([v for v, _ in per_row]), per_row, zs):
         if chain not in witness:
-            witness[chain] = "[\n        " + ",\n        ".join(str(indices[i]) for i in chain) + "\n      ]"
+            spelt = ",\n        ".join(map(str, table.partition(chain).indices))
+            witness[chain] = f"[\n        {spelt}\n      ]"
         rows.append(f'    {{\n      "partition": {witness[chain]},\n      "probability": {p},\n'
                     f'      "value": {v},\n      "z": {zz}\n    }}')
     rest = json.dumps({"query": {"cause": q.cause, "outcome": q.outcome}, "degree": q.degree,
@@ -144,12 +145,12 @@ def _print_report(report: vr.EffectReport, fmt: str):
              f"[sign={q.sign}] = {_fmt(report.value)}"]
     if report.z_variables:
         table, per_row = report.breakdown.table, report.breakdown.per_row
-        z, indices, witness = table.z, table.indices, {None: ""}
+        z, witness = table.z, {None: ""}
         lines.append(f"  per-z breakdown over ({', '.join(report.z_variables)}):")
         cols = _z_strings(z, lambda c: [_fmt(v) for v in z.values[c]], range(len(z.variables)))
         for assign, p, (v, chain) in zip(map(", ".join, zip(*cols)), table.probability.tolist(), per_row):
             if chain not in witness:
-                witness[chain] = f"  partition={[indices[i] for i in chain]}"
+                witness[chain] = f"  partition={list(table.partition(chain).indices)}"
             lines.append(f"    z=({assign})  P(z)={p:.12g}  value={v:.12g}{witness[chain]}")
     print("\n".join(lines))
 
@@ -278,26 +279,19 @@ def cmd_baselines(args) -> int:
         raise VceError(
             f"unknown --select name(s) {sorted(unknown)}; choose from {','.join(BASELINES)}"
         )
-    rows: list[tuple[str, float]] = []
-    if "ace" in selected:
-        rows.append(("ACE", bl.ace(model, args.cause, x0, x1, args.outcome)))
-    if "acde" in selected:
-        controlled = args.controlled.split(",") if args.controlled else [
-            p for p in model.parents(args.outcome) if p != args.cause
-        ]
-        controlled = [c for c in controlled if c]
-        rows.append(("ACDE", bl.acde(model, args.cause, x0, x1, args.outcome, controlled)))
-    if "ande" in selected:
-        mediators = [m for m in (args.mediators or "").split(",") if m]
-        rows.append(("ANDE", bl.ande(model, args.cause, x0, x1, args.outcome, mediators)))
-    if "janzing" in selected:
-        rows.append(
-            ("Janzing", bl.janzing_strength(model, [(args.cause, args.outcome)], base=args.base))
-        )
-    if "mi" in selected:
-        rows.append(("MI", bl.mi_strength(model, args.cause, args.outcome)))
-    if "cmi" in selected:
-        rows.append(("CMI", bl.cmi_strength(model, args.cause, args.outcome)))
+    # Each measure in BASELINES order, computed only if selected (so are ACDE's default controls).
+    measures = (
+        ("ACE", lambda: bl.ace(model, args.cause, x0, x1, args.outcome)),
+        ("ACDE", lambda: bl.acde(model, args.cause, x0, x1, args.outcome,
+                                 [c for c in args.controlled.split(",") if c] if args.controlled
+                                 else [p for p in model.parents(args.outcome) if p != args.cause])),
+        ("ANDE", lambda: bl.ande(model, args.cause, x0, x1, args.outcome,
+                                 [m for m in (args.mediators or "").split(",") if m])),
+        ("Janzing", lambda: bl.janzing_strength(model, [(args.cause, args.outcome)], base=args.base)),
+        ("MI", lambda: bl.mi_strength(model, args.cause, args.outcome)),
+        ("CMI", lambda: bl.cmi_strength(model, args.cause, args.outcome)),
+    )
+    rows = [(name, measure()) for name, measure in measures if name.lower() in selected]
     if args.format == "json":
         print(json.dumps({name.lower(): value for name, value in rows}, indent=2, sort_keys=True))
         return EXIT_OK

@@ -16,7 +16,7 @@ from typing import Mapping
 
 import numpy as np
 
-from .engine import Distribution, _positions, _quiet, _sum, build_joint, marginal
+from .engine import Distribution, _quiet, _sum, build_joint, marginal
 from .errors import QueryError, ZeroProbabilityError
 from .model import CPT, Deterministic, Model, Root
 
@@ -49,7 +49,7 @@ def recompute(model: Model, rows: Distribution, pinned: Mapping[str, int | np.nd
             codes[name] = rows.codes[rows.column(name)]
         else:
             table = model.outcome_table(name)
-            codes[name] = table.array[_positions(table, [codes[p] for p in mech.parents], len(rows))]
+            codes[name] = table.array[table.positions([codes[p] for p in mech.parents], len(rows))]
     return Distribution(list(codes), columns=(
         [model.support(v).values for v in codes], list(codes.values()), rows.masses))
 

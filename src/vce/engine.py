@@ -28,7 +28,6 @@ from .model import (
     Deterministic,
     Grid,
     Model,
-    OutcomeTable,
     Root,
     VALUE_TOL,
     snap_to_support,
@@ -96,6 +95,14 @@ class Distribution:
         """`name`'s value at each row, as float64."""
         c = self.column(name)
         return np.asarray(self.values[c], dtype=float)[self.codes[c]]
+
+    def near(self, given: Mapping[str, float]) -> np.ndarray:
+        """Whether each row's every `given` value is within VALUE_TOL of it (a NaN is near none)."""
+        keep = np.ones(len(self), dtype=bool)
+        for name, v in given.items():
+            c = self.column(name)
+            keep &= np.array([abs(x - v) <= VALUE_TOL for x in self.values[c]], dtype=bool)[self.codes[c]]
+        return keep
 
     def recode(self, name: str | int, values: Sequence[float], missing: int) -> np.ndarray:
         """Each row's index of its `name` (or column `name`) value in `values` (`missing` where absent)."""
@@ -176,13 +183,6 @@ def _number(key: np.ndarray, span: int, n: int) -> tuple[np.ndarray, np.ndarray]
     return number[key], first
 
 
-def _positions(table: OutcomeTable, codes: Sequence[np.ndarray], n: int) -> np.ndarray:
-    """Each of n rows' slot in `table`, from its parents' support indices."""
-    if not codes:
-        return np.zeros(n, dtype=np.intp)
-    return np.ravel_multi_index(codes, [len(values) for values in table.parents])
-
-
 def deterministic_value(model: Model, name: str, assignment: Mapping[str, float]) -> float:
     mech = model.mechanisms[name]
     if not isinstance(mech, Deterministic):
@@ -218,7 +218,7 @@ def _enumerate(model: Model, grid: Grid | None = None) -> Distribution:
     mass = np.ones(grid.points if grid else 1)
     for name in model.topological_order():
         mech, table = model.mechanisms[name], stacked.get(name) or model.outcome_table(name)
-        pos = _positions(table, [codes[p] for p in mech.parents], len(mass))
+        pos = table.positions([codes[p] for p in mech.parents], len(mass))
         outcomes = table.array[codes[POINT], pos] if name in stacked else table.array[pos]
         if outcomes.ndim == 1:  # deterministic: each row's one outcome, probability 1.0
             codes[name] = outcomes
@@ -287,12 +287,8 @@ def stratify(dist: Distribution, x: np.ndarray, width: int, z_names: Sequence[st
 
 
 def _given(joint: Distribution, given: Mapping[str, float]) -> Distribution:
-    """The rows whose every `given` value is within VALUE_TOL of the given one (a NaN is near none)."""
-    keep = np.ones(len(joint), dtype=bool)
-    for name, v in given.items():
-        c = joint.column(name)
-        near = np.array([abs(x - v) <= VALUE_TOL for x in joint.values[c]], dtype=bool)
-        keep &= near[joint.codes[c]]
+    """The rows whose every `given` value is near the given one (Distribution.near)."""
+    keep = joint.near(given)
     return Distribution(joint.variables, columns=(
         joint.values, [c[keep] for c in joint.codes], joint.masses[keep]))
 
@@ -488,7 +484,7 @@ def joint_at(model: Model, keys: Distribution | Iterable[tuple[float, ...]]) -> 
     for name in model.topological_order():
         mech, table = model.mechanisms[name], model.outcome_table(name)
         live = np.flatnonzero(mass != 0.0)
-        pos = _positions(table, [at(p, live) for p in mech.parents], len(live))
+        pos = table.positions([at(p, live) for p in mech.parents], len(live))
         outcomes, own = table.array, at(name, live)
         if outcomes.ndim == 1:
             factor = np.where(outcomes[pos] == own, 1.0, 0.0)

@@ -224,7 +224,7 @@ def identifiable_effect(
     """Plug-in estimate of the chosen variational effect from data alone."""
     query = EffectQuery(cause, outcome, degree, variant, sign)
     table = estimate_conditionals(dataset, cause, outcome, z_vars)
-    return table.aggregate([query.degree], query.variant, query.sign)[0][0]
+    return table.effects([query.degree], query.variant, query.sign)[0][0]
 
 
 def covariate_weighted_effect(
@@ -271,4 +271,4 @@ def covariate_weighted_effect(
             f"no records for cause value {x!r} in stratum {z_table.z.keys(np.array([s]))[0]}"
         )
     table = StratumTable(z_table.z, ws, gs_c0, z_table.indices, outcome)
-    return table.aggregate([query.degree], query.variant, query.sign)[0][0]
+    return table.effects([query.degree], query.variant, query.sign)[0][0]

@@ -8,6 +8,7 @@ exactly 0 or 1 so silent coercions cannot hide a modelling mistake.
 from __future__ import annotations
 
 import math
+import operator
 from dataclasses import dataclass
 from typing import Mapping, Union
 
@@ -57,6 +58,22 @@ class IfElse:
     orelse: Expr
 
 
+# The arithmetic and comparison operators of BINARY_PREC, for both evaluators;
+# `and` and `or` short-circuit, so each spells them out.  On Python floats and
+# on float64 arrays each is the same IEEE operation.
+_OPERATORS = {
+    "+": operator.add,
+    "-": operator.sub,
+    "*": operator.mul,
+    "==": operator.eq,
+    "!=": operator.ne,
+    "<": operator.lt,
+    "<=": operator.le,
+    ">": operator.gt,
+    ">=": operator.ge,
+}
+
+
 def _as_bool(value: float, where: str) -> bool:
     if value == 0.0:
         return False
@@ -86,25 +103,9 @@ def evaluate(expr: Expr, env: Mapping[str, float]) -> float:
         if expr.op == "or":
             return float(_as_bool(a, "'or'") or _as_bool(evaluate(expr.right, env), "'or'"))
         b = evaluate(expr.right, env)
-        if expr.op == "+":
-            return a + b
-        if expr.op == "-":
-            return a - b
-        if expr.op == "*":
-            return a * b
-        if expr.op == "==":
-            return float(a == b)
-        if expr.op == "!=":
-            return float(a != b)
-        if expr.op == "<":
-            return float(a < b)
-        if expr.op == "<=":
-            return float(a <= b)
-        if expr.op == ">":
-            return float(a > b)
-        if expr.op == ">=":
-            return float(a >= b)
-        raise EvalError(f"unknown operator '{expr.op}'")
+        if expr.op not in _OPERATORS:
+            raise EvalError(f"unknown operator '{expr.op}'")
+        return float(_OPERATORS[expr.op](a, b))
     if isinstance(expr, Call):
         if expr.func != "xor" or len(expr.args) != 2:
             raise EvalError(f"unknown function '{expr.func}'")
@@ -116,22 +117,6 @@ def evaluate(expr: Expr, env: Mapping[str, float]) -> float:
             return evaluate(expr.then, env)
         return evaluate(expr.orelse, env)
     raise EvalError(f"not an expression: {expr!r}")
-
-
-# The arithmetic and comparison operators of BINARY_PREC as numpy ufuncs; `and`
-# and `or` short-circuit, so evaluate_grid spells them out.  On float64 each
-# is IEEE-identical to the Python float operation `evaluate` applies.
-_GRID_BINARY = {
-    "+": np.add,
-    "-": np.subtract,
-    "*": np.multiply,
-    "==": np.equal,
-    "!=": np.not_equal,
-    "<": np.less,
-    "<=": np.less_equal,
-    ">": np.greater,
-    ">=": np.greater_equal,
-}
 
 
 def evaluate_grid(expr: Expr, columns: Mapping[str, np.ndarray]) -> tuple[np.ndarray, np.ndarray]:
@@ -171,9 +156,8 @@ def _grid(expr: Expr, columns: Mapping[str, np.ndarray]) -> tuple[np.ndarray, np
             if expr.op == "and":
                 return ((a == 1.0) & (b == 1.0)).astype(np.float64), failed
             return ((a == 1.0) | (b == 1.0)).astype(np.float64), failed
-        ufunc = _GRID_BINARY.get(expr.op)
-        if ufunc is not None:
-            return ufunc(a, b).astype(np.float64), fa | fb
+        if expr.op in _OPERATORS:
+            return np.asarray(_OPERATORS[expr.op](a, b), dtype=np.float64), fa | fb
     elif isinstance(expr, Call):
         if expr.func == "xor" and len(expr.args) == 2:
             a, fa = _grid(expr.args[0], columns)

@@ -15,7 +15,7 @@ from collections.abc import Mapping as MappingABC
 from dataclasses import dataclass
 from functools import cached_property
 from itertools import product
-from typing import Iterable, Iterator, Mapping, NamedTuple, Union
+from typing import Iterable, Iterator, Mapping, NamedTuple, Sequence, Union
 
 import numpy as np
 
@@ -169,6 +169,12 @@ class OutcomeTable:
         for values, v in zip(self.parents, parent_values):
             pos = pos * len(values) + values.index(v)
         return pos
+
+    def positions(self, codes: Sequence[np.ndarray], n: int) -> np.ndarray:
+        """`slot` of n parent tuples, given as the parents' support indices (arrays that broadcast)."""
+        if not codes:
+            return np.zeros(n, dtype=np.intp)
+        return np.ravel_multi_index(codes, [len(values) for values in self.parents])
 
     def read(self, mech: Mechanism, parent_values: tuple[float, ...]):
         """The array's entry at `parent_values`; a caller's value that is not

@@ -38,7 +38,7 @@ from .engine import (
     stratify,
 )
 from .errors import QueryError, ZeroProbabilityError
-from .model import VALUE_TOL, Deterministic, Grid, Model, Partition, _points, bind_grid
+from .model import Deterministic, Grid, Model, Partition, _points, bind_grid
 
 VARIANTS = ("pace", "peace", "space", "apace")
 SIGNS = ("abs", "positive", "negative")
@@ -232,13 +232,12 @@ def on_kernel(rows: int, l: int, degrees: int, variant: str) -> bool:
 def variations(gs, ps, degrees: Sequence[float], variant: str, sign: str, witnesses: bool = True) -> list[list]:
     """`variation` of every row (gs[r], ps[r]) of two (rows x l) arrays at
     every degree, bit for bit: out[k][r] is its (value, witness) at
-    degrees[k], or its value alone without `witnesses` (`effects`, so `sweep`,
-    `pace_vector` and `natural_availability` read none; `eval`, `check` and
-    the per-z functions do).  Where it pays (on_kernel), one numpy kernel
-    serves all rows and degrees: the signed differences and bases 4 p_j p_i
-    are built once, and only the weights (np.float_power: libm `pow`, as
-    Python `**`; np.power differs in the last bit), taken where a term can be
-    nonzero, depend on d.  Other calls run the loops."""
+    degrees[k], or its value alone without `witnesses` (only `effect`, so
+    `eval`, `check`, `piv` and `spiv` read one).  Where it pays (on_kernel),
+    one numpy kernel serves all rows and degrees: the signed differences and
+    bases 4 p_j p_i are built once, and only the weights (np.float_power: libm
+    `pow`, as Python `**`; np.power differs in the last bit), taken where a
+    term can be nonzero, depend on d.  Other calls run the loops."""
     gs, ps = np.asarray(gs, dtype=float), np.asarray(ps, dtype=float)
     if on_kernel(len(gs), gs.shape[-1], len(degrees), variant):
         with np.errstate(all="ignore"):  # Python floats overflow without a warning
@@ -572,7 +571,7 @@ def _tabulate(
         table = grid and grid.tables.get(outcome) or model.outcome_table(outcome)
         codes = [np.asarray(indices, dtype=np.intp)[None, :] if p == cause
                  else z.codes[z_vars.index(p)][:, None] for p in mech.parents]
-        at = np.broadcast_to(np.ravel_multi_index(codes, [len(vs) for vs in table.parents]), ps.shape)
+        at = np.broadcast_to(table.positions(codes, len(ps)), ps.shape)
         values = table.supports[0].values
         gs = np.asarray(values)[table.array[(point[:, None], at) if grid and outcome in grid.tables else at]]
     else:
@@ -697,9 +696,7 @@ def _stratum(model: Model, query: EffectQuery, z: Mapping[str, float], partition
     table = strata(model, query.cause, query.outcome)
     if set(z) != set(table.z_variables):
         raise QueryError(f"z must assign exactly {table.z_variables}")
-    hit = np.ones(len(table.z), dtype=bool)
-    for name, values, codes in zip(table.z_variables, table.z.values, table.z.codes):
-        hit &= np.array([abs(a - z[name]) <= VALUE_TOL for a in values], dtype=bool)[codes]
+    hit = table.z.near(z)
     if not hit.any():
         raise ZeroProbabilityError(f"z assignment {dict(z)} has zero probability")
     if partition is not None and partition.indices[-1] >= len(table.indices):
@@ -743,7 +740,7 @@ def spiv(model: Model, query: EffectQuery, z: Mapping[str, float]) -> tuple[floa
 def apiv(model: Model, query: EffectQuery, z: Mapping[str, float]) -> float:
     """Normalized aggregated (all-pairs) variation at one z."""
     table, r, gs, ps = _stratum(model, query, z)
-    [[(value, _)]] = variations([gs], [ps], [query.degree], "apace", query.sign)
+    [[value]] = variations([gs], [ps], [query.degree], "apace", query.sign, witnesses=False)
     return table.finite(value, "apace", query.degree, r)
 
 
@@ -793,4 +790,4 @@ def ace_flavored_effect(
     ms = interventional_means(model, outcome, [cause], [(x,) for x in support.values])
     z = Distribution((), columns=((), (), np.ones(1)))
     table = StratumTable(z, np.array([ps]), np.array([ms], dtype=float), tuple(range(len(ps))), outcome)
-    return table.aggregate([query.degree], query.variant, query.sign)[0][0]
+    return table.effects([query.degree], query.variant, query.sign)[0][0]

@@ -1089,6 +1089,63 @@ def reference_print_report(report, fmt: str):
             print(f"    z=({assign})  P(z)={_fmt(z.probability)}  value={_fmt(z.value)}{witness}")
 
 
+# --- the scalar evaluator's operator chain (oracle for expr's operator table) --
+
+
+def reference_evaluate(expr: ex.Expr, env) -> float:
+    """expr.evaluate as it was before both evaluators read one operator
+    table: each binary operator spelt out as a Python float operation."""
+    if isinstance(expr, ex.Num):
+        return expr.value
+    if isinstance(expr, ex.Name):
+        try:
+            return env[expr.ident]
+        except KeyError:
+            raise EvalError(f"unknown identifier '{expr.ident}'") from None
+    if isinstance(expr, ex.Unary):
+        v = reference_evaluate(expr.operand, env)
+        if expr.op == "-":
+            return -v
+        return 0.0 if ex._as_bool(v, "'not'") else 1.0
+    if isinstance(expr, ex.Binary):
+        a = reference_evaluate(expr.left, env)
+        if expr.op == "and":
+            return float(ex._as_bool(a, "'and'") and ex._as_bool(reference_evaluate(expr.right, env), "'and'"))
+        if expr.op == "or":
+            return float(ex._as_bool(a, "'or'") or ex._as_bool(reference_evaluate(expr.right, env), "'or'"))
+        b = reference_evaluate(expr.right, env)
+        if expr.op == "+":
+            return a + b
+        if expr.op == "-":
+            return a - b
+        if expr.op == "*":
+            return a * b
+        if expr.op == "==":
+            return float(a == b)
+        if expr.op == "!=":
+            return float(a != b)
+        if expr.op == "<":
+            return float(a < b)
+        if expr.op == "<=":
+            return float(a <= b)
+        if expr.op == ">":
+            return float(a > b)
+        if expr.op == ">=":
+            return float(a >= b)
+        raise EvalError(f"unknown operator '{expr.op}'")
+    if isinstance(expr, ex.Call):
+        if expr.func != "xor" or len(expr.args) != 2:
+            raise EvalError(f"unknown function '{expr.func}'")
+        a = ex._as_bool(reference_evaluate(expr.args[0], env), "xor")
+        b = ex._as_bool(reference_evaluate(expr.args[1], env), "xor")
+        return float(a != b)
+    if isinstance(expr, ex.IfElse):
+        if ex._as_bool(reference_evaluate(expr.cond, env), "'if' condition"):
+            return reference_evaluate(expr.then, env)
+        return reference_evaluate(expr.orelse, env)
+    raise EvalError(f"not an expression: {expr!r}")
+
+
 # --- random expressions paired with an independent Python oracle ------------
 
 

@@ -311,6 +311,7 @@ def test_check_reports_the_brute_force_deviation(capsys, monkeypatch, offset, co
     (["sweep", RARE, "--cause", "X", "--outcome", "Y", "--axis", "d=0:1:0"], "axis step must be positive"),
     (["sweep", RARE, "--cause", "X", "--outcome", "Y", "--axis", "d"], "expected AXIS=START:STOP:STEP, got 'd'"),
     (["sweep", RARE, "--cause", "X", "--outcome", "Y", "--axis", "d=0:1"], "expected START:STOP:STEP in 'd=0:1'"),
+    (["sweep", RARE, "--cause", "X", "--outcome", "Y", "--axis", "p=1:0:0.1"], "axis stop must be >= start"),
     (["eval", BSC, "--cause", "X", "--outcome", "Q"], "unknown variable 'Q'"),
     (["baselines", SPRINKLER, "--cause", "C", "--outcome", "W", "--select", "cmi"], "'C' is not a parent of 'W'"),
     (["baselines", SPRINKLER, "--cause", "R", "--outcome", "W", "--select", "ande", "--mediators", "Q"],

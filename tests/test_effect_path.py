@@ -230,7 +230,14 @@ def test_len_of_a_breakdown_builds_nothing(monkeypatch):
     monkeypatch.setattr(vr, "Partition", refuse)
     assert len(report.breakdown) == 64
     assert "_at" not in vars(report.breakdown)  # nor the key index
-    cli._print_report(report, "json")  # the emitters read the columns
+    # The emitters read the columns, and spell each distinct witness once.
+    built = []
+    monkeypatch.setattr(vr, "Partition", lambda indices: built.append(indices) or Partition(indices))
+    with contextlib.redirect_stdout(io.StringIO()):
+        for fmt in ("json", "table"):
+            cli._print_report(report, fmt)
+    chains = {chain for _, chain in report.breakdown.per_row} - {None}
+    assert len(built) == 2 * len(chains) and len(chains) < 64
     monkeypatch.undo()
     key = next(iter(report.breakdown))
     assert isinstance(report.breakdown[key], vr.ZSlice)

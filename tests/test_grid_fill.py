@@ -13,7 +13,15 @@ from itertools import product
 import numpy as np
 import pytest
 
-from helpers import evaluate_slot, random_dsl_model, random_probs, reference_joint, table_rows
+from helpers import (
+    evaluate_slot,
+    random_dsl_model,
+    random_paired_expr,
+    random_probs,
+    reference_evaluate,
+    reference_joint,
+    table_rows,
+)
 from vce import expr as ex
 from vce import variational
 from vce.dsl import parse_model
@@ -270,7 +278,7 @@ _COLUMNS = {"a": np.array([a for a, _ in _GRID]), "b": np.array([b for _, b in _
 def test_evaluate_grid_covers_exactly_the_grammars_operators():
     a, b = ex.Name("a"), ex.Name("b")
     # Every binary operator of the grammar, and nothing else, evaluates.
-    assert set(ex._GRID_BINARY) | {"and", "or"} == set(ex.BINARY_PREC)
+    assert set(ex._OPERATORS) | {"and", "or"} == set(ex.BINARY_PREC)
     for op in ex.BINARY_PREC:
         _agrees_with_scalar(ex.Binary(op, a, b), _COLUMNS)
         _agrees_with_scalar(ex.Binary(op, ex.Binary(op, a, b), ex.Num(1.0)), _COLUMNS)
@@ -284,6 +292,46 @@ def test_evaluate_grid_covers_exactly_the_grammars_operators():
                  ex.Num(3.0)):
         _agrees_with_scalar(tree, _COLUMNS)
     assert ex.evaluate_grid(ex.Call("max", (a, b)), _COLUMNS)[1].all()
+
+
+# Values that tie, cross 0 and 1, overflow or are not numbers.
+_ENV_VALUES = (0.0, -0.0, 1.0, -1.0, 0.5, 2.0, 1e308, -1e308, math.inf, -math.inf, math.nan)
+
+
+def _random_tree(rng, names):
+    """A random_paired_expr tree, at times where 0 or 1 is expected or beside
+    an unknown operator or identifier, so that the evaluators fail too."""
+    tree, _ = random_paired_expr(rng, names)
+    other, _ = random_paired_expr(rng, names)
+    op = str(rng.choice(list(ex.BINARY_PREC) + ["/"]))
+    return [tree, tree, ex.Unary("not", tree), ex.Binary(str(rng.choice(["and", "or"])), tree, other),
+            ex.Call("xor", (tree, other)), ex.IfElse(tree, other, tree), ex.Binary(op, tree, other),
+            ex.Binary(op, tree, ex.Name("w"))][int(rng.integers(0, 8))]
+
+
+def _outcome(evaluate, tree, env):
+    try:
+        return float(evaluate(tree, env)).hex()
+    except EvalError as err:
+        return f"EvalError: {err}"
+
+
+def test_both_evaluators_match_the_operator_chain_on_random_trees():
+    # Both evaluators read expr._OPERATORS, so comparing them with each other
+    # cannot show a wrong entry: the reference spells each operator out.
+    rng = np.random.default_rng(32)
+    names, positions = ["a", "b", "c"], 24
+    for _ in range(400):
+        tree = _random_tree(rng, names)
+        columns = {n: rng.choice(_ENV_VALUES, positions) for n in names}
+        values, failed = ex.evaluate_grid(tree, columns)
+        values, failed = np.broadcast_to(values, (positions,)), np.broadcast_to(failed, (positions,))
+        for j in range(positions):
+            env = {n: float(c[j]) for n, c in columns.items()}
+            want = _outcome(reference_evaluate, tree, env)
+            assert _outcome(ex.evaluate, tree, env) == want, (tree, env)
+            got = "EvalError" if failed[j] else float(values[j]).hex()
+            assert got == want.split(":")[0], (tree, env)
 
 
 def test_strata_gathers_filled_slots_without_g_in(monkeypatch):

@@ -4,6 +4,7 @@ float bits of every value and every witness chain, on random stacks of
 strata x degrees with ties, zero probabilities and -0.0 outcomes; and the
 values-only mode (no witnesses) against both, errors and their order too."""
 
+import inspect
 import math
 from itertools import combinations
 
@@ -11,7 +12,9 @@ import numpy as np
 import pytest
 
 from vce import cli
+from vce import estimation as est
 from vce import variational as vr
+from vce.dsl import parse_model
 from vce.errors import QueryError
 
 STACKS = 520
@@ -359,3 +362,48 @@ def test_values_without_witnesses_match_both_kernels_and_the_loops():
         seen["zero_probabilities"] += any(not any(p) for p in ps)
     assert seen["kernel"] >= 200 and seen["wide"] >= 20 and seen["overflow"] >= 40, seen
     assert min(seen["zero_outcomes"], seen["zero_probabilities"], seen["inf"]) >= 30, seen
+
+
+WITNESS_MODEL = """var Z in {0, 1}
+var X in {0, 1, 2}
+var Y in {0, 1, 2, 3}
+root Z {0: 0.5, 1: 0.5}
+cpt X | Z {
+  (0): {0: 0.2, 1: 0.3, 2: 0.5},
+  (1): {0: 0.6, 1: 0.2, 2: 0.2},
+}
+def Y = X + Z
+"""
+
+
+def test_only_the_callers_that_read_a_witness_ask_for_chains(monkeypatch, tmp_path, capsys):
+    model = parse_model(WITNESS_MODEL)
+    path = tmp_path / "witness.sem"
+    path.write_text(WITNESS_MODEL, encoding="utf-8")
+    data = est.Dataset(("C", "X", "Y"), tuple((c, x, x + c) for c in (0.0, 1.0) for x in (0.0, 1.0, 2.0)))
+    query, z = vr.EffectQuery("X", "Y"), {"Z": 0.0}
+    real, asked = vr.variations, []
+    signature = inspect.signature(real)
+
+    def spy(*args, **kwargs):
+        bound = signature.bind(*args, **kwargs)
+        bound.apply_defaults()
+        asked.append(bound.arguments["witnesses"])
+        return real(*args, **kwargs)
+
+    monkeypatch.setattr(vr, "variations", spy)
+    calls = {
+        "identifiable_effect": lambda: est.identifiable_effect(data, "X", "Y", ["C"], 1.0),
+        "covariate_weighted_effect": lambda: est.covariate_weighted_effect(data, "X", "Y", [], "C", 1.0),
+        "ace_flavored_effect": lambda: vr.ace_flavored_effect(model, "X", "Y", 1.0),
+        "apiv": lambda: vr.apiv(model, query, z),
+        "effect": lambda: vr.effect(model, query),
+        "check": lambda: cli.main(["check", str(path), "--cause", "X", "--outcome", "Y"]),
+        "piv": lambda: vr.piv(model, query, z),
+        "spiv": lambda: vr.spiv(model, query, z),
+    }
+    for name, call in calls.items():
+        asked.clear()
+        call()
+        assert asked == [name in ("effect", "check", "piv", "spiv")], name
+    assert capsys.readouterr().out.startswith("OK")
